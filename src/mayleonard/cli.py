@@ -38,7 +38,7 @@ from .diagnostics import (
 from .errors import NumericsError, ValidationError
 from .flow import IntegrateOpts, FlowState, integrate, section_returns, section_state
 from .params import check_c1a_c1b, derive_constants
-from .returnmap import VARIANTS, map_lift, reduce_mod
+from .returnmap import VARIANTS, compile_map, reduce_mod
 from .singular import (
     gamma_sequence,
     hypothesis_battery,
@@ -145,11 +145,11 @@ def _default_n(params, gamma_plus=0.05):
 
 
 def _orbit_rows(variant, x0, s0, iters, params, n=None, a=None):
-    modulus = math.pi / params.omega if variant == "full" else 1.0
+    fmap = compile_map(variant, params, n=n, a=a)
     x, s = x0, s0
     for k in range(1, iters + 1):
-        x, f2 = map_lift(variant, x, s, params, n=n, a=a)
-        s = reduce_mod(f2, modulus)
+        x, f2 = fmap.lift(x, s)
+        s = reduce_mod(f2, fmap.modulus)
         yield (k, x, s)
 
 
@@ -266,7 +266,7 @@ def _run(args) -> int:
                   ("gamma", "lambda1", "lambda2", "K", "rot_lo", "rot_hi",
                    "annulus_ok", "battery_h4", "success", "failed"),
                   ((r.gamma, r.lambda1, r.lambda2, r.K, r.rot_lo, r.rot_hi,
-                    r.annulus_ok, bool(r.battery_h4), r.success, r.failed)
+                    r.annulus_ok, r.battery_h4, r.success, r.failed)
                    for r in result.rows))
         write_json(base_path + ".json", result.to_summary())
         return 0
@@ -281,16 +281,8 @@ def _run(args) -> int:
             rot_info = {"lo": rot.lo, "hi": rot.hi, "width": rot.width,
                         "is_point": rot.is_point}
         else:
-            xs = []
-            x, s = x0, args.s0
-            for _ in range(200):
-                x, f2 = map_lift("case12", x, s, params)
-                s = reduce_mod(f2, 1.0)
-            series = np.empty(args.iters)
-            for i in range(args.iters):
-                x, f2 = map_lift("case12", x, s, params)
-                s = reduce_mod(f2, 1.0)
-                series[i] = s
+            rows = _orbit_rows("case12", x0, args.s0, 200 + args.iters, params)
+            series = np.array([s for _, _, s in rows][200:])
             rot_info = None
         obs = np.cos(2.0 * np.pi * series)
         K = zero_one_test(obs, rng=rng)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .params import ModelParams, derive_constants, stable_fixed_point
-from .returnmap import jacobian, map_lift, reduce_mod
-from .singular import CircleMap, critical_set, k_map, make_circle_map, misiurewicz_check
+from .returnmap import compile_map, reduce_mod
+from .singular import CircleMap, k_map, make_circle_map, misiurewicz_check
 
 __all__ = [
     "x_star",
@@ -47,10 +47,7 @@ __all__ = [
 ]
 
 
-def x_star(gamma: float, delta: float) -> float | None:
-    """Positive stable fixed point of ``x -> x**delta + gamma``; None past
-    the saddle-node amplitude."""
-    return stable_fixed_point(gamma, delta)
+x_star = stable_fixed_point
 
 
 # ---------------------------------------------------------------------------
@@ -276,45 +273,44 @@ def lyapunov_2d(variant: str, point0, iterations: int, params: ModelParams,
         raise ValidationError("iterations must be >= 10000")
     if variant == "case34":
         raise ValidationError("case34 is rank-one degenerate (det = 0)")
+    fmap = compile_map(variant, params, gamma=gamma, n=n, a=a)
+    lift, tangent, modulus = fmap.lift, fmap.tangent, fmap.modulus
     x, s = float(point0[0]), float(point0[1])
-    modulus = math.pi / params.omega if variant == "full" else 1.0
     for k in range(burn_in):
-        x, s = map_lift(variant, x, s, params, n=n, a=a, gamma=gamma)
+        x, s = lift(x, s)
         s = reduce_mod(s, modulus)
         if x <= 0.0:
             raise NumericsError(f"orbit escaped (x <= 0) during burn-in step {k}")
-    from .returnmap import CylinderPoint
-    q1 = np.array([1.0, 0.0])
-    q2 = np.array([0.0, 1.0])
+    q1x, q1y, q2x, q2y = 1.0, 0.0, 0.0, 1.0
     sum1 = sum2 = sumdet = 0.0
-    eps = np.finfo(float).eps
+    eps = math.ulp(1.0)
     for k in range(iterations):
-        J, det_entries, det_cf = jacobian(CylinderPoint(x, s), variant, params,
-                                          n=n, a=a, gamma=gamma)
+        d11, d12, d21, d22, det = tangent(x, s)
         # the entry-form determinant cancels catastrophically when the phase
         # coupling dominates; prefer the exact closed form where it exists
-        det = det_cf if det_cf is not None else det_entries
+        if det is None:
+            det = d11 * d22 - d12 * d21
         if det == 0.0:
             raise NumericsError(f"degenerate tangent map at step {k}")
         sumdet += math.log(abs(det))
-        v1 = J @ q1
-        v2 = J @ q2
-        r11 = math.hypot(v1[0], v1[1])
-        q1 = v1 / r11
-        r12 = q1 @ v2
-        w = v2 - r12 * q1
-        r22 = math.hypot(w[0], w[1])
+        v1x, v1y = d11 * q1x + d12 * q1y, d21 * q1x + d22 * q1y
+        v2x, v2y = d11 * q2x + d12 * q2y, d21 * q2x + d22 * q2y
+        r11 = math.hypot(v1x, v1y)
+        q1x, q1y = v1x / r11, v1y / r11
+        r12 = q1x * v2x + q1y * v2y
+        wx, wy = v2x - r12 * q1x, v2y - r12 * q1y
+        r22 = math.hypot(wx, wy)
         # the subtraction rounds at eps * |v2|; below that the residual is
         # noise and the 2x2 volume identity r11 * r22 = |det| is exact
-        noise = 64.0 * eps * max(math.hypot(v2[0], v2[1]), abs(r12))
+        noise = 64.0 * eps * max(math.hypot(v2x, v2y), abs(r12))
         if r22 <= noise:
             r22 = abs(det) / r11
-            q2 = np.array([-q1[1], q1[0]])
+            q2x, q2y = -q1y, q1x
         else:
-            q2 = w / r22
+            q2x, q2y = wx / r22, wy / r22
         sum1 += math.log(r11)
         sum2 += math.log(r22)
-        x, s = map_lift(variant, x, s, params, n=n, a=a, gamma=gamma)
+        x, s = lift(x, s)
         s = reduce_mod(s, modulus)
         if x <= 0.0:
             raise NumericsError(f"orbit escaped (x <= 0) at step {k}")
@@ -331,13 +327,9 @@ class Case34SMarginal(CircleMap):
     """Phase marginal of the high-frequency family: ``s + phi + A sin(2 pi s)``."""
 
     def __init__(self, params: ModelParams):
-        if params.gamma <= 0.0 or params.mu1 <= 0.0:
-            raise ValidationError("the s-marginal needs gamma > 0 and mu1 > 0")
-        dc = derive_constants(params)
-        self.phi = (params.mu3 * params.omega / math.pi
-                    - dc.xi * params.omega / math.pi * math.log(params.gamma * params.mu1)
-                    - dc.xi * params.omega / (2.0 * params.e * math.pi * params.mu1))
-        self.amp = dc.xi / (2.0 * math.pi * params.mu1)
+        fmap = compile_map("case34", params)
+        self.phi = fmap.shift - fmap.offset - fmap.drift
+        self.amp = fmap.amp
 
     def lift(self, s):
         return np.asarray(s, dtype=float) + self.phi \
@@ -380,8 +372,7 @@ def rotation_interval(cmap: CircleMap, seeds: int = 8,
         raise ValidationError("rotation intervals need a degree-one map")
     if rng is None:
         rng = np.random.default_rng(0)
-    crit = critical_set(cmap) if not hasattr(cmap, "critical_points") \
-        else cmap.critical_points()
+    crit = cmap.critical_points()
     maxima = [cp.s for cp in crit if cp.second_derivative < 0.0]
     minima = [cp.s for cp in crit if cp.second_derivative > 0.0]
     max_vals = [float(cmap.lift(m)) for m in maxima]
@@ -569,7 +560,7 @@ class ScanResult:
 
 def _scan_one(gamma, params, opts, sample_rng):
     p_g = params.with_(gamma=float(gamma))
-    dc = derive_constants(p_g)
+    fmap = compile_map("case12", p_g)
     s0 = float(sample_rng.uniform())
     x0 = gamma * p_g.mu1
     ly = lyapunov_2d("case12", (x0, s0), opts.iterations, p_g,
@@ -580,13 +571,13 @@ def _scan_one(gamma, params, opts, sample_rng):
     for seed_i in range(opts.rot_seeds):
         x, s = x0, float(sample_rng.uniform())
         for _ in range(opts.burn_in):
-            x, s = map_lift("case12", x, s, p_g)
+            x, s = fmap.lift(x, s)
             s = reduce_mod(s, 1.0)
         ss = np.empty(opts.series_len)
         y = s
         y0 = y
         for i in range(opts.series_len):
-            x, f2 = map_lift("case12", x, s, p_g)
+            x, f2 = fmap.lift(x, s)
             y += f2 - s          # lift displacement
             s = reduce_mod(f2, 1.0)
             ss[i] = s
@@ -596,7 +587,7 @@ def _scan_one(gamma, params, opts, sample_rng):
     K = zero_one_test(obs, n_c=opts.n_c, rng=sample_rng)
     ann = annulus_check(p_g, n_samples=512)
     if opts.battery:
-        a = k_map(float(gamma), dc) % 1.0
+        a = k_map(float(gamma), fmap.dc) % 1.0
         try:
             cert = misiurewicz_check(
                 make_circle_map(a, p_g), horizon=opts.battery_horizon,

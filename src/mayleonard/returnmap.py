@@ -13,6 +13,10 @@ Four variants are provided:
 
 Second-order terms in the forcing amplitude are dropped exactly where the
 derivations drop them; each map's docstring names the dropped order.
+
+:func:`compile_map` is the one evaluator of each variant: it derives the
+constants once per parameter point.  The per-point functions (``map_lift``,
+``jacobian``, the ``*_map`` maps, ``rescaled_apply``) are front ends over it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import NumericsError, ValidationError
-from .params import ModelParams, derive_constants
+from .params import DerivedConstants, ModelParams, derive_constants
 
 __all__ = [
     "CylinderPoint",
@@ -37,6 +41,7 @@ __all__ = [
     "case34_map",
     "rescaled_map",
     "rescaled_apply",
+    "compile_map",
     "jacobian",
     "finite_difference_jacobian",
     "map_lift",
@@ -47,6 +52,7 @@ VARIANTS = ("full", "case12", "case34", "rescaled")
 
 MOD_PI_OVER_OMEGA = "pi_over_omega"
 MOD_ONE = "one"
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -174,26 +180,161 @@ def _osc(u, a, b, om):
     return -a * math.cos(2.0 * om * u) - b * math.sin(2.0 * om * u)
 
 
-def _full(x, s, params, dc, phase):
-    c, e, om, gam = params.c, params.e, params.omega, params.gamma
-    w = (eta_omega(s, params) - dc.a2 * math.cos(2.0 * om * s)
-         + dc.b2 * math.sin(2.0 * om * s))
-    f2 = s + params.mu3 - dc.xi * math.log(x)
-    if gam:
-        f2 -= gam * dc.xi * w / (e * x)
-    if phase == "entry":
-        phi = u4 = u5 = s
-    else:
-        phi = s + params.mu3 - dc.xi * math.log(x)
-        u4 = f2 - params.Delta3
-        u5 = f2
-    f1 = params.mu * x**dc.delta + gam * (
-        params.mu1
-        + params.mu2 * _osc(phi, dc.a1, dc.b1, om)
-        - params.mu4 * _osc(u4, dc.a1, dc.b1, om)
-        - params.mu5 * _osc(u5, dc.a2, dc.b2, om)
-    )
-    return f1, f2
+class _CompiledMap:
+    """One variant at one parameter point, constants derived once.
+
+    Precomputed products keep the left-to-right order of the expressions
+    they replace, so orbits are bit-identical to the formulas in full.
+    """
+
+    modulus = 1.0
+
+    def __init__(self, params: ModelParams, dc: DerivedConstants):
+        self.params, self.dc = params, dc
+        self.delta, self.sqrt_a1 = dc.delta, dc.sqrt_a1
+        self.shift = params.mu3 * params.omega / math.pi
+        self.slope = dc.xi * params.omega / math.pi
+
+
+class _FullMap(_CompiledMap):
+    def __init__(self, params, dc, gamma=None):
+        super().__init__(params, dc)
+        self.modulus = math.pi / params.omega
+
+    def _phases(self, x, s):
+        """Forcing weight W(s), passage phase phi and phase image f2."""
+        p, dc, om = self.params, self.dc, self.params.omega
+        w = (eta_omega(s, p) - dc.a2 * math.cos(2.0 * om * s)
+             + dc.b2 * math.sin(2.0 * om * s))
+        phi = s + p.mu3 - dc.xi * math.log(x)
+        return w, phi, phi - p.gamma * dc.xi * w / (p.e * x)
+
+    def lift(self, x, s, phase="composed"):
+        p, dc, om = self.params, self.dc, self.params.omega
+        _, phi, f2 = self._phases(x, s)
+        u4, u5 = f2 - p.Delta3, f2
+        if phase == "entry":
+            phi = u4 = u5 = s
+        f1 = p.mu * x**dc.delta + p.gamma * (
+            p.mu1
+            + p.mu2 * _osc(phi, dc.a1, dc.b1, om)
+            - p.mu4 * _osc(u4, dc.a1, dc.b1, om)
+            - p.mu5 * _osc(u5, dc.a2, dc.b2, om)
+        )
+        return f1, f2
+
+    def tangent(self, x, s):
+        if x <= 0.0:
+            raise ValidationError("jacobian needs x > 0 for full")
+        p, dc = self.params, self.dc
+        e, om, gam = p.e, p.omega, p.gamma
+        W, phi, f2 = self._phases(x, s)
+        Wp = om * dc.a2 * math.sin(2.0 * om * s) + 2.0 * om * dc.b2 * math.cos(2.0 * om * s)
+        f2x = -dc.xi / x + gam * dc.xi * W / (e * x * x)
+        f2s = 1.0 - gam * dc.xi * Wp / (e * x)
+        phix = -dc.xi / x
+
+        def oscp(u, aj, bj):
+            return 2.0 * om * aj * math.sin(2.0 * om * u) \
+                - 2.0 * om * bj * math.cos(2.0 * om * u)
+
+        p2 = oscp(phi, dc.a1, dc.b1)
+        p4 = oscp(f2 - p.Delta3, dc.a1, dc.b1)
+        p5 = oscp(f2, dc.a2, dc.b2)
+        d11 = p.mu * dc.delta * x ** (dc.delta - 1.0) + gam * (
+            p.mu2 * p2 * phix - p.mu4 * p4 * f2x - p.mu5 * p5 * f2x)
+        d12 = gam * (p.mu2 * p2 - p.mu4 * p4 * f2s - p.mu5 * p5 * f2s)
+        return d11, d12, f2x, f2s, None
+
+
+class _Case12Map(_CompiledMap):
+    def __init__(self, params, dc, gamma=None):
+        super().__init__(params, dc)
+        self.forcing = params.gamma * params.mu1
+        self.coupling = 2.0 * math.pi * params.gamma * params.mu1 * dc.sqrt_a1
+
+    def lift(self, x, s):
+        f1 = x**self.delta + self.forcing * (1.0 - self.sqrt_a1 * math.cos(_TWO_PI * s))
+        if f1 <= 0.0:
+            raise NumericsError(f"leading coordinate fell to {f1} <= 0")
+        return f1, s + self.shift - self.slope * math.log(f1)
+
+    def tangent(self, x, s):
+        if x <= 0.0:
+            raise ValidationError("jacobian needs x > 0 for case12")
+        two_pi_s = _TWO_PI * s
+        B = x**self.delta + self.forcing * (1.0 - self.sqrt_a1 * math.cos(two_pi_s))
+        d11 = self.delta * x ** (self.delta - 1.0)
+        d12 = self.coupling * math.sin(two_pi_s)
+        return (d11, d12, -self.slope * d11 / B,
+                1.0 - self.slope * d12 / B, d11)
+
+
+class _Case34Map(_CompiledMap):
+    def __init__(self, params, dc, gamma=None):
+        if params.gamma <= 0.0 or params.mu1 <= 0.0:
+            raise ValidationError("case34 map requires gamma > 0 and mu1 > 0")
+        super().__init__(params, dc)
+        self.forcing = params.gamma * params.mu1
+        self.offset = self.slope * math.log(params.gamma * params.mu1)
+        self.drift = dc.xi * params.omega / (2.0 * params.e * math.pi * params.mu1)
+        self.amp = dc.xi / (2.0 * math.pi * params.mu1)
+
+    def lift(self, x, s):
+        return self.forcing, (s + self.shift - self.offset - self.drift
+                              + self.amp * math.sin(_TWO_PI * s))
+
+    def tangent(self, x, s):
+        d22 = 1.0 + self.dc.xi / self.params.mu1 * math.cos(_TWO_PI * s)
+        return 0.0, 0.0, 0.0, d22, 0.0
+
+
+class _RescaledMap(_CompiledMap):
+    def __init__(self, params, dc, gamma):
+        if gamma <= 0.0 or gamma >= 1.0:
+            raise ValidationError(f"rescaled family needs gamma in (0, 1), got {gamma}")
+        super().__init__(params, dc)
+        self.gp = gamma**dc.p
+        self.kick = dc.K_omega * dc.xi * math.log(1.0 / gamma)
+
+    def lift(self, x, s):
+        shape = x**self.delta + 1.0 - self.sqrt_a1 * math.cos(_TWO_PI * s)
+        return (self.gp * shape,
+                s + self.shift + self.kick - self.slope * math.log(shape))
+
+    def tangent(self, x, s):
+        if x <= 0.0:
+            raise ValidationError("jacobian needs x > 0 for rescaled")
+        gp, delta, sqrt_a1, slope = self.gp, self.delta, self.sqrt_a1, self.slope
+        A = x**delta + 1.0 - sqrt_a1 * math.cos(_TWO_PI * s)
+        xpow, sin_s = x ** (delta - 1.0), math.sin(_TWO_PI * s)
+        d11 = gp * delta * xpow
+        return (d11, gp * 2.0 * math.pi * sqrt_a1 * sin_s, -slope * delta * xpow / A,
+                1.0 - slope * 2.0 * math.pi * sqrt_a1 * sin_s / A, d11)
+
+
+_COMPILED = {"full": _FullMap, "case12": _Case12Map, "case34": _Case34Map,
+             "rescaled": _RescaledMap}
+
+
+def compile_map(variant: str, params: ModelParams, *, gamma: float | None = None,
+                n: int | None = None, a: float | None = None) -> _CompiledMap:
+    """The one evaluator of a variant at a parameter point, constants derived once.
+
+    The result has a scalar ``lift(x, s)`` (phase not reduced), a scalar
+    ``tangent(x, s)`` returning ``(d11, d12, d21, d22, det_closed_form)``
+    (the last None for ``full``) and the phase ``modulus``.  Only the
+    rescaled variant reads ``gamma`` or the sequence index pair ``(n, a)``.
+    """
+    if variant not in _COMPILED:
+        raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    dc = derive_constants(params)
+    if variant == "rescaled" and gamma is None:
+        from .singular import gamma_sequence
+        if n is None or a is None:
+            raise ValidationError("rescaled variant needs (n, a) or gamma")
+        gamma = gamma_sequence(n, a, dc)
+    return _COMPILED[variant](params, dc, gamma)
 
 
 def full_map(point: CylinderPoint, params: ModelParams,
@@ -211,20 +352,9 @@ def full_map(point: CylinderPoint, params: ModelParams,
         raise ValidationError(f"full_map needs x > 0, got {point.x}")
     if phase not in ("composed", "entry"):
         raise ValidationError(f"unknown phase convention {phase!r}")
-    dc = derive_constants(params)
-    f1, f2 = _full(point.x, point.s, params, dc, phase)
+    f1, f2 = compile_map("full", params).lift(point.x, point.s, phase)
     return CylinderPoint(f1, reduce_mod(f2, math.pi / params.omega),
                          MOD_PI_OVER_OMEGA)
-
-
-def _case12(x, s, params, dc):
-    gam = params.gamma
-    f1 = x**dc.delta + gam * params.mu1 * (1.0 - dc.sqrt_a1 * math.cos(2.0 * math.pi * s))
-    if f1 <= 0.0:
-        raise NumericsError(f"leading coordinate fell to {f1} <= 0")
-    f2 = s + params.mu3 * params.omega / math.pi \
-        - dc.xi * params.omega / math.pi * math.log(f1)
-    return f1, f2
 
 
 def case12_map(point: CylinderPoint, params: ModelParams) -> CylinderPoint:
@@ -236,19 +366,8 @@ def case12_map(point: CylinderPoint, params: ModelParams) -> CylinderPoint:
     """
     if point.x <= 0.0:
         raise ValidationError(f"case12_map needs x > 0, got {point.x}")
-    dc = derive_constants(params)
-    f1, f2 = _case12(point.x, point.s, params, dc)
+    f1, f2 = compile_map("case12", params).lift(point.x, point.s)
     return CylinderPoint(f1, reduce_mod(f2, 1.0), MOD_ONE)
-
-
-def _case34(s, params, dc):
-    gam, mu1 = params.gamma, params.mu1
-    f1 = gam * mu1
-    f2 = (s + params.mu3 * params.omega / math.pi
-          - dc.xi * params.omega / math.pi * math.log(gam * mu1)
-          - dc.xi * params.omega / (2.0 * params.e * math.pi * mu1)
-          + dc.xi / (2.0 * math.pi * mu1) * math.sin(2.0 * math.pi * s))
-    return f1, f2
 
 
 def case34_map(point: CylinderPoint, params: ModelParams) -> CylinderPoint:
@@ -257,24 +376,8 @@ def case34_map(point: CylinderPoint, params: ModelParams) -> CylinderPoint:
     The input ``x`` is ignored by construction.  Requires ``gamma > 0`` and
     ``mu1 > 0`` (the phase update takes a log of their product).
     """
-    if params.gamma <= 0.0:
-        raise ValidationError("case34_map requires gamma > 0")
-    if params.mu1 <= 0.0:
-        raise ValidationError("case34_map requires mu1 > 0")
-    dc = derive_constants(params)
-    f1, f2 = _case34(point.s, params, dc)
+    f1, f2 = compile_map("case34", params).lift(point.x, point.s)
     return CylinderPoint(f1, reduce_mod(f2, 1.0), MOD_ONE)
-
-
-def _rescaled(x, s, gamma, params, dc):
-    if gamma <= 0.0 or gamma >= 1.0:
-        raise ValidationError(f"rescaled family needs gamma in (0, 1), got {gamma}")
-    shape = x**dc.delta + 1.0 - dc.sqrt_a1 * math.cos(2.0 * math.pi * s)
-    f1 = gamma**dc.p * shape
-    f2 = (s + params.mu3 * params.omega / math.pi
-          + dc.K_omega * dc.xi * math.log(1.0 / gamma)
-          - dc.xi * params.omega / math.pi * math.log(shape))
-    return f1, f2
 
 
 def rescaled_apply(x: float, s: float, gamma: float,
@@ -282,8 +385,7 @@ def rescaled_apply(x: float, s: float, gamma: float,
     """Rescaled family at an explicit amplitude, returning the phase lift."""
     if x < 0.0:
         raise ValidationError(f"rescaled family needs x >= 0, got {x}")
-    dc = derive_constants(params)
-    return _rescaled(x, s, gamma, params, dc)
+    return compile_map("rescaled", params, gamma=gamma).lift(x, s)
 
 
 def rescaled_map(point: CylinderPoint, n: int, a: float,
@@ -294,12 +396,9 @@ def rescaled_map(point: CylinderPoint, n: int, a: float,
     offset ``a``, so the phase update carries the constant ``a`` modulo 1
     and the map degenerates to the singular-limit circle map at ``x = 0``.
     """
-    from .singular import gamma_sequence
     if point.x < 0.0:
         raise ValidationError(f"rescaled_map needs x >= 0, got {point.x}")
-    dc = derive_constants(params)
-    gamma = gamma_sequence(n, a, dc)
-    f1, f2 = _rescaled(point.x, point.s, gamma, params, dc)
+    f1, f2 = compile_map("rescaled", params, n=n, a=a).lift(point.x, point.s)
     return CylinderPoint(f1, reduce_mod(f2, 1.0), MOD_ONE)
 
 
@@ -307,21 +406,7 @@ def map_lift(variant: str, x: float, s: float, params: ModelParams,
              n: int | None = None, a: float | None = None,
              gamma: float | None = None) -> tuple[float, float]:
     """Evaluate a variant without reducing the phase (for derivatives/orbits)."""
-    dc = derive_constants(params)
-    if variant == "full":
-        return _full(x, s, params, dc, "composed")
-    if variant == "case12":
-        return _case12(x, s, params, dc)
-    if variant == "case34":
-        return _case34(s, params, dc)
-    if variant == "rescaled":
-        if gamma is None:
-            from .singular import gamma_sequence
-            if n is None or a is None:
-                raise ValidationError("rescaled variant needs (n, a) or gamma")
-            gamma = gamma_sequence(n, a, dc)
-        return _rescaled(x, s, gamma, params, dc)
-    raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return compile_map(variant, params, gamma=gamma, n=n, a=a).lift(x, s)
 
 
 def jacobian(point: CylinderPoint, variant: str, params: ModelParams,
@@ -336,74 +421,9 @@ def jacobian(point: CylinderPoint, variant: str, params: ModelParams,
     degenerate with determinant 0, reported rather than raised.  The full
     variant has no closed form and ``det_closed_form`` is None.
     """
-    x, s = point.x, point.s
-    dc = derive_constants(params)
-    om = params.omega
-    two_pi_s = 2.0 * math.pi * s
-    if variant == "case12":
-        if x <= 0.0:
-            raise ValidationError("jacobian needs x > 0 for case12")
-        gam = params.gamma
-        B = x**dc.delta + gam * params.mu1 * (1.0 - dc.sqrt_a1 * math.cos(two_pi_s))
-        d11 = dc.delta * x ** (dc.delta - 1.0)
-        d12 = 2.0 * math.pi * gam * params.mu1 * dc.sqrt_a1 * math.sin(two_pi_s)
-        d21 = -(dc.xi * om / math.pi) * d11 / B
-        d22 = 1.0 - (dc.xi * om / math.pi) * d12 / B
-        J = np.array([[d11, d12], [d21, d22]])
-        return J, float(d11 * d22 - d12 * d21), d11
-    if variant == "rescaled":
-        if x <= 0.0:
-            raise ValidationError("jacobian needs x > 0 for rescaled")
-        if gamma is None:
-            from .singular import gamma_sequence
-            if n is None or a is None:
-                raise ValidationError("rescaled variant needs (n, a) or gamma")
-            gamma = gamma_sequence(n, a, dc)
-        gp = gamma**dc.p
-        A = x**dc.delta + 1.0 - dc.sqrt_a1 * math.cos(two_pi_s)
-        d11 = gp * dc.delta * x ** (dc.delta - 1.0)
-        d12 = gp * 2.0 * math.pi * dc.sqrt_a1 * math.sin(two_pi_s)
-        d21 = -(dc.xi * om / math.pi) * dc.delta * x ** (dc.delta - 1.0) / A
-        d22 = 1.0 - (dc.xi * om / math.pi) * 2.0 * math.pi * dc.sqrt_a1 \
-            * math.sin(two_pi_s) / A
-        J = np.array([[d11, d12], [d21, d22]])
-        det_cf = gp * dc.delta * x ** (dc.delta - 1.0)
-        return J, float(d11 * d22 - d12 * d21), det_cf
-    if variant == "case34":
-        d22 = 1.0 + dc.xi / params.mu1 * math.cos(two_pi_s)
-        J = np.array([[0.0, 0.0], [0.0, d22]])
-        return J, 0.0, 0.0
-    if variant == "full":
-        if x <= 0.0:
-            raise ValidationError("jacobian needs x > 0 for full")
-        return _full_jacobian(x, s, params, dc)
-    raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-
-
-def _full_jacobian(x, s, params, dc):
-    c, e, om, gam = params.c, params.e, params.omega, params.gamma
-    a2, b2 = dc.a2, dc.b2
-    W = (eta_omega(s, params) - a2 * math.cos(2.0 * om * s)
-         + b2 * math.sin(2.0 * om * s))
-    Wp = om * a2 * math.sin(2.0 * om * s) + 2.0 * om * b2 * math.cos(2.0 * om * s)
-    f2 = s + params.mu3 - dc.xi * math.log(x) - gam * dc.xi * W / (e * x)
-    f2x = -dc.xi / x + gam * dc.xi * W / (e * x * x)
-    f2s = 1.0 - gam * dc.xi * Wp / (e * x)
-    phi = s + params.mu3 - dc.xi * math.log(x)
-    phix = -dc.xi / x
-
-    def oscp(u, aj, bj):
-        return 2.0 * om * aj * math.sin(2.0 * om * u) \
-            - 2.0 * om * bj * math.cos(2.0 * om * u)
-
-    p2 = oscp(phi, dc.a1, dc.b1)
-    p4 = oscp(f2 - params.Delta3, dc.a1, dc.b1)
-    p5 = oscp(f2, a2, b2)
-    d11 = params.mu * dc.delta * x ** (dc.delta - 1.0) + gam * (
-        params.mu2 * p2 * phix - params.mu4 * p4 * f2x - params.mu5 * p5 * f2x)
-    d12 = gam * (params.mu2 * p2 - params.mu4 * p4 * f2s - params.mu5 * p5 * f2s)
-    J = np.array([[d11, d12], [f2x, f2s]])
-    return J, float(d11 * f2s - d12 * f2x), None
+    d11, d12, d21, d22, det_cf = compile_map(
+        variant, params, gamma=gamma, n=n, a=a).tangent(point.x, point.s)
+    return np.array([[d11, d12], [d21, d22]]), d11 * d22 - d12 * d21, det_cf
 
 
 def finite_difference_jacobian(variant: str, x: float, s: float,
@@ -412,12 +432,9 @@ def finite_difference_jacobian(variant: str, x: float, s: float,
                                gamma: float | None = None,
                                rel_step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of a variant's phase lift (test oracle)."""
+    lift = compile_map(variant, params, gamma=gamma, n=n, a=a).lift
     hx = rel_step * max(abs(x), 1.0)
     hs = rel_step
-
-    def f(xx, ss):
-        return np.array(map_lift(variant, xx, ss, params, n=n, a=a, gamma=gamma))
-
-    col_x = (f(x + hx, s) - f(x - hx, s)) / (2.0 * hx)
-    col_s = (f(x, s + hs) - f(x, s - hs)) / (2.0 * hs)
+    col_x = np.subtract(lift(x + hx, s), lift(x - hx, s)) / (2.0 * hx)
+    col_s = np.subtract(lift(x, s + hs), lift(x, s - hs)) / (2.0 * hs)
     return np.column_stack([col_x, col_s])

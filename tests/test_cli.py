@@ -146,6 +146,9 @@ def test_scan_outputs(case2_cfg, tmp_path):
     csv_lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert csv_lines[0].startswith("gamma,lambda1,lambda2,K")
     assert len(csv_lines) == 5
+    # the certificate was not run: its column is empty, not "false"
+    col = csv_lines[0].split(",").index("battery_h4")
+    assert all(line.split(",")[col] == "" for line in csv_lines[1:])
     summary = json.loads((tmp_path / "scan.json").read_text())
     assert summary["n_samples"] == 4
     assert 0.0 <= summary["fraction"] <= 1.0

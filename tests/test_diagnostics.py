@@ -317,6 +317,29 @@ def test_density_scan_order_independence():
         assert row.lambda1 == rows[g].lambda1
 
 
+def test_density_scan_derives_constants_per_amplitude(monkeypatch):
+    """The stable-fixed-point solve runs a fixed number of times per
+    amplitude, however many map and tangent steps the scan takes."""
+    import mayleonard.params as params_mod
+    calls = []
+    original = params_mod.stable_fixed_point
+
+    def counting(gamma, delta):
+        calls.append(gamma)
+        return original(gamma, delta)
+
+    monkeypatch.setattr(params_mod, "stable_fixed_point", counting)
+    p = ModelParams(c=0.6, e=0.2, omega=0.3)
+    counts = []
+    for iterations in (10000, 20000):
+        calls.clear()
+        density_scan([1e-4, 3e-3], p, ScanOpts(iterations=iterations,
+                                                series_len=1000, n_c=4,
+                                                battery=False, seed=5))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_density_scan_validates_grid():
     p = ModelParams(c=0.6, e=0.2, omega=0.3)
     with pytest.raises(ValidationError):

@@ -251,14 +251,24 @@ def test_jacobian_case34_degenerate():
     assert det == 0.0 and det_cf == 0.0
 
 
-def test_jacobian_full_vs_differences(rng):
+@pytest.mark.parametrize("variant", ["full", "case12"])
+def test_jacobian_vs_differences(rng, variant):
+    """Analytic Jacobian vs central differences; the low-frequency family
+    also has the closed-form determinant delta x^(delta-1)."""
     params = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=0.3)
+    dc = derive_constants(params)
     for _ in range(20):
         x, s = rng.uniform(0.02, 0.1), rng.uniform(0.0, 10.0)
-        J, det, det_cf = jacobian(CylinderPoint(x, s), "full", params)
-        assert det_cf is None
-        fd = finite_difference_jacobian("full", x, s, params)
+        J, det, det_cf = jacobian(CylinderPoint(x, s), variant, params)
+        fd = finite_difference_jacobian(variant, x, s, params)
         assert np.allclose(J, fd, rtol=2e-5, atol=1e-9)
+        if variant == "full":
+            assert det_cf is None
+        else:
+            assert det_cf == pytest.approx(dc.delta * x ** (dc.delta - 1.0), rel=1e-12)
+            assert det == pytest.approx(det_cf, rel=1e-9)
+            fd_det = fd[0, 0] * fd[1, 1] - fd[0, 1] * fd[1, 0]
+            assert abs(fd_det - det_cf) <= 1e-5 * det_cf
 
 
 def test_distortion_bound_on_band(rng):

@@ -35,8 +35,10 @@ def csv_bytes(header, rows) -> bytes:
 
 
 def write_csv(path, header, rows) -> None:
+    # render first: a row generator that raises must not leave an empty file
+    data = csv_bytes(header, rows)
     with open(path, "wb") as fh:
-        fh.write(csv_bytes(header, rows))
+        fh.write(data)
 
 
 def _sanitize(obj):

@@ -144,6 +144,12 @@ def _default_n(params, gamma_plus=0.05):
     return math.floor(kxi * math.log(1.0 / gamma_plus)) + 1
 
 
+def _check_x0(x0):
+    # the maps are defined on the section x > 0; x0 = 0 is the invariant plane
+    if not x0 > 0.0:
+        raise ValidationError(f"--x0 must be > 0, got {x0}")
+
+
 def _orbit_rows(variant, x0, s0, iters, params, n=None, a=None):
     fmap = compile_map(variant, params, n=n, a=a)
     x, s = x0, s0
@@ -182,6 +188,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "return-map":
+        _check_x0(args.x0)
         n, a = args.n, args.a
         if args.variant == "rescaled":
             if a is None:
@@ -264,9 +271,9 @@ def _run(args) -> int:
         base_path = args.output[:-4] if args.output.endswith(".csv") else args.output
         write_csv(base_path + ".csv",
                   ("gamma", "lambda1", "lambda2", "K", "rot_lo", "rot_hi",
-                   "annulus_ok", "battery_h4", "success", "failed"),
+                   "annulus_ok", "battery_h4", "success", "failed", "error"),
                   ((r.gamma, r.lambda1, r.lambda2, r.K, r.rot_lo, r.rot_hi,
-                    r.annulus_ok, r.battery_h4, r.success, r.failed)
+                    r.annulus_ok, r.battery_h4, r.success, r.failed, r.error)
                    for r in result.rows))
         write_json(base_path + ".json", result.to_summary())
         return 0
@@ -274,6 +281,7 @@ def _run(args) -> int:
     if args.command == "chaos-test":
         rng = np.random.default_rng(seed)
         x0 = args.x0 if args.x0 is not None else max(params.gamma, 1e-6)
+        _check_x0(x0)
         if args.variant == "case34":
             cmap = Case34SMarginal(params)
             series = cmap.orbit(args.s0, args.iters, burn_in=200)

@@ -137,8 +137,15 @@ class CircleMap:
         raise NotImplementedError
 
     def critical_points(self):
-        """Zeros of the derivative on [0, 1), with curvature values."""
-        return critical_set(self)
+        """Zeros of the derivative on [0, 1), with curvature values.
+
+        Found once per instance; each call returns a new list, so a caller
+        cannot change the set the next caller sees.
+        """
+        cached = getattr(self, "_critical", None)
+        if cached is None:
+            cached = self._critical = tuple(critical_set(self))
+        return list(cached)
 
     def orbit(self, s0: float, n: int, burn_in: int = 0) -> np.ndarray:
         s = float(s0)
@@ -244,14 +251,13 @@ def critical_set(cmap: CircleMap, grid_size: int = 4096,
     """
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     dv = np.asarray(cmap.derivative(grid))
+    da, db = dv[:-1], dv[1:]
     roots = []
-    for i in range(grid_size):
-        a, b = grid[i], grid[i + 1]
-        da, db = dv[i], dv[i + 1]
-        if da == 0.0:
-            roots.append(a)
-        elif da * db < 0.0:
-            roots.append(brentq(lambda s: float(cmap.derivative(s)), a, b,
+    for i in np.flatnonzero((da == 0.0) | (da * db < 0.0)):
+        if da[i] == 0.0:
+            roots.append(grid[i])
+        else:
+            roots.append(brentq(lambda s: float(cmap.derivative(s)), grid[i], grid[i + 1],
                                 xtol=1e-14, rtol=8.9e-16))
     out = []
     for r in sorted(set(np.round(np.mod(roots, 1.0), 13))):
@@ -347,8 +353,10 @@ class MisiurewiczCertificate:
 
     ``passed`` aggregates the five sub-conditions; ``lambda0`` is the
     largest uniform expansion rate consistent with every sampled
-    U-avoiding orbit segment (found by bisection).  The certificate is a
-    finite computation at the recorded horizon and grid, not a proof.
+    U-avoiding orbit segment: the largest double in [-50, 50] that every
+    segment of length ``m >= m0`` satisfies as ``log|(h^m)'| >= lambda0 m``.
+    The certificate is a finite computation at the recorded horizon and
+    grid, not a proof.
     """
 
     passed: bool
@@ -380,6 +388,28 @@ class MisiurewiczCertificate:
 def _circle_dist(s, centers):
     d = np.abs((np.asarray(s)[..., None] - centers + 0.5) % 1.0 - 0.5)
     return d.min(axis=-1)
+
+
+def _largest_rate(cum, m):
+    """Largest double ``lam`` in [-50, 50] with ``cum >= lam * m`` for every segment.
+
+    The rounding of ``lam * m`` is monotone in ``lam``, so the rates that
+    pass form a down-set; ``min(cum / m)`` lies within a few ulps of its
+    upper end, and ``nextafter`` steps land on it exactly.
+    """
+    lo, hi = -50.0, 50.0
+
+    def ok(lam):
+        return bool(np.all(cum >= lam * m))
+
+    if not ok(lo):
+        return lo
+    lam = min(max(float(np.min(cum / m)), lo), hi)
+    while not ok(lam):
+        lam = math.nextafter(lam, -math.inf)
+    while lam < hi and ok(up := math.nextafter(lam, math.inf)):
+        lam = up
+    return lam
 
 
 def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
@@ -455,28 +485,16 @@ def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
             seg_b.append((m, cum[li].copy()))
             alive[li] = False
 
-    # lambda0 by bisection: largest rate every (m >= m0) segment satisfies
-    def rate_ok(lam):
-        return all(c >= lam * m for m, c in seg_a if m >= m0)
-
-    applicable = [m for m, _ in seg_a if m >= m0]
-    if not applicable:
-        lambda0 = -math.inf
-    else:
-        lo, hi = -50.0, 50.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if rate_ok(mid):
-                lo = mid
-            else:
-                hi = mid
-        lambda0 = lo
+    seg_m = np.array([m for m, _ in seg_a if m >= m0], dtype=int)
+    seg_c = np.array([c for m, c in seg_a if m >= m0])
+    applicable = seg_m.size > 0
+    lambda0 = _largest_rate(seg_c, seg_m) if applicable else -math.inf
     pass_a = lambda0 > 0.0 if lambda0_target is None else lambda0 >= lambda0_target
     conditions["outside_a"] = ConditionVerdict(
         passed=bool(pass_a and applicable),
         worst=min_ratio_a if applicable else -math.inf,
         witness=worst_a,
-        note=f"lambda0 extracted over {len(applicable)} segment lengths",
+        note=f"lambda0 extracted over {seg_m.size} segment lengths",
     )
 
     worst_b = math.inf
@@ -498,22 +516,17 @@ def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
         conditions["critical_orbits"] = ConditionVerdict(
             passed=True, worst=math.inf, note="vacuous: empty critical set")
     else:
-        worst_d = math.inf
-        witness = None
-        ok = True
-        for cp in crit:
-            s = cp.s
-            for i in range(1, horizon + 1):
-                s = float(cmap.value(s))
-                dmin = float(_circle_dist(s, centers))
-                margin = dmin - float(radii.max())
-                if margin < worst_d:
-                    worst_d = margin
-                    witness = cp.s
-                if in_u(np.array([s]))[0]:
-                    ok = False
+        # every critical orbit in lockstep: row i holds the (i+1)-th iterates
+        orbits = np.empty((horizon, centers.size))
+        s = centers
+        for i in range(horizon):
+            s = orbits[i] = cmap.value(s)
+        margins = _circle_dist(orbits, centers) - radii.max()
+        # the first minimum in (critical point, step) order
+        j, i = np.unravel_index(np.argmin(margins.T), margins.T.shape)
+        ok = not in_u(orbits).any()
         conditions["critical_orbits"] = ConditionVerdict(
-            passed=ok, worst=worst_d, witness=witness,
+            passed=ok, worst=float(margins[i, j]), witness=float(centers[j]),
             note="orbit of a critical point re-entered U" if not ok else "")
 
     # --- inside U
@@ -534,30 +547,28 @@ def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
         conditions["inside_a"] = ConditionVerdict(
             passed=bool(ok_sign and worst_h2 > 0.0), worst=worst_h2)
 
-        worst_rec = math.inf
-        ok_rec = True
-        n_noreturn = 0
-        for (c, r) in zip(centers, radii):
-            offs = np.linspace(-r, r, u_grid)
-            for s0 in c + offs:
-                if float(_circle_dist(s0, centers)) < 1e-9:
-                    continue           # exclude the critical point itself
-                s = float(s0 % 1.0)
-                cumlog = 0.0
-                p0 = None
-                for i in range(1, horizon + 1):
-                    cumlog += math.log(max(abs(float(cmap.derivative(s))), 1e-300))
-                    s = float(cmap.value(s))
-                    if in_u(np.array([s]))[0]:
-                        p0 = i
-                        break
-                if p0 is None:
-                    n_noreturn += 1
-                    continue
-                slack = cumlog - (lambda0 * p0 / 3.0 - math.log(d0))
-                worst_rec = min(worst_rec, slack)
-                if slack < 0.0:
-                    ok_rec = False
+        # all starts in lockstep until each first returns to U
+        u_pos = np.concatenate([c + np.linspace(-r, r, u_grid)
+                                for c, r in zip(centers, radii)])
+        u_pos = u_pos[~(_circle_dist(u_pos, centers) < 1e-9)] % 1.0   # not the critical points
+        cumlog = np.zeros(u_pos.size)
+        p0 = np.zeros(u_pos.size, dtype=int)     # first-return time, 0 = none yet
+        live = np.arange(u_pos.size)
+        for i in range(1, horizon + 1):
+            if live.size == 0:
+                break
+            d = np.maximum(np.abs(np.asarray(cmap.derivative(u_pos[live]), dtype=float)), 1e-300)
+            # math.log, not np.log: the two differ in the last bit on some inputs
+            cumlog[live] += list(map(math.log, d.tolist()))
+            u_pos[live] = cmap.value(u_pos[live])
+            back = in_u(u_pos[live])
+            p0[live[back]] = i
+            live = live[~back]
+        returned = p0 > 0
+        n_noreturn = int(np.count_nonzero(~returned))
+        slack = cumlog[returned] - (lambda0 * p0[returned] / 3.0 - math.log(d0))
+        worst_rec = float(slack.min()) if slack.size else math.inf
+        ok_rec = not (slack < 0.0).any()
         conditions["inside_b"] = ConditionVerdict(
             passed=ok_rec, worst=worst_rec,
             note=f"{n_noreturn} sampled points did not return within the horizon")

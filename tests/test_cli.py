@@ -149,9 +149,22 @@ def test_scan_outputs(case2_cfg, tmp_path):
     # the certificate was not run: its column is empty, not "false"
     col = csv_lines[0].split(",").index("battery_h4")
     assert all(line.split(",")[col] == "" for line in csv_lines[1:])
+    # no sample failed: the last column, the failure reason, is empty
+    assert csv_lines[0].endswith(",failed,error")
+    assert all(line.endswith(",false,") for line in csv_lines[1:])
     summary = json.loads((tmp_path / "scan.json").read_text())
     assert summary["n_samples"] == 4
     assert 0.0 <= summary["fraction"] <= 1.0
+    # a failed sample records why it failed
+    short = tmp_path / "short.cfg"
+    short.write_text(CASE2.replace("iterations = 10000", "iterations = 5000"))
+    rc = main(["scan", "--config", str(short), "--from", "1e-4", "--to", "1e-2",
+               "--steps", "2", "--log", "--no-battery", "--output", str(base)])
+    assert rc == 0
+    csv_lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
+    assert len(csv_lines) == 3
+    assert all(line.endswith(",true,iterations must be >= 10000")
+               for line in csv_lines[1:])
 
 
 def test_chaos_test_json(case2_cfg, tmp_path):
@@ -191,3 +204,18 @@ def test_exit_code_numeric(tmp_path):
                "--iters", "10", "--x0", "0.001", "--s0", "0.25",
                "--output", str(tmp_path / "orbit.csv")])
     assert rc == 2
+    # the orbit failed while the rows were built: no partial file is left
+    assert not (tmp_path / "orbit.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["return-map", "--variant", "full", "--x0", "0"],
+    ["return-map", "--variant", "case12", "--x0", "-0.1"],
+    ["chaos-test", "--variant", "case12", "--x0", "0"],
+])
+def test_nonpositive_x0_is_a_validation_error(case2_cfg, tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    rc = main(argv + ["--config", case2_cfg, "--output", str(out)])
+    assert rc == 1
+    assert "error: --x0 must be > 0" in capsys.readouterr().err
+    assert not out.exists()

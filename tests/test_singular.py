@@ -21,7 +21,151 @@ from mayleonard import (
     singular_limit_convergence,
     transition_matrix,
 )
-from mayleonard.singular import doubling_orbit, transversality_probe, xi_star_scan
+from mayleonard import singular
+from mayleonard.singular import (
+    ConditionVerdict,
+    MisiurewiczCertificate,
+    _circle_dist,
+    _largest_rate,
+    critical_set,
+    doubling_orbit,
+    transversality_probe,
+    xi_star_scan,
+)
+
+CASE1 = ModelParams(c=0.55, e=0.5, omega=0.05)
+CASE2 = ModelParams(c=0.6, e=0.2, omega=0.3)
+
+
+def _bisect_rate(seg, m0):
+    """Reference for lambda0: 80 halvings of [-50, 50] on the rate test."""
+    def rate_ok(lam):
+        return all(c >= lam * m for m, c in seg if m >= m0)
+
+    lo, hi = -50.0, 50.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if rate_ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _reference_check(cmap, u_radii=1e-2, horizon=1000, m0=30, d0=1e-3,
+                     grid_size=1024, u_grid=64):
+    """Scalar reference for ``misiurewicz_check``: one Python loop per
+    critical orbit and per U start, and lambda0 by bisection."""
+    crit = cmap.critical_points()
+    centers = np.array([cp.s for cp in crit]) if crit else np.empty(0)
+    radii = np.broadcast_to(np.asarray(u_radii, dtype=float), centers.shape).copy() \
+        if crit else np.empty(0)
+    u_intervals = tuple((float(c - r), float(c + r)) for c, r in zip(centers, radii))
+
+    def in_u(s):
+        s = np.asarray(s, dtype=float)
+        if centers.size == 0:
+            return np.zeros_like(s, dtype=bool)
+        d = np.abs((s[..., None] - centers + 0.5) % 1.0 - 0.5)
+        return (d < radii).any(axis=-1)
+
+    conditions = {}
+    starts = (np.arange(grid_size) + 0.5) / grid_size
+    alive = ~in_u(starts)
+    pos = starts.copy()
+    cum = np.zeros(grid_size)
+    seg_a, seg_b = [], []
+    min_ratio_a, worst_a = math.inf, None
+    for m in range(1, horizon + 1):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        d = np.maximum(np.abs(np.asarray(cmap.derivative(pos[idx]), dtype=float)), 1e-300)
+        cum[idx] += np.log(d)
+        pos[idx] = np.asarray(cmap.value(pos[idx]), dtype=float)
+        seg_a.append((m, float(cum[idx].min())))
+        if m >= m0:
+            ratios = cum[idx] / m
+            j = int(np.argmin(ratios))
+            if ratios[j] < min_ratio_a:
+                min_ratio_a = float(ratios[j])
+                worst_a = float(starts[idx[j]])
+        landed = in_u(pos[idx])
+        if landed.any():
+            li = idx[landed]
+            seg_b.append((m, cum[li].copy()))
+            alive[li] = False
+
+    applicable = [m for m, _ in seg_a if m >= m0]
+    lambda0 = _bisect_rate(seg_a, m0) if applicable else -math.inf
+    conditions["outside_a"] = ConditionVerdict(
+        passed=bool(lambda0 > 0.0 and applicable),
+        worst=min_ratio_a if applicable else -math.inf, witness=worst_a,
+        note=f"lambda0 extracted over {len(applicable)} segment lengths")
+    worst_b, ok_b = math.inf, True
+    for m, cums in seg_b:
+        slack = float(np.min(cums - (math.log(d0) + lambda0 * m)))
+        worst_b = min(worst_b, slack)
+        ok_b = ok_b and slack >= 0.0
+    conditions["outside_b"] = ConditionVerdict(
+        passed=bool(ok_b) if lambda0 > -math.inf else False,
+        worst=worst_b if seg_b else math.inf,
+        note="no U-entering segments sampled" if not seg_b else "")
+
+    if not crit:
+        for key in ("critical_orbits", "inside_a", "inside_b"):
+            conditions[key] = ConditionVerdict(
+                passed=True, worst=math.inf, note="vacuous: empty critical set")
+    else:
+        worst_d, witness, ok = math.inf, None, True
+        for cp in crit:
+            s = cp.s
+            for _ in range(horizon):
+                s = float(cmap.value(s))
+                margin = float(_circle_dist(s, centers)) - float(radii.max())
+                if margin < worst_d:
+                    worst_d, witness = margin, cp.s
+                if in_u(np.array([s]))[0]:
+                    ok = False
+        conditions["critical_orbits"] = ConditionVerdict(
+            passed=ok, worst=worst_d, witness=witness,
+            note="orbit of a critical point re-entered U" if not ok else "")
+
+        worst_h2, ok_sign = math.inf, True
+        for c, r in zip(centers, radii):
+            h2 = np.asarray(cmap.second_derivative(c + np.linspace(-r, r, u_grid)))
+            worst_h2 = min(worst_h2, float(np.min(np.abs(h2))))
+            ok_sign = ok_sign and bool(np.all(h2 > 0.0) or np.all(h2 < 0.0))
+        conditions["inside_a"] = ConditionVerdict(
+            passed=bool(ok_sign and worst_h2 > 0.0), worst=worst_h2)
+
+        worst_rec, ok_rec, n_noreturn = math.inf, True, 0
+        for c, r in zip(centers, radii):
+            for s0 in c + np.linspace(-r, r, u_grid):
+                if float(_circle_dist(s0, centers)) < 1e-9:
+                    continue
+                s, cumlog, p0 = float(s0 % 1.0), 0.0, None
+                for i in range(1, horizon + 1):
+                    cumlog += math.log(max(abs(float(cmap.derivative(s))), 1e-300))
+                    s = float(cmap.value(s))
+                    if in_u(np.array([s]))[0]:
+                        p0 = i
+                        break
+                if p0 is None:
+                    n_noreturn += 1
+                    continue
+                slack = cumlog - (lambda0 * p0 / 3.0 - math.log(d0))
+                worst_rec = min(worst_rec, slack)
+                ok_rec = ok_rec and slack >= 0.0
+        conditions["inside_b"] = ConditionVerdict(
+            passed=ok_rec, worst=worst_rec,
+            note=f"{n_noreturn} sampled points did not return within the horizon")
+
+    return MisiurewiczCertificate(
+        passed=all(v.passed for v in conditions.values()), lambda0=lambda0,
+        m0=m0, d0=d0, horizon=horizon, u_intervals=u_intervals,
+        conditions=conditions,
+        notes="finite-horizon floating-point check; not robust under perturbation")
 
 
 @pytest.fixture
@@ -115,6 +259,25 @@ def test_critical_set_against_trig_oracle():
     assert signs == [-1.0, 1.0]
 
 
+def test_critical_points_found_once_per_map(monkeypatch):
+    """The battery's three readers of one map share one critical set."""
+    calls = []
+
+    def counting(cmap, *args, **kwargs):
+        calls.append(cmap)
+        return critical_set(cmap, *args, **kwargs)
+
+    monkeypatch.setattr(singular, "critical_set", counting)
+    h = make_circle_map(0.3, CASE2)
+    first = h.critical_points()
+    misiurewicz_check(h, horizon=50)
+    transition_matrix(h)
+    assert calls == [h]
+    first.clear()                       # a caller's copy, not the cache
+    assert len(h.critical_points()) == 2
+    assert len(calls) == 1
+
+
 def test_critical_set_empty_for_weak_turns():
     """Small xi*omega with small amplitude leaves the map a diffeomorphism."""
     h = AnalyticCircleMap(CircleMapSpec(a=0.0, omega=0.05, xi=3.0, mu3=1.0,
@@ -162,6 +325,7 @@ def test_boundary_phase_equals_circle_map():
 
 def test_misiurewicz_doubling_fixture():
     cert = misiurewicz_check(DoublingMap(), horizon=300)
+    assert cert.to_dict() == _reference_check(DoublingMap(), horizon=300).to_dict()
     assert cert.passed
     assert cert.lambda0 == pytest.approx(math.log(2.0), abs=1e-3)
     # the mixing rate test is a separate, stronger condition and fails here
@@ -173,22 +337,48 @@ def test_misiurewicz_doubling_fixture():
 
 def test_misiurewicz_rotation_fails():
     cert = misiurewicz_check(RigidRotation(0.37), horizon=200)
+    assert cert.to_dict() == _reference_check(RigidRotation(0.37), horizon=200).to_dict()
     assert not cert.passed
     assert not cert.conditions["outside_a"].passed
     assert cert.lambda0 <= 1e-12
 
 
 def test_misiurewicz_scan_over_offsets():
-    """Finite-horizon verdicts across offsets; no ground truth asserted."""
-    p = ModelParams(c=0.6, e=0.2, omega=0.3)
-    passing = []
-    for a in np.arange(0.0, 1.0, 1.0 / 16.0):
-        cmap = make_circle_map(float(a), p)
-        cert = misiurewicz_check(cmap, horizon=300, grid_size=256, m0=20)
-        if cert.passed:
-            passing.append(float(a))
-    # record-only: the subset is an empirical outcome of the finite check
-    assert isinstance(passing, list)
+    """The lockstep certificate equals the scalar reference, floats included."""
+    for p in (CASE1, CASE2):
+        for a in np.arange(0.0, 1.0, 1.0 / 8.0):
+            cmap = make_circle_map(float(a), p)
+            got = misiurewicz_check(cmap, horizon=250).to_dict()
+            assert got == _reference_check(cmap, horizon=250).to_dict(), (p, a)
+
+
+def test_misiurewicz_subverdicts_both_ways():
+    """Each sub-verdict passes on one map and fails on the other."""
+    case1 = misiurewicz_check(make_circle_map(0.0, CASE1), horizon=250).conditions
+    case2 = misiurewicz_check(make_circle_map(0.3, CASE2), horizon=250).conditions
+    for key in ("critical_orbits", "inside_b"):
+        assert case1[key].passed
+        assert not case2[key].passed
+    assert not case1["outside_a"].passed
+    assert case2["outside_a"].passed
+
+
+def test_lambda0_closed_form_is_the_largest_passing_rate(rng):
+    """The closed form passes the rate test and its next double fails; it
+    equals the bisection wherever 80 halvings resolve an ulp (|rate| >= 1e-6)."""
+    for scale in (1e-9, 1e-6, 1e-3, 1.0, 10.0, 49.0, 1e3):
+        for _ in range(40):
+            m = np.arange(30, 30 + int(rng.integers(1, 200)))
+            lam = rng.uniform(-scale, scale)
+            cum = lam * m + np.abs(rng.normal(0.0, scale, m.size)) \
+                * (rng.uniform(size=m.size) < 0.5)
+            got = _largest_rate(cum, m)
+            assert -50.0 <= got <= 50.0
+            if -50.0 < got < 50.0:
+                assert np.all(cum >= got * m)
+                assert not np.all(cum >= math.nextafter(got, math.inf) * m)
+            if abs(got) >= 1e-6:
+                assert got == _bisect_rate(list(zip(m.tolist(), cum.tolist())), 30)
 
 
 def test_transition_matrix_fixtures():

@@ -25,15 +25,10 @@ from .flow import (
     vector_field,
 )
 from .returnmap import (
-    CylinderPoint,
     KernelValues,
-    case12_map,
-    case34_map,
+    compile_map,
     eta_omega,
-    full_map,
-    jacobian,
     kernels,
-    rescaled_map,
 )
 from .singular import (
     AnalyticCircleMap,
@@ -65,7 +60,6 @@ from .diagnostics import (
     lyapunov_2d,
     region_curves,
     rotation_interval,
-    x_star,
     zero_one_test,
 )
 

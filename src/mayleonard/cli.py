@@ -11,7 +11,8 @@ Subcommands::
     scan           amplitude density scan, CSV + JSON summary
     chaos-test     0-1 statistic and autocorrelation of an orbit, JSON
 
-Exit codes: 0 success, 1 validation/config error, 2 numeric failure.
+Exit codes: 0 success, 1 validation/config error, 2 numeric (floating-point
+included) or I/O failure.
 Identical config and seed produce byte-identical outputs.
 """
 
@@ -38,7 +39,7 @@ from .diagnostics import (
 from .errors import NumericsError, ValidationError
 from .flow import IntegrateOpts, FlowState, integrate, section_returns, section_state
 from .params import check_c1a_c1b, derive_constants
-from .returnmap import VARIANTS, compile_map, reduce_mod
+from .returnmap import VARIANTS, compile_map
 from .singular import (
     gamma_sequence,
     hypothesis_battery,
@@ -150,15 +151,6 @@ def _check_x0(x0):
         raise ValidationError(f"--x0 must be > 0, got {x0}")
 
 
-def _orbit_rows(variant, x0, s0, iters, params, n=None, a=None):
-    fmap = compile_map(variant, params, n=n, a=a)
-    x, s = x0, s0
-    for k in range(1, iters + 1):
-        x, f2 = fmap.lift(x, s)
-        s = reduce_mod(f2, fmap.modulus)
-        yield (k, x, s)
-
-
 def _run(args) -> int:
     cfg = parse_config(args.config)
     if args.dump_config:
@@ -195,9 +187,10 @@ def _run(args) -> int:
                 raise ValidationError("rescaled variant needs --a")
             if n is None:
                 n = _default_n(params)
+        orbit = compile_map(args.variant, params, n=n, a=a).orbit(
+            args.x0, args.s0, args.iters)
         write_csv(args.output, ("k", "x", "s"),
-                  _orbit_rows(args.variant, args.x0, args.s0, args.iters,
-                              params, n=n, a=a))
+                  ((k, x, s) for k, (x, s, _) in enumerate(orbit, 1)))
         return 0
 
     if args.command == "singular-limit":
@@ -289,8 +282,8 @@ def _run(args) -> int:
             rot_info = {"lo": rot.lo, "hi": rot.hi, "width": rot.width,
                         "is_point": rot.is_point}
         else:
-            rows = _orbit_rows("case12", x0, args.s0, 200 + args.iters, params)
-            series = np.array([s for _, _, s in rows][200:])
+            orbit = compile_map("case12", params).orbit(x0, args.s0, 200 + args.iters)
+            series = np.array([s for _, s, _ in orbit][200:])
             rot_info = None
         obs = np.cos(2.0 * np.pi * series)
         K = zero_one_test(obs, rng=rng)
@@ -315,7 +308,10 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericsError, FileNotFoundError, OSError) as exc:
+    except ArithmeticError as exc:
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except (NumericsError, OSError) as exc:
         print(f"numeric/io failure: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,6 @@ from .returnmap import compile_map, reduce_mod
 from .singular import CircleMap, k_map, make_circle_map, misiurewicz_check
 
 __all__ = [
-    "x_star",
     "AnnulusReport",
     "annulus_check",
     "HorseshoeReport",
@@ -45,9 +44,6 @@ __all__ = [
     "ScanResult",
     "density_scan",
 ]
-
-
-x_star = stable_fixed_point
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +72,14 @@ def annulus_check(params: ModelParams, n_samples: int = 8192) -> AnnulusReport:
         return AnnulusReport(False, False, math.nan, None, None, None,
                              note="gamma must be positive")
     dc = derive_constants(params)
-    if dc.x_star is None:
+    fixed = stable_fixed_point(params.gamma, dc.delta)
+    if fixed is None:
         return AnnulusReport(False, False, math.nan, None, None, None,
                              note="no stable fixed point at this amplitude")
     w = 2.0 * params.gamma * dc.sqrt_a1
-    lo, hi = dc.x_star - w, dc.x_star + w
+    lo, hi = fixed - w, fixed + w
     if lo <= 0.0:
-        return AnnulusReport(False, False, math.nan, dc.x_star, None, None,
+        return AnnulusReport(False, False, math.nan, fixed, None, None,
                              note="band reaches the invariant plane (x* <= 2 gamma sqrt(a1))")
     n_s = max(16, int(math.sqrt(n_samples * 8)))
     n_r = max(4, n_samples // n_s)
@@ -97,7 +94,7 @@ def annulus_check(params: ModelParams, n_samples: int = 8192) -> AnnulusReport:
         defined=True,
         invariant=bool(margins[i, j] >= 0.0),
         min_margin=float(margins[i, j]),
-        x_star=dc.x_star,
+        x_star=fixed,
         band=(lo, hi),
         worst_point=(float(X[i, j]), float(S[i, j])),
     )
@@ -258,10 +255,8 @@ class Lyapunov2D:
         return abs(self.l1 + self.l2 - self.logdet_mean)
 
 
-def lyapunov_2d(variant: str, point0, iterations: int, params: ModelParams,
-                n: int | None = None, a: float | None = None,
-                gamma: float | None = None, burn_in: int = 500) -> Lyapunov2D:
-    """Tangent-map Lyapunov exponents with per-step orthonormalisation.
+def lyapunov_2d(fmap, point0, iterations: int, burn_in: int = 500) -> Lyapunov2D:
+    """Tangent-map Lyapunov exponents of a compiled map, per-step orthonormalisation.
 
     Returns the ordered pair ``l1 >= l2``; their sum matches the Birkhoff
     average of ``log |det DF|`` by construction, and the report keeps both
@@ -271,16 +266,12 @@ def lyapunov_2d(variant: str, point0, iterations: int, params: ModelParams,
     """
     if iterations < 10_000:
         raise ValidationError("iterations must be >= 10000")
-    if variant == "case34":
+    if fmap.variant == "case34":
         raise ValidationError("case34 is rank-one degenerate (det = 0)")
-    fmap = compile_map(variant, params, gamma=gamma, n=n, a=a)
-    lift, tangent, modulus = fmap.lift, fmap.tangent, fmap.modulus
     x, s = float(point0[0]), float(point0[1])
-    for k in range(burn_in):
-        x, s = lift(x, s)
-        s = reduce_mod(s, modulus)
-        if x <= 0.0:
-            raise NumericsError(f"orbit escaped (x <= 0) during burn-in step {k}")
+    for x, s, _ in fmap.orbit(x, s, burn_in):
+        pass
+    lift, tangent, modulus = fmap.lift, fmap.tangent, fmap.modulus
     q1x, q1y, q2x, q2y = 1.0, 0.0, 0.0, 1.0
     sum1 = sum2 = sumdet = 0.0
     eps = math.ulp(1.0)
@@ -562,24 +553,19 @@ def _scan_one(gamma, params, opts, sample_rng):
     p_g = params.with_(gamma=float(gamma))
     fmap = compile_map("case12", p_g)
     s0 = float(sample_rng.uniform())
-    x0 = gamma * p_g.mu1
-    ly = lyapunov_2d("case12", (x0, s0), opts.iterations, p_g,
-                     burn_in=opts.burn_in)
+    x0 = p_g.gamma * p_g.mu1
+    ly = lyapunov_2d(fmap, (x0, s0), opts.iterations, burn_in=opts.burn_in)
     # s-series for the 0-1 statistic and per-seed rotation estimates
     rots = []
     obs = None
     for seed_i in range(opts.rot_seeds):
         x, s = x0, float(sample_rng.uniform())
-        for _ in range(opts.burn_in):
-            x, s = fmap.lift(x, s)
-            s = reduce_mod(s, 1.0)
+        for x, s, _ in fmap.orbit(x, s, opts.burn_in):
+            pass
         ss = np.empty(opts.series_len)
-        y = s
-        y0 = y
-        for i in range(opts.series_len):
-            x, f2 = fmap.lift(x, s)
-            y += f2 - s          # lift displacement
-            s = reduce_mod(f2, 1.0)
+        y = y0 = s
+        for i, (_, s, advance) in enumerate(fmap.orbit(x, s, opts.series_len)):
+            y += advance          # lift displacement
             ss[i] = s
         rots.append((y - y0) / opts.series_len)
         if seed_i == 0:
@@ -616,8 +602,10 @@ def density_scan(gamma_grid, params: ModelParams,
     flag.  The summary fraction counts samples with a positive exponent
     and a chaotic 0-1 verdict; nested-prefix fractions over shrinking
     amplitude ranges emulate the density-at-zero statement without
-    extrapolating.  Sample failures are recorded, not fatal; results are
-    deterministic for a fixed seed and independent of evaluation order.
+    extrapolating.  Sample failures (numeric, validation and floating-point
+    errors such as an overflowing orbit) are recorded with their reason, not
+    fatal; results are deterministic for a fixed seed and independent of
+    evaluation order.
     """
     grid = np.asarray(list(gamma_grid), dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
@@ -634,12 +622,15 @@ def density_scan(gamma_grid, params: ModelParams,
         sample_rng = np.random.default_rng([opts.seed, gamma_key])
         try:
             rows.append(_scan_one(gamma, params, opts, sample_rng))
-        except (NumericsError, ValidationError) as exc:
+        except (NumericsError, ValidationError, ArithmeticError) as exc:
+            # a float overflow's message alone does not say what overflowed
+            error = (f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError)
+                     else str(exc))
             rows.append(ScanRow(
                 gamma=float(gamma), lambda1=math.nan, lambda2=math.nan,
                 K=math.nan, rot_lo=math.nan, rot_hi=math.nan,
                 annulus_ok=False, battery_h4=None, success=False,
-                failed=True, error=str(exc)))
+                failed=True, error=error))
     n_failed = sum(1 for r in rows if r.failed)
     fraction = sum(1 for r in rows if r.success) / len(rows)
     lo_dec = math.floor(math.log10(grid[0]))

@@ -270,31 +270,34 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
     """
     if t_end == state0.t:
         raise ValidationError("t_end must differ from the initial time")
-    ts, states, sols, stats = _run_rk45(
+    ts, states, sols, stats, _ = _run_rk45(
         lambda t, q: _rhs(t, q, params),
         state0.t, state0.as_array(), t_end, opts,
-        postprocess=lambda y: _clamp_octant(y, opts.abs_tol),
+        postprocess=lambda y: _clamp_octant(y, opts.abs_tol), keep_steps=True,
     )
     return Trajectory(ts=np.array(ts), states=np.array(states), params=params,
                       stats=stats, _sols=sols)
 
 
-def _run_rk45(fun, t0, y0, t_end, opts, postprocess=None,
-              events=(), max_events=None, event_filter=None):
-    """Drive scipy's RK45 stepper, collecting dense output and locating events.
+def _run_rk45(fun, t0, y0, t_end, opts, postprocess=None, events=(),
+              max_events=None, event_filter=None, keep_steps=False):
+    """Drive scipy's RK45 stepper, locating events and optionally keeping steps.
 
     ``events`` is a sequence of ``(name, g(t, y), direction)``; a crossing is
     recorded when g changes sign in the stated direction within a step, with
     the crossing time refined by root-finding on the dense interpolant to a
-    tolerance of ``1e-12 * max(1, |t|)``.
+    tolerance of ``1e-12 * max(1, |t|)``.  Returns ``(ts, states, sols,
+    stats, found)``: the step times, states and dense outputs (empty unless
+    ``keep_steps``), the stepper counters, and the accepted crossings as
+    ``(t, name, y)``.
     """
     stepper = RK45(fun, t0, np.asarray(y0, dtype=float), t_end,
                    rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step)
-    ts = [t0]
-    states = [postprocess(stepper.y.copy()) if postprocess else stepper.y.copy()]
-    sols = []
+    y_prev = postprocess(stepper.y.copy()) if postprocess else stepper.y.copy()
+    t_prev, accepted = t0, 0
+    ts, states, sols = ([t0], [y_prev], []) if keep_steps else ([], [], [])
     found = []
-    g_prev = [g(t0, states[0]) for (_, g, _) in events]
+    g_prev = [g(t0, y_prev) for (_, g, _) in events]
     while stepper.status == "running":
         msg = stepper.step()
         if stepper.status == "failed":
@@ -302,11 +305,17 @@ def _run_rk45(fun, t0, y0, t_end, opts, postprocess=None,
                 f"step-size underflow at t={stepper.t}: {msg} "
                 "(likely stiffness near an equilibrium)"
             )
-        sol = stepper.dense_output()
-        sols.append(sol)
+        accepted += 1
         t_new, y_new = stepper.t, stepper.y.copy()
         if postprocess:
             y_new = postprocess(y_new)
+        # the interpolant is built only for a kept step or a bracketed crossing
+        sol = None
+        if keep_steps:
+            sol = stepper.dense_output()
+            ts.append(t_new)
+            states.append(y_new)
+            sols.append(sol)
         hits = []
         for k, (name, g, direction) in enumerate(events):
             g_new = g(t_new, y_new)
@@ -314,7 +323,9 @@ def _run_rk45(fun, t0, y0, t_end, opts, postprocess=None,
                       (g_prev[k] < 0.0 <= g_new) if direction > 0 else \
                       (g_prev[k] * g_new <= 0.0 and g_prev[k] != g_new)
             if crossed and g_prev[k] != 0.0:
-                t_hit = brentq(lambda t: g(t, sol(t)), ts[-1], t_new,
+                if sol is None:
+                    sol = stepper.dense_output()
+                t_hit = brentq(lambda t: g(t, sol(t)), t_prev, t_new,
                                xtol=1e-12 * max(1.0, abs(t_new)))
                 hits.append((t_hit, name, np.asarray(sol(t_hit), dtype=float)))
             g_prev[k] = g_new
@@ -323,15 +334,9 @@ def _run_rk45(fun, t0, y0, t_end, opts, postprocess=None,
             if event_filter is None or event_filter(name, t_hit, y_hit):
                 found.append((t_hit, name, y_hit))
                 if max_events is not None and len(found) >= max_events:
-                    ts.append(t_new)
-                    states.append(y_new)
-                    return ts, states, sols, _stats(stepper, len(sols)), found
-        ts.append(t_new)
-        states.append(y_new)
-    stats = _stats(stepper, len(sols))
-    if events:
-        return ts, states, sols, stats, found
-    return ts, states, sols, stats
+                    return ts, states, sols, _stats(stepper, accepted), found
+        t_prev = t_new
+    return ts, states, sols, _stats(stepper, accepted), found
 
 
 def _stats(stepper, accepted):
@@ -429,10 +434,9 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
             return q[mi] < 0.5 and q[ri] > 0.5
 
     events = [make_event(nm) for nm in wanted]
-    res = _run_rk45(fun, state0.t, q0, state0.t + max_time, opts,
-                    events=events, max_events=n_returns,
-                    event_filter=near_saddle)
-    ts, states, sols, stats, found = res
+    *_, found = _run_rk45(fun, state0.t, q0, state0.t + max_time, opts,
+                          events=events, max_events=n_returns,
+                          event_filter=near_saddle)
     if len(found) < n_returns:
         raise NumericsError(
             f"only {len(found)} of {n_returns} section crossings found within "

@@ -95,11 +95,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Closed-form constants derived from :class:`ModelParams`.
-
-    ``x_star`` is the positive stable fixed point of ``x -> x**delta + gamma``
-    and is ``None`` when the forcing amplitude exceeds the saddle-node value.
-    """
+    """Closed-form constants derived from :class:`ModelParams`."""
 
     delta: float
     xi: float
@@ -109,7 +105,6 @@ class DerivedConstants:
     b2: float
     p: float
     K_omega: float
-    x_star: float | None
 
     @property
     def sqrt_a1(self) -> float:
@@ -168,13 +163,15 @@ def stable_fixed_point(gamma: float, delta: float) -> float | None:
     if f(hi) > 0.0:
         # gamma numerically at the saddle-node: double root at x_sn
         return x_sn
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    # bisect until no double lies strictly between the bracket ends
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def saddle_node_gamma(delta: float) -> float:
@@ -207,10 +204,8 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     b2 = 2.0 * e * om / (e * e + 4.0 * om * om)
     p = (delta - 1.0) / delta
     k_omega = om * p / math.pi
-    x_star = stable_fixed_point(params.gamma, delta)
     return DerivedConstants(
-        delta=delta, xi=xi, a1=a1, a2=a2, b1=b1, b2=b2,
-        p=p, K_omega=k_omega, x_star=x_star,
+        delta=delta, xi=xi, a1=a1, a2=a2, b1=b1, b2=b2, p=p, K_omega=k_omega,
     )
 
 

@@ -12,11 +12,13 @@ Four variants are provided:
   circle map.
 
 Second-order terms in the forcing amplitude are dropped exactly where the
-derivations drop them; each map's docstring names the dropped order.
+derivations drop them; each variant's class docstring names the dropped
+order.
 
 :func:`compile_map` is the one evaluator of each variant: it derives the
-constants once per parameter point.  The per-point functions (``map_lift``,
-``jacobian``, the ``*_map`` maps, ``rescaled_apply``) are front ends over it.
+constants once per parameter point, and callers hold the compiled map for
+as long as the point is fixed.  Its ``orbit`` is the one orbit loop.
+:func:`kernels` and :func:`finite_difference_jacobian` are test oracles.
 """
 
 from __future__ import annotations
@@ -31,45 +33,18 @@ from .errors import NumericsError, ValidationError
 from .params import DerivedConstants, ModelParams, derive_constants
 
 __all__ = [
-    "CylinderPoint",
     "KernelValues",
     "VARIANTS",
     "eta_omega",
     "kernels",
-    "full_map",
-    "case12_map",
-    "case34_map",
-    "rescaled_map",
-    "rescaled_apply",
     "compile_map",
-    "jacobian",
     "finite_difference_jacobian",
-    "map_lift",
     "reduce_mod",
 ]
 
 VARIANTS = ("full", "case12", "case34", "rescaled")
 
-MOD_PI_OVER_OMEGA = "pi_over_omega"
-MOD_ONE = "one"
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class CylinderPoint:
-    """Point (x, s) on the return-map cylinder.
-
-    ``modulus`` records the phase convention: ``"pi_over_omega"`` for the
-    full map, ``"one"`` for the reduced families.
-    """
-
-    x: float
-    s: float
-    modulus: str = MOD_ONE
-
-    def __post_init__(self):
-        if self.modulus not in (MOD_PI_OVER_OMEGA, MOD_ONE):
-            raise ValidationError(f"unknown modulus tag {self.modulus!r}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +99,7 @@ def _quad_checked(fun, a, b, tol=1e-10):
     return val
 
 
-def kernels(point: CylinderPoint, params: ModelParams) -> KernelValues:
+def kernels(x: float, s: float, params: ModelParams) -> KernelValues:
     """Arrival times and forcing kernels of the three-passage composition.
 
     ``L2`` uses the exact closed form (checked elsewhere against an
@@ -134,7 +109,6 @@ def kernels(point: CylinderPoint, params: ModelParams) -> KernelValues:
     evaluated in shifted form (weight anchored at the upper limit) so they
     never overflow; this is an algebraic identity, not an approximation.
     """
-    x, s = point.x, point.s
     if x <= 0.0:
         raise ValidationError(f"kernels need x > 0, got {x}")
     if params.gamma < 0.0:
@@ -195,8 +169,34 @@ class _CompiledMap:
         self.shift = params.mu3 * params.omega / math.pi
         self.slope = dc.xi * params.omega / math.pi
 
+    def orbit(self, x, s, steps):
+        """Yield ``(x, s, advance)`` after each of ``steps`` steps from ``(x, s)``.
+
+        ``s`` is the phase reduced by ``modulus`` and ``advance`` the
+        unreduced phase step, so a running sum of ``advance`` is the lift
+        displacement.  An image with ``x <= 0`` has left the section and
+        raises :class:`NumericsError`.
+        """
+        lift, modulus = self.lift, self.modulus
+        for k in range(steps):
+            x, f2 = lift(x, s)
+            if x <= 0.0:
+                raise NumericsError(f"orbit escaped (x <= 0) at step {k}")
+            advance = f2 - s
+            s = reduce_mod(f2, modulus)
+            yield x, s, advance
+
 
 class _FullMap(_CompiledMap):
+    """Leading-order three-passage return map, phase modulo ``pi/omega``.
+
+    Terms of second order in ``gamma`` are dropped; the forcing
+    oscillations are evaluated at the composed arrival times.  The tangent
+    has no closed-form determinant.
+    """
+
+    variant = "full"
+
     def __init__(self, params, dc, gamma=None):
         super().__init__(params, dc)
         self.modulus = math.pi / params.omega
@@ -209,23 +209,20 @@ class _FullMap(_CompiledMap):
         phi = s + p.mu3 - dc.xi * math.log(x)
         return w, phi, phi - p.gamma * dc.xi * w / (p.e * x)
 
-    def lift(self, x, s, phase="composed"):
+    def lift(self, x, s):
         p, dc, om = self.params, self.dc, self.params.omega
         _, phi, f2 = self._phases(x, s)
-        u4, u5 = f2 - p.Delta3, f2
-        if phase == "entry":
-            phi = u4 = u5 = s
         f1 = p.mu * x**dc.delta + p.gamma * (
             p.mu1
             + p.mu2 * _osc(phi, dc.a1, dc.b1, om)
-            - p.mu4 * _osc(u4, dc.a1, dc.b1, om)
-            - p.mu5 * _osc(u5, dc.a2, dc.b2, om)
+            - p.mu4 * _osc(f2 - p.Delta3, dc.a1, dc.b1, om)
+            - p.mu5 * _osc(f2, dc.a2, dc.b2, om)
         )
         return f1, f2
 
     def tangent(self, x, s):
         if x <= 0.0:
-            raise ValidationError("jacobian needs x > 0 for full")
+            raise ValidationError("tangent needs x > 0 for full")
         p, dc = self.params, self.dc
         e, om, gam = p.e, p.omega, p.gamma
         W, phi, f2 = self._phases(x, s)
@@ -248,6 +245,16 @@ class _FullMap(_CompiledMap):
 
 
 class _Case12Map(_CompiledMap):
+    """Low-frequency return map, phase modulo 1.
+
+    The remainder of first order in ``gamma`` in the phase component is
+    dropped.  The image coordinate is positive for ``gamma > 0`` since
+    ``sqrt(a1) < 1``.  The tangent determinant has the closed form
+    ``delta x**(delta-1)``: the phase coupling cancels exactly.
+    """
+
+    variant = "case12"
+
     def __init__(self, params, dc, gamma=None):
         super().__init__(params, dc)
         self.forcing = params.gamma * params.mu1
@@ -261,7 +268,7 @@ class _Case12Map(_CompiledMap):
 
     def tangent(self, x, s):
         if x <= 0.0:
-            raise ValidationError("jacobian needs x > 0 for case12")
+            raise ValidationError("tangent needs x > 0 for case12")
         two_pi_s = _TWO_PI * s
         B = x**self.delta + self.forcing * (1.0 - self.sqrt_a1 * math.cos(two_pi_s))
         d11 = self.delta * x ** (self.delta - 1.0)
@@ -271,6 +278,16 @@ class _Case12Map(_CompiledMap):
 
 
 class _Case34Map(_CompiledMap):
+    """High-frequency return map: constant leading coordinate, circle map in s.
+
+    The input ``x`` is ignored by construction, so the tangent is rank-one
+    degenerate with determinant 0 (reported, not raised).  Requires
+    ``gamma > 0`` and ``mu1 > 0``: the phase update takes a log of their
+    product.
+    """
+
+    variant = "case34"
+
     def __init__(self, params, dc, gamma=None):
         if params.gamma <= 0.0 or params.mu1 <= 0.0:
             raise ValidationError("case34 map requires gamma > 0 and mu1 > 0")
@@ -290,6 +307,17 @@ class _Case34Map(_CompiledMap):
 
 
 class _RescaledMap(_CompiledMap):
+    """The ``case12`` family blown up by ``gamma**(-1/delta)``, phase modulo 1.
+
+    Drops what ``case12`` drops.  At the amplitude ``gamma_(n, a)`` of the
+    phase-locked sequence the phase update carries the constant ``a``
+    modulo 1, and at ``x = 0`` the map is the singular-limit circle map.
+    The tangent determinant has the closed form
+    ``gamma**p delta x**(delta-1)``.
+    """
+
+    variant = "rescaled"
+
     def __init__(self, params, dc, gamma):
         if gamma <= 0.0 or gamma >= 1.0:
             raise ValidationError(f"rescaled family needs gamma in (0, 1), got {gamma}")
@@ -304,7 +332,7 @@ class _RescaledMap(_CompiledMap):
 
     def tangent(self, x, s):
         if x <= 0.0:
-            raise ValidationError("jacobian needs x > 0 for rescaled")
+            raise ValidationError("tangent needs x > 0 for rescaled")
         gp, delta, sqrt_a1, slope = self.gp, self.delta, self.sqrt_a1, self.slope
         A = x**delta + 1.0 - sqrt_a1 * math.cos(_TWO_PI * s)
         xpow, sin_s = x ** (delta - 1.0), math.sin(_TWO_PI * s)
@@ -313,8 +341,7 @@ class _RescaledMap(_CompiledMap):
                 1.0 - slope * 2.0 * math.pi * sqrt_a1 * sin_s / A, d11)
 
 
-_COMPILED = {"full": _FullMap, "case12": _Case12Map, "case34": _Case34Map,
-             "rescaled": _RescaledMap}
+_COMPILED = {cls.variant: cls for cls in (_FullMap, _Case12Map, _Case34Map, _RescaledMap)}
 
 
 def compile_map(variant: str, params: ModelParams, *, gamma: float | None = None,
@@ -323,8 +350,9 @@ def compile_map(variant: str, params: ModelParams, *, gamma: float | None = None
 
     The result has a scalar ``lift(x, s)`` (phase not reduced), a scalar
     ``tangent(x, s)`` returning ``(d11, d12, d21, d22, det_closed_form)``
-    (the last None for ``full``) and the phase ``modulus``.  Only the
-    rescaled variant reads ``gamma`` or the sequence index pair ``(n, a)``.
+    (the last None for ``full``), the orbit loop ``orbit(x, s, steps)``,
+    the phase ``modulus`` and its ``variant`` name.  Only the rescaled
+    variant reads ``gamma`` or the sequence index pair ``(n, a)``.
     """
     if variant not in _COMPILED:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -337,102 +365,10 @@ def compile_map(variant: str, params: ModelParams, *, gamma: float | None = None
     return _COMPILED[variant](params, dc, gamma)
 
 
-def full_map(point: CylinderPoint, params: ModelParams,
-             phase: str = "composed") -> CylinderPoint:
-    """Leading-order three-passage return map, phase modulo ``pi/omega``.
-
-    Terms of second order in ``gamma`` are dropped.  ``phase="composed"``
-    evaluates the forcing oscillations at the composed arrival times;
-    ``phase="entry"`` evaluates them all at the section entry time (the
-    simplification the reduced families build on) and exists mainly so the
-    low-frequency degeneration onto :func:`case12_map` can be checked
-    exactly.
-    """
-    if point.x <= 0.0:
-        raise ValidationError(f"full_map needs x > 0, got {point.x}")
-    if phase not in ("composed", "entry"):
-        raise ValidationError(f"unknown phase convention {phase!r}")
-    f1, f2 = compile_map("full", params).lift(point.x, point.s, phase)
-    return CylinderPoint(f1, reduce_mod(f2, math.pi / params.omega),
-                         MOD_PI_OVER_OMEGA)
-
-
-def case12_map(point: CylinderPoint, params: ModelParams) -> CylinderPoint:
-    """Low-frequency return map, phase modulo 1.
-
-    The remainder of first order in ``gamma`` in the phase component is
-    dropped.  Positivity of the image coordinate is guaranteed for
-    ``gamma > 0`` since ``sqrt(a1) < 1``.
-    """
-    if point.x <= 0.0:
-        raise ValidationError(f"case12_map needs x > 0, got {point.x}")
-    f1, f2 = compile_map("case12", params).lift(point.x, point.s)
-    return CylinderPoint(f1, reduce_mod(f2, 1.0), MOD_ONE)
-
-
-def case34_map(point: CylinderPoint, params: ModelParams) -> CylinderPoint:
-    """High-frequency return map: constant leading coordinate, circle map in s.
-
-    The input ``x`` is ignored by construction.  Requires ``gamma > 0`` and
-    ``mu1 > 0`` (the phase update takes a log of their product).
-    """
-    f1, f2 = compile_map("case34", params).lift(point.x, point.s)
-    return CylinderPoint(f1, reduce_mod(f2, 1.0), MOD_ONE)
-
-
-def rescaled_apply(x: float, s: float, gamma: float,
-                   params: ModelParams) -> tuple[float, float]:
-    """Rescaled family at an explicit amplitude, returning the phase lift."""
-    if x < 0.0:
-        raise ValidationError(f"rescaled family needs x >= 0, got {x}")
-    return compile_map("rescaled", params, gamma=gamma).lift(x, s)
-
-
-def rescaled_map(point: CylinderPoint, n: int, a: float,
-                 params: ModelParams) -> CylinderPoint:
-    """Rescaled return map at the amplitude indexed by ``(n, a)``.
-
-    The amplitude is the n-th member of the phase-locked sequence with
-    offset ``a``, so the phase update carries the constant ``a`` modulo 1
-    and the map degenerates to the singular-limit circle map at ``x = 0``.
-    """
-    if point.x < 0.0:
-        raise ValidationError(f"rescaled_map needs x >= 0, got {point.x}")
-    f1, f2 = compile_map("rescaled", params, n=n, a=a).lift(point.x, point.s)
-    return CylinderPoint(f1, reduce_mod(f2, 1.0), MOD_ONE)
-
-
-def map_lift(variant: str, x: float, s: float, params: ModelParams,
-             n: int | None = None, a: float | None = None,
-             gamma: float | None = None) -> tuple[float, float]:
-    """Evaluate a variant without reducing the phase (for derivatives/orbits)."""
-    return compile_map(variant, params, gamma=gamma, n=n, a=a).lift(x, s)
-
-
-def jacobian(point: CylinderPoint, variant: str, params: ModelParams,
-             n: int | None = None, a: float | None = None,
-             gamma: float | None = None):
-    """Analytic Jacobian of a variant at a point.
-
-    Returns ``(J, det, det_closed_form)``.  The closed form of the
-    determinant exists for the reduced families: ``delta x**(delta-1)``
-    for ``case12`` and ``gamma**p delta x**(delta-1)`` for ``rescaled``
-    (the phase coupling cancels exactly); ``case34`` is rank-one
-    degenerate with determinant 0, reported rather than raised.  The full
-    variant has no closed form and ``det_closed_form`` is None.
-    """
-    d11, d12, d21, d22, det_cf = compile_map(
-        variant, params, gamma=gamma, n=n, a=a).tangent(point.x, point.s)
-    return np.array([[d11, d12], [d21, d22]]), d11 * d22 - d12 * d21, det_cf
-
-
-def finite_difference_jacobian(variant: str, x: float, s: float,
-                               params: ModelParams, n: int | None = None,
-                               a: float | None = None,
-                               gamma: float | None = None,
+def finite_difference_jacobian(fmap: _CompiledMap, x: float, s: float,
                                rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a variant's phase lift (test oracle)."""
-    lift = compile_map(variant, params, gamma=gamma, n=n, a=a).lift
+    """Central-difference Jacobian of a compiled map's phase lift (test oracle)."""
+    lift = fmap.lift
     hx = rel_step * max(abs(x), 1.0)
     hs = rel_step
     col_x = np.subtract(lift(x + hx, s), lift(x - hx, s)) / (2.0 * hx)

@@ -16,14 +16,14 @@ property is not even an open condition, so no robustness is claimed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NumericsError, ValidationError
 from .params import DerivedConstants, ModelParams, derive_constants
-from .returnmap import rescaled_apply
+from .returnmap import compile_map
 
 __all__ = [
     "CircleMapSpec",
@@ -715,22 +715,24 @@ def _branch_solve(cmap, lo, hi, target):
     return brentq(f, lo, hi, xtol=1e-14)
 
 
-def transversality_probe(params: ModelParams, a_star: float,
-                         da: float = 1e-3, depth: int = 20):
+def transversality_probe(base: AnalyticCircleMap, da: float = 1e-3,
+                         depth: int = 20):
     """Indicative finite-difference check of parameter transversality.
 
-    For each critical point the forward image moves with unit speed in the
-    offset; the itinerary-matched continuation of that image is tracked by
-    backward branch-following over a small offset window.  Backward
-    refinement contracts wherever the map expands, so the continued point
-    is well conditioned.  The result is labelled indicative: the genuine
-    condition concerns symbolic continuations to infinite depth.
+    For each critical point of ``base`` the forward image moves with unit
+    speed in the offset; the itinerary-matched continuation of that image
+    is tracked by backward branch-following under the maps at offsets
+    ``a -/+ da``.  Backward refinement contracts wherever the map expands,
+    so the continued point is well conditioned.  The result is labelled
+    indicative: the genuine condition concerns symbolic continuations to
+    infinite depth.
     """
-    base = make_circle_map(a_star, params)
     crit = base.critical_points()
     if not crit:
         return []
     cs = sorted(cp.s for cp in crit)
+    shifted = {sgn: AnalyticCircleMap(replace(base.spec, a=(base.spec.a + sgn * da) % 1.0))
+               for sgn in (+1, -1)}
 
     def continued_point(cmap_new, ref_orbit):
         # follow the reference orbit segment backwards under the new map
@@ -756,8 +758,7 @@ def transversality_probe(params: ModelParams, a_star: float,
             ref.append(float(base.value(ref[-1])))
         qs = {}
         ok = True
-        for sgn in (+1, -1):
-            cmap_new = make_circle_map((a_star + sgn * da) % 1.0, params)
+        for sgn, cmap_new in shifted.items():
             cont = continued_point(cmap_new, ref)
             if cont is None:
                 ok = False
@@ -875,7 +876,7 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
     }
 
     # H5: indicative only
-    samples = transversality_probe(params, a)
+    samples = transversality_probe(cmap)
     entries["H5"] = {
         "status": "indicative" if samples else "not-checkable",
         "samples": [
@@ -891,8 +892,9 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
     if crit:
         s_c = crit[0].s
         u = 1e-6
-        g1 = rescaled_apply(u ** (1.0 / dc.delta), s_c, gamma, params)[0] / gp
-        g0 = rescaled_apply(0.0, s_c, gamma, params)[0] / gp
+        lift = compile_map("rescaled", params, gamma=gamma).lift
+        g1 = lift(u ** (1.0 / dc.delta), s_c)[0] / gp
+        g0 = lift(0.0, s_c)[0] / gp
         h6_value = (g1 - g0) / u
     else:
         h6_value = None

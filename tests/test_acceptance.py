@@ -35,14 +35,8 @@ from mayleonard.diagnostics import (
     t2_curve,
 )
 from mayleonard.flow import IntegrateOpts, section_state, table1_eigenpairs
-from mayleonard.returnmap import (
-    CylinderPoint,
-    finite_difference_jacobian,
-    jacobian,
-    kernels,
-    map_lift,
-    reduce_mod,
-)
+from mayleonard.params import stable_fixed_point
+from mayleonard.returnmap import compile_map, finite_difference_jacobian, kernels
 from conftest import random_admissible
 
 SEED = 20260809
@@ -112,7 +106,7 @@ def test_criterion_03_kernel_oracle():
         for _ in range(100):
             x = rng.uniform(1e-6, 1.0)
             s = rng.uniform(0.0, 2.0 * math.pi / om)
-            kv = kernels(CylinderPoint(x, s), params)
+            kv = kernels(x, s, params)
             t1 = s - math.log(x) / e
             ref, _ = quad(lambda tau: math.exp(-e * (tau - s))
                           * math.sin(om * tau) ** 2,
@@ -137,9 +131,9 @@ def test_criterion_04_jacobian_determinant():
         gam = gamma_sequence(n, a, dc)
         x = float(rng.uniform(0.05, 1.0))
         s = float(rng.uniform(0.0, 1.0))
-        _, _, det_cf = jacobian(CylinderPoint(x, s), "rescaled", params,
-                                gamma=gam)
-        fd = finite_difference_jacobian("rescaled", x, s, params, gamma=gam)
+        fmap = compile_map("rescaled", params, gamma=gam)
+        det_cf = fmap.tangent(x, s)[4]
+        fd = finite_difference_jacobian(fmap, x, s)
         det_fd = fd[0, 0] * fd[1, 1] - fd[0, 1] * fd[1, 0]
         worst = max(worst, abs(det_fd - det_cf) / abs(det_cf))
     elapsed = time.monotonic() - t0
@@ -165,28 +159,20 @@ def test_criterion_05_power_law_returns():
                     f"worst |ratio-3| {worst:.3f}, {elapsed:.1f}s")
 
 
-def _iterate_case12(params, x, s, n):
-    for _ in range(n):
-        x, f2 = map_lift("case12", x, s, params)
-        s = reduce_mod(f2, 1.0)
-    return x, s
-
-
 def test_criterion_06a_invariant_curve_collapse():
     """32 seeds collapse onto a closed curve: binned spread < 1e-3, < 30 s."""
     t0 = time.monotonic()
     p = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05)
     rng = np.random.default_rng(SEED)
-    dc = derive_constants(p)
+    fixed = stable_fixed_point(p.gamma, derive_constants(p).delta)
+    fmap = compile_map("case12", p)
     pts = []
     for _ in range(32):
-        x = float(rng.uniform(0.5 * dc.x_star, 1.5 * dc.x_star))
+        x = float(rng.uniform(0.5 * fixed, 1.5 * fixed))
         s = float(rng.uniform(0.0, 1.0))
-        x, s = _iterate_case12(p, x, s, 10000)
-        for _ in range(300):
-            x, f2 = map_lift("case12", x, s, p)
-            s = reduce_mod(f2, 1.0)
-            pts.append((s, x))
+        for x, s, _ in fmap.orbit(x, s, 10000):
+            pass
+        pts.extend((s, x) for x, s, _ in fmap.orbit(x, s, 300))
     pts = np.asarray(pts)
     nb = 128
     idx = np.minimum((pts[:, 0] * nb).astype(int), nb - 1)

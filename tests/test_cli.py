@@ -71,10 +71,13 @@ def test_classify_reports_case2(case2_cfg, tmp_path):
     assert report["conditions"]["sqrt_a1"] == pytest.approx(0.5**0.5)
 
 
-def test_return_map_orbit_rows_and_determinism(case2_cfg, tmp_path):
+@pytest.mark.parametrize("variant", ["full", "case12", "case34", "rescaled"])
+def test_return_map_orbit_rows_and_determinism(case2_cfg, tmp_path, variant):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["return-map", "--config", case2_cfg, "--variant", "case12",
+    args = ["return-map", "--config", case2_cfg, "--variant", variant,
             "--iters", "10000", "--x0", "0.5", "--s0", "0.25"]
+    if variant == "rescaled":
+        args += ["--a", "0.3"]
     assert main(args + ["--output", str(out1)]) == 0
     assert main(args + ["--output", str(out2)]) == 0
     b1, b2 = out1.read_bytes(), out2.read_bytes()
@@ -165,15 +168,26 @@ def test_scan_outputs(case2_cfg, tmp_path):
     assert len(csv_lines) == 3
     assert all(line.endswith(",true,iterations must be >= 10000")
                for line in csv_lines[1:])
+    # so does one whose orbit overflows
+    rc = main(["scan", "--config", case2_cfg, "--from", "5", "--to", "10",
+               "--steps", "2", "--no-battery", "--output", str(base)])
+    assert rc == 0
+    csv_lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
+    assert len(csv_lines) == 3
+    assert all(',true,"OverflowError: ' in line for line in csv_lines[1:])
 
 
-def test_chaos_test_json(case2_cfg, tmp_path):
+@pytest.mark.parametrize("variant", ["case12", "case34"])
+def test_chaos_test_json(case2_cfg, tmp_path, variant):
     out = tmp_path / "chaos.json"
-    rc = main(["chaos-test", "--config", case2_cfg, "--variant", "case12",
+    rc = main(["chaos-test", "--config", case2_cfg, "--variant", variant,
                "--iters", "1500", "--output", str(out)])
     assert rc == 0
     rep = json.loads(out.read_text())
+    assert rep["variant"] == variant
     assert 0.0 <= rep["K"] <= 1.001
+    # only the circle-map family reports a rotation interval
+    assert (rep["rotation"] is None) == (variant == "case12")
 
 
 def test_dump_config_flag(case2_cfg, capsys):
@@ -206,6 +220,18 @@ def test_exit_code_numeric(tmp_path):
     assert rc == 2
     # the orbit failed while the rows were built: no partial file is left
     assert not (tmp_path / "orbit.csv").exists()
+    # at small mu1 the full map's orbit leaves the section x > 0
+    weak = tmp_path / "weak.cfg"
+    weak.write_text(CASE2.replace("mu1 = 1.0", "mu1 = 0.01"))
+    rc = main(["return-map", "--config", str(weak), "--variant", "full",
+               "--output", str(tmp_path / "full.csv")])
+    assert rc == 2
+    assert not (tmp_path / "full.csv").exists()
+    # a float overflow inside the map is a numeric failure too
+    rc = main(["return-map", "--config", str(weak), "--variant", "case12",
+               "--x0", "1e200", "--output", str(tmp_path / "big.csv")])
+    assert rc == 2
+    assert not (tmp_path / "big.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,12 +9,12 @@ from mayleonard import (
     annulus_check,
     autocorrelation,
     classify_regime,
+    compile_map,
     density_scan,
     horseshoe_condition,
     lyapunov_2d,
     region_curves,
     rotation_interval,
-    x_star,
     zero_one_test,
 )
 from mayleonard.diagnostics import (
@@ -25,13 +25,14 @@ from mayleonard.diagnostics import (
     t1_curve,
     t2_curve,
 )
+from mayleonard.params import stable_fixed_point
 from mayleonard.singular import DoublingMap, RigidRotation, doubling_orbit
 
 
 def test_x_star_cases():
-    assert x_star(0.0, 3.0) == 0.0
-    assert x_star(0.1, 2.0) == pytest.approx((1 - math.sqrt(0.6)) / 2, abs=1e-12)
-    assert x_star(0.3, 2.0) is None
+    assert stable_fixed_point(0.0, 3.0) == 0.0
+    assert stable_fixed_point(0.1, 2.0) == pytest.approx((1 - math.sqrt(0.6)) / 2, abs=1e-12)
+    assert stable_fixed_point(0.3, 2.0) is None
 
 
 def test_annulus_invariant_when_contraction_is_strong():
@@ -69,9 +70,10 @@ def test_annulus_mean_fixed_point_consistency():
     p = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05, mu1=1.0)
     from mayleonard import derive_constants
     dc = derive_constants(p)
+    fixed = stable_fixed_point(p.gamma, dc.delta)
     ss = np.linspace(0.0, 1.0, 4096, endpoint=False)
-    f1 = dc.x_star**dc.delta + p.gamma * (1 - dc.sqrt_a1 * np.cos(2 * np.pi * ss))
-    assert float(f1.mean()) == pytest.approx(dc.x_star, rel=1e-9)
+    f1 = fixed**dc.delta + p.gamma * (1 - dc.sqrt_a1 * np.cos(2 * np.pi * ss))
+    assert float(f1.mean()) == pytest.approx(fixed, rel=1e-9)
 
 
 def test_horseshoe_condition_reference_point():
@@ -149,7 +151,7 @@ def test_lyapunov_2d_neutral_contracting_regime():
     sink and the top exponent goes negative); 1e-6 sits on a genuine curve.
     """
     p = ModelParams(c=0.55, e=0.5, gamma=1e-6, omega=0.05)
-    res = lyapunov_2d("case12", (1e-6, 0.3), 20000, p)
+    res = lyapunov_2d(compile_map("case12", p), (1e-6, 0.3), 20000)
     assert abs(res.l1) < 1e-2
     assert res.l2 < -0.5
     assert res.consistency < 1e-3
@@ -162,13 +164,13 @@ def test_lyapunov_2d_determinant_identity(rng):
         e = rng.uniform(0.1, c - 0.05)
         p = ModelParams(c=c, e=e, gamma=10 ** rng.uniform(-5, -2),
                         omega=rng.uniform(0.05, 0.5))
-        res = lyapunov_2d("case12", (p.gamma, rng.uniform()), 10000, p)
+        res = lyapunov_2d(compile_map("case12", p), (p.gamma, rng.uniform()), 10000)
         assert res.consistency < 1e-3
 
 
 def test_lyapunov_2d_positive_on_chaotic_sample():
     p = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=0.3)
-    res = lyapunov_2d("rescaled", (0.5, 0.3), 20000, p, gamma=1e-3)
+    res = lyapunov_2d(compile_map("rescaled", p, gamma=1e-3), (0.5, 0.3), 20000)
     assert res.l1 > 0.0
     assert res.consistency < 1e-3
 
@@ -176,7 +178,7 @@ def test_lyapunov_2d_positive_on_chaotic_sample():
 def test_lyapunov_2d_rejects_degenerate_variant():
     p = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=6.0)
     with pytest.raises(ValidationError):
-        lyapunov_2d("case34", (0.1, 0.3), 20000, p)
+        lyapunov_2d(compile_map("case34", p), (0.1, 0.3), 20000)
 
 
 def test_rotation_interval_rigid():
@@ -229,16 +231,8 @@ def test_zero_one_statistic_fixtures(rng):
 def test_zero_one_statistic_invariant_curve(rng):
     """The low-frequency family on its attracting curve is regular."""
     p = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05)
-    from mayleonard.returnmap import map_lift, reduce_mod
-    x, s = 0.002, 0.1
-    for _ in range(2000):
-        x, f2 = map_lift("case12", x, s, p)
-        s = reduce_mod(f2, 1.0)
-    series = np.empty(4000)
-    for i in range(4000):
-        x, f2 = map_lift("case12", x, s, p)
-        s = reduce_mod(f2, 1.0)
-        series[i] = s
+    orbit = compile_map("case12", p).orbit(0.002, 0.1, 2000 + 4000)
+    series = np.array([s for _, s, _ in orbit][2000:])
     assert zero_one_test(np.cos(2 * np.pi * series), rng=rng) < 0.1
 
 
@@ -262,16 +256,8 @@ def test_autocorrelation_flat_for_rotation():
 
 def test_autocorrelation_chaotic_sample_positive_rate():
     p = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=0.3)
-    from mayleonard.returnmap import map_lift, reduce_mod
-    x, s = 1e-3, 0.2
-    for _ in range(500):
-        x, f2 = map_lift("case12", x, s, p)
-        s = reduce_mod(f2, 1.0)
-    series = np.empty(20000)
-    for i in range(20000):
-        x, f2 = map_lift("case12", x, s, p)
-        s = reduce_mod(f2, 1.0)
-        series[i] = s
+    orbit = compile_map("case12", p).orbit(1e-3, 0.2, 500 + 20000)
+    series = np.array([s for _, s, _ in orbit][500:])
     res = autocorrelation(series, 30)
     assert res.decay_rate is None or res.decay_rate > 0.0
 
@@ -318,17 +304,28 @@ def test_density_scan_order_independence():
 
 
 def test_density_scan_derives_constants_per_amplitude(monkeypatch):
-    """The stable-fixed-point solve runs a fixed number of times per
-    amplitude, however many map and tangent steps the scan takes."""
+    """The constants are derived a fixed number of times per amplitude,
+    however many map and tangent steps the scan takes."""
+    import importlib
+    import pkgutil
+
+    import mayleonard
     import mayleonard.params as params_mod
     calls = []
-    original = params_mod.stable_fixed_point
+    original = params_mod.derive_constants
 
-    def counting(gamma, delta):
-        calls.append(gamma)
-        return original(gamma, delta)
+    def counting(params):
+        calls.append(params.gamma)
+        return original(params)
 
-    monkeypatch.setattr(params_mod, "stable_fixed_point", counting)
+    # patch the name in every module that bound it, so no call goes around
+    modules = [mayleonard] + [importlib.import_module(f"mayleonard.{info.name}")
+                              for info in pkgutil.iter_modules(mayleonard.__path__)]
+    bound = [m for m in modules if getattr(m, "derive_constants", None) is original]
+    assert {m.__name__ for m in bound} >= {"mayleonard.params", "mayleonard.returnmap",
+                                           "mayleonard.diagnostics", "mayleonard.singular"}
+    for module in bound:
+        monkeypatch.setattr(module, "derive_constants", counting)
     p = ModelParams(c=0.6, e=0.2, omega=0.3)
     counts = []
     for iterations in (10000, 20000):
@@ -337,7 +334,7 @@ def test_density_scan_derives_constants_per_amplitude(monkeypatch):
                                                 series_len=1000, n_c=4,
                                                 battery=False, seed=5))
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
 def test_density_scan_validates_grid():

@@ -238,13 +238,10 @@ def test_dwell_time_matches_measured():
 
 
 def _synthetic_events(params, n, rng, noise=0.0):
-    from mayleonard.returnmap import map_lift, reduce_mod
-    x, s = 0.02, rng.uniform()
-    clean = []
-    for k in range(n):
-        clean.append((x, s))
-        x, f2 = map_lift("case12", x, s, params)
-        s = reduce_mod(f2, 1.0)
+    from mayleonard.returnmap import compile_map
+    x0, s0 = 0.02, rng.uniform()
+    orbit = compile_map("case12", params).orbit(x0, s0, n - 1)
+    clean = [(x0, s0)] + [(x, s) for x, s, _ in orbit]
     events = []
     for k, (xk, sk) in enumerate(clean):
         x_obs = abs(xk + rng.normal(scale=noise)) if noise else xk

@@ -80,9 +80,8 @@ def test_derive_constants_rejects_bad_rates():
 
 
 def test_x_star_population():
-    """x_star present exactly when the stable fixed point exists."""
-    dc = derive_constants(ModelParams(c=0.6, e=0.3, gamma=0.0))
-    assert dc.x_star == 0.0
+    """The stable fixed point exists exactly below the saddle-node amplitude."""
+    assert stable_fixed_point(0.0, derive_constants(ModelParams(c=0.6, e=0.3)).delta) == 0.0
     delta = 2.0
     assert stable_fixed_point(0.1, delta) == pytest.approx((1.0 - math.sqrt(0.6)) / 2.0,
                                                            abs=1e-12)

@@ -5,17 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from mayleonard import (
-    CylinderPoint,
     ModelParams,
     ValidationError,
-    case12_map,
-    case34_map,
+    compile_map,
     derive_constants,
     eta_omega,
-    full_map,
-    jacobian,
     kernels,
-    rescaled_map,
 )
 from mayleonard.returnmap import finite_difference_jacobian, reduce_mod
 from mayleonard.singular import gamma_sequence, make_circle_map
@@ -30,6 +25,18 @@ def l2_quadrature(x, s, params):
     val, _ = quad(lambda tau: math.exp(-e * (tau - s)) * math.sin(om * tau) ** 2,
                   s, t1, epsabs=1e-13, epsrel=1e-12, limit=500)
     return val
+
+
+def _image(fmap, x, s):
+    """One step of a compiled map, phase reduced."""
+    x1, s1, _ = next(fmap.orbit(x, s, 1))
+    return x1, s1
+
+
+def _tangent_matrix(fmap, x, s):
+    """Tangent of a compiled map: (matrix, det from the entries, closed-form det)."""
+    d11, d12, d21, d22, det_cf = fmap.tangent(x, s)
+    return np.array([[d11, d12], [d21, d22]]), d11 * d22 - d12 * d21, det_cf
 
 
 def test_eta_omega_limits_and_range():
@@ -55,14 +62,14 @@ def test_l2_closed_form_vs_quadrature(rng):
         for _ in range(100):
             x = rng.uniform(1e-6, 1.0)
             s = rng.uniform(0.0, 2.0 * math.pi / om)
-            kv = kernels(CylinderPoint(x, s), params)
+            kv = kernels(x, s, params)
             assert abs(kv.L2 - l2_quadrature(x, s, params)) <= 1e-9
 
 
 def test_l2_small_frequency_limit():
     """At s=0 and omega -> 0 the kernel vanishes with the forcing average."""
     params = ModelParams(c=0.6, e=0.2, omega=1e-4, gamma=0.0)
-    kv = kernels(CylinderPoint(0.5, 0.0), params)
+    kv = kernels(0.5, 0.0, params)
     assert abs(kv.L2) < 1e-2
 
 
@@ -71,7 +78,7 @@ def test_arrival_times_gamma_zero():
     params = ModelParams(c=0.6, e=0.2, gamma=0.0, omega=0.3)
     dc = derive_constants(params)
     x, s = 1e-4, 0.7
-    kv = kernels(CylinderPoint(x, s), params)
+    kv = kernels(x, s, params)
     assert kv.T3 == pytest.approx(s + 2.0 - dc.xi * math.log(x), rel=1e-14)
     assert kv.T1 < kv.T2 < kv.T3
 
@@ -81,13 +88,11 @@ def test_full_map_unforced_form():
     obeys log x2 = delta^2 log x0."""
     params = ModelParams(c=0.6, e=0.2, gamma=0.0, omega=0.3)
     dc = derive_constants(params)
-    pt = CylinderPoint(1e-2, 0.3, "pi_over_omega")
-    out = full_map(pt, params)
-    assert out.x == pytest.approx(1e-2**3, rel=1e-14)
+    (x1, s1, _), (x2, _, _) = compile_map("full", params).orbit(1e-2, 0.3, 2)
+    assert x1 == pytest.approx(1e-2**3, rel=1e-14)
     expected_s = reduce_mod(0.3 + 1.0 - dc.xi * math.log(1e-2), math.pi / 0.3)
-    assert out.s == pytest.approx(expected_s, abs=1e-10)
-    out2 = full_map(out, params)
-    assert math.log(out2.x) == pytest.approx(dc.delta**2 * math.log(1e-2), rel=1e-12)
+    assert s1 == pytest.approx(expected_s, abs=1e-10)
+    assert math.log(x2) == pytest.approx(dc.delta**2 * math.log(1e-2), rel=1e-12)
 
 
 def test_full_map_term_by_term_oracle():
@@ -95,7 +100,7 @@ def test_full_map_term_by_term_oracle():
     params = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=0.3)
     dc = derive_constants(params)
     x, s = 0.02, 0.9
-    out = full_map(CylinderPoint(x, s, "pi_over_omega"), params)
+    out_x, out_s = _image(compile_map("full", params), x, s)
 
     om, gam = 0.3, 1e-3
     eta = (0.2**2 * math.cos(om * s) ** 2 + 2 * om**2) / (0.2**2 + 4 * om**2)
@@ -110,64 +115,65 @@ def test_full_map_term_by_term_oracle():
         params.mu1 + params.mu2 * osc(phi, dc.a1, dc.b1)
         - params.mu4 * osc(f2 - params.Delta3, dc.a1, dc.b1)
         - params.mu5 * osc(f2, dc.a2, dc.b2))
-    assert out.x == pytest.approx(f1, rel=1e-12)
-    assert out.s == pytest.approx(reduce_mod(f2, math.pi / om), abs=1e-9)
+    assert out_x == pytest.approx(f1, rel=1e-12)
+    assert out_s == pytest.approx(reduce_mod(f2, math.pi / om), abs=1e-9)
 
 
 def test_case12_gamma_zero_and_extrema():
     params = ModelParams(c=0.6, e=0.2, gamma=0.0, omega=0.3)
     dc = derive_constants(params)
-    out = case12_map(CylinderPoint(0.3, 0.25), params)
-    assert out.x == pytest.approx(0.3**3, rel=1e-14)
+    out_x, out_s = _image(compile_map("case12", params), 0.3, 0.25)
+    assert out_x == pytest.approx(0.3**3, rel=1e-14)
     expected = reduce_mod(0.25 + 1.0 * 0.3 / math.pi
                           - dc.xi * 0.3 / math.pi * math.log(0.3**3), 1.0)
-    assert out.s == pytest.approx(expected, abs=1e-12)
+    assert out_s == pytest.approx(expected, abs=1e-12)
 
-    forced = params.with_(gamma=1e-3)
+    forced = compile_map("case12", params.with_(gamma=1e-3))
     # s = 0 realises the minimum of the forcing profile
-    lo = case12_map(CylinderPoint(0.3, 0.0), forced)
-    hi = case12_map(CylinderPoint(0.3, 0.5), forced)
-    assert lo.x == pytest.approx(0.3**3 + 1e-3 * (1 - dc.sqrt_a1), rel=1e-12)
-    assert hi.x == pytest.approx(0.3**3 + 1e-3 * (1 + dc.sqrt_a1), rel=1e-12)
+    lo_x, _ = _image(forced, 0.3, 0.0)
+    hi_x, _ = _image(forced, 0.3, 0.5)
+    assert lo_x == pytest.approx(0.3**3 + 1e-3 * (1 - dc.sqrt_a1), rel=1e-12)
+    assert hi_x == pytest.approx(0.3**3 + 1e-3 * (1 + dc.sqrt_a1), rel=1e-12)
     # cosine symmetry: s and 1-s give the same leading coordinate
-    a = case12_map(CylinderPoint(0.3, 0.2), forced)
-    b = case12_map(CylinderPoint(0.3, 0.8), forced)
-    assert a.x == pytest.approx(b.x, rel=1e-14)
+    a_x, _ = _image(forced, 0.3, 0.2)
+    b_x, _ = _image(forced, 0.3, 0.8)
+    assert a_x == pytest.approx(b_x, rel=1e-14)
 
 
 def test_case12_positivity_and_mod1(rng):
-    params = ModelParams(c=0.6, e=0.2, gamma=1e-4, omega=0.3)
+    fmap = compile_map("case12", ModelParams(c=0.6, e=0.2, gamma=1e-4, omega=0.3))
     for _ in range(200):
-        pt = CylinderPoint(rng.uniform(1e-8, 1.0), rng.uniform(-3, 3))
-        out = case12_map(pt, params)
-        assert out.x > 0.0
-        shifted = case12_map(CylinderPoint(pt.x, pt.s + 1.0), params)
-        assert shifted.x == pytest.approx(out.x, rel=1e-14)
-        assert shifted.s == pytest.approx(out.s, abs=1e-12)
+        x, s = rng.uniform(1e-8, 1.0), rng.uniform(-3, 3)
+        out_x, out_s = _image(fmap, x, s)
+        assert out_x > 0.0
+        shifted_x, shifted_s = _image(fmap, x, s + 1.0)
+        assert shifted_x == pytest.approx(out_x, rel=1e-14)
+        assert shifted_s == pytest.approx(out_s, abs=1e-12)
 
 
 def test_case34_structure():
     params = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=6.0)
     dc = derive_constants(params)
-    out = case34_map(CylinderPoint(0.123, 0.25), params)
-    assert out.x == 1e-3 * params.mu1
+    fmap = compile_map("case34", params)
+    out_x, out_s = _image(fmap, 0.123, 0.25)
+    assert out_x == 1e-3 * params.mu1
     # input x is ignored by construction
-    out2 = case34_map(CylinderPoint(0.9, 0.25), params)
-    assert out2.s == out.s
+    _, out2_s = _image(fmap, 0.9, 0.25)
+    assert out2_s == out_s
     # two amplitudes differ only by the constant rotation -(xi w/pi) log ratio
-    p2 = params.with_(gamma=2e-3)
+    fmap2 = compile_map("case34", params.with_(gamma=2e-3))
     d = []
     for s in (0.1, 0.4, 0.77):
-        s1 = case34_map(CylinderPoint(0.1, s), params).s
-        s2 = case34_map(CylinderPoint(0.1, s), p2).s
+        _, s1 = _image(fmap, 0.1, s)
+        _, s2 = _image(fmap2, 0.1, s)
         d.append(reduce_mod(s2 - s1, 1.0))
     expected = reduce_mod(-dc.xi * 6.0 / math.pi * math.log(2.0), 1.0)
     for val in d:
         assert val == pytest.approx(expected, abs=1e-10)
     with pytest.raises(ValidationError):
-        case34_map(CylinderPoint(0.1, 0.2), params.with_(gamma=0.0))
+        compile_map("case34", params.with_(gamma=0.0))
     with pytest.raises(ValidationError):
-        case34_map(CylinderPoint(0.1, 0.2), params.with_(mu1=0.0))
+        compile_map("case34", params.with_(mu1=0.0))
 
 
 def test_rescaling_exponent_identity(rng):
@@ -179,8 +185,8 @@ def test_rescaling_exponent_identity(rng):
         s = rng.uniform(0.0, 1.0)
         gam = rng.uniform(1e-6, 0.05)
         p_g = params.with_(gamma=gam)
-        lhs = gam ** (-1.0 / dc.delta) * case12_map(
-            CylinderPoint(max(gam ** (1.0 / dc.delta) * x, 1e-300), s), p_g).x
+        lhs = gam ** (-1.0 / dc.delta) * _image(
+            compile_map("case12", p_g), max(gam ** (1.0 / dc.delta) * x, 1e-300), s)[0]
         rhs = gam**dc.p * (x**dc.delta + 1.0
                            - dc.sqrt_a1 * math.cos(2 * math.pi * s))
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -193,16 +199,17 @@ def test_rescaled_conjugacy_with_case12(rng):
     dc = derive_constants(params)
     n, a = 14, 0.3
     gam = gamma_sequence(n, a, dc)
-    p_g = params.with_(gamma=gam)
+    rescaled = compile_map("rescaled", params, n=n, a=a)
+    case12 = compile_map("case12", params.with_(gamma=gam))
     const = reduce_mod(dc.xi * 0.3 / (dc.delta * math.pi) * math.log(gam), 1.0)
     for _ in range(100):
         x_new = rng.uniform(0.0, 1.0)
         s = rng.uniform(0.0, 1.0)
         x_old = gam ** (1.0 / dc.delta) * x_new
-        resc = rescaled_map(CylinderPoint(x_new, s), n, a, params)
-        down = case12_map(CylinderPoint(max(x_old, 1e-300), s), p_g)
-        assert gam ** (-1.0 / dc.delta) * down.x == pytest.approx(resc.x, rel=1e-10)
-        gap = reduce_mod(resc.s - down.s, 1.0)
+        resc_x, resc_s = _image(rescaled, x_new, s)
+        down_x, down_s = _image(case12, max(x_old, 1e-300), s)
+        assert gam ** (-1.0 / dc.delta) * down_x == pytest.approx(resc_x, rel=1e-10)
+        gap = reduce_mod(resc_s - down_s, 1.0)
         assert min(abs(gap - const), abs(gap - const - 1.0),
                    abs(gap - const + 1.0)) <= 1e-10
 
@@ -213,12 +220,12 @@ def test_rescaled_boundary_is_circle_map():
     dc = derive_constants(params)
     n, a = 14, 0.3
     cmap = make_circle_map(a, params)
+    rescaled = compile_map("rescaled", params, n=n, a=a)
     for s in (0.0, 0.21, 0.5, 0.93):
-        out = rescaled_map(CylinderPoint(0.0, s), n, a, params)
-        assert out.s == pytest.approx(float(cmap.value(s)), abs=1e-10)
-    out = rescaled_map(CylinderPoint(0.0, 0.5), n, a, params)
+        assert _image(rescaled, 0.0, s)[1] == pytest.approx(float(cmap.value(s)), abs=1e-10)
+    out_x, _ = _image(rescaled, 0.0, 0.5)
     gam = gamma_sequence(n, a, dc)
-    assert out.x == pytest.approx(gam**dc.p * (1.0 + dc.sqrt_a1), rel=1e-12)
+    assert out_x == pytest.approx(gam**dc.p * (1.0 + dc.sqrt_a1), rel=1e-12)
 
 
 def test_jacobian_determinant_closed_form(rng):
@@ -227,19 +234,19 @@ def test_jacobian_determinant_closed_form(rng):
     dc = derive_constants(params)
     gam = 0.01
     gp = gam**dc.p
-    pt = CylinderPoint(0.5, 0.37)
-    J, det, det_cf = jacobian(pt, "rescaled", params, gamma=gam)
+    fmap = compile_map("rescaled", params, gamma=gam)
+    J, det, det_cf = _tangent_matrix(fmap, 0.5, 0.37)
     assert det_cf == pytest.approx(gp * 3.0 * 0.25, rel=1e-12)
     assert det == pytest.approx(det_cf, rel=1e-10)
     assert abs(det_cf - 0.03481) < 5e-6
     # independent of the phase
     for s in (0.0, 0.2, 0.9):
-        _, det_s, _ = jacobian(CylinderPoint(0.5, s), "rescaled", params, gamma=gam)
+        _, det_s, _ = _tangent_matrix(fmap, 0.5, s)
         assert det_s == pytest.approx(det, rel=1e-10)
     for _ in range(50):
         x, s = rng.uniform(0.05, 1.0), rng.uniform(0.0, 1.0)
-        J, det, det_cf = jacobian(CylinderPoint(x, s), "rescaled", params, gamma=gam)
-        fd = finite_difference_jacobian("rescaled", x, s, params, gamma=gam)
+        J, det, det_cf = _tangent_matrix(fmap, x, s)
+        fd = finite_difference_jacobian(fmap, x, s)
         fd_det = fd[0, 0] * fd[1, 1] - fd[0, 1] * fd[1, 0]
         assert abs(det - fd_det) <= 1e-5 * abs(det)
         assert np.allclose(J, fd, rtol=1e-5, atol=1e-8)
@@ -247,7 +254,7 @@ def test_jacobian_determinant_closed_form(rng):
 
 def test_jacobian_case34_degenerate():
     params = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=6.0)
-    _, det, det_cf = jacobian(CylinderPoint(0.1, 0.3), "case34", params)
+    _, det, det_cf = _tangent_matrix(compile_map("case34", params), 0.1, 0.3)
     assert det == 0.0 and det_cf == 0.0
 
 
@@ -257,10 +264,11 @@ def test_jacobian_vs_differences(rng, variant):
     also has the closed-form determinant delta x^(delta-1)."""
     params = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=0.3)
     dc = derive_constants(params)
+    fmap = compile_map(variant, params)
     for _ in range(20):
         x, s = rng.uniform(0.02, 0.1), rng.uniform(0.0, 10.0)
-        J, det, det_cf = jacobian(CylinderPoint(x, s), variant, params)
-        fd = finite_difference_jacobian(variant, x, s, params)
+        J, det, det_cf = _tangent_matrix(fmap, x, s)
+        fd = finite_difference_jacobian(fmap, x, s)
         assert np.allclose(J, fd, rtol=2e-5, atol=1e-9)
         if variant == "full":
             assert det_cf is None
@@ -277,10 +285,11 @@ def test_distortion_bound_on_band(rng):
     gam = 0.01
     x_lo, x_hi = 0.2, 0.8
     bound = (x_hi / x_lo) ** 2.0
+    fmap = compile_map("rescaled", params, gamma=gam)
     dets = []
     for _ in range(100):
         x, s = rng.uniform(x_lo, x_hi), rng.uniform(0.0, 1.0)
-        dets.append(jacobian(CylinderPoint(x, s), "rescaled", params, gamma=gam)[1])
+        dets.append(_tangent_matrix(fmap, x, s)[1])
     assert max(dets) / min(dets) <= bound * (1.0 + 1e-9)
 
 

@@ -260,7 +260,7 @@ def test_critical_set_against_trig_oracle():
 
 
 def test_critical_points_found_once_per_map(monkeypatch):
-    """The battery's three readers of one map share one critical set."""
+    """The readers of one map share one critical set, a whole battery included."""
     calls = []
 
     def counting(cmap, *args, **kwargs):
@@ -275,6 +275,9 @@ def test_critical_points_found_once_per_map(monkeypatch):
     assert calls == [h]
     first.clear()                       # a caller's copy, not the cache
     assert len(h.critical_points()) == 2
+    assert len(calls) == 1
+    calls.clear()
+    hypothesis_battery(CASE2, n=14, a=0.3, horizon=50)
     assert len(calls) == 1
 
 
@@ -314,12 +317,12 @@ def test_convergence_table(dc_case2):
 def test_boundary_phase_equals_circle_map():
     """At x = 0 the phase component of the family is the circle map exactly."""
     p = ModelParams(c=0.6, e=0.2, omega=0.3)
-    from mayleonard.returnmap import rescaled_apply, reduce_mod
+    from mayleonard.returnmap import compile_map, reduce_mod
     dc = derive_constants(p)
     h = make_circle_map(0.3, p)
-    g = gamma_sequence(15, 0.3, dc)
+    lift = compile_map("rescaled", p, gamma=gamma_sequence(15, 0.3, dc)).lift
     for s in np.linspace(0, 1, 13, endpoint=False):
-        _, f2 = rescaled_apply(0.0, s, g, p)
+        _, f2 = lift(0.0, s)
         assert reduce_mod(f2, 1.0) == pytest.approx(float(h.value(s)), abs=1e-9)
 
 
@@ -471,7 +474,7 @@ def test_battery_distortion_bound():
 
 def test_transversality_probe_runs():
     p = ModelParams(c=0.6, e=0.2, omega=0.3)
-    samples = transversality_probe(p, 0.3)
+    samples = transversality_probe(make_circle_map(0.3, p))
     assert len(samples) >= 1
     for t in samples:
         assert t.dq_da == 1.0

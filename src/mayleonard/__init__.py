@@ -10,20 +10,6 @@ from .params import (
     derive_constants,
     trig_collapse,
 )
-from .flow import (
-    FlowState,
-    IntegrateOpts,
-    SectionEvent,
-    Trajectory,
-    dwell_time_estimate,
-    equilibria_spectrum,
-    fit_global_constants,
-    gh_to_ml,
-    integrate,
-    section_returns,
-    section_state,
-    vector_field,
-)
 from .returnmap import (
     KernelValues,
     compile_map,
@@ -37,7 +23,6 @@ from .singular import (
     DoublingMap,
     MisiurewiczCertificate,
     RigidRotation,
-    critical_set,
     gamma_sequence,
     hypothesis_battery,
     k_inverse,
@@ -64,3 +49,18 @@ from .diagnostics import (
 )
 
 __version__ = "0.1.0"
+
+# the flow layer costs more to import than the rest of the package, so its
+# names resolve on first use
+_FLOW_NAMES = frozenset({
+    "FlowState", "IntegrateOpts", "SectionEvent", "Trajectory", "dwell_time_estimate",
+    "equilibria_spectrum", "fit_global_constants", "gh_to_ml", "integrate",
+    "section_returns", "section_state", "vector_field",
+})
+
+
+def __getattr__(name):
+    if name in _FLOW_NAMES:
+        from . import flow
+        return getattr(flow, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,10 +37,10 @@ from .diagnostics import (
     zero_one_test,
 )
 from .errors import NumericsError, ValidationError
-from .flow import IntegrateOpts, FlowState, integrate, section_returns, section_state
 from .params import check_c1a_c1b, derive_constants
 from .returnmap import VARIANTS, compile_map
 from .singular import (
+    first_admissible_index,
     gamma_sequence,
     hypothesis_battery,
     make_circle_map,
@@ -139,10 +139,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _default_n(params, gamma_plus=0.05):
-    dc = derive_constants(params)
-    kxi = dc.K_omega * dc.xi
-    return math.floor(kxi * math.log(1.0 / gamma_plus)) + 1
+def _default_n(params):
+    return first_admissible_index(derive_constants(params), gamma_plus=0.05)
 
 
 def _check_x0(x0):
@@ -158,25 +156,25 @@ def _run(args) -> int:
         return 0
     params = cfg.params
     seed = args.seed if args.seed is not None else cfg.numerics.seed
-    opts = IntegrateOpts(rel_tol=cfg.numerics.rel_tol,
-                         abs_tol=cfg.numerics.abs_tol,
-                         max_step=cfg.numerics.max_step)
 
-    if args.command == "simulate":
-        traj = integrate(FlowState(args.x0, args.y0, args.z0, 0.0),
-                         args.t_end, params, opts)
-        write_csv(args.output, ("t", "x", "y", "z"), traj.to_rows())
-        return 0
-
-    if args.command == "poincare":
-        if not math.isfinite(opts.max_step):
-            opts = IntegrateOpts(rel_tol=opts.rel_tol, abs_tol=opts.abs_tol,
-                                 max_step=50.0)
-        events = section_returns(section_state(args.x0, params),
-                                 args.returns, params, opts,
-                                 sections=args.sections)
-        write_csv(args.output, ("k", "x", "s", "t_raw"),
-                  ((ev.index, ev.x, ev.s, ev.t_raw) for ev in events))
+    if args.command in ("simulate", "poincare"):
+        # the only commands that integrate the flow; the others never import it
+        from .flow import FlowState, IntegrateOpts, integrate, section_returns, section_state
+        num = cfg.numerics
+        max_step = num.max_step
+        if args.command == "poincare" and not math.isfinite(max_step):
+            max_step = 50.0
+        opts = IntegrateOpts(rel_tol=num.rel_tol, abs_tol=num.abs_tol, max_step=max_step)
+        if args.command == "simulate":
+            traj = integrate(FlowState(args.x0, args.y0, args.z0, 0.0),
+                             args.t_end, params, opts)
+            write_csv(args.output, ("t", "x", "y", "z"), traj.to_rows())
+        else:
+            events = section_returns(section_state(args.x0, params),
+                                     args.returns, params, opts,
+                                     sections=args.sections)
+            write_csv(args.output, ("k", "x", "s", "t_raw"),
+                      ((ev.index, ev.x, ev.s, ev.t_raw) for ev in events))
         return 0
 
     if args.command == "return-map":
@@ -197,6 +195,9 @@ def _run(args) -> int:
         n0 = args.n_from if args.n_from is not None else _default_n(params)
         rows = singular_limit_convergence(range(n0, n0 + args.n_count),
                                           args.a, params)
+        if len(rows) < args.n_count:
+            print(f"note: the amplitude underflows after n={rows[-1].n}; "
+                  f"the table stops there", file=sys.stderr)
         write_csv(args.output,
                   ("n", "gamma", "x_absorb", "f1_sup", "f2_sup",
                    "d1_sup", "d2_sup", "d3_sup"),

@@ -332,6 +332,14 @@ class Case34SMarginal(CircleMap):
     def second_derivative(self, s):
         return -(2.0 * np.pi) ** 2 * self.amp * np.sin(2.0 * np.pi * np.asarray(s, dtype=float))
 
+    def _critical_phases(self):
+        # h' = 0 is cos(2 pi s) = -1/(2 pi amp)
+        scale = 2.0 * math.pi * self.amp
+        if abs(scale) < 1.0:
+            return ()
+        turn = math.acos(-1.0 / scale) / (2.0 * math.pi)
+        return [turn, (-turn) % 1.0]
+
 
 @dataclass(frozen=True)
 class RotationInterval:

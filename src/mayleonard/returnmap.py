@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericsError, ValidationError
 from .params import DerivedConstants, ModelParams, derive_constants
@@ -71,42 +70,22 @@ def eta_omega(s: float, params: ModelParams) -> float:
     return (e * e * math.cos(om * s) ** 2 + 2.0 * om * om) / (e * e + 4.0 * om * om)
 
 
-def _l2_closed_form(x, s, params, dc):
-    """Exact evaluation of the contracting-passage kernel integral.
-
-    Antiderivative of ``exp(-e(tau-s)) sin^2(omega tau)`` between the
-    section time ``s`` and the first exit time ``T1 = s - ln(x)/e``.  The
-    widely quoted truncation keeps only the x-independent part (and halves
-    the quadrature coefficient of the sine term); the boundary terms decay
-    like ``x`` and are kept here so the closed form matches quadrature at
-    full precision.
-    """
-    e, om = params.e, params.omega
-    t1 = s - math.log(x) / e
-    main = (eta_omega(s, params) - dc.a2 * math.cos(2.0 * om * s)
-            + 0.5 * dc.b2 * math.sin(2.0 * om * s)) / e
-    bdry = -(x / (2.0 * e)) * (1.0 - dc.a2 * math.cos(2.0 * om * t1)
-                               + dc.b2 * math.sin(2.0 * om * t1))
-    return main + bdry
-
-
-def _quad_checked(fun, a, b, tol=1e-10):
-    val, err = quad(fun, a, b, epsabs=1e-12, epsrel=tol, limit=800)
-    if err > tol * max(1.0, abs(val)) + 1e-12:
-        raise NumericsError(
-            f"kernel quadrature did not converge: estimate {val}, error {err}"
-        )
-    return val
+def _exp_sin2_integral(k, om, anchor, ph, lo, hi):
+    """``int_lo^hi exp(k (tau - anchor)) sin^2(om (tau + ph)) dtau`` in closed form."""
+    def antiderivative(tau):
+        u = 2.0 * om * (tau + ph)
+        return math.exp(k * (tau - anchor)) * (
+            0.5 / k - (k * math.cos(u) + 2.0 * om * math.sin(u)) / (2.0 * (k * k + 4.0 * om * om)))
+    return antiderivative(hi) - antiderivative(lo)
 
 
 def kernels(x: float, s: float, params: ModelParams) -> KernelValues:
     """Arrival times and forcing kernels of the three-passage composition.
 
-    ``L2`` uses the exact closed form (checked elsewhere against an
-    independent quadrature); ``L1``, ``G1``, ``G2`` are evaluated by
-    adaptive quadrature of their defining integrals with the forcing
-    profile ``sin^2(omega tau)``.  The exponentially weighted integrals are
-    evaluated in shifted form (weight anchored at the upper limit) so they
+    All four kernels are exact closed forms of their defining integrals
+    with the forcing profile ``sin^2(omega tau)`` (the tests check them
+    against adaptive quadrature).  The exponentially weighted integrals are
+    evaluated in shifted form (weight anchored at a finite end) so they
     never overflow; this is an algebraic identity, not an approximation.
     """
     if x <= 0.0:
@@ -120,31 +99,22 @@ def kernels(x: float, s: float, params: ModelParams) -> KernelValues:
 
     t1 = s - lx / e
     t2 = s + d1 - (e + c) / (e * e) * lx
-    l2 = _l2_closed_form(x, s, params, dc)
+    # contracting passage from the section time s to the first exit time T1
+    l2 = _exp_sin2_integral(-e, om, s, 0.0, s, t1)
     t3 = s + d1 + d2 - dc.xi * lx - gam * dc.xi * l2 / x
 
     # second-passage kernel, weight rewritten as exp(c (tau - T3(0)))
     t3_0 = s + d1 + d2 - dc.xi * lx
     lo = t2 + d3
-    if lo >= t3_0:
-        l1 = 0.0
-    else:
-        l1 = _quad_checked(
-            lambda tau: math.exp(c * (tau - t3_0)) * math.sin(om * tau) ** 2,
-            lo, t3_0,
-        )
+    l1 = _exp_sin2_integral(c, om, t3_0, 0.0, lo, t3_0) if lo < t3_0 else 0.0
 
     period = math.pi / om
     # periodic averages seen from the arrival time, weights anchored at the
     # finite end so the prefactors stay bounded
-    g1 = _quad_checked(
-        lambda tau: math.exp(c * (tau - period)) * math.sin(om * (t3 + tau)) ** 2,
-        0.0, period,
-    ) / (1.0 - math.exp(-c * period))
-    g2 = _quad_checked(
-        lambda tau: math.exp(-e * tau) * math.sin(om * (t3 + d3 + tau)) ** 2,
-        0.0, period,
-    ) / (math.exp(-e * period) - 1.0)
+    g1 = (_exp_sin2_integral(c, om, period, t3, 0.0, period)
+          / (1.0 - math.exp(-c * period)))
+    g2 = (_exp_sin2_integral(-e, om, 0.0, t3 + d3, 0.0, period)
+          / (math.exp(-e * period) - 1.0))
 
     return KernelValues(eta=eta_omega(s, params), L1=l1, L2=l2,
                         G1=g1, G2=g2, T1=t1, T2=t2, T3=t3)

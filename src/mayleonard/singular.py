@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericsError, ValidationError
 from .params import DerivedConstants, ModelParams, derive_constants
@@ -37,9 +36,9 @@ __all__ = [
     "BatteryReport",
     "k_map",
     "k_inverse",
+    "first_admissible_index",
     "gamma_sequence",
     "make_circle_map",
-    "critical_set",
     "singular_limit_convergence",
     "misiurewicz_check",
     "transition_matrix",
@@ -65,6 +64,11 @@ def k_inverse(y: float, constants: DerivedConstants) -> float:
     return math.exp(-y / (constants.K_omega * constants.xi))
 
 
+def first_admissible_index(constants: DerivedConstants, gamma_plus: float) -> int:
+    """Smallest index whose amplitude lies below ``gamma_plus`` for every offset ``a``."""
+    return math.floor(constants.K_omega * constants.xi * math.log(1.0 / gamma_plus)) + 1
+
+
 def gamma_sequence(n: int, a: float, constants: DerivedConstants,
                    gamma_plus: float | None = None) -> float:
     """The n-th amplitude with phase offset ``a``: ``exp(-(n+a)/(K_omega xi))``.
@@ -84,7 +88,7 @@ def gamma_sequence(n: int, a: float, constants: DerivedConstants,
             f"(K_omega * xi = {kxi:.3e})"
         )
     if gamma_plus is not None:
-        n0 = math.floor(kxi * math.log(1.0 / gamma_plus)) + 1
+        n0 = first_admissible_index(constants, gamma_plus)
         if n < n0:
             raise ValidationError(
                 f"n={n} below the first admissible index n0={n0} "
@@ -119,7 +123,9 @@ class CircleMap:
     """Degree-d circle map exposed through its lift and derivatives.
 
     Subclasses implement ``lift`` (with ``lift(s+1) = lift(s) + degree``),
-    ``derivative`` and ``second_derivative``; all accept scalars or arrays.
+    ``derivative`` and ``second_derivative``, which accept scalars or
+    arrays, and ``_critical_phases``, the zeros of the derivative on
+    [0, 1) in closed form.
     """
 
     degree = 1
@@ -137,15 +143,23 @@ class CircleMap:
         raise NotImplementedError
 
     def critical_points(self):
-        """Zeros of the derivative on [0, 1), with curvature values.
+        """Zeros of the derivative on [0, 1) in increasing order, with curvature values.
 
-        Found once per instance; each call returns a new list, so a caller
-        cannot change the set the next caller sees.
+        Each zero must be nondegenerate (``|h''|`` at least 1e-8), otherwise
+        :class:`NumericsError` is raised.  An empty list means the map is a
+        local diffeomorphism.  Each call returns a new list.
         """
-        cached = getattr(self, "_critical", None)
-        if cached is None:
-            cached = self._critical = tuple(critical_set(self))
-        return list(cached)
+        out = []
+        for s in sorted(self._critical_phases()):
+            h2 = float(self.second_derivative(s))
+            if abs(h2) < 1e-8:
+                raise NumericsError(
+                    f"degenerate critical point at s={s}: |h''|={abs(h2)} below 1e-8")
+            out.append(CriticalPoint(s=s, second_derivative=h2))
+        return out
+
+    def _critical_phases(self):
+        raise NotImplementedError
 
     def orbit(self, s0: float, n: int, burn_in: int = 0) -> np.ndarray:
         s = float(s0)
@@ -179,6 +193,16 @@ class AnalyticCircleMap(CircleMap):
         return (-4.0 * np.pi**2 * self.coef * self.sa1
                 * (np.cos(2.0 * np.pi * s) - self.sa1) / den**2)
 
+    def _critical_phases(self):
+        # with theta = 2 pi s, h' = 0 is kappa sin(theta) + sqrt_a1 cos(theta) = 1,
+        # that is r sin(theta + phi) = 1
+        kappa = 2.0 * math.pi * self.coef * self.sa1
+        r = math.hypot(kappa, self.sa1)
+        if r < 1.0:
+            return ()
+        phi, turn = math.atan2(self.sa1, kappa), math.asin(1.0 / r)
+        return [(th / (2.0 * math.pi)) % 1.0 for th in (turn - phi, math.pi - turn - phi)]
+
 
 class DoublingMap(CircleMap):
     """Angle doubling; constant derivative 2, empty critical set."""
@@ -194,8 +218,8 @@ class DoublingMap(CircleMap):
     def second_derivative(self, s):
         return np.zeros_like(np.asarray(s, dtype=float))
 
-    def critical_points(self):
-        return []
+    def _critical_phases(self):
+        return ()
 
 
 class RigidRotation(CircleMap):
@@ -211,8 +235,8 @@ class RigidRotation(CircleMap):
     def second_derivative(self, s):
         return np.zeros_like(np.asarray(s, dtype=float))
 
-    def critical_points(self):
-        return []
+    def _critical_phases(self):
+        return ()
 
 
 def doubling_orbit(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -238,36 +262,6 @@ def make_circle_map(a: float, params: ModelParams) -> AnalyticCircleMap:
 class CriticalPoint:
     s: float
     second_derivative: float
-
-
-def critical_set(cmap: CircleMap, grid_size: int = 4096,
-                 h2_floor: float = 1e-8) -> list[CriticalPoint]:
-    """All zeros of the derivative on [0, 1), refined to ~1e-12.
-
-    Sign changes are bracketed on a uniform grid and refined by bracketed
-    root-finding; each root must be nondegenerate (``|h''|`` above
-    ``h2_floor``), otherwise :class:`NumericsError` is raised.  An empty
-    list means the map is a local diffeomorphism.
-    """
-    grid = np.linspace(0.0, 1.0, grid_size + 1)
-    dv = np.asarray(cmap.derivative(grid))
-    da, db = dv[:-1], dv[1:]
-    roots = []
-    for i in np.flatnonzero((da == 0.0) | (da * db < 0.0)):
-        if da[i] == 0.0:
-            roots.append(grid[i])
-        else:
-            roots.append(brentq(lambda s: float(cmap.derivative(s)), grid[i], grid[i + 1],
-                                xtol=1e-14, rtol=8.9e-16))
-    out = []
-    for r in sorted(set(np.round(np.mod(roots, 1.0), 13))):
-        h2 = float(cmap.second_derivative(r))
-        if abs(h2) < h2_floor:
-            raise NumericsError(
-                f"degenerate critical point at s={r}: |h''|={abs(h2)} below {h2_floor}"
-            )
-        out.append(CriticalPoint(s=float(r), second_derivative=h2))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +291,22 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams,
     not otherwise depend on the index at all).  Derivative distances up to
     third order are finite-difference surrogates applied to the difference
     functions, so their round-off scales with the difference itself.
+
+    The indices must increase.  The table stops at the first index whose
+    amplitude underflows double precision; if the first one does, that is a
+    :class:`ValidationError`.
     """
     dc = derive_constants(params)
     cmap = make_circle_map(a, params)
     s_grid = np.linspace(0.0, 1.0, s_points, endpoint=False)
     rows = []
     for n in n_range:
-        gamma = gamma_sequence(n, a, dc)
+        try:
+            gamma = gamma_sequence(n, a, dc)
+        except ValidationError:
+            if rows:        # every later amplitude underflows too
+                break
+            raise
         gp = gamma**dc.p
         f1_sup = gp * (x_max**dc.delta + 1.0 + dc.sqrt_a1)
         x_absorb = f1_sup
@@ -707,12 +710,28 @@ def _interval_of(s, cs):
 
 
 def _branch_solve(cmap, lo, hi, target):
-    # solve lift(q) = target on the monotone branch [lo, hi]
+    # solve lift(q) = target on the monotone branch [lo, hi]: Newton steps
+    # kept inside the shrinking bracket, a bisection wherever one would leave it
     f = lambda q: float(cmap.lift(q)) - target
     fa, fb = f(lo), f(hi)
     if fa * fb > 0.0:
         return None
-    return brentq(f, lo, hi, xtol=1e-14)
+    if fa == 0.0 or fb == 0.0:
+        return lo if fa == 0.0 else hi
+    q = 0.5 * (lo + hi)
+    for _ in range(100):
+        fq = f(q)
+        if fq == 0.0:
+            return q
+        lo, hi = (q, hi) if (fq > 0.0) == (fa > 0.0) else (lo, q)
+        slope = float(cmap.derivative(q))
+        q_next = q - fq / slope if slope != 0.0 else math.nan
+        if not lo < q_next < hi:
+            q_next = 0.5 * (lo + hi)
+        if abs(q_next - q) <= 1e-14:
+            return q_next
+        q = q_next
+    raise NumericsError(f"branch solve for {target} did not converge on [{lo}, {hi}]")
 
 
 def transversality_probe(base: AnalyticCircleMap, da: float = 1e-3,
@@ -833,18 +852,11 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
 
     # H2/H3: convergence to the singular limit; the window truncates where
     # the amplitude sequence underflows (steep dissipation exponents)
-    usable = []
-    for m in range(n, n + window):
-        try:
-            gamma_sequence(m, a, dc)
-        except ValidationError:
-            break
-        usable.append(m)
-    if len(usable) < 2:
+    rows = singular_limit_convergence(range(n, n + window), a, params)
+    if len(rows) < 2:
         raise ValidationError(
             "fewer than two representable sequence indices in the battery window"
         )
-    rows = singular_limit_convergence(usable, a, params)
     cols = {
         "f1_sup": [r.f1_sup for r in rows],
         "f2_sup": [r.f2_sup for r in rows],
@@ -857,7 +869,7 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
     entries["H2"] = {
         "status": "pass" if decreasing else "fail",
         "first": cols["f1_sup"][0], "last": cols["f1_sup"][-1],
-        "note": f"sup distances over an index window of {len(usable)}",
+        "note": f"sup distances over an index window of {len(rows)}",
     }
     entries["H3"] = {
         "status": "pass" if decreasing else "fail",

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +122,31 @@ def test_singular_limit_table(case2_cfg, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("n,gamma,x_absorb,f1_sup")
     assert len(lines) == 5
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name, indices, note", [
+    ("case1.cfg", range(1, 7), "underflows after n=6"),
+    ("case2.cfg", range(13, 21), None),
+])
+def test_singular_limit_default_flags_on_shipped_configs(tmp_path, capsys, name,
+                                                         indices, note):
+    """The table stops at the last representable index and says so on stderr;
+    a table whose first amplitude underflows is a validation error."""
+    out = tmp_path / "table.csv"
+    cfg = str(CONFIGS / name)
+    assert main(["singular-limit", "--config", cfg, "--output", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == list(indices)
+    err = capsys.readouterr().err
+    assert (note in err and err.count("\n") == 1) if note else err == ""
+    n_past = str(indices[-1] + 1)
+    if note:
+        assert main(["singular-limit", "--config", cfg, "--n-from", n_past,
+                     "--output", str(tmp_path / "none.csv")]) == 1
+        assert "underflows" in capsys.readouterr().err
 
 
 def test_certify_json(case2_cfg, tmp_path):
@@ -245,3 +275,42 @@ def test_nonpositive_x0_is_a_validation_error(case2_cfg, tmp_path, capsys, argv)
     assert rc == 1
     assert "error: --x0 must be > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_only_flow_commands_import_scipy(tmp_path):
+    """Every command but simulate and poincare runs without loading scipy;
+    poincare, the positive control, loads it."""
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(CASE2.replace("iterations = 10000", "iterations = 600")
+                   .replace("series_len = 1200", "series_len = 200"))
+    common = ["--config", str(cfg), "--output"]
+    runs = {
+        "classify": ["classify", *common, "c.json"],
+        "return-map": ["return-map", *common, "o.csv", "--variant", "case12", "--iters", "50"],
+        "singular-limit": ["singular-limit", *common, "t.csv", "--n-count", "2"],
+        "certify --battery": ["certify", *common, "b.json", "--a", "0.3", "--battery",
+                              "--horizon", "40"],
+        "scan": ["scan", *common, "scan", "--from", "1e-4", "--to", "1e-2", "--steps", "2"],
+        "chaos-test case12": ["chaos-test", *common, "k12.json", "--iters", "1000"],
+        "chaos-test case34": ["chaos-test", *common, "k34.json", "--variant", "case34",
+                              "--iters", "1000"],
+        "poincare": ["poincare", *common, "p.csv", "--returns", "1"],
+    }
+    script = textwrap.dedent(f"""
+        import json, sys
+        from mayleonard.cli import main
+        loaded = {{}}
+        for name, argv in {runs!r}.items():
+            if main(argv) != 0:
+                sys.exit(f"{{name}} failed")
+            loaded[name] = "scipy" in sys.modules
+        print(json.dumps(loaded))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == {name: name == "poincare" for name in runs}

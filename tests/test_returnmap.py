@@ -15,7 +15,7 @@ from mayleonard import (
 from mayleonard.returnmap import finite_difference_jacobian, reduce_mod
 from mayleonard.singular import gamma_sequence, make_circle_map
 
-from conftest import random_admissible
+from conftest import quad_checked, random_admissible
 
 
 def l2_quadrature(x, s, params):
@@ -25,6 +25,27 @@ def l2_quadrature(x, s, params):
     val, _ = quad(lambda tau: math.exp(-e * (tau - s)) * math.sin(om * tau) ** 2,
                   s, t1, epsabs=1e-13, epsrel=1e-12, limit=500)
     return val
+
+
+def l1_g1_g2_quadrature(x, s, params, kv):
+    """Independent oracle for L1, G1 and G2: adaptive quadrature of their
+    defining integrals, at the arrival times ``kv.T2`` and ``kv.T3``."""
+    dc = derive_constants(params)
+    c, e, om = params.c, params.e, params.omega
+    t3_0 = s + params.Delta1 + params.Delta2 - dc.xi * math.log(x)
+    # the weight is below exp(-40) further than 40/c below the upper limit;
+    # quadrature over the whole of a long interval misses the narrow end
+    lo = max(kv.T2 + params.Delta3, t3_0 - 40.0 / c)
+    l1 = quad_checked(lambda tau: math.exp(c * (tau - t3_0)) * math.sin(om * tau) ** 2,
+                      lo, t3_0) if lo < t3_0 else 0.0
+    period = math.pi / om
+    g1 = quad_checked(
+        lambda tau: math.exp(c * (tau - period)) * math.sin(om * (kv.T3 + tau)) ** 2,
+        0.0, period) / (1.0 - math.exp(-c * period))
+    g2 = quad_checked(
+        lambda tau: math.exp(-e * tau) * math.sin(om * (kv.T3 + params.Delta3 + tau)) ** 2,
+        0.0, period) / (math.exp(-e * period) - 1.0)
+    return l1, g1, g2
 
 
 def _image(fmap, x, s):
@@ -56,7 +77,7 @@ def test_eta_omega_limits_and_range():
 
 
 def test_l2_closed_form_vs_quadrature(rng):
-    """Closed-form contracting-passage kernel matches quadrature to 1e-9."""
+    """Closed-form kernels L2, L1, G1 and G2 match quadrature to 1e-9."""
     for c, e, om in random_admissible(rng, 10):
         params = ModelParams(c=c, e=e, omega=om, gamma=1e-3)
         for _ in range(100):
@@ -64,6 +85,10 @@ def test_l2_closed_form_vs_quadrature(rng):
             s = rng.uniform(0.0, 2.0 * math.pi / om)
             kv = kernels(x, s, params)
             assert abs(kv.L2 - l2_quadrature(x, s, params)) <= 1e-9
+            l1, g1, g2 = l1_g1_g2_quadrature(x, s, params, kv)
+            assert abs(kv.L1 - l1) <= 1e-9
+            assert abs(kv.G1 - g1) <= 1e-9
+            assert abs(kv.G2 - g2) <= 1e-9
 
 
 def test_l2_small_frequency_limit():

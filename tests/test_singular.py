@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from mayleonard import (
     AnalyticCircleMap,
     CircleMapSpec,
     DoublingMap,
     ModelParams,
+    NumericsError,
     RigidRotation,
     ValidationError,
     derive_constants,
@@ -21,17 +23,19 @@ from mayleonard import (
     singular_limit_convergence,
     transition_matrix,
 )
-from mayleonard import singular
 from mayleonard.singular import (
     ConditionVerdict,
     MisiurewiczCertificate,
+    _branch_solve,
     _circle_dist,
     _largest_rate,
-    critical_set,
     doubling_orbit,
     transversality_probe,
     xi_star_scan,
 )
+from mayleonard.diagnostics import Case34SMarginal
+
+from conftest import critical_set_grid
 
 CASE1 = ModelParams(c=0.55, e=0.5, omega=0.05)
 CASE2 = ModelParams(c=0.6, e=0.2, omega=0.3)
@@ -259,26 +263,77 @@ def test_critical_set_against_trig_oracle():
     assert signs == [-1.0, 1.0]
 
 
-def test_critical_points_found_once_per_map(monkeypatch):
-    """The readers of one map share one critical set, a whole battery included."""
-    calls = []
-
-    def counting(cmap, *args, **kwargs):
-        calls.append(cmap)
-        return critical_set(cmap, *args, **kwargs)
-
-    monkeypatch.setattr(singular, "critical_set", counting)
+def test_critical_points_fresh_list_per_call():
+    """Each call returns a new list, so a caller cannot change the set the
+    next caller sees."""
     h = make_circle_map(0.3, CASE2)
     first = h.critical_points()
-    misiurewicz_check(h, horizon=50)
-    transition_matrix(h)
-    assert calls == [h]
-    first.clear()                       # a caller's copy, not the cache
-    assert len(h.critical_points()) == 2
-    assert len(calls) == 1
-    calls.clear()
-    hypothesis_battery(CASE2, n=14, a=0.3, horizon=50)
-    assert len(calls) == 1
+    second = h.critical_points()
+    assert len(first) == 2 and second == first and second is not first
+    first.clear()
+    assert h.critical_points() == second
+
+
+def _circle_map(coef, sqrt_a1):
+    """``h_a`` at a = 0.1 with slope ``coef = xi omega / pi`` (omega = pi)."""
+    return AnalyticCircleMap(CircleMapSpec(a=0.1, omega=math.pi, xi=coef, mu3=1.0,
+                                           sqrt_a1=sqrt_a1))
+
+
+def _marginal(mu1):
+    """The case-2 high-frequency marginal, amplitude 2 pi amp = 65/mu1."""
+    return Case34SMarginal(ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3, mu1=mu1))
+
+
+@pytest.mark.parametrize("cmap, turns", [
+    *((_circle_map(coef, sa1), turns) for coef, sa1, turns in (
+        (0.05, 0.1, 0), (0.2, 0.4, 0), (0.05, 0.95, 0), (10.0, 0.01, 0),
+        (0.5, 0.4, 2), (0.1, 0.95, 2), (0.2, 0.95, 2), (2.0, 0.1, 2),
+        (0.5, math.sqrt(0.5), 2), (6.2, math.sqrt(0.5), 2), (20.7, math.sqrt(0.5), 2))),
+    *((_marginal(mu1), turns) for mu1, turns in (
+        (1.0, 2), (10.0, 2), (40.0, 2), (64.0, 2), (66.0, 0), (200.0, 0))),
+])
+def test_closed_form_critical_points_vs_grid_oracle(cmap, turns):
+    """Closed-form turns of both families match the grid-plus-root-finder
+    oracle, on both sides of the thresholds r = 1 and |2 pi amp| = 1."""
+    found, ref = cmap.critical_points(), critical_set_grid(cmap)
+    assert len(found) == len(ref) == turns
+    for cp, rp in zip(found, ref):
+        assert abs(cp.s - rp.s) < 1e-12
+        assert cp.second_derivative == pytest.approx(rp.second_derivative, rel=1e-9)
+        assert abs(float(cmap.derivative(cp.s))) < 1e-12
+
+
+def test_closed_form_finds_turns_the_grid_misses():
+    """Just above the threshold the two turns lie inside one grid cell: the
+    grid sees no sign change, the closed form finds both."""
+    sa1 = 0.6
+    h = _circle_map((0.8 + 1e-10) / (2.0 * math.pi * sa1), sa1)
+    crit = h.critical_points()
+    assert len(crit) == 2
+    assert 0.0 < crit[1].s - crit[0].s < 1e-5
+    for cp in crit:
+        assert abs(float(h.derivative(cp.s))) < 1e-12
+    assert sorted(np.sign(cp.second_derivative) for cp in crit) == [-1.0, 1.0]
+    assert critical_set_grid(h) == []
+
+
+def test_exact_tangency_is_degenerate():
+    """Negative control: a double turn (h' = h'' = 0) raises NumericsError.
+    On h_a the grid oracle sees no sign change at all; on the marginal the
+    turn sits on a grid point."""
+    sa1 = 0.6
+    h = _circle_map(math.nextafter(0.8 / (2.0 * math.pi * sa1), math.inf), sa1)
+    assert math.hypot(2.0 * math.pi * h.coef * h.sa1, h.sa1) == 1.0
+    with pytest.raises(NumericsError):
+        h.critical_points()
+    assert critical_set_grid(h) == []
+    m = _marginal(65.0)
+    m.amp = 1.0 / (2.0 * math.pi)
+    assert -1.0 / (2.0 * math.pi * m.amp) == -1.0
+    for finder in (m.critical_points, lambda: critical_set_grid(m)):
+        with pytest.raises(NumericsError):
+            finder()
 
 
 def test_critical_set_empty_for_weak_turns():
@@ -487,3 +542,17 @@ def test_xi_star_scan_smoke():
         omega=0.3, sqrt_a1=math.sqrt(0.5), horizon=200, grid_size=256)
     assert len(records) == 2
     assert xi_star in (None, 5.0, 65.0)
+
+
+def test_branch_solve_vs_brentq():
+    """The bracketed Newton solve on a monotone branch of h_a agrees with
+    brentq, returns an endpoint that solves exactly, and None without a
+    sign change."""
+    h = make_circle_map(0.3, CASE2)
+    lo, hi = (cp.s for cp in h.critical_points())
+    f_lo, f_hi = float(h.lift(lo)), float(h.lift(hi))
+    for target in np.linspace(f_lo, f_hi, 9)[1:-1]:
+        ref = brentq(lambda q: float(h.lift(q)) - target, lo, hi, xtol=1e-15)
+        assert abs(_branch_solve(h, lo, hi, target) - ref) < 1e-13
+    assert _branch_solve(h, lo, hi, f_lo) == lo
+    assert _branch_solve(h, lo, hi, max(f_lo, f_hi) + 1.0) is None

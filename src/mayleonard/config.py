@@ -78,7 +78,7 @@ _DIO_KEYS = {"d1", "d2", "n_max"}
 _SECTIONS = {
     "model": _MODEL_KEYS,
     "global-maps": _GLOBAL_KEYS,
-    "numerics": _NUMERICS_KEYS | {"eps_tilde"},
+    "numerics": _NUMERICS_KEYS,
     "section": _SECTION_KEYS,
     "scan": _SCAN_KEYS,
     "diophantine": _DIO_KEYS,
@@ -131,15 +131,9 @@ def parse_config_text(text: str) -> RunConfig:
         raise ValidationError("config must provide model.c and model.e")
     pkw = dict(model)
     pkw.update(values.get("global-maps", {}))
-    eps = values.get("section", {}).get("eps_tilde")
-    if eps is None:
-        eps = values.get("numerics", {}).get("eps_tilde")
-    if eps is not None:
-        pkw["eps_tilde"] = eps
+    pkw.update(values.get("section", {}))
     params = ModelParams(**pkw)
-
-    nkw = {k: v for k, v in values.get("numerics", {}).items() if k != "eps_tilde"}
-    numerics = NumericsConfig(**nkw)
+    numerics = NumericsConfig(**values.get("numerics", {}))
 
     scan = None
     if "scan" in values:

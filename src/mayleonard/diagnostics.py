@@ -28,7 +28,6 @@ __all__ = [
     "horseshoe_condition",
     "region_curves",
     "region_label",
-    "RegimeThresholds",
     "RegimeReport",
     "classify_regime",
     "Lyapunov2D",
@@ -160,13 +159,6 @@ def region_label(sqrt_a1: float, xi: float, omega: float, C: float = 10.0,
 # ---------------------------------------------------------------------------
 # regime classification
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    gamma_pow_tol: float = 0.1
-    omega_small: float = 0.5
-    omega_large: float = 5.0
-
-
 _CASE_LABELS = {
     1: "attracting two-torus (invariant curve)",
     2: "hyperbolic horseshoes; rank-one strange attractors",
@@ -207,24 +199,22 @@ class RegimeReport:
         }
 
 
-def classify_regime(params: ModelParams,
-                    thresholds: RegimeThresholds = RegimeThresholds(),
-                    C: float = 10.0) -> RegimeReport:
+def classify_regime(params: ModelParams, C: float = 10.0) -> RegimeReport:
     """Assign one of the four dynamical regimes.
 
-    Low frequency splits on whether ``gamma**(delta-1)`` is appreciable
-    (the power-law term matters) or negligible; high frequency splits on
-    the circle-map invertibility threshold ``xi vs 2 mu1``.  Frequencies
-    between the two thresholds get an indeterminate verdict: only the four
-    corners are defined.
+    Low frequency (``omega <= 0.5``) splits on whether ``gamma**(delta-1)``
+    is appreciable (above 0.1: the power-law term matters) or negligible;
+    high frequency (``omega >= 5``) splits on the circle-map invertibility
+    threshold ``xi vs 2 mu1``.  Frequencies between the two thresholds get
+    an indeterminate verdict: only the four corners are defined.
     """
     dc = derive_constants(params)
     gamma_pow = params.gamma ** (dc.delta - 1.0) if params.gamma > 0 else 0.0
     om = params.omega
-    if om <= thresholds.omega_small:
-        tag = 1 if gamma_pow > thresholds.gamma_pow_tol else 2
+    if om <= 0.5:
+        tag = 1 if gamma_pow > 0.1 else 2
         verdict = f"case-{tag}"
-    elif om >= thresholds.omega_large:
+    elif om >= 5.0:
         tag = 3 if dc.xi < 2.0 * params.mu1 else 4
         verdict = f"case-{tag}"
     else:
@@ -255,8 +245,14 @@ class Lyapunov2D:
         return abs(self.l1 + self.l2 - self.logdet_mean)
 
 
-def lyapunov_2d(fmap, point0, iterations: int, burn_in: int = 500) -> Lyapunov2D:
+# map steps discarded before an orbit is measured
+_BURN_IN = 500
+
+
+def lyapunov_2d(fmap, point0, iterations: int) -> Lyapunov2D:
     """Tangent-map Lyapunov exponents of a compiled map, per-step orthonormalisation.
+
+    The orbit runs 500 burn-in steps before the first measured one.
 
     Returns the ordered pair ``l1 >= l2``; their sum matches the Birkhoff
     average of ``log |det DF|`` by construction, and the report keeps both
@@ -269,7 +265,7 @@ def lyapunov_2d(fmap, point0, iterations: int, burn_in: int = 500) -> Lyapunov2D
     if fmap.variant == "case34":
         raise ValidationError("case34 is rank-one degenerate (det = 0)")
     x, s = float(point0[0]), float(point0[1])
-    for x, s, _ in fmap.orbit(x, s, burn_in):
+    for x, s, _ in fmap.orbit(x, s, _BURN_IN):
         pass
     lift, tangent, modulus = fmap.lift, fmap.tangent, fmap.modulus
     q1x, q1y, q2x, q2y = 1.0, 0.0, 0.0, 1.0
@@ -347,83 +343,50 @@ class RotationInterval:
     hi: float
     width: float
     is_point: bool
-    raw: tuple[float, float]
-    converged: bool
-
-    def endpoints(self):
-        return (self.lo, self.hi)
 
 
 def rotation_interval(cmap: CircleMap, seeds: int = 8,
                       iterations: int = 20000,
-                      rng: np.random.Generator | None = None,
-                      point_tol: float = 1e-3) -> RotationInterval:
+                      rng: np.random.Generator | None = None) -> RotationInterval:
     """Rotation interval of a degree-one circle map.
 
     The endpoints are the rotation numbers of the monotone upper and lower
     envelope maps of the lift (plateau truncations through the local
-    extrema), estimated from lift-displacement averages over several seeds
-    with second-half (Richardson-style) extrapolation over the iteration
-    count.  A width below ``point_tol`` is reported as a point, which is
-    the invariant-map case: both envelopes coincide with the map itself.
+    extrema).  Each is the mean lift displacement per step over the second
+    half of a ``2 * iterations``-step orbit, the largest over the seeds for
+    the upper envelope and the smallest for the lower one.  Both envelopes
+    run from every seed as one lockstep ``(2, seeds)`` array.  A width
+    below 1e-3 is reported as a point, which is the invariant-map case:
+    both envelopes coincide with the map itself.
     """
     if cmap.degree != 1:
         raise ValidationError("rotation intervals need a degree-one map")
     if rng is None:
         rng = np.random.default_rng(0)
     crit = cmap.critical_points()
-    maxima = [cp.s for cp in crit if cp.second_derivative < 0.0]
-    minima = [cp.s for cp in crit if cp.second_derivative > 0.0]
-    max_vals = [float(cmap.lift(m)) for m in maxima]
-    min_vals = [float(cmap.lift(w)) for w in minima]
+    maxima = [(cp.s, float(cmap.lift(cp.s))) for cp in crit if cp.second_derivative < 0.0]
+    minima = [(cp.s, float(cmap.lift(cp.s))) for cp in crit if cp.second_derivative > 0.0]
 
-    def lift_at(y):
+    def step(y):
+        # row 0 follows the upper envelope, row 1 the lower one
         s = y % 1.0
-        return float(cmap.lift(s)) + (y - s)
-
-    def upper(y):
-        v = lift_at(y)
-        for m, fm in zip(maxima, max_vals):
-            v = max(v, fm + math.floor(y - m))
+        v = cmap.lift(s) + (y - s)
+        for m, fm in maxima:
+            np.maximum(v[0], fm + np.floor(y[0] - m), out=v[0])
+        for w, fw in minima:
+            np.minimum(v[1], fw + np.ceil(y[1] - w), out=v[1])
         return v
 
-    def lower(y):
-        v = lift_at(y)
-        for w, fw in zip(minima, min_vals):
-            v = min(v, fw + math.ceil(y - w))
-        return v
-
-    def rho(fun, y0):
-        y = y0
-        for _ in range(iterations):
-            y = fun(y)
-        y_mid = y
-        for _ in range(iterations):
-            y = fun(y)
-        first = (y_mid - y0) / iterations
-        second = (y - y_mid) / iterations
-        return second, abs(second - first)
-
-    y0s = rng.uniform(0.0, 1.0, size=seeds)
-    ups, downs, raws = [], [], []
-    drift = 0.0
-    for y0 in y0s:
-        r_up, d1 = rho(upper, float(y0))
-        r_dn, d2 = rho(lower, float(y0))
-        r_raw, d3 = rho(lift_at, float(y0))
-        ups.append(r_up)
-        downs.append(r_dn)
-        raws.append(r_raw)
-        drift = max(drift, d1, d2)
-    lo, hi = min(downs), max(ups)
+    y = np.tile(rng.uniform(0.0, 1.0, size=seeds), (2, 1))
+    for _ in range(iterations):
+        y = step(y)
+    y_mid = y
+    for _ in range(iterations):
+        y = step(y)
+    rho = (y - y_mid) / iterations
+    lo, hi = float(rho[1].min()), float(rho[0].max())
     width = hi - lo
-    converged = drift < 50.0 / iterations + 1e-9
-    return RotationInterval(
-        lo=lo, hi=hi, width=width,
-        is_point=width < point_tol,
-        raw=(min(raws), max(raws)),
-        converged=converged,
-    )
+    return RotationInterval(lo=lo, hi=hi, width=width, is_point=width < 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +477,10 @@ class ScanOpts:
     iterations: int = 20000
     series_len: int = 2000
     n_c: int = 24
-    lambda_tol: float = 1e-3
-    k_threshold: float = 0.9
     seed: int = 0
     battery: bool = True
     battery_horizon: int = 200
     battery_grid: int = 256
-    rot_seeds: int = 3
-    burn_in: int = 500
 
 
 @dataclass(frozen=True)
@@ -562,13 +521,13 @@ def _scan_one(gamma, params, opts, sample_rng):
     fmap = compile_map("case12", p_g)
     s0 = float(sample_rng.uniform())
     x0 = p_g.gamma * p_g.mu1
-    ly = lyapunov_2d(fmap, (x0, s0), opts.iterations, burn_in=opts.burn_in)
-    # s-series for the 0-1 statistic and per-seed rotation estimates
+    ly = lyapunov_2d(fmap, (x0, s0), opts.iterations)
+    # s-series for the 0-1 statistic and rotation estimates from three seeds
     rots = []
     obs = None
-    for seed_i in range(opts.rot_seeds):
+    for seed_i in range(3):
         x, s = x0, float(sample_rng.uniform())
-        for x, s, _ in fmap.orbit(x, s, opts.burn_in):
+        for x, s, _ in fmap.orbit(x, s, _BURN_IN):
             pass
         ss = np.empty(opts.series_len)
         y = y0 = s
@@ -591,7 +550,7 @@ def _scan_one(gamma, params, opts, sample_rng):
             battery_h4 = False
     else:
         battery_h4 = None
-    success = (ly.l1 > opts.lambda_tol) and (K > opts.k_threshold)
+    success = (ly.l1 > 1e-3) and (K > 0.9)
     return ScanRow(
         gamma=float(gamma), lambda1=ly.l1, lambda2=ly.l2, K=K,
         rot_lo=float(min(rots)), rot_hi=float(max(rots)),

@@ -289,7 +289,7 @@ class _RescaledMap(_CompiledMap):
     variant = "rescaled"
 
     def __init__(self, params, dc, gamma):
-        if gamma <= 0.0 or gamma >= 1.0:
+        if gamma is None or not 0.0 < gamma < 1.0:
             raise ValidationError(f"rescaled family needs gamma in (0, 1), got {gamma}")
         super().__init__(params, dc)
         self.gp = gamma**dc.p
@@ -314,33 +314,27 @@ class _RescaledMap(_CompiledMap):
 _COMPILED = {cls.variant: cls for cls in (_FullMap, _Case12Map, _Case34Map, _RescaledMap)}
 
 
-def compile_map(variant: str, params: ModelParams, *, gamma: float | None = None,
-                n: int | None = None, a: float | None = None) -> _CompiledMap:
+def compile_map(variant: str, params: ModelParams, *,
+                gamma: float | None = None) -> _CompiledMap:
     """The one evaluator of a variant at a parameter point, constants derived once.
 
     The result has a scalar ``lift(x, s)`` (phase not reduced), a scalar
     ``tangent(x, s)`` returning ``(d11, d12, d21, d22, det_closed_form)``
     (the last None for ``full``), the orbit loop ``orbit(x, s, steps)``,
     the phase ``modulus`` and its ``variant`` name.  Only the rescaled
-    variant reads ``gamma`` or the sequence index pair ``(n, a)``.
+    variant reads ``gamma``, and it needs one in (0, 1).
     """
     if variant not in _COMPILED:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    dc = derive_constants(params)
-    if variant == "rescaled" and gamma is None:
-        from .singular import gamma_sequence
-        if n is None or a is None:
-            raise ValidationError("rescaled variant needs (n, a) or gamma")
-        gamma = gamma_sequence(n, a, dc)
-    return _COMPILED[variant](params, dc, gamma)
+    return _COMPILED[variant](params, derive_constants(params), gamma)
 
 
-def finite_difference_jacobian(fmap: _CompiledMap, x: float, s: float,
-                               rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a compiled map's phase lift (test oracle)."""
+def finite_difference_jacobian(fmap: _CompiledMap, x: float, s: float) -> np.ndarray:
+    """Central-difference Jacobian of a compiled map's phase lift (test oracle),
+    relative step 1e-6."""
     lift = fmap.lift
-    hx = rel_step * max(abs(x), 1.0)
-    hs = rel_step
+    hx = 1e-6 * max(abs(x), 1.0)
+    hs = 1e-6
     col_x = np.subtract(lift(x + hx, s), lift(x - hx, s)) / (2.0 * hx)
     col_s = np.subtract(lift(x, s + hs), lift(x, s - hs)) / (2.0 * hs)
     return np.column_stack([col_x, col_s])

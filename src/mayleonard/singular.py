@@ -279,18 +279,17 @@ class ConvergenceRow:
     d3_sup: float
 
 
-def singular_limit_convergence(n_range, a: float, params: ModelParams,
-                               s_points: int = 256, x_points: int = 32,
-                               x_max: float = 1.0) -> list[ConvergenceRow]:
+def singular_limit_convergence(n_range, a: float, params: ModelParams) -> list[ConvergenceRow]:
     """Sup-distance table between the rescaled family and its singular limit.
 
     For each index the leading component is measured over the full base
-    domain (``x`` up to ``x_max``); the phase component is compared with
+    domain (``x`` up to 1); the phase component is compared with
     the limit circle map over the absorbing range that one application of
     the leading component produces (the phase component of the family does
     not otherwise depend on the index at all).  Derivative distances up to
     third order are finite-difference surrogates applied to the difference
-    functions, so their round-off scales with the difference itself.
+    functions, so their round-off scales with the difference itself.  The
+    phase grid has 256 points and the absorbing range 32.
 
     The indices must increase.  The table stops at the first index whose
     amplitude underflows double precision; if the first one does, that is a
@@ -298,7 +297,7 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams,
     """
     dc = derive_constants(params)
     cmap = make_circle_map(a, params)
-    s_grid = np.linspace(0.0, 1.0, s_points, endpoint=False)
+    s_grid = np.linspace(0.0, 1.0, 256, endpoint=False)
     rows = []
     for n in n_range:
         try:
@@ -308,9 +307,9 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams,
                 break
             raise
         gp = gamma**dc.p
-        f1_sup = gp * (x_max**dc.delta + 1.0 + dc.sqrt_a1)
+        f1_sup = gp * (2.0 + dc.sqrt_a1)
         x_absorb = f1_sup
-        xg = np.linspace(x_absorb / x_points, x_absorb, x_points)
+        xg = np.linspace(x_absorb / 32, x_absorb, 32)
 
         def f2_diff(s, x=xg[:, None]):
             b = 1.0 - dc.sqrt_a1 * np.cos(2.0 * np.pi * s)
@@ -365,7 +364,6 @@ class MisiurewiczCertificate:
     passed: bool
     lambda0: float
     m0: int
-    d0: float
     horizon: int
     u_intervals: tuple
     conditions: dict
@@ -376,7 +374,7 @@ class MisiurewiczCertificate:
             "passed": self.passed,
             "lambda0": self.lambda0,
             "M0": self.m0,
-            "d0": self.d0,
+            "d0": _D0,
             "horizon": self.horizon,
             "U": [list(iv) for iv in self.u_intervals],
             "conditions": {
@@ -388,9 +386,15 @@ class MisiurewiczCertificate:
         }
 
 
+# slack factor of outside (b) and inside (b), and samples per component of U
+_D0 = 1e-3
+_U_GRID = 64
+
+
 def _circle_dist(s, centers):
+    """Circle distance from each ``s`` to the nearest center; inf without centers."""
     d = np.abs((np.asarray(s)[..., None] - centers + 0.5) % 1.0 - 0.5)
-    return d.min(axis=-1)
+    return d.min(axis=-1, initial=math.inf)
 
 
 def _largest_rate(cum, m):
@@ -415,18 +419,15 @@ def _largest_rate(cum, m):
     return lam
 
 
-def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
-                      m0: int = 30, d0: float = 1e-3,
-                      lambda0_target: float | None = None,
-                      grid_size: int = 1024,
-                      u_grid: int = 64) -> MisiurewiczCertificate:
+def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 1000,
+                      m0: int = 30, grid_size: int = 1024) -> MisiurewiczCertificate:
     """Run the five-part expansion certification at a finite horizon.
 
     * outside (a): every sampled orbit segment that avoids the critical
       neighbourhood U for its whole length and is at least ``m0`` long
       expands at the extracted uniform rate ``lambda0 > 0``;
     * outside (b): segments that end by entering U expand at the same rate
-      up to the slack factor ``d0``;
+      up to the slack factor ``d0 = 1e-3``;
     * critical orbits: forward iterates of every critical point stay out
       of U for the whole horizon;
     * inside (a): the curvature is bounded away from zero, one sign per
@@ -434,6 +435,9 @@ def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
     * inside (b): first returns to U recover derivative
       ``exp(lambda0 p0 / 3) / d0``.
 
+    U is the union of the arcs of radius ``u_radius`` around the critical
+    points, which must lie in (0, 0.5): an empty or inverted arc would pass
+    the inside conditions vacuously, and a radius of 0.5 covers the circle.
     With an empty critical set U is empty, the inside/critical conditions
     hold vacuously, and the outside conditions measure pure uniform
     expansion (a rigid rotation therefore fails, a doubling map passes
@@ -441,18 +445,15 @@ def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
+    if not 0.0 < u_radius < 0.5:
+        raise ValidationError(f"u_radius must lie in (0, 0.5), got {u_radius}")
+    r = u_radius
     crit = cmap.critical_points()
-    centers = np.array([cp.s for cp in crit]) if crit else np.empty(0)
-    radii = np.broadcast_to(np.asarray(u_radii, dtype=float), centers.shape).copy() \
-        if crit else np.empty(0)
-    u_intervals = tuple((float(c - r), float(c + r)) for c, r in zip(centers, radii))
+    centers = np.array([cp.s for cp in crit], dtype=float)
+    u_intervals = tuple((float(c - r), float(c + r)) for c in centers)
 
     def in_u(s):
-        s = np.asarray(s, dtype=float)
-        if centers.size == 0:
-            return np.zeros_like(s, dtype=bool)
-        d = np.abs((s[..., None] - centers + 0.5) % 1.0 - 0.5)
-        return (d < radii).any(axis=-1)
+        return _circle_dist(s, centers) < r
 
     conditions = {}
 
@@ -492,9 +493,8 @@ def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
     seg_c = np.array([c for m, c in seg_a if m >= m0])
     applicable = seg_m.size > 0
     lambda0 = _largest_rate(seg_c, seg_m) if applicable else -math.inf
-    pass_a = lambda0 > 0.0 if lambda0_target is None else lambda0 >= lambda0_target
     conditions["outside_a"] = ConditionVerdict(
-        passed=bool(pass_a and applicable),
+        passed=bool(lambda0 > 0.0 and applicable),
         worst=min_ratio_a if applicable else -math.inf,
         witness=worst_a,
         note=f"lambda0 extracted over {seg_m.size} segment lengths",
@@ -503,7 +503,7 @@ def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
     worst_b = math.inf
     ok_b = True
     for m, cums in seg_b:
-        slack = float(np.min(cums - (math.log(d0) + lambda0 * m)))
+        slack = float(np.min(cums - (math.log(_D0) + lambda0 * m)))
         if slack < worst_b:
             worst_b = slack
         if slack < 0.0:
@@ -514,45 +514,35 @@ def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
         note="no U-entering segments sampled" if not seg_b else "",
     )
 
-    # --- critical orbits avoid U
     if not crit:
-        conditions["critical_orbits"] = ConditionVerdict(
-            passed=True, worst=math.inf, note="vacuous: empty critical set")
+        for key in ("critical_orbits", "inside_a", "inside_b"):
+            conditions[key] = ConditionVerdict(
+                passed=True, worst=math.inf, note="vacuous: empty critical set")
     else:
-        # every critical orbit in lockstep: row i holds the (i+1)-th iterates
+        # --- critical orbits avoid U; all in lockstep: row i holds the
+        # (i+1)-th iterates
         orbits = np.empty((horizon, centers.size))
         s = centers
         for i in range(horizon):
             s = orbits[i] = cmap.value(s)
-        margins = _circle_dist(orbits, centers) - radii.max()
+        margins = _circle_dist(orbits, centers) - r
         # the first minimum in (critical point, step) order
         j, i = np.unravel_index(np.argmin(margins.T), margins.T.shape)
-        ok = not in_u(orbits).any()
+        ok = not (margins < 0.0).any()
         conditions["critical_orbits"] = ConditionVerdict(
             passed=ok, worst=float(margins[i, j]), witness=float(centers[j]),
             note="orbit of a critical point re-entered U" if not ok else "")
 
-    # --- inside U
-    if not crit:
+        # --- inside U, sampled on each component
+        u_samples = centers[:, None] + np.linspace(-r, r, _U_GRID)
+        h2 = np.asarray(cmap.second_derivative(u_samples), dtype=float)
+        worst_h2 = float(np.min(np.abs(h2)))
+        ok_sign = bool(((h2 > 0.0).all(axis=1) | (h2 < 0.0).all(axis=1)).all())
         conditions["inside_a"] = ConditionVerdict(
-            passed=True, worst=math.inf, note="vacuous: empty critical set")
-        conditions["inside_b"] = ConditionVerdict(
-            passed=True, worst=math.inf, note="vacuous: empty critical set")
-    else:
-        worst_h2 = math.inf
-        ok_sign = True
-        for (c, r) in zip(centers, radii):
-            ss = c + np.linspace(-r, r, u_grid)
-            h2 = np.asarray(cmap.second_derivative(ss), dtype=float)
-            worst_h2 = min(worst_h2, float(np.min(np.abs(h2))))
-            if not (np.all(h2 > 0.0) or np.all(h2 < 0.0)):
-                ok_sign = False
-        conditions["inside_a"] = ConditionVerdict(
-            passed=bool(ok_sign and worst_h2 > 0.0), worst=worst_h2)
+            passed=ok_sign and worst_h2 > 0.0, worst=worst_h2)
 
         # all starts in lockstep until each first returns to U
-        u_pos = np.concatenate([c + np.linspace(-r, r, u_grid)
-                                for c, r in zip(centers, radii)])
+        u_pos = u_samples.ravel()
         u_pos = u_pos[~(_circle_dist(u_pos, centers) < 1e-9)] % 1.0   # not the critical points
         cumlog = np.zeros(u_pos.size)
         p0 = np.zeros(u_pos.size, dtype=int)     # first-return time, 0 = none yet
@@ -569,7 +559,7 @@ def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
             live = live[~back]
         returned = p0 > 0
         n_noreturn = int(np.count_nonzero(~returned))
-        slack = cumlog[returned] - (lambda0 * p0[returned] / 3.0 - math.log(d0))
+        slack = cumlog[returned] - (lambda0 * p0[returned] / 3.0 - math.log(_D0))
         worst_rec = float(slack.min()) if slack.size else math.inf
         ok_rec = not (slack < 0.0).any()
         conditions["inside_b"] = ConditionVerdict(
@@ -578,7 +568,7 @@ def misiurewicz_check(cmap: CircleMap, u_radii=1e-2, horizon: int = 1000,
 
     passed = all(v.passed for v in conditions.values())
     return MisiurewiczCertificate(
-        passed=passed, lambda0=lambda0, m0=m0, d0=d0, horizon=horizon,
+        passed=passed, lambda0=lambda0, m0=m0, horizon=horizon,
         u_intervals=u_intervals, conditions=conditions,
         notes="finite-horizon floating-point check; not robust under perturbation",
     )
@@ -654,9 +644,8 @@ def transition_matrix(cmap: CircleMap) -> TransitionMatrix:
 # ---------------------------------------------------------------------------
 # scalar diagnostics on circle maps
 
-def lyapunov_1d(cmap: CircleMap, s0: float, iterations: int,
-                burn_in: int = 100):
-    """Birkhoff average of ``log |h'|`` along an orbit.
+def lyapunov_1d(cmap: CircleMap, s0: float, iterations: int):
+    """Birkhoff average of ``log |h'|`` along an orbit, after 100 burn-in steps.
 
     If the orbit lands on a critical point to machine precision the start
     is perturbed by 1e-9 and the estimate rerun; the number of restarts is
@@ -667,20 +656,10 @@ def lyapunov_1d(cmap: CircleMap, s0: float, iterations: int,
     restarts = 0
     s_start = float(s0)
     while True:
-        s = s_start
-        for _ in range(burn_in):
-            s = float(cmap.value(s))
-        total = 0.0
-        hit = False
-        for _ in range(iterations):
-            d = abs(float(cmap.derivative(s)))
-            if d < 1e-300:
-                hit = True
-                break
-            total += math.log(d)
-            s = float(cmap.value(s))
-        if not hit:
-            return total / iterations, restarts
+        # the points after 100, ..., 99 + iterations steps
+        d = np.abs(cmap.derivative(cmap.orbit(s_start, iterations, 99)))
+        if not (d < 1e-300).any():
+            return float(np.sum(np.log(d))) / iterations, restarts
         restarts += 1
         if restarts > 8:
             raise NumericsError("orbit keeps hitting the critical set exactly")
@@ -734,22 +713,22 @@ def _branch_solve(cmap, lo, hi, target):
     raise NumericsError(f"branch solve for {target} did not converge on [{lo}, {hi}]")
 
 
-def transversality_probe(base: AnalyticCircleMap, da: float = 1e-3,
-                         depth: int = 20):
+def transversality_probe(base: AnalyticCircleMap):
     """Indicative finite-difference check of parameter transversality.
 
     For each critical point of ``base`` the forward image moves with unit
-    speed in the offset; the itinerary-matched continuation of that image
-    is tracked by backward branch-following under the maps at offsets
-    ``a -/+ da``.  Backward refinement contracts wherever the map expands,
-    so the continued point is well conditioned.  The result is labelled
-    indicative: the genuine condition concerns symbolic continuations to
-    infinite depth.
+    speed in the offset; the itinerary-matched continuation of that image,
+    20 steps deep, is tracked by backward branch-following under the maps
+    at offsets ``a -/+ da``, ``da = 1e-3``.  Backward refinement contracts
+    wherever the map expands, so the continued point is well conditioned.
+    The result is labelled indicative: the genuine condition concerns
+    symbolic continuations to infinite depth.
     """
     crit = base.critical_points()
     if not crit:
         return []
     cs = sorted(cp.s for cp in crit)
+    da = 1e-3
     shifted = {sgn: AnalyticCircleMap(replace(base.spec, a=(base.spec.a + sgn * da) % 1.0))
                for sgn in (+1, -1)}
 
@@ -771,10 +750,7 @@ def transversality_probe(base: AnalyticCircleMap, da: float = 1e-3,
 
     out = []
     for cp in crit:
-        p = float(base.value(cp.s))
-        ref = [p]
-        for _ in range(depth):
-            ref.append(float(base.value(ref[-1])))
+        ref = base.orbit(cp.s, 21).tolist()
         qs = {}
         ok = True
         for sgn, cmap_new in shifted.items():
@@ -805,27 +781,18 @@ class BatteryReport:
     gamma: float
     entries: dict = field(default_factory=dict)
 
-    @property
-    def h4_passed(self):
-        return self.entries["H4"]["status"] == "pass"
-
-    @property
-    def h7_passed(self):
-        return self.entries["H7"]["status"] == "pass"
-
     def to_dict(self):
         return {"n": self.n, "a": self.a, "gamma": self.gamma,
                 "entries": self.entries}
 
 
 def hypothesis_battery(params: ModelParams, n: int, a: float,
-                       window: int = 8, horizon: int = 1000,
-                       u_radii: float = 1e-2, m0: int = 30,
-                       d0: float = 1e-3) -> BatteryReport:
+                       horizon: int = 1000, u_radius: float = 1e-2) -> BatteryReport:
     """Run the full verification battery for the rescaled family at (n, a).
 
     Entries H1-H7 each carry a status (pass / fail / indicative /
-    not-checkable), the computed values, and a note.  H5 is structurally
+    not-checkable), the computed values, and a note.  H2/H3 read the
+    convergence table over the indices ``n, ..., n + 7``.  H5 is structurally
     not certifiable by finite computation and is always labelled
     indicative.
     """
@@ -852,7 +819,7 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
 
     # H2/H3: convergence to the singular limit; the window truncates where
     # the amplitude sequence underflows (steep dissipation exponents)
-    rows = singular_limit_convergence(range(n, n + window), a, params)
+    rows = singular_limit_convergence(range(n, n + 8), a, params)
     if len(rows) < 2:
         raise ValidationError(
             "fewer than two representable sequence indices in the battery window"
@@ -878,8 +845,7 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
     }
 
     # H4: expansion certificate for the singular-limit map
-    cert = misiurewicz_check(cmap, u_radii=u_radii, horizon=horizon,
-                             m0=m0, d0=d0)
+    cert = misiurewicz_check(cmap, u_radius=u_radius, horizon=horizon)
     entries["H4"] = {
         "status": "pass" if cert.passed else "fail",
         "lambda0": cert.lambda0,
@@ -934,22 +900,21 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
 
 
 def xi_star_scan(xi_values, a_values, omega: float, sqrt_a1: float,
-                 mu3: float = 1.0, horizon: int = 300, m0: int = 20,
-                 d0: float = 1e-3, u_radii: float = 1e-2,
-                 grid_size: int = 512):
+                 horizon: int = 300, grid_size: int = 512):
     """Empirical threshold: smallest scanned ``xi`` whose singular-limit map
-    passes both the expansion certificate and the mixing conditions for
-    some offset ``a``.  Returns ``(xi_star or None, records)``."""
+    (``mu3 = 1``) passes both the expansion certificate (``m0 = 20``) and
+    the mixing conditions for some offset ``a``.  Returns
+    ``(xi_star or None, records)``."""
     records = []
     xi_star = None
     for xi in xi_values:
         hit_a = None
         for a in a_values:
             cmap = AnalyticCircleMap(CircleMapSpec(
-                a=a, omega=omega, xi=xi, mu3=mu3, sqrt_a1=sqrt_a1))
+                a=a, omega=omega, xi=xi, mu3=1.0, sqrt_a1=sqrt_a1))
             try:
-                cert = misiurewicz_check(cmap, u_radii=u_radii, horizon=horizon,
-                                         m0=m0, d0=d0, grid_size=grid_size)
+                cert = misiurewicz_check(cmap, horizon=horizon, m0=20,
+                                         grid_size=grid_size)
             except NumericsError:
                 continue
             if not cert.passed or cert.lambda0 <= 3.0 * math.log(2.0):

@@ -66,6 +66,21 @@ def test_config_rejects_unknown_key():
         parse_config_text("[model]\nc = 0.6\n")      # missing e
 
 
+def test_config_eps_tilde_only_in_section(tmp_path, capsys):
+    """eps_tilde is read from [section]; under [numerics] it is an unknown key."""
+    assert parse_config_text(CASE2.replace("eps_tilde = 0.1", "eps_tilde = 0.2")
+                             ).params.eps_tilde == 0.2
+    text = CASE2.replace("series_len = 1200", "series_len = 1200\neps_tilde = 0.2")
+    with pytest.raises(ValidationError, match="unknown key 'eps_tilde' in section"):
+        parse_config_text(text)
+    cfg = tmp_path / "alias.cfg"
+    cfg.write_text(text)
+    assert main(["classify", "--config", str(cfg), "--output",
+                 str(tmp_path / "c.json")]) == 1
+    assert "unknown key 'eps_tilde'" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_classify_reports_case2(case2_cfg, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["classify", "--config", case2_cfg, "--output", str(out)])
@@ -168,6 +183,21 @@ def test_certify_battery(case2_cfg, tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert set(report["entries"]) == {"H1", "H2", "H3", "H4", "H5", "H6", "H7"}
+
+
+@pytest.mark.parametrize("battery", [False, True])
+@pytest.mark.parametrize("radius", ["0", "-0.01", "nan", "0.6"])
+def test_certify_rejects_u_radius_outside_open_half(case2_cfg, tmp_path, capsys,
+                                                    battery, radius):
+    """A radius that leaves U empty, inverted, undefined or covering the
+    circle would pass vacuously: it is a validation error and no JSON is
+    written."""
+    out = tmp_path / "cert.json"
+    argv = ["certify", "--config", case2_cfg, "--a", "0.3", "--horizon", "100",
+            "--u-radius", radius, "--output", str(out)]
+    assert main(argv + (["--battery"] if battery else [])) == 1
+    assert "error: u_radius must lie in (0, 0.5)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_outputs(case2_cfg, tmp_path):

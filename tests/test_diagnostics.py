@@ -207,6 +207,71 @@ def test_rotation_interval_noninvertible_marginal():
     assert not rot.is_point
 
 
+def _scalar_rotation_interval(cmap, seeds, iterations, rng):
+    """Reference for ``rotation_interval``: each envelope map from each seed
+    in its own loop of scalar lift calls; returns (lo, hi, width, is_point)."""
+    crit = cmap.critical_points()
+    maxima = [cp.s for cp in crit if cp.second_derivative < 0.0]
+    minima = [cp.s for cp in crit if cp.second_derivative > 0.0]
+    max_vals = [float(cmap.lift(m)) for m in maxima]
+    min_vals = [float(cmap.lift(w)) for w in minima]
+
+    def lift_at(y):
+        s = y % 1.0
+        return float(cmap.lift(s)) + (y - s)
+
+    def upper(y):
+        v = lift_at(y)
+        for m, fm in zip(maxima, max_vals):
+            v = max(v, fm + math.floor(y - m))
+        return v
+
+    def lower(y):
+        v = lift_at(y)
+        for w, fw in zip(minima, min_vals):
+            v = min(v, fw + math.ceil(y - w))
+        return v
+
+    def rho(fun, y):
+        for _ in range(iterations):
+            y = fun(y)
+        y_mid = y
+        for _ in range(iterations):
+            y = fun(y)
+        return (y - y_mid) / iterations
+
+    y0s = rng.uniform(0.0, 1.0, size=seeds)
+    lo = min(rho(lower, float(y0)) for y0 in y0s)
+    hi = max(rho(upper, float(y0)) for y0 in y0s)
+    return lo, hi, hi - lo, hi - lo < 1e-3
+
+
+def _stream(seed, drawn):
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=drawn)
+    return rng
+
+
+@pytest.mark.parametrize("cmap, seeds, iterations, seed, drawn", [
+    (RigidRotation(0.3), 4, 5000, 0, 0),
+    # criterion 11: one stream, the invertible marginal draws first
+    (Case34SMarginal(ModelParams(c=0.95, e=0.9, gamma=0.01, omega=6.0, mu1=10.0)),
+     6, 20000, 20260809, 0),
+    (Case34SMarginal(ModelParams(c=0.6, e=0.2, gamma=0.01, omega=6.0, mu1=1.0)),
+     6, 5000, 20260809, 6),
+    # chaos-test --variant case34 on case 2 with seed 7
+    (Case34SMarginal(ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)), 8, 20000, 7, 0),
+], ids=["rigid", "invertible", "noninvertible", "chaos-test"])
+def test_rotation_interval_lockstep_equals_scalar_reference(cmap, seeds, iterations,
+                                                             seed, drawn):
+    """The lockstep envelopes give the scalar reference's floats exactly,
+    with each caller's seeds, iterations and random stream."""
+    got = rotation_interval(cmap, seeds=seeds, iterations=iterations,
+                            rng=_stream(seed, drawn))
+    ref = _scalar_rotation_interval(cmap, seeds, iterations, _stream(seed, drawn))
+    assert (got.lo, got.hi, got.width, got.is_point) == ref
+
+
 def test_rotation_interval_rejects_higher_degree():
     with pytest.raises(ValidationError):
         rotation_interval(DoublingMap())

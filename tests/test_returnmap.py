@@ -224,7 +224,7 @@ def test_rescaled_conjugacy_with_case12(rng):
     dc = derive_constants(params)
     n, a = 14, 0.3
     gam = gamma_sequence(n, a, dc)
-    rescaled = compile_map("rescaled", params, n=n, a=a)
+    rescaled = compile_map("rescaled", params, gamma=gam)
     case12 = compile_map("case12", params.with_(gamma=gam))
     const = reduce_mod(dc.xi * 0.3 / (dc.delta * math.pi) * math.log(gam), 1.0)
     for _ in range(100):
@@ -245,12 +245,23 @@ def test_rescaled_boundary_is_circle_map():
     dc = derive_constants(params)
     n, a = 14, 0.3
     cmap = make_circle_map(a, params)
-    rescaled = compile_map("rescaled", params, n=n, a=a)
+    gam = gamma_sequence(n, a, dc)
+    rescaled = compile_map("rescaled", params, gamma=gam)
     for s in (0.0, 0.21, 0.5, 0.93):
         assert _image(rescaled, 0.0, s)[1] == pytest.approx(float(cmap.value(s)), abs=1e-10)
     out_x, _ = _image(rescaled, 0.0, 0.5)
-    gam = gamma_sequence(n, a, dc)
     assert out_x == pytest.approx(gam**dc.p * (1.0 + dc.sqrt_a1), rel=1e-12)
+
+
+def test_rescaled_needs_an_amplitude_in_the_unit_interval():
+    """The rescaled variant is compiled from its amplitude alone; without one,
+    or with one outside (0, 1), it is a validation error."""
+    params = ModelParams(c=0.6, e=0.2, omega=0.3)
+    for gamma in (None, 0.0, 1.0, math.nan):
+        with pytest.raises(ValidationError):
+            compile_map("rescaled", params, gamma=gamma)
+    with pytest.raises(TypeError):
+        compile_map("rescaled", params, n=14, a=0.3)
 
 
 def test_jacobian_determinant_closed_form(rng):

@@ -56,14 +56,14 @@ def _bisect_rate(seg, m0):
     return lo
 
 
-def _reference_check(cmap, u_radii=1e-2, horizon=1000, m0=30, d0=1e-3,
-                     grid_size=1024, u_grid=64):
-    """Scalar reference for ``misiurewicz_check``: one Python loop per
-    critical orbit and per U start, and lambda0 by bisection."""
+def _reference_check(cmap, horizon=1000, m0=30, grid_size=1024):
+    """Scalar reference for ``misiurewicz_check`` at its default U radius
+    1e-2, slack d0 = 1e-3 and 64 samples per component of U: one Python
+    loop per critical orbit and per U start, and lambda0 by bisection."""
+    d0 = 1e-3
     crit = cmap.critical_points()
     centers = np.array([cp.s for cp in crit]) if crit else np.empty(0)
-    radii = np.broadcast_to(np.asarray(u_radii, dtype=float), centers.shape).copy() \
-        if crit else np.empty(0)
+    radii = np.full(centers.shape, 1e-2)
     u_intervals = tuple((float(c - r), float(c + r)) for c, r in zip(centers, radii))
 
     def in_u(s):
@@ -137,7 +137,7 @@ def _reference_check(cmap, u_radii=1e-2, horizon=1000, m0=30, d0=1e-3,
 
         worst_h2, ok_sign = math.inf, True
         for c, r in zip(centers, radii):
-            h2 = np.asarray(cmap.second_derivative(c + np.linspace(-r, r, u_grid)))
+            h2 = np.asarray(cmap.second_derivative(c + np.linspace(-r, r, 64)))
             worst_h2 = min(worst_h2, float(np.min(np.abs(h2))))
             ok_sign = ok_sign and bool(np.all(h2 > 0.0) or np.all(h2 < 0.0))
         conditions["inside_a"] = ConditionVerdict(
@@ -145,7 +145,7 @@ def _reference_check(cmap, u_radii=1e-2, horizon=1000, m0=30, d0=1e-3,
 
         worst_rec, ok_rec, n_noreturn = math.inf, True, 0
         for c, r in zip(centers, radii):
-            for s0 in c + np.linspace(-r, r, u_grid):
+            for s0 in c + np.linspace(-r, r, 64):
                 if float(_circle_dist(s0, centers)) < 1e-9:
                     continue
                 s, cumlog, p0 = float(s0 % 1.0), 0.0, None
@@ -167,7 +167,7 @@ def _reference_check(cmap, u_radii=1e-2, horizon=1000, m0=30, d0=1e-3,
 
     return MisiurewiczCertificate(
         passed=all(v.passed for v in conditions.values()), lambda0=lambda0,
-        m0=m0, d0=d0, horizon=horizon, u_intervals=u_intervals,
+        m0=m0, horizon=horizon, u_intervals=u_intervals,
         conditions=conditions,
         notes="finite-horizon floating-point check; not robust under perturbation")
 
@@ -484,6 +484,58 @@ def test_lyapunov_1d_fixtures(rng):
     vals = [lyapunov_1d(h, s0, 20000)[0] for s0 in (0.11, 0.43, 0.78)]
     assert min(vals) > 0.0
     assert max(vals) - min(vals) < 1e-2 * max(1.0, abs(max(vals)))
+
+
+def _scalar_lyapunov_1d(cmap, s0, iterations):
+    """Reference for ``lyapunov_1d``: one scalar derivative and one math.log
+    per step, restarting 1e-9 further on when a derivative vanishes."""
+    restarts, s_start = 0, float(s0)
+    while True:
+        s = s_start
+        for _ in range(100):
+            s = float(cmap.value(s))
+        total = 0.0
+        for _ in range(iterations):
+            d = abs(float(cmap.derivative(s)))
+            if d < 1e-300:
+                break
+            total += math.log(d)
+            s = float(cmap.value(s))
+        else:
+            return total / iterations, restarts
+        restarts += 1
+        if restarts > 8:
+            raise NumericsError("orbit keeps hitting the critical set exactly")
+        s_start = (s_start + 1e-9) % 1.0
+
+
+class _HalfTurn(RigidRotation):
+    """Rotation by 1/2 whose derivative vanishes at s = 0.5 only, or everywhere."""
+
+    def __init__(self, flat_everywhere=False):
+        super().__init__(0.5)
+        self.flat_everywhere = flat_everywhere
+
+    def derivative(self, s):
+        s = np.asarray(s, dtype=float)
+        return np.where((s == 0.5) | self.flat_everywhere, 0.0, 1.0)
+
+
+def test_lyapunov_1d_vs_scalar_reference():
+    """The array form agrees with the scalar loop.  Summing 20000 logs in
+    another order moves the mean by at most 20000 * 2.2e-16 * max|log h'|,
+    below 1e-10 here; a hit on the critical set restarts the same way."""
+    h = make_circle_map(0.3, CASE2)
+    for cmap, s0 in ((RigidRotation(0.37), 0.2), (DoublingMap(), 0.2), (h, 0.11),
+                     (h, 0.43), (h, 0.78), (_HalfTurn(), 0.0)):
+        lam, restarts = lyapunov_1d(cmap, s0, 20000)
+        ref_lam, ref_restarts = _scalar_lyapunov_1d(cmap, s0, 20000)
+        assert abs(lam - ref_lam) < 1e-10
+        assert restarts == ref_restarts
+    assert lyapunov_1d(_HalfTurn(), 0.0, 1000) == (0.0, 1)
+    for fun in (lyapunov_1d, _scalar_lyapunov_1d):
+        with pytest.raises(NumericsError):
+            fun(_HalfTurn(flat_everywhere=True), 0.2, 1000)
 
 
 def test_doubling_orbit_no_collapse(rng):

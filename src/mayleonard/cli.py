@@ -19,8 +19,8 @@ Identical config and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -164,10 +164,7 @@ def _run(args) -> int:
         # the only commands that integrate the flow; the others never import it
         from .flow import FlowState, IntegrateOpts, integrate, section_returns, section_state
         num = cfg.numerics
-        max_step = num.max_step
-        if args.command == "poincare" and not math.isfinite(max_step):
-            max_step = 50.0
-        opts = IntegrateOpts(rel_tol=num.rel_tol, abs_tol=num.abs_tol, max_step=max_step)
+        opts = IntegrateOpts(rel_tol=num.rel_tol, abs_tol=num.abs_tol, max_step=num.max_step)
         if args.command == "simulate":
             traj = integrate(FlowState(args.x0, args.y0, args.z0, 0.0),
                              args.t_end, params, opts)
@@ -245,22 +242,9 @@ def _run(args) -> int:
 
     if args.command == "scan":
         spec = cfg.scan if cfg.scan is not None else ScanSpec()
-        over = {}
-        if args.axis is not None:
-            over["axis"] = args.axis
-        if args.lo is not None:
-            over["lo"] = args.lo
-        if args.hi is not None:
-            over["hi"] = args.hi
-        if args.steps is not None:
-            over["steps"] = args.steps
-        if args.log is not None:
-            over["log"] = True
-        if over:
-            base = {"axis": spec.axis, "lo": spec.lo, "hi": spec.hi,
-                    "steps": spec.steps, "log": spec.log}
-            base.update(over)
-            spec = ScanSpec(**base)
+        given = {k: getattr(args, k) for k in ("axis", "lo", "hi", "steps", "log")
+                 if getattr(args, k) is not None}
+        spec = replace(spec, **given)
         sopts = ScanOpts(iterations=cfg.numerics.iterations,
                          series_len=cfg.numerics.series_len,
                          seed=seed, battery=not args.no_battery)

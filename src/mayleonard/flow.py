@@ -21,10 +21,10 @@ Two integration charts are available:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
 from .errors import NumericsError, ValidationError
@@ -74,28 +74,19 @@ class IntegrateOpts:
 
 @dataclass
 class Trajectory:
-    """Dense-output solution samples plus integrator statistics."""
+    """Step samples, their dense output and the integrator statistics."""
 
     ts: np.ndarray
     states: np.ndarray           # shape (n, 3)
-    params: ModelParams
     stats: dict
-    log_chart: bool = False
-    _sols: list = field(default_factory=list, repr=False)
+    sol: object = field(repr=False)   # scipy OdeSolution over the span
 
     def state_at(self, t: float) -> np.ndarray:
         """Evaluate the dense output at time t (within the integrated span)."""
-        if not self._sols:
-            raise NumericsError("trajectory has no dense output")
-        lo, hi = self.ts[0], self.ts[-1]
-        fwd = hi >= lo
-        if (fwd and not (lo <= t <= hi)) or (not fwd and not (hi <= t <= lo)):
-            raise ValidationError(f"t={t} outside integrated span [{lo}, {hi}]")
-        for sol in self._sols:
-            a, b = (sol.t_min, sol.t_max)
-            if a <= t <= b:
-                return np.asarray(sol(t), dtype=float)
-        return np.asarray(self._sols[-1](t), dtype=float)
+        if not (self.sol.t_min <= t <= self.sol.t_max):
+            raise ValidationError(
+                f"t={t} outside integrated span [{self.ts[0]}, {self.ts[-1]}]")
+        return self.sol(t)
 
     def to_rows(self):
         """Rows (t, x, y, z) for CSV export."""
@@ -199,9 +190,8 @@ def table1_eigenpairs(params: ModelParams, i: int):
 
 @dataclass(frozen=True)
 class EquilibriumRecord:
-    label: str
-    point_signed: np.ndarray     # axis point with sign label (symmetric chart)
-    point: np.ndarray            # representative in population coordinates
+    label: str                   # signed saddle of the symmetric chart
+    point: np.ndarray            # its axis point in population coordinates
     jacobian: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray     # columns, ordered as eigenvalues
@@ -228,19 +218,14 @@ def equilibria_spectrum(params: ModelParams) -> list[EquilibriumRecord]:
         pt = np.array(_AXIS_POINTS[i])
         jac = ml_jacobian(pt, params)
         w, v = np.linalg.eig(jac)
-        order = np.argsort(-w.real)          # e > -c > -1 not guaranteed; sort desc
-        w = w[order].real
-        v = v[:, order].real
-        # reorder to (e, -1, -c)
-        target = np.array([params.e, -1.0, -params.c])
-        idx = [int(np.argmin(np.abs(w - tv))) for tv in target]
-        w = w[idx]
-        v = v[:, idx]
-        for sign in ("+", "-"):
-            signed_pt = pt if sign == "+" else -pt
+        # order as (e, -1, -c), each eigenvalue picked as the nearest to it
+        idx = [int(np.argmin(np.abs(w.real - tv)))
+               for tv in (params.e, -1.0, -params.c)]
+        w = w.real[idx]
+        v = v.real[:, idx]
+        for sign in "+-":
             records.append(EquilibriumRecord(
                 label=f"{sign}O{i}",
-                point_signed=signed_pt,
                 point=pt,
                 jacobian=jac,
                 eigenvalues=w,
@@ -270,34 +255,33 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
     """
     if t_end == state0.t:
         raise ValidationError("t_end must differ from the initial time")
-    ts, states, sols, stats, _ = _run_rk45(
-        lambda t, q: _rhs(t, q, params),
-        state0.t, state0.as_array(), t_end, opts,
-        postprocess=lambda y: _clamp_octant(y, opts.abs_tol), keep_steps=True,
-    )
-    return Trajectory(ts=np.array(ts), states=np.array(states), params=params,
-                      stats=stats, _sols=sols)
+    res = solve_ivp(lambda t, q: _rhs(t, q, params), (state0.t, t_end),
+                    state0.as_array(), method=RK45, dense_output=True,
+                    rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step)
+    if res.status < 0:
+        raise NumericsError(
+            f"step-size underflow at t={res.t[-1]}: {res.message} "
+            "(likely stiffness near an equilibrium)"
+        )
+    return Trajectory(ts=res.t, states=_clamp_octant(res.y.T, opts.abs_tol),
+                      stats=_stats(res.nfev, len(res.t) - 1), sol=res.sol)
 
 
-def _run_rk45(fun, t0, y0, t_end, opts, postprocess=None, events=(),
-              max_events=None, event_filter=None, keep_steps=False):
-    """Drive scipy's RK45 stepper, locating events and optionally keeping steps.
+def _run_rk45(fun, t0, y0, t_end, opts, events, max_events, accept):
+    """Drive scipy's RK45 stepper until ``max_events`` crossings are accepted.
 
-    ``events`` is a sequence of ``(name, g(t, y), direction)``; a crossing is
-    recorded when g changes sign in the stated direction within a step, with
-    the crossing time refined by root-finding on the dense interpolant to a
-    tolerance of ``1e-12 * max(1, |t|)``.  Returns ``(ts, states, sols,
-    stats, found)``: the step times, states and dense outputs (empty unless
-    ``keep_steps``), the stepper counters, and the accepted crossings as
-    ``(t, name, y)``.
+    ``events`` is a sequence of ``(name, g(t, y))``; a crossing is recorded
+    when g falls from positive to non-positive within a step, with the
+    crossing time refined by root-finding on the dense interpolant to a
+    tolerance of ``1e-12 * max(1, |t|)``, and kept when ``accept(name, y)``
+    holds.  Returns ``(stats, found)``: the stepper counters and the
+    kept crossings as ``(t, name, y)``, fewer than ``max_events`` if
+    ``t_end`` came first.
     """
     stepper = RK45(fun, t0, np.asarray(y0, dtype=float), t_end,
                    rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step)
-    y_prev = postprocess(stepper.y.copy()) if postprocess else stepper.y.copy()
-    t_prev, accepted = t0, 0
-    ts, states, sols = ([t0], [y_prev], []) if keep_steps else ([], [], [])
-    found = []
-    g_prev = [g(t0, y_prev) for (_, g, _) in events]
+    accepted, found = 0, []
+    g_prev = [g(t0, stepper.y) for _, g in events]
     while stepper.status == "running":
         msg = stepper.step()
         if stepper.status == "failed":
@@ -306,46 +290,35 @@ def _run_rk45(fun, t0, y0, t_end, opts, postprocess=None, events=(),
                 "(likely stiffness near an equilibrium)"
             )
         accepted += 1
-        t_new, y_new = stepper.t, stepper.y.copy()
-        if postprocess:
-            y_new = postprocess(y_new)
-        # the interpolant is built only for a kept step or a bracketed crossing
+        t_new, y_new = stepper.t, stepper.y
+        # the interpolant is built only for a step that brackets a crossing
         sol = None
-        if keep_steps:
-            sol = stepper.dense_output()
-            ts.append(t_new)
-            states.append(y_new)
-            sols.append(sol)
         hits = []
-        for k, (name, g, direction) in enumerate(events):
+        for k, (name, g) in enumerate(events):
             g_new = g(t_new, y_new)
-            crossed = (g_prev[k] > 0.0 >= g_new) if direction < 0 else \
-                      (g_prev[k] < 0.0 <= g_new) if direction > 0 else \
-                      (g_prev[k] * g_new <= 0.0 and g_prev[k] != g_new)
-            if crossed and g_prev[k] != 0.0:
+            if g_prev[k] > 0.0 >= g_new:
                 if sol is None:
                     sol = stepper.dense_output()
-                t_hit = brentq(lambda t: g(t, sol(t)), t_prev, t_new,
+                t_hit = brentq(lambda t: g(t, sol(t)), stepper.t_old, t_new,
                                xtol=1e-12 * max(1.0, abs(t_new)))
                 hits.append((t_hit, name, np.asarray(sol(t_hit), dtype=float)))
             g_prev[k] = g_new
         hits.sort()
         for t_hit, name, y_hit in hits:
-            if event_filter is None or event_filter(name, t_hit, y_hit):
+            if accept(name, y_hit):
                 found.append((t_hit, name, y_hit))
-                if max_events is not None and len(found) >= max_events:
-                    return ts, states, sols, _stats(stepper, accepted), found
-        t_prev = t_new
-    return ts, states, sols, _stats(stepper, accepted), found
+                if len(found) >= max_events:
+                    return _stats(stepper.nfev, accepted), found
+    return _stats(stepper.nfev, accepted), found
 
 
-def _stats(stepper, accepted):
+def _stats(nfev, accepted):
     # RK45 spends 6 evaluations per attempted step plus one startup call,
     # so the rejection count can be recovered from nfev.
-    attempted = max(accepted, (stepper.nfev - 1) // 6)
+    attempted = max(accepted, (nfev - 1) // 6)
     return {
         "steps": accepted,
-        "nfev": stepper.nfev,
+        "nfev": nfev,
         "rejected_steps": attempted - accepted,
     }
 
@@ -372,7 +345,7 @@ _FACES = {
 
 
 def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
-                    opts: IntegrateOpts | None = None,
+                    opts: IntegrateOpts = IntegrateOpts(),
                     sections: str = "o3",
                     max_time: float = 1e7) -> list[SectionEvent]:
     """Extract Poincare section events from the flow.
@@ -384,6 +357,9 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
         is not counted.
     n_returns : int
         Number of crossings to collect.
+    opts : IntegrateOpts
+        Tolerances and step cap.  An unbounded ``max_step`` is capped at
+        50: a crossing is seen only as a sign change between step ends.
     sections : str
         ``"o3"`` counts only entry-face crossings near O3 (full returns of
         the section map).  ``"all"`` counts the entry faces of all three
@@ -401,42 +377,29 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
         raise ValidationError("n_returns must be >= 1")
     if state0.x <= 0.0:
         raise ValidationError("state0 must be off the invariant plane (x > 0)")
-    if opts is None:
-        opts = IntegrateOpts(rel_tol=1e-9, abs_tol=1e-12, max_step=50.0)
-    leps = math.log(params.eps_tilde)
-    log_chart = params.gamma == 0.0
+    if not math.isfinite(opts.max_step):
+        opts = replace(opts, max_step=50.0)
     wanted = ["O3"] if sections == "o3" else ["O1", "O2", "O3"]
 
-    if log_chart:
+    # the section level eps_tilde and the saddle-side threshold 1/2, in the chart
+    in_logs = params.gamma == 0.0
+    if in_logs:
         q0 = np.log(state0.as_array())
         fun = lambda t, q: _rhs_log(t, q, params)
-        half = math.log(0.5)
-
-        def make_event(name):
-            ci, _ = _FACES[name]
-            return (name, lambda t, q, ci=ci: q[ci] - leps, -1)
-
-        def near_saddle(name, t, q):
-            ci, mi = _FACES[name]
-            ri = 3 - ci - mi
-            return q[mi] < half and q[ri] > half
+        level, half = math.log(params.eps_tilde), math.log(0.5)
     else:
         q0 = state0.as_array()
         fun = lambda t, q: _rhs(t, q, params)
+        level, half = params.eps_tilde, 0.5
 
-        def make_event(name):
-            ci, _ = _FACES[name]
-            return (name, lambda t, q, ci=ci: q[ci] - params.eps_tilde, -1)
+    def near_saddle(name, q):
+        ci, mi = _FACES[name]
+        return q[mi] < half and q[3 - ci - mi] > half
 
-        def near_saddle(name, t, q):
-            ci, mi = _FACES[name]
-            ri = 3 - ci - mi
-            return q[mi] < 0.5 and q[ri] > 0.5
-
-    events = [make_event(nm) for nm in wanted]
-    *_, found = _run_rk45(fun, state0.t, q0, state0.t + max_time, opts,
-                          events=events, max_events=n_returns,
-                          event_filter=near_saddle)
+    events = [(name, lambda t, q, ci=_FACES[name][0]: q[ci] - level)
+              for name in wanted]
+    _, found = _run_rk45(fun, state0.t, q0, state0.t + max_time, opts,
+                         events, n_returns, near_saddle)
     if len(found) < n_returns:
         raise NumericsError(
             f"only {len(found)} of {n_returns} section crossings found within "
@@ -446,7 +409,7 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
     out = []
     for k, (t_hit, name, q_hit) in enumerate(found):
         _, mi = _FACES[name]
-        if log_chart:
+        if in_logs:
             log_x = float(q_hit[mi])
             x = math.exp(log_x) if log_x > -700.0 else 0.0
             state = np.exp(np.maximum(q_hit, -700.0))
@@ -474,12 +437,10 @@ def dwell_time_estimate(x_u0: float, params: ModelParams) -> float:
     """
     if params.gamma <= 0.0:
         raise ValidationError("dwell_time_estimate requires gamma > 0")
-    if not (0.0 < x_u0 <= 1.0 / params.gamma):
-        raise ValidationError("x_u0 must be positive with gamma * x_u0 <= 1")
     arg = params.gamma * x_u0
-    if arg >= 1.0:
+    if not (0.0 < arg < 1.0):
         raise ValidationError(
-            f"gamma * x_u0 = {arg} >= 1: outside the validity region"
+            f"gamma * x_u0 = {arg} outside the validity region (0, 1)"
         )
     return math.log(1.0 / arg) / params.e
 

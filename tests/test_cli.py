@@ -5,6 +5,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mayleonard.cli import main
@@ -235,6 +236,28 @@ def test_scan_outputs(case2_cfg, tmp_path):
     csv_lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 3
     assert all(',true,"OverflowError: ' in line for line in csv_lines[1:])
+
+
+def _scan_gammas(path):
+    lines = path.read_text().strip().splitlines()[1:]
+    return [float(line.split(",")[0]) for line in lines]
+
+
+def test_scan_partial_override_keeps_config_range(tmp_path):
+    """A flag overrides its own field of the config's [scan] section only."""
+    base = tmp_path / "scan"
+    rc = main(["scan", "--config", str(CONFIGS / "case2.cfg"), "--steps", "2",
+               "--no-battery", "--output", str(base)])
+    assert rc == 0
+    assert _scan_gammas(tmp_path / "scan.csv") == list(np.geomspace(1e-6, 0.05, 2))
+    # a range and a linear grid that differ from the defaults stay as well
+    cfg = tmp_path / "linear.cfg"
+    cfg.write_text(CASE2 + "\n[scan]\naxis = gamma\nfrom = 1e-4\nto = 1e-2\n"
+                   "steps = 50\nlog = false\n")
+    rc = main(["scan", "--config", str(cfg), "--steps", "3", "--no-battery",
+               "--output", str(base)])
+    assert rc == 0
+    assert _scan_gammas(tmp_path / "scan.csv") == list(np.linspace(1e-4, 1e-2, 3))
 
 
 @pytest.mark.parametrize("variant", ["case12", "case34"])

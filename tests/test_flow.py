@@ -171,6 +171,52 @@ def test_dense_output_sampling():
     assert traj.stats["steps"] > 0 and traj.stats["rejected_steps"] >= 0
 
 
+def test_state_at_on_backward_trajectory():
+    """A backward run's dense output matches the forward run it retraces."""
+    p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
+    opts = IntegrateOpts(rel_tol=1e-11, abs_tol=1e-13, max_step=0.5)
+    fwd = integrate(FlowState(0.25, 0.35, 0.3, 0.0), 2.0, p, opts)
+    back = integrate(FlowState(*fwd.states[-1], 2.0), 0.0, p, opts)
+    assert back.ts[0] == 2.0 and back.ts[-1] == 0.0
+    assert np.max(np.abs(back.state_at(1.0) - fwd.state_at(1.0))) < 1e-8
+    for traj in (fwd, back):
+        for t in (-0.1, 2.1):
+            with pytest.raises(ValidationError):
+                traj.state_at(t)
+
+
+def test_integrate_and_section_returns_step_through_flow_stepper(monkeypatch):
+    """Both flow paths take their steps through the stepper bound in ``flow``,
+    so a subclass patched in there sees every step."""
+    import mayleonard.flow as flow
+
+    calls = []
+
+    class Counting(flow.RK45):
+        def step(self):
+            calls.append(self.t)
+            return super().step()
+
+    monkeypatch.setattr(flow, "RK45", Counting)
+    p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
+    traj = integrate(FlowState(0.3, 0.31, 0.29, 0.0), 5.0, p)
+    assert len(calls) == traj.stats["steps"] > 0
+    calls.clear()
+    section_returns(section_state(1e-3, p), 2, p, sections="all")
+    assert len(calls) > 0
+
+
+def test_section_returns_caps_unbounded_step():
+    """An unbounded ``max_step`` runs the section returns at the cap of 50."""
+    p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3, mu1=1.0, mu3=1.0,
+                    eps_tilde=0.1)        # configs/case2.cfg
+    start = section_state(1e-3, p)
+    capped = section_returns(start, 6, p, IntegrateOpts(max_step=50.0), sections="all")
+    default = section_returns(start, 6, p, IntegrateOpts(), sections="all")
+    assert [(ev.t_raw, ev.s, ev.x, ev.log_x) for ev in default] == \
+           [(ev.t_raw, ev.s, ev.x, ev.log_x) for ev in capped]
+
+
 def test_section_returns_power_law():
     """Unforced section data contracts with the single-passage exponent."""
     p = ModelParams(c=0.6, e=0.2, gamma=0.0, omega=0.3)
@@ -205,6 +251,9 @@ def test_dwell_time_estimate_formula():
     assert dwell_time_estimate(99.999 / 1.0, p.with_(gamma=1.0 / 100.0)) < 1e-4
     with pytest.raises(ValidationError):
         dwell_time_estimate(200.0, p)          # gamma * x_u0 > 1
+    for x_u0 in (0.0, -1.0, math.nan, 1.0 / p.gamma):
+        with pytest.raises(ValidationError):
+            dwell_time_estimate(x_u0, p)
     with pytest.raises(ValidationError):
         dwell_time_estimate(1.0, p.with_(gamma=0.0))
 

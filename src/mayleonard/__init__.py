@@ -19,7 +19,6 @@ from .returnmap import (
 from .singular import (
     AnalyticCircleMap,
     BatteryReport,
-    CircleMapSpec,
     DoublingMap,
     MisiurewiczCertificate,
     RigidRotation,

@@ -19,8 +19,9 @@ Identical config and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .config import ScanSpec, dump_config, parse_config
 from .diagnostics import (
     Case34SMarginal,
     ScanOpts,
+    ScanRow,
     autocorrelation,
     classify_regime,
     density_scan,
@@ -40,6 +42,7 @@ from .errors import NumericsError, ValidationError
 from .params import check_c1a_c1b, derive_constants
 from .returnmap import VARIANTS, compile_map
 from .singular import (
+    ConvergenceRow,
     first_admissible_index,
     gamma_sequence,
     hypothesis_battery,
@@ -146,10 +149,17 @@ def _default_n(params):
     return first_admissible_index(derive_constants(params), gamma_plus=0.05)
 
 
-def _check_x0(x0):
+def _check_start(x0, s0):
     # the maps are defined on the section x > 0; x0 = 0 is the invariant plane
-    if not x0 > 0.0:
-        raise ValidationError(f"--x0 must be > 0, got {x0}")
+    if not 0.0 < x0 < math.inf:
+        raise ValidationError(f"--x0 must be > 0 and finite, got {x0}")
+    if not math.isfinite(s0):
+        raise ValidationError(f"--s0 must be finite, got {s0}")
+
+
+def _write_rows(path, cls, rows):
+    # one CSV column per dataclass field, in field order
+    write_csv(path, [f.name for f in fields(cls)], map(astuple, rows))
 
 
 def _run(args) -> int:
@@ -178,7 +188,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "return-map":
-        _check_x0(args.x0)
+        _check_start(args.x0, args.s0)
         gamma = None
         if args.variant == "rescaled":
             if args.a is None:
@@ -198,11 +208,7 @@ def _run(args) -> int:
         if len(rows) < args.n_count:
             print(f"note: the amplitude underflows after n={rows[-1].n}; "
                   f"the table stops there", file=sys.stderr)
-        write_csv(args.output,
-                  ("n", "gamma", "x_absorb", "f1_sup", "f2_sup",
-                   "d1_sup", "d2_sup", "d3_sup"),
-                  ((r.n, r.gamma, r.x_absorb, r.f1_sup, r.f2_sup,
-                    r.d1_sup, r.d2_sup, r.d3_sup) for r in rows))
+        _write_rows(args.output, ConvergenceRow, rows)
         return 0
 
     if args.command == "certify":
@@ -229,14 +235,7 @@ def _run(args) -> int:
     if args.command == "classify":
         report = classify_regime(params).to_dict()
         if cfg.diophantine is not None:
-            c1 = check_c1a_c1b(params, cfg.diophantine)
-            report["admissibility"] = {
-                "c1a": c1.c1a,
-                "c1b_up_to_n_max": c1.c1b_up_to_n_max,
-                "worst_pair": list(c1.worst_pair),
-                "worst_margin": c1.worst_margin,
-                "n_max": c1.n_max,
-            }
+            report["admissibility"] = asdict(check_c1a_c1b(params, cfg.diophantine))
         write_json(args.output, report)
         return 0
 
@@ -250,25 +249,18 @@ def _run(args) -> int:
                          seed=seed, battery=not args.no_battery)
         result = density_scan(spec.grid(), params, sopts)
         base_path = args.output[:-4] if args.output.endswith(".csv") else args.output
-        write_csv(base_path + ".csv",
-                  ("gamma", "lambda1", "lambda2", "K", "rot_lo", "rot_hi",
-                   "annulus_ok", "battery_h4", "success", "failed", "error"),
-                  ((r.gamma, r.lambda1, r.lambda2, r.K, r.rot_lo, r.rot_hi,
-                    r.annulus_ok, r.battery_h4, r.success, r.failed, r.error)
-                   for r in result.rows))
+        _write_rows(base_path + ".csv", ScanRow, result.rows)
         write_json(base_path + ".json", result.to_summary())
         return 0
 
     if args.command == "chaos-test":
         rng = np.random.default_rng(seed)
         x0 = args.x0 if args.x0 is not None else max(params.gamma, 1e-6)
-        _check_x0(x0)
+        _check_start(x0, args.s0)
         if args.variant == "case34":
             cmap = Case34SMarginal(params)
             series = cmap.orbit(args.s0, args.iters, burn_in=200)
-            rot = rotation_interval(cmap, rng=rng)
-            rot_info = {"lo": rot.lo, "hi": rot.hi, "width": rot.width,
-                        "is_point": rot.is_point}
+            rot_info = asdict(rotation_interval(cmap, rng=rng))
         else:
             orbit = compile_map("case12", params).orbit(x0, args.s0, 200 + args.iters)
             series = np.array([s for _, s, _ in orbit][200:])

@@ -31,8 +31,10 @@ class NumericsConfig:
     series_len: int = 2000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValidationError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValidationError("tolerances must be positive and finite")
+        if math.isnan(self.max_step):
+            raise ValidationError("max_step must be a number (inf leaves steps uncapped)")
         if self.horizon < 1 or self.iterations < 1 or self.series_len < 1:
             raise ValidationError("horizon, iterations, series_len must be >= 1")
 
@@ -48,8 +50,8 @@ class ScanSpec:
     def __post_init__(self):
         if self.axis != "gamma":
             raise ValidationError(f"unsupported scan axis {self.axis!r}")
-        if not (0.0 < self.lo < self.hi):
-            raise ValidationError("scan range must satisfy 0 < from < to")
+        if not (0.0 < self.lo < self.hi < math.inf):
+            raise ValidationError("scan range must satisfy 0 < from < to < inf")
         if self.steps < 1:
             raise ValidationError("scan steps must be >= 1")
 

@@ -12,13 +12,13 @@ an empirical fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericsError, ValidationError
 from .params import ModelParams, derive_constants, stable_fixed_point
-from .returnmap import compile_map, reduce_mod
+from .returnmap import compile_map
 from .singular import CircleMap, k_map, make_circle_map, misiurewicz_check
 
 __all__ = [
@@ -267,7 +267,8 @@ def lyapunov_2d(fmap, point0, iterations: int) -> Lyapunov2D:
     x, s = float(point0[0]), float(point0[1])
     for x, s, _ in fmap.orbit(x, s, _BURN_IN):
         pass
-    lift, tangent, modulus = fmap.lift, fmap.tangent, fmap.modulus
+    tangent = fmap.tangent
+    orbit = fmap.orbit(x, s, iterations)
     q1x, q1y, q2x, q2y = 1.0, 0.0, 0.0, 1.0
     sum1 = sum2 = sumdet = 0.0
     eps = math.ulp(1.0)
@@ -297,10 +298,7 @@ def lyapunov_2d(fmap, point0, iterations: int) -> Lyapunov2D:
             q2x, q2y = wx / r22, wy / r22
         sum1 += math.log(r11)
         sum2 += math.log(r22)
-        x, s = lift(x, s)
-        s = reduce_mod(s, modulus)
-        if x <= 0.0:
-            raise NumericsError(f"orbit escaped (x <= 0) at step {k}")
+        x, s, _ = next(orbit)
     l1, l2 = sum1 / iterations, sum2 / iterations
     if l1 < l2:
         l1, l2 = l2, l1
@@ -517,7 +515,7 @@ class ScanResult:
 
 
 def _scan_one(gamma, params, opts, sample_rng):
-    p_g = params.with_(gamma=float(gamma))
+    p_g = replace(params, gamma=float(gamma))
     fmap = compile_map("case12", p_g)
     s0 = float(sample_rng.uniform())
     x0 = p_g.gamma * p_g.mu1

@@ -10,7 +10,7 @@ closed-form constants derived from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 
@@ -30,6 +30,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ModelParams:
     """Scalar inputs of the forced system and its return-map family.
+
+    Every field must be finite.
 
     Parameters
     ----------
@@ -68,6 +70,10 @@ class ModelParams:
     eps_tilde: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if not (0.0 < self.c < 1.0):
             raise ValidationError(f"c must lie in (0, 1), got {self.c}")
         if not (0.0 < self.e < 1.0):
@@ -83,9 +89,6 @@ class ModelParams:
             raise ValidationError(
                 f"eps_tilde must lie in (0, 1], got {self.eps_tilde}"
             )
-
-    def with_(self, **changes) -> "ModelParams":
-        return replace(self, **changes)
 
     @property
     def c1a(self) -> bool:
@@ -110,10 +113,6 @@ class DerivedConstants:
     def sqrt_a1(self) -> float:
         return math.sqrt(self.a1)
 
-    @property
-    def sqrt_a2(self) -> float:
-        return math.sqrt(self.a2)
-
 
 @dataclass(frozen=True)
 class DiophantineCheckSpec:
@@ -124,8 +123,8 @@ class DiophantineCheckSpec:
     n_max: int = 50
 
     def __post_init__(self):
-        if self.d1 <= 0 or self.d2 <= 0:
-            raise ValidationError("d1 and d2 must be positive")
+        if not (0.0 < self.d1 < math.inf and 0.0 < self.d2 < math.inf):
+            raise ValidationError("d1 and d2 must be positive and finite")
         if self.n_max < 2:
             raise ValidationError(f"n_max must be >= 2, got {self.n_max}")
 

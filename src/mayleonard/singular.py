@@ -16,7 +16,7 @@ property is not even an open condition, so no robustness is claimed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .params import DerivedConstants, ModelParams, derive_constants
 from .returnmap import compile_map
 
 __all__ = [
-    "CircleMapSpec",
     "CircleMap",
     "AnalyticCircleMap",
     "DoublingMap",
@@ -100,25 +99,6 @@ def gamma_sequence(n: int, a: float, constants: DerivedConstants,
 # ---------------------------------------------------------------------------
 # circle maps
 
-@dataclass(frozen=True)
-class CircleMapSpec:
-    """Constants entering the singular-limit circle map."""
-
-    a: float
-    omega: float
-    xi: float
-    mu3: float
-    sqrt_a1: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.a < 1.0):
-            raise ValidationError(f"a must lie in [0, 1), got {self.a}")
-        if not (0.0 <= self.sqrt_a1 < 1.0):
-            raise ValidationError(
-                f"sqrt_a1 must lie in [0, 1) (log singularity at 1), got {self.sqrt_a1}"
-            )
-
-
 class CircleMap:
     """Degree-d circle map exposed through its lift and derivatives.
 
@@ -162,45 +142,59 @@ class CircleMap:
         raise NotImplementedError
 
     def orbit(self, s0: float, n: int, burn_in: int = 0) -> np.ndarray:
+        """The ``n`` iterates after the first ``burn_in`` ones."""
         s = float(s0)
-        for _ in range(burn_in):
-            s = float(self.value(s))
-        out = np.empty(n)
-        for i in range(n):
-            s = float(self.value(s))
-            out[i] = s
-        return out
+        out = np.empty(burn_in + n)
+        for i in range(burn_in + n):
+            s = out[i] = float(self.value(s))
+        return out[burn_in:]
 
 
+@dataclass
 class AnalyticCircleMap(CircleMap):
-    """The singular-limit map ``s + a + mu3 omega/pi - (xi omega/pi) ln(1 - sqrt_a1 cos(2 pi s))``."""
+    """The singular-limit map ``s + a + mu3 omega/pi - (xi omega/pi) ln(1 - sqrt_a1 cos(2 pi s))``.
 
-    def __init__(self, spec: CircleMapSpec):
-        self.spec = spec
-        self.offset = spec.a + spec.mu3 * spec.omega / math.pi
-        self.coef = spec.xi * spec.omega / math.pi
-        self.sa1 = spec.sqrt_a1
+    ``dataclasses.replace(h, a=...)`` gives the map at another offset.
+    """
+
+    a: float
+    omega: float
+    xi: float
+    mu3: float
+    sqrt_a1: float
+    offset: float = field(init=False)
+    coef: float = field(init=False)
+
+    def __post_init__(self):
+        if not (0.0 <= self.a < 1.0):
+            raise ValidationError(f"a must lie in [0, 1), got {self.a}")
+        if not (0.0 <= self.sqrt_a1 < 1.0):
+            raise ValidationError(
+                f"sqrt_a1 must lie in [0, 1) (log singularity at 1), got {self.sqrt_a1}"
+            )
+        self.offset = self.a + self.mu3 * self.omega / math.pi
+        self.coef = self.xi * self.omega / math.pi
 
     def lift(self, s):
-        return s + self.offset - self.coef * np.log(1.0 - self.sa1 * np.cos(2.0 * np.pi * s))
+        return s + self.offset - self.coef * np.log(1.0 - self.sqrt_a1 * np.cos(2.0 * np.pi * s))
 
     def derivative(self, s):
-        den = 1.0 - self.sa1 * np.cos(2.0 * np.pi * s)
-        return 1.0 - 2.0 * np.pi * self.coef * self.sa1 * np.sin(2.0 * np.pi * s) / den
+        den = 1.0 - self.sqrt_a1 * np.cos(2.0 * np.pi * s)
+        return 1.0 - 2.0 * np.pi * self.coef * self.sqrt_a1 * np.sin(2.0 * np.pi * s) / den
 
     def second_derivative(self, s):
-        den = 1.0 - self.sa1 * np.cos(2.0 * np.pi * s)
-        return (-4.0 * np.pi**2 * self.coef * self.sa1
-                * (np.cos(2.0 * np.pi * s) - self.sa1) / den**2)
+        den = 1.0 - self.sqrt_a1 * np.cos(2.0 * np.pi * s)
+        return (-4.0 * np.pi**2 * self.coef * self.sqrt_a1
+                * (np.cos(2.0 * np.pi * s) - self.sqrt_a1) / den**2)
 
     def _critical_phases(self):
         # with theta = 2 pi s, h' = 0 is kappa sin(theta) + sqrt_a1 cos(theta) = 1,
         # that is r sin(theta + phi) = 1
-        kappa = 2.0 * math.pi * self.coef * self.sa1
-        r = math.hypot(kappa, self.sa1)
+        kappa = 2.0 * math.pi * self.coef * self.sqrt_a1
+        r = math.hypot(kappa, self.sqrt_a1)
         if r < 1.0:
             return ()
-        phi, turn = math.atan2(self.sa1, kappa), math.asin(1.0 / r)
+        phi, turn = math.atan2(self.sqrt_a1, kappa), math.asin(1.0 / r)
         return [(th / (2.0 * math.pi)) % 1.0 for th in (turn - phi, math.pi - turn - phi)]
 
 
@@ -253,9 +247,8 @@ def doubling_orbit(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def make_circle_map(a: float, params: ModelParams) -> AnalyticCircleMap:
     dc = derive_constants(params)
-    return AnalyticCircleMap(CircleMapSpec(
-        a=a, omega=params.omega, xi=dc.xi, mu3=params.mu3, sqrt_a1=dc.sqrt_a1,
-    ))
+    return AnalyticCircleMap(a=a, omega=params.omega, xi=dc.xi, mu3=params.mu3,
+                             sqrt_a1=dc.sqrt_a1)
 
 
 @dataclass(frozen=True)
@@ -291,12 +284,11 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams) -> list[C
     functions, so their round-off scales with the difference itself.  The
     phase grid has 256 points and the absorbing range 32.
 
-    The indices must increase.  The table stops at the first index whose
-    amplitude underflows double precision; if the first one does, that is a
-    :class:`ValidationError`.
+    The indices must increase, and there must be at least one.  The table
+    stops at the first index whose amplitude underflows double precision; if
+    the first one does, that is a :class:`ValidationError`.
     """
     dc = derive_constants(params)
-    cmap = make_circle_map(a, params)
     s_grid = np.linspace(0.0, 1.0, 256, endpoint=False)
     rows = []
     for n in n_range:
@@ -335,6 +327,8 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams) -> list[C
             d2_sup=max(d_sups[0][1], d_sups[1][1]),
             d3_sup=max(d_sups[0][2], d_sups[1][2]),
         ))
+    if not rows:
+        raise ValidationError("the convergence table needs at least one index")
     return rows
 
 
@@ -377,11 +371,7 @@ class MisiurewiczCertificate:
             "d0": _D0,
             "horizon": self.horizon,
             "U": [list(iv) for iv in self.u_intervals],
-            "conditions": {
-                k: {"passed": v.passed, "worst": v.worst,
-                    "witness": v.witness, "note": v.note}
-                for k, v in self.conditions.items()
-            },
+            "conditions": {k: asdict(v) for k, v in self.conditions.items()},
             "notes": self.notes,
         }
 
@@ -457,61 +447,53 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
 
     conditions = {}
 
-    # --- outside U: sweep a grid of starts, accumulating log-derivatives
+    # --- outside U: all starts off U in lockstep until each enters U; a
+    # segment needs x0 ... x_{m-1} off U
     starts = (np.arange(grid_size) + 0.5) / grid_size
-    alive = ~in_u(starts)                      # segment needs x0 ... x_{m-1} off U
     pos = starts.copy()
-    cum = np.zeros(grid_size)
-    seg_a = []      # (m, log|(h^m)'|) with whole segment off U, m >= 1
-    seg_b = []      # segments whose endpoint h^m(x) lands in U
+    cum = np.zeros(grid_size)                 # log|(h^m)'|, frozen once the start enters U
+    entered = np.zeros(grid_size, dtype=int)  # length m with h^m(x) in U, 0 = never
+    live = np.flatnonzero(~in_u(starts))
+    seg_m, seg_c = [], []     # length m >= m0 and the least log|(h^m)'| at it
     min_ratio_a = math.inf
     worst_a = None
     for m in range(1, horizon + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+        if live.size == 0:
             break
-        d = np.abs(np.asarray(cmap.derivative(pos[idx]), dtype=float))
+        d = np.abs(np.asarray(cmap.derivative(pos[live]), dtype=float))
         d = np.maximum(d, 1e-300)
-        cum[idx] += np.log(d)
-        pos[idx] = np.asarray(cmap.value(pos[idx]), dtype=float)
+        cum[live] += np.log(d)
+        pos[live] = np.asarray(cmap.value(pos[live]), dtype=float)
         # every segment still tracked here avoided U through step m-1, so it
         # binds the expansion bound at length m even if h^m(x) lands in U
-        seg_a.append((m, float(cum[idx].min())))
         if m >= m0:
-            ratios = cum[idx] / m
+            seg_m.append(m)
+            seg_c.append(float(cum[live].min()))
+            ratios = cum[live] / m
             j = int(np.argmin(ratios))
             if ratios[j] < min_ratio_a:
                 min_ratio_a = float(ratios[j])
-                worst_a = float(starts[idx[j]])
-        landed = in_u(pos[idx])
-        if landed.any():
-            li = idx[landed]
-            seg_b.append((m, cum[li].copy()))
-            alive[li] = False
+                worst_a = float(starts[live[j]])
+        landed = in_u(pos[live])
+        entered[live[landed]] = m
+        live = live[~landed]
 
-    seg_m = np.array([m for m, _ in seg_a if m >= m0], dtype=int)
-    seg_c = np.array([c for m, c in seg_a if m >= m0])
-    applicable = seg_m.size > 0
-    lambda0 = _largest_rate(seg_c, seg_m) if applicable else -math.inf
+    applicable = bool(seg_m)
+    lambda0 = _largest_rate(np.array(seg_c), np.array(seg_m)) if applicable else -math.inf
     conditions["outside_a"] = ConditionVerdict(
         passed=bool(lambda0 > 0.0 and applicable),
         worst=min_ratio_a if applicable else -math.inf,
         witness=worst_a,
-        note=f"lambda0 extracted over {seg_m.size} segment lengths",
+        note=f"lambda0 extracted over {len(seg_m)} segment lengths",
     )
 
-    worst_b = math.inf
-    ok_b = True
-    for m, cums in seg_b:
-        slack = float(np.min(cums - (math.log(_D0) + lambda0 * m)))
-        if slack < worst_b:
-            worst_b = slack
-        if slack < 0.0:
-            ok_b = False
+    # segments that end by entering U
+    hit = entered > 0
+    slack_b = cum[hit] - (math.log(_D0) + lambda0 * entered[hit])
     conditions["outside_b"] = ConditionVerdict(
-        passed=bool(ok_b) if lambda0 > -math.inf else False,
-        worst=worst_b if seg_b else math.inf,
-        note="no U-entering segments sampled" if not seg_b else "",
+        passed=lambda0 > -math.inf and not (slack_b < 0.0).any(),
+        worst=float(slack_b.min()) if slack_b.size else math.inf,
+        note="" if slack_b.size else "no U-entering segments sampled",
     )
 
     if not crit:
@@ -603,9 +585,8 @@ def transition_matrix(cmap: CircleMap) -> TransitionMatrix:
     """
     crit = cmap.critical_points()
     if not crit:
-        grid = np.linspace(0.0, 1.0, 512, endpoint=False)
-        dmin = float(np.min(np.asarray(cmap.derivative(grid))))
-        if cmap.degree == 1 and dmin > 0.0:
+        # h' has no zero and averages to the degree, so degree one means h' > 0
+        if cmap.degree == 1:
             return TransitionMatrix(
                 intervals=((0.0, 1.0),), Q=np.ones((1, 1), dtype=bool),
                 mixing_N=None, note="diffeomorphism: mixing verdict not applicable")
@@ -677,15 +658,13 @@ class TransversalitySample:
     separated: bool
 
 
-def _interval_of(s, cs):
-    # index of the monotonicity interval containing s
-    base = cs[0]
-    t = (s - base) % 1.0 + base
-    for i in range(len(cs)):
-        hi = cs[i + 1] if i + 1 < len(cs) else cs[0] + 1.0
-        if cs[i] <= t <= hi:
-            return i
-    return len(cs) - 1
+def _branch_of(s, ends):
+    # the monotonicity interval (lo, hi) between consecutive ends that holds s
+    t = (s - ends[0]) % 1.0 + ends[0]
+    for lo, hi in zip(ends, ends[1:]):
+        if lo <= t <= hi:
+            return lo, hi
+    return ends[-2], ends[-1]
 
 
 def _branch_solve(cmap, lo, hi, target):
@@ -725,21 +704,17 @@ def transversality_probe(base: AnalyticCircleMap):
     symbolic continuations to infinite depth.
     """
     crit = base.critical_points()
-    if not crit:
-        return []
-    cs = sorted(cp.s for cp in crit)
+    cs = [cp.s for cp in crit]
+    ends = cs + [s + 1.0 for s in cs[:1]]     # the last branch wraps around
     da = 1e-3
-    shifted = {sgn: AnalyticCircleMap(replace(base.spec, a=(base.spec.a + sgn * da) % 1.0))
-               for sgn in (+1, -1)}
+    shifted = [replace(base, a=(base.a + sgn * da) % 1.0) for sgn in (+1, -1)]
 
     def continued_point(cmap_new, ref_orbit):
         # follow the reference orbit segment backwards under the new map
         q = ref_orbit[-1]
         for j in range(len(ref_orbit) - 2, -1, -1):
             s_ref = ref_orbit[j]
-            i = _interval_of(s_ref, cs)
-            lo = cs[i]
-            hi = cs[i + 1] if i + 1 < len(cs) else cs[0] + 1.0
+            lo, hi = _branch_of(s_ref, ends)
             s_rep = (s_ref - lo) % 1.0 + lo
             target = q + round(float(cmap_new.lift(s_rep)) - q)
             sol = _branch_solve(cmap_new, lo, hi, target)
@@ -751,17 +726,10 @@ def transversality_probe(base: AnalyticCircleMap):
     out = []
     for cp in crit:
         ref = base.orbit(cp.s, 21).tolist()
-        qs = {}
-        ok = True
-        for sgn, cmap_new in shifted.items():
-            cont = continued_point(cmap_new, ref)
-            if cont is None:
-                ok = False
-                break
-            qs[sgn] = cont
-        if not ok:
+        qs = [continued_point(cmap_new, ref) for cmap_new in shifted]
+        if None in qs:
             continue
-        diff = (qs[+1] - qs[-1] + 0.5) % 1.0 - 0.5
+        diff = (qs[0] - qs[1] + 0.5) % 1.0 - 0.5
         dp_da = diff / (2.0 * da)
         dq_da = 1.0      # the offset enters the image additively
         out.append(TransversalitySample(
@@ -824,13 +792,8 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
         raise ValidationError(
             "fewer than two representable sequence indices in the battery window"
         )
-    cols = {
-        "f1_sup": [r.f1_sup for r in rows],
-        "f2_sup": [r.f2_sup for r in rows],
-        "d1_sup": [r.d1_sup for r in rows],
-        "d2_sup": [r.d2_sup for r in rows],
-        "d3_sup": [r.d3_sup for r in rows],
-    }
+    cols = {k: [getattr(r, k) for r in rows]
+            for k in ("f1_sup", "f2_sup", "d1_sup", "d2_sup", "d3_sup")}
     decreasing = all(all(c[i + 1] < c[i] for i in range(len(c) - 1))
                      for c in cols.values())
     entries["H2"] = {
@@ -910,8 +873,7 @@ def xi_star_scan(xi_values, a_values, omega: float, sqrt_a1: float,
     for xi in xi_values:
         hit_a = None
         for a in a_values:
-            cmap = AnalyticCircleMap(CircleMapSpec(
-                a=a, omega=omega, xi=xi, mu3=1.0, sqrt_a1=sqrt_a1))
+            cmap = AnalyticCircleMap(a=a, omega=omega, xi=xi, mu3=1.0, sqrt_a1=sqrt_a1)
             try:
                 cert = misiurewicz_check(cmap, horizon=horizon, m0=20,
                                          grid_size=grid_size)

@@ -140,6 +140,16 @@ def test_singular_limit_table(case2_cfg, tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("a, count", [("0.3", "0"), ("0.3", "-2"), ("1.5", "0")])
+def test_singular_limit_rejects_an_empty_table(case2_cfg, tmp_path, capsys, a, count):
+    out = tmp_path / "table.csv"
+    rc = main(["singular-limit", "--config", case2_cfg, "--a", a,
+               "--n-count", count, "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -321,6 +331,7 @@ def test_exit_code_numeric(tmp_path):
     ["return-map", "--variant", "full", "--x0", "0"],
     ["return-map", "--variant", "case12", "--x0", "-0.1"],
     ["chaos-test", "--variant", "case12", "--x0", "0"],
+    ["return-map", "--variant", "case12", "--x0", "inf"],
 ])
 def test_nonpositive_x0_is_a_validation_error(case2_cfg, tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
@@ -328,6 +339,56 @@ def test_nonpositive_x0_is_a_validation_error(case2_cfg, tmp_path, capsys, argv)
     assert rc == 1
     assert "error: --x0 must be > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["return-map", "--variant", "case12", "--s0", "nan"],
+    ["return-map", "--variant", "full", "--s0", "nan"],
+    ["return-map", "--variant", "case34", "--s0", "inf"],
+    ["chaos-test", "--variant", "case12", "--s0", "nan"],
+    ["chaos-test", "--variant", "case34", "--s0", "nan"],
+    ["chaos-test", "--variant", "case34", "--s0=-inf"],
+])
+def test_nonfinite_s0_is_a_validation_error(case2_cfg, tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    rc = main(argv + ["--config", case2_cfg, "--output", str(out)])
+    assert rc == 1
+    assert "error: --s0 must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, old, new", [
+    (["classify"], "gamma = 0.01", "gamma = nan"),
+    (["return-map", "--variant", "case12"], "gamma = 0.01", "gamma = nan"),
+    (["return-map", "--variant", "full"], "omega = 0.3", "omega = inf"),
+    (["chaos-test"], "mu1 = 1.0", "mu1 = nan"),
+    (["chaos-test", "--variant", "case34"], "mu3 = 1.0", "mu3 = -inf"),
+    (["certify"], "mu3 = 1.0", "mu3 = 1.0\nDelta2 = nan"),
+    (["classify"], "seed = 7", "seed = 7\nrel_tol = nan"),
+    (["classify"], "seed = 7", "seed = 7\nabs_tol = inf"),
+    (["classify"], "seed = 7", "seed = 7\nmax_step = nan"),
+    (["classify"], "d1 = 0.01", "d1 = nan"),
+    (["classify"], "d2 = 2.0", "d2 = inf"),
+    (["scan", "--steps", "2"], "n_max = 30", "n_max = 30\n[scan]\nfrom = nan"),
+    (["scan", "--steps", "2"], "n_max = 30", "n_max = 30\n[scan]\nto = inf"),
+    (["scan", "--steps", "2", "--to", "inf"], "", ""),
+])
+def test_nonfinite_config_value_is_a_validation_error(tmp_path, capsys, command, old, new):
+    cfg = tmp_path / "cfg" / "bad.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(CASE2.replace(old, new) if old else CASE2)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(command + ["--config", str(cfg), "--output", str(out / "result.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(out.iterdir()) == []
+
+
+def test_max_step_inf_stays_uncapped():
+    """Positive control of the NaN check: an explicit inf (uncapped) is accepted."""
+    cfg = parse_config_text(CASE2.replace("seed = 7", "seed = 7\nmax_step = inf"))
+    assert cfg.numerics.max_step == float("inf")
 
 
 def test_only_flow_commands_import_scipy(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def test_vector_field_equilibria():
     p = ModelParams(c=0.6, e=0.2, gamma=0.0)
     assert np.allclose(vector_field(FlowState(0, 0, 0, 0.0), p), 0.0)
     # the (1-x) factor kills the forcing at the first axis point for any t
-    pf = p.with_(gamma=0.2)
+    pf = replace(p, gamma=0.2)
     for t in (0.0, 0.3, 2.7):
         assert np.allclose(vector_field(FlowState(1, 0, 0, t), pf), 0.0)
 
@@ -248,14 +249,14 @@ def test_dwell_time_estimate_formula():
     assert dwell_time_estimate(1.0, p) == pytest.approx(5.0 * math.log(100.0),
                                                         rel=1e-12)
     # the estimate collapses to zero at the boundary of its validity region
-    assert dwell_time_estimate(99.999 / 1.0, p.with_(gamma=1.0 / 100.0)) < 1e-4
+    assert dwell_time_estimate(99.999 / 1.0, replace(p, gamma=1.0 / 100.0)) < 1e-4
     with pytest.raises(ValidationError):
         dwell_time_estimate(200.0, p)          # gamma * x_u0 > 1
     for x_u0 in (0.0, -1.0, math.nan, 1.0 / p.gamma):
         with pytest.raises(ValidationError):
             dwell_time_estimate(x_u0, p)
     with pytest.raises(ValidationError):
-        dwell_time_estimate(1.0, p.with_(gamma=0.0))
+        dwell_time_estimate(1.0, replace(p, gamma=0.0))
 
 
 def test_dwell_time_matches_measured():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,7 +154,7 @@ def test_case12_gamma_zero_and_extrema():
                           - dc.xi * 0.3 / math.pi * math.log(0.3**3), 1.0)
     assert out_s == pytest.approx(expected, abs=1e-12)
 
-    forced = compile_map("case12", params.with_(gamma=1e-3))
+    forced = compile_map("case12", replace(params, gamma=1e-3))
     # s = 0 realises the minimum of the forcing profile
     lo_x, _ = _image(forced, 0.3, 0.0)
     hi_x, _ = _image(forced, 0.3, 0.5)
@@ -186,7 +187,7 @@ def test_case34_structure():
     _, out2_s = _image(fmap, 0.9, 0.25)
     assert out2_s == out_s
     # two amplitudes differ only by the constant rotation -(xi w/pi) log ratio
-    fmap2 = compile_map("case34", params.with_(gamma=2e-3))
+    fmap2 = compile_map("case34", replace(params, gamma=2e-3))
     d = []
     for s in (0.1, 0.4, 0.77):
         _, s1 = _image(fmap, 0.1, s)
@@ -196,9 +197,9 @@ def test_case34_structure():
     for val in d:
         assert val == pytest.approx(expected, abs=1e-10)
     with pytest.raises(ValidationError):
-        compile_map("case34", params.with_(gamma=0.0))
+        compile_map("case34", replace(params, gamma=0.0))
     with pytest.raises(ValidationError):
-        compile_map("case34", params.with_(mu1=0.0))
+        compile_map("case34", replace(params, mu1=0.0))
 
 
 def test_rescaling_exponent_identity(rng):
@@ -209,7 +210,7 @@ def test_rescaling_exponent_identity(rng):
         x = rng.uniform(0.0, 1.0)
         s = rng.uniform(0.0, 1.0)
         gam = rng.uniform(1e-6, 0.05)
-        p_g = params.with_(gamma=gam)
+        p_g = replace(params, gamma=gam)
         lhs = gam ** (-1.0 / dc.delta) * _image(
             compile_map("case12", p_g), max(gam ** (1.0 / dc.delta) * x, 1e-300), s)[0]
         rhs = gam**dc.p * (x**dc.delta + 1.0
@@ -225,7 +226,7 @@ def test_rescaled_conjugacy_with_case12(rng):
     n, a = 14, 0.3
     gam = gamma_sequence(n, a, dc)
     rescaled = compile_map("rescaled", params, gamma=gam)
-    case12 = compile_map("case12", params.with_(gamma=gam))
+    case12 = compile_map("case12", replace(params, gamma=gam))
     const = reduce_mod(dc.xi * 0.3 / (dc.delta * math.pi) * math.log(gam), 1.0)
     for _ in range(100):
         x_new = rng.uniform(0.0, 1.0)
@@ -341,7 +342,7 @@ def test_degeneration_chain_leading_component(rng):
     om = base.omega
     fitted = 0.0
     for gam in (1e-6, 1e-5, 1e-4, 1e-3):
-        params = base.with_(gamma=gam)
+        params = replace(base, gamma=gam)
         for _ in range(25):
             x = rng.uniform(0.05, 1.0)
             s = rng.uniform(0.0, math.pi / om)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from scipy.optimize import brentq
 
 from mayleonard import (
     AnalyticCircleMap,
-    CircleMapSpec,
     DoublingMap,
     ModelParams,
     NumericsError,
@@ -211,9 +211,7 @@ def test_gamma_sequence_properties(dc_case2, rng):
 
 
 def test_circle_map_basic_structure():
-    spec = CircleMapSpec(a=0.3, omega=0.3, xi=65.0, mu3=1.0,
-                         sqrt_a1=math.sqrt(0.5))
-    h = AnalyticCircleMap(spec)
+    h = AnalyticCircleMap(a=0.3, omega=0.3, xi=65.0, mu3=1.0, sqrt_a1=math.sqrt(0.5))
     # degree-one lift
     grid = np.linspace(0.0, 1.0, 1025)
     assert np.max(np.abs(h.lift(grid + 1.0) - h.lift(grid) - 1.0)) < 1e-12
@@ -239,13 +237,16 @@ def test_circle_map_offset_equivariance():
     c0 = [cp.s for cp in h0.critical_points()]
     c1 = [cp.s for cp in h1.critical_points()]
     assert np.allclose(c0, c1, atol=1e-12)
+    # a shifted copy re-derives its offset
+    assert replace(h0, a=0.35) == h1
+    with pytest.raises(ValidationError, match="a must lie in"):
+        replace(h0, a=1.0)
 
 
 def test_critical_set_against_trig_oracle():
     """Root-found critical points match the closed-form collapse solution."""
     om, xi, sa1 = 0.3, 65.0, math.sqrt(0.5)
-    h = AnalyticCircleMap(CircleMapSpec(a=0.0, omega=om, xi=xi, mu3=1.0,
-                                        sqrt_a1=sa1))
+    h = AnalyticCircleMap(a=0.0, omega=om, xi=xi, mu3=1.0, sqrt_a1=sa1)
     crit = h.critical_points()
     assert len(crit) == 2
     # h'(s) = 0 <=> A sin(2 pi s) + B cos(2 pi s) = 1 with A = 2 xi omega sa1 / pi * pi
@@ -276,8 +277,7 @@ def test_critical_points_fresh_list_per_call():
 
 def _circle_map(coef, sqrt_a1):
     """``h_a`` at a = 0.1 with slope ``coef = xi omega / pi`` (omega = pi)."""
-    return AnalyticCircleMap(CircleMapSpec(a=0.1, omega=math.pi, xi=coef, mu3=1.0,
-                                           sqrt_a1=sqrt_a1))
+    return AnalyticCircleMap(a=0.1, omega=math.pi, xi=coef, mu3=1.0, sqrt_a1=sqrt_a1)
 
 
 def _marginal(mu1):
@@ -324,7 +324,7 @@ def test_exact_tangency_is_degenerate():
     turn sits on a grid point."""
     sa1 = 0.6
     h = _circle_map(math.nextafter(0.8 / (2.0 * math.pi * sa1), math.inf), sa1)
-    assert math.hypot(2.0 * math.pi * h.coef * h.sa1, h.sa1) == 1.0
+    assert math.hypot(2.0 * math.pi * h.coef * h.sqrt_a1, h.sqrt_a1) == 1.0
     with pytest.raises(NumericsError):
         h.critical_points()
     assert critical_set_grid(h) == []
@@ -338,8 +338,7 @@ def test_exact_tangency_is_degenerate():
 
 def test_critical_set_empty_for_weak_turns():
     """Small xi*omega with small amplitude leaves the map a diffeomorphism."""
-    h = AnalyticCircleMap(CircleMapSpec(a=0.0, omega=0.05, xi=3.0, mu3=1.0,
-                                        sqrt_a1=0.1))
+    h = AnalyticCircleMap(a=0.0, omega=0.05, xi=3.0, mu3=1.0, sqrt_a1=0.1)
     assert h.critical_points() == []
     grid = np.linspace(0, 1, 4096)
     assert float(np.min(h.derivative(grid))) > 0.0
@@ -446,6 +445,19 @@ def test_transition_matrix_fixtures():
     tm = transition_matrix(RigidRotation(0.3))
     assert tm.mixing_N is None
     assert "diffeomorphism" in tm.note
+
+
+def test_turnless_maps_are_diffeomorphisms():
+    """Degree-one maps without turns get no mixing verdict and no
+    transversality samples; the degree-two doubling map mixes at once."""
+    h = AnalyticCircleMap(a=0.0, omega=0.05, xi=3.0, mu3=1.0, sqrt_a1=0.1)
+    for cmap in (h, _marginal(200.0)):
+        assert cmap.critical_points() == []
+        tm = transition_matrix(cmap)
+        assert tm.mixing_N is None
+        assert "diffeomorphism" in tm.note
+    assert transition_matrix(DoublingMap()).mixing_N == 1
+    assert transversality_probe(h) == []
 
 
 def test_transition_matrix_interval_oracle():

@@ -3,9 +3,18 @@
 The vector field is the three-species May-Leonard system with a
 non-negative periodic forcing of amplitude ``gamma`` acting on the first
 coordinate.  This module integrates it with an embedded adaptive
-Runge-Kutta 5(4) scheme with dense output, verifies the saddle spectra of
-the unperturbed network, and extracts Poincare return data on the entry
-faces of the saddle neighbourhoods.
+Runge-Kutta 5(4) scheme with dense output (``integrate``), verifies the
+saddle spectra of the unperturbed network, and extracts Poincare return
+data on the entry faces of the saddle neighbourhoods (``section_returns``).
+
+Section returns step with LSODA, which switches between Adams and BDF
+formulas as it detects stiffness.  Near a saddle the -1 eigenvalue holds an
+explicit Runge-Kutta step near 3, while each dwell is ``delta`` times
+longer than the one before, so RK45 would pay for every dwell in steps.
+Every section step is capped at 50 (any ``max_step`` above it is lowered):
+a crossing is seen only as a sign change between step ends, and in the log
+chart, where a dwell is exactly linear, LSODA would otherwise grow its steps
+past a whole transit.
 
 Two integration charts are available:
 
@@ -24,7 +33,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import RK45, solve_ivp
+from scipy.integrate import LSODA, RK45, solve_ivp
 from scipy.optimize import brentq
 
 from .errors import NumericsError, ValidationError
@@ -267,29 +276,31 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
                       stats=_stats(res.nfev, len(res.t) - 1), sol=res.sol)
 
 
-def _run_rk45(fun, t0, y0, t_end, opts, events, max_events, accept):
-    """Drive scipy's RK45 stepper until ``max_events`` crossings are accepted.
+def _run_stepper(fun, t0, y0, t_end, opts, events, max_events, accept):
+    """Drive scipy's LSODA stepper until ``max_events`` crossings are accepted.
 
     ``events`` is a sequence of ``(name, g(t, y))``; a crossing is recorded
     when g falls from positive to non-positive within a step, with the
     crossing time refined by root-finding on the dense interpolant to a
     tolerance of ``1e-12 * max(1, |t|)``, and kept when ``accept(name, y)``
-    holds.  Returns ``(stats, found)``: the stepper counters and the
-    kept crossings as ``(t, name, y)``, fewer than ``max_events`` if
-    ``t_end`` came first.
+    holds.  Returns ``(stats, found)``: the stepper's own counters
+    (``steps``, ``nfev``, ``njev``, ``nlu``) and the kept crossings as
+    ``(t, name, y)``, fewer than ``max_events`` if ``t_end`` came first.
     """
-    stepper = RK45(fun, t0, np.asarray(y0, dtype=float), t_end,
-                   rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step)
-    accepted, found = 0, []
+    stepper = LSODA(fun, t0, np.asarray(y0, dtype=float), t_end,
+                    rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step)
+    steps, found = 0, []
     g_prev = [g(t0, stepper.y) for _, g in events]
-    while stepper.status == "running":
+    while stepper.status == "running" and len(found) < max_events:
         msg = stepper.step()
-        if stepper.status == "failed":
+        # LSODA does not fail once its step underflows: it goes on
+        # accepting steps that leave t where it was
+        if stepper.status == "failed" or stepper.t == stepper.t_old:
             raise NumericsError(
-                f"step-size underflow at t={stepper.t}: {msg} "
+                f"step-size underflow at t={stepper.t}: {msg or 't + h == t'} "
                 "(likely stiffness near an equilibrium)"
             )
-        accepted += 1
+        steps += 1
         t_new, y_new = stepper.t, stepper.y
         # the interpolant is built only for a step that brackets a crossing
         sol = None
@@ -304,17 +315,15 @@ def _run_rk45(fun, t0, y0, t_end, opts, events, max_events, accept):
                 hits.append((t_hit, name, np.asarray(sol(t_hit), dtype=float)))
             g_prev[k] = g_new
         hits.sort()
-        for t_hit, name, y_hit in hits:
-            if accept(name, y_hit):
-                found.append((t_hit, name, y_hit))
-                if len(found) >= max_events:
-                    return _stats(stepper.nfev, accepted), found
-    return _stats(stepper.nfev, accepted), found
+        found += [hit for hit in hits if accept(hit[1], hit[2])]
+    stats = {"steps": steps, "nfev": stepper.nfev,
+             "njev": int(stepper.njev), "nlu": int(stepper.nlu)}
+    return stats, found[:max_events]
 
 
 def _stats(nfev, accepted):
-    # RK45 spends 6 evaluations per attempted step plus one startup call,
-    # so the rejection count can be recovered from nfev.
+    # ``integrate`` only: RK45 spends 6 evaluations per attempted step plus
+    # one startup call, so the rejection count can be recovered from nfev.
     attempted = max(accepted, (nfev - 1) // 6)
     return {
         "steps": accepted,
@@ -358,8 +367,9 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
     n_returns : int
         Number of crossings to collect.
     opts : IntegrateOpts
-        Tolerances and step cap.  An unbounded ``max_step`` is capped at
-        50: a crossing is seen only as a sign change between step ends.
+        Tolerances and step cap.  Every ``max_step`` above 50 is lowered to
+        50 (see the module notes): a crossing is seen only as a sign change
+        between step ends.
     sections : str
         ``"o3"`` counts only entry-face crossings near O3 (full returns of
         the section map).  ``"all"`` counts the entry faces of all three
@@ -377,8 +387,7 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
         raise ValidationError("n_returns must be >= 1")
     if state0.x <= 0.0:
         raise ValidationError("state0 must be off the invariant plane (x > 0)")
-    if not math.isfinite(opts.max_step):
-        opts = replace(opts, max_step=50.0)
+    opts = replace(opts, max_step=min(50.0, opts.max_step))
     wanted = ["O3"] if sections == "o3" else ["O1", "O2", "O3"]
 
     # the section level eps_tilde and the saddle-side threshold 1/2, in the chart
@@ -398,8 +407,8 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
 
     events = [(name, lambda t, q, ci=_FACES[name][0]: q[ci] - level)
               for name in wanted]
-    _, found = _run_rk45(fun, state0.t, q0, state0.t + max_time, opts,
-                         events, n_returns, near_saddle)
+    _, found = _run_stepper(fun, state0.t, q0, state0.t + max_time, opts,
+                            events, n_returns, near_saddle)
     if len(found) < n_returns:
         raise NumericsError(
             f"only {len(found)} of {n_returns} section crossings found within "

@@ -186,36 +186,117 @@ def test_state_at_on_backward_trajectory():
                 traj.state_at(t)
 
 
-def test_integrate_and_section_returns_step_through_flow_stepper(monkeypatch):
-    """Both flow paths take their steps through the stepper bound in ``flow``,
-    so a subclass patched in there sees every step."""
-    import mayleonard.flow as flow
+CASE1 = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05, mu1=1.0, mu3=1.0,
+                    eps_tilde=0.1)        # configs/case1.cfg
+CASE2 = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3, mu1=1.0, mu3=1.0,
+                    eps_tilde=0.1)        # configs/case2.cfg
 
-    calls = []
 
-    class Counting(flow.RK45):
+def _counting(base, calls):
+    """``base`` with each ``step()`` call recorded in ``calls`` as its stepper."""
+    class Counting(base):
         def step(self):
-            calls.append(self.t)
+            calls.append(self)
             return super().step()
 
-    monkeypatch.setattr(flow, "RK45", Counting)
+    return Counting
+
+
+def test_integrate_and_section_returns_step_through_flow_stepper(monkeypatch):
+    """Each flow path takes its steps through the stepper class bound in
+    ``flow``, ``integrate`` through ``RK45`` and section returns through
+    ``LSODA``, so a subclass patched in there sees every step."""
+    import mayleonard.flow as flow
+
+    rk45, lsoda = [], []
+    monkeypatch.setattr(flow, "RK45", _counting(flow.RK45, rk45))
+    monkeypatch.setattr(flow, "LSODA", _counting(flow.LSODA, lsoda))
     p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
     traj = integrate(FlowState(0.3, 0.31, 0.29, 0.0), 5.0, p)
-    assert len(calls) == traj.stats["steps"] > 0
-    calls.clear()
+    assert len(rk45) == traj.stats["steps"] > 0 and not lsoda
+    rk45.clear()
     section_returns(section_state(1e-3, p), 2, p, sections="all")
-    assert len(calls) > 0
+    assert len(lsoda) > 0 and not rk45
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.0])
+def test_section_driver_reports_stepper_counters(monkeypatch, gamma):
+    """The section driver returns LSODA's own counters: one step per
+    ``step()`` call, and the stepper's ``nfev``, ``njev`` and ``nlu``."""
+    import mayleonard.flow as flow
+
+    calls, reports = [], []
+    run = flow._run_stepper
+
+    def recording(*args):
+        stats, found = run(*args)
+        reports.append(stats)
+        return stats, found
+
+    monkeypatch.setattr(flow, "LSODA", _counting(flow.LSODA, calls))
+    monkeypatch.setattr(flow, "_run_stepper", recording)
+    p = replace(CASE2, gamma=gamma)
+    section_returns(section_state(1e-3, p), 3, p, sections="all")
+    (stats,), stepper = reports, calls[-1]
+    assert stats == {"steps": len(calls), "nfev": stepper.nfev,
+                     "njev": stepper.njev, "nlu": stepper.nlu}
+    assert stats["nfev"] > stats["steps"] > 0
+
+
+def test_section_driver_stops_when_time_stalls():
+    """LSODA goes on accepting steps once ``t + h == t``; the driver
+    reports that as step-size underflow instead of looping forever."""
+    from mayleonard.flow import _run_stepper
+
+    rng = np.random.default_rng(0)
+    budget = iter(range(100_000))
+
+    def noisy(t, y):
+        next(budget)                      # StopIteration, not a hang
+        return np.array([rng.normal() * 1e30 if t > 1.0 else -y[0]])
+
+    with pytest.raises(NumericsError, match="step-size underflow"):
+        _run_stepper(noisy, 0.0, [1.0], 10.0, IntegrateOpts(max_step=0.5),
+                     [("a", lambda t, y: y[0] - 1e-9)], 1, lambda name, y: True)
+
+
+def _rows(events):
+    return [(ev.section, ev.t_raw, ev.s, ev.x, ev.log_x) for ev in events]
 
 
 def test_section_returns_caps_unbounded_step():
-    """An unbounded ``max_step`` runs the section returns at the cap of 50."""
-    p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3, mu1=1.0, mu3=1.0,
-                    eps_tilde=0.1)        # configs/case2.cfg
-    start = section_state(1e-3, p)
-    capped = section_returns(start, 6, p, IntegrateOpts(max_step=50.0), sections="all")
-    default = section_returns(start, 6, p, IntegrateOpts(), sections="all")
-    assert [(ev.t_raw, ev.s, ev.x, ev.log_x) for ev in default] == \
-           [(ev.t_raw, ev.s, ev.x, ev.log_x) for ev in capped]
+    """Every ``max_step`` above 50 runs the section returns at the cap of 50.
+
+    Without the cap, LSODA in the log chart (``gamma = 0``), where a dwell
+    is exactly linear, grows its steps past whole transits and overflows
+    or misses crossings.
+    """
+    for p in (CASE2, replace(CASE2, gamma=0.0)):
+        start = section_state(1e-3, p)
+        capped = _rows(section_returns(start, 6, p, IntegrateOpts(max_step=50.0),
+                                       sections="all"))
+        for max_step in (math.inf, 1e3, 1e6):
+            events = section_returns(start, 6, p, IntegrateOpts(max_step=max_step),
+                                     sections="all")
+            assert _rows(events) == capped
+
+
+@pytest.mark.parametrize("params, n", [(CASE1, 40), (CASE2, 10),
+                                       (replace(CASE2, gamma=0.0), 6)])
+def test_section_returns_match_rk45_oracle(monkeypatch, params, n):
+    """LSODA section events agree with RK45 patched in as the oracle:
+    relative 1e-6 in ``t_raw`` and 1e-5 in ``log_x`` (measured worst 6e-8
+    and 3e-7, forced case 2)."""
+    import mayleonard.flow as flow
+
+    start = section_state(1e-3, params)
+    events = section_returns(start, n, params, sections="all")
+    monkeypatch.setattr(flow, "LSODA", flow.RK45)
+    oracle = section_returns(start, n, params, sections="all")
+    assert [ev.section for ev in events] == [ev.section for ev in oracle]
+    for ev, ref in zip(events, oracle):
+        assert ev.t_raw == pytest.approx(ref.t_raw, rel=1e-6)
+        assert ev.log_x == pytest.approx(ref.log_x, rel=1e-5)
 
 
 def test_section_returns_power_law():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -75,3 +77,31 @@ def quad_checked(fun, a, b, tol=1e-10):
             f"kernel quadrature did not converge: estimate {val}, error {err}"
         )
     return val
+
+
+def zero_one_oracle(series, n_c=32, rng=None):
+    """Oracle for ``zero_one_test``: the 0-1 statistic with one pass over the
+    series per lag, O(n_c N^2 / 10).
+
+    Draws one ``rng.uniform()`` per frequency, in order, like the function
+    it checks; it does no input validation.
+    """
+    x = np.asarray(series, dtype=float)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    N = len(x)
+    ncut = N // 10
+    j = np.arange(N)
+    mean_sq = float(np.mean(x)) ** 2
+    n_arr = np.arange(1, ncut + 1)
+    ks = np.empty(n_c)
+    for i in range(n_c):
+        c = math.pi / 5.0 + rng.uniform() * 3.0 * math.pi / 5.0
+        p = np.cumsum(x * np.cos(j * c))
+        q = np.cumsum(x * np.sin(j * c))
+        D = np.empty(ncut)
+        for idx, nn in enumerate(n_arr):
+            M = np.mean((p[nn:] - p[:-nn]) ** 2 + (q[nn:] - q[:-nn]) ** 2)
+            D[idx] = M - mean_sq * (1.0 - math.cos(nn * c)) / (1.0 - math.cos(c))
+        ks[i] = np.corrcoef(n_arr, D)[0, 1]
+    return float(np.median(ks))

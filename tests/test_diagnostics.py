@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mayleonard import (
     zero_one_test,
 )
 from mayleonard.diagnostics import (
+    _BURN_IN,
     Case34SMarginal,
     ScanOpts,
     _scan_one,
@@ -27,6 +29,8 @@ from mayleonard.diagnostics import (
 )
 from mayleonard.params import stable_fixed_point
 from mayleonard.singular import DoublingMap, RigidRotation, doubling_orbit
+
+from conftest import zero_one_oracle
 
 
 def test_x_star_cases():
@@ -291,6 +295,72 @@ def test_zero_one_statistic_fixtures(rng):
         zero_one_test(np.ones(2000), rng=rng)
     with pytest.raises(ValidationError):
         zero_one_test(np.ones(10), rng=rng)
+    with pytest.raises(ValidationError, match="n_c"):
+        zero_one_test(np.cos(2 * np.pi * orbit), n_c=0, rng=rng)
+
+
+# the criterion-10 amplitude grid on case 2, at the scan sizes of the
+# scan benchmark: seed 7, 10000 iterations and a 1000-sample series
+SCAN_GRID = np.geomspace(1e-6, 0.05, 200)
+SCAN_PARAMS = ModelParams(c=0.6, e=0.2, omega=0.3)
+SCAN_OPTS = ScanOpts(iterations=10000, series_len=1000, seed=7, battery=False)
+
+
+def scan_phase_series(index, n):
+    """The observable ``cos(2 pi s)`` that the scan row at a grid index hands
+    to the 0-1 test, from the same draws, extended to ``n`` samples."""
+    gamma = float(SCAN_GRID[index])
+    rng = np.random.default_rng([SCAN_OPTS.seed, int(np.float64(gamma).view(np.uint64))])
+    rng.uniform()                       # the Lyapunov start
+    fmap = compile_map("case12", replace(SCAN_PARAMS, gamma=gamma))
+    orbit = fmap.orbit(gamma * SCAN_PARAMS.mu1, float(rng.uniform()), _BURN_IN + n)
+    return np.cos(2.0 * np.pi * np.array([s for _, s, _ in orbit][_BURN_IN:]))
+
+
+def zero_one_fixture(kind, n):
+    if kind == "rotation":
+        return np.cos(2 * np.pi * ((0.1234 + 0.37 * np.arange(n)) % 1.0))
+    if kind == "doubling":
+        return np.cos(2 * np.pi * doubling_orbit(n, np.random.default_rng(n)))
+    return scan_phase_series(135, n)     # a period-4 orbit of the case-12 map
+
+
+@pytest.mark.parametrize("kind", ["rotation", "doubling", "period4"])
+@pytest.mark.parametrize("n, n_c", [(1000, 24), (1200, 1), (2000, 32), (4097, 8)])
+def test_zero_one_matches_per_lag_oracle(kind, n, n_c):
+    """The FFT statistic is the per-lag loop's to 1e-9 and draws the same
+    frequencies: the generator ends in the same state."""
+    series = zero_one_fixture(kind, n)
+    rng_fft, rng_loop = np.random.default_rng(99), np.random.default_rng(99)
+    got = zero_one_test(series, n_c=n_c, rng=rng_fft)
+    want = zero_one_oracle(series, n_c=n_c, rng=rng_loop)
+    assert got == pytest.approx(want, abs=1e-9)
+    assert rng_fft.bit_generator.state == rng_loop.bit_generator.state
+
+
+def test_zero_one_rejects_fixed_point_series():
+    """Grid indices 49 and 132 sit on a fixed point (one phase, and two
+    phases 72 ulp apart): D is zero in exact arithmetic, so the statistic
+    is undefined, and so is the autocorrelation.  The period-4 orbit at
+    index 135 is the negative control."""
+    for index in (49, 132):
+        with pytest.raises(ValidationError, match="constant"):
+            zero_one_test(scan_phase_series(index, 1000))
+        with pytest.raises(ValidationError, match="constant"):
+            autocorrelation(scan_phase_series(index, 1000), 40)
+    assert abs(zero_one_test(scan_phase_series(135, 1000))) < 0.1
+
+
+def test_density_scan_fixed_point_row_is_regular():
+    """A fixed point's row reads K = 0 and is neither failed nor a success;
+    a series too short for the 0-1 test still fails the row."""
+    row, = density_scan([SCAN_GRID[49]], SCAN_PARAMS, SCAN_OPTS).rows
+    assert (row.K, row.failed, row.success) == (0.0, False, False)
+    short = replace(SCAN_OPTS, series_len=999)
+    row, = density_scan([SCAN_GRID[49]], SCAN_PARAMS, short).rows
+    assert row.failed and "1000 samples" in row.error
+    row, = density_scan([SCAN_GRID[135]], SCAN_PARAMS, SCAN_OPTS).rows
+    assert not row.failed and row.K != 0.0 and abs(row.K) < 0.1
 
 
 def test_zero_one_statistic_invariant_curve(rng):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -247,62 +248,104 @@ class Lyapunov2D:
 
 # map steps discarded before an orbit is measured
 _BURN_IN = 500
+# shortest measured orbit the Lyapunov pair accepts
+_LYAPUNOV_MIN_ITERATIONS = 10_000
+
+
+def _leading_directions(d11, d12, d21, d22):
+    """Unit first columns of the prefix products ``P_k = D_{k-1} ... D_0``,
+    ``k = 0 .. N-1``, of the 2x2 matrices with the given entry arrays.
+
+    A Hillis-Steele scan: after the pass with shift ``h``, element k holds
+    the product of the ``2h`` matrices that end at ``D_k`` (or of all of
+    them down to ``D_0``), so ``ceil(log2 N)`` passes of element-wise 2x2
+    products give every ``D_k ... D_0``.  Only directions are read, so each
+    product is rescaled to a largest |entry| of 1; unscaled, the entries
+    over- or underflow within a few hundred steps.
+    """
+    a, b, c, d = (np.array(v, dtype=float) for v in (d11, d12, d21, d22))
+    m = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+    for v in (a, b, c, d):
+        v /= m
+    n, shift = len(a), 1
+    while shift < n:
+        # element k <- (its window) @ (the window that ends where it starts)
+        la, lb, lc, ld = a[shift:], b[shift:], c[shift:], d[shift:]
+        ra, rb, rc, rd = a[:-shift], b[:-shift], c[:-shift], d[:-shift]
+        pa, pb = la * ra + lb * rc, la * rb + lb * rd
+        pc, pd = lc * ra + ld * rc, lc * rb + ld * rd
+        m = np.maximum(np.maximum(np.abs(pa), np.abs(pb)), np.maximum(np.abs(pc), np.abs(pd)))
+        a[shift:], b[shift:], c[shift:], d[shift:] = pa / m, pb / m, pc / m, pd / m
+        shift *= 2
+    # P_0 = I and P_k = D_{k-1} ... D_0
+    qx, qy = np.concatenate(([1.0], a[:-1])), np.concatenate(([0.0], c[:-1]))
+    norm = np.hypot(qx, qy)
+    return qx / norm, qy / norm
 
 
 def lyapunov_2d(fmap, point0, iterations: int) -> Lyapunov2D:
-    """Tangent-map Lyapunov exponents of a compiled map, per-step orthonormalisation.
+    """Tangent-map Lyapunov exponents of a compiled map by the QR method,
+    over the whole orbit at once.
 
-    The orbit runs 500 burn-in steps before the first measured one.
+    The orbit runs 500 burn-in steps before the first measured one; the
+    image of the last measured point is computed only to check that it
+    stays on the section.  With ``D_k`` the tangent at the k-th measured
+    point (one array call of ``fmap.tangent``):
 
-    Returns the ordered pair ``l1 >= l2``; their sum matches the Birkhoff
-    average of ``log |det DF|`` by construction, and the report keeps both
-    so callers can assert the identity.  The rank-one degenerate variant
+    * the leading direction ``q1_k`` is the unit first column of
+      ``D_{k-1} ... D_0``, from a log-depth prefix product;
+    * ``r11 = |D_k q1_k|``;
+    * ``r22`` is the Gram-Schmidt residual of ``D_k q1_k^perp`` against the
+      image direction ``q1_{k+1} = D_k q1_k / r11``.  Below its rounding
+      floor it falls back to ``|det D_k| / r11``, the 2x2 volume identity.
+
+    ``l1``, ``l2`` and ``logdet_mean`` are the means of ``log r11``,
+    ``log r22`` and ``log |det D_k|``.  ``r22`` is not derived from the
+    determinant, so ``consistency`` checks the closed-form determinant
+    (where the variant has one) against the Jacobian entries.
+
+    Returns the ordered pair ``l1 >= l2``.  The rank-one degenerate variant
     (constant leading coordinate) has no meaningful spectrum and is
-    rejected.
+    rejected; a zero determinant raises :class:`NumericsError` naming the
+    first such step, as does an orbit that leaves the section.
     """
-    if iterations < 10_000:
-        raise ValidationError("iterations must be >= 10000")
+    if iterations < _LYAPUNOV_MIN_ITERATIONS:
+        raise ValidationError(f"iterations must be >= {_LYAPUNOV_MIN_ITERATIONS}")
     if fmap.variant == "case34":
         raise ValidationError("case34 is rank-one degenerate (det = 0)")
     x, s = float(point0[0]), float(point0[1])
     for x, s, _ in fmap.orbit(x, s, _BURN_IN):
         pass
-    tangent = fmap.tangent
-    orbit = fmap.orbit(x, s, iterations)
-    q1x, q1y, q2x, q2y = 1.0, 0.0, 0.0, 1.0
-    sum1 = sum2 = sumdet = 0.0
-    eps = math.ulp(1.0)
-    for k in range(iterations):
-        d11, d12, d21, d22, det = tangent(x, s)
-        # the entry-form determinant cancels catastrophically when the phase
-        # coupling dominates; prefer the exact closed form where it exists
-        if det is None:
-            det = d11 * d22 - d12 * d21
-        if det == 0.0:
-            raise NumericsError(f"degenerate tangent map at step {k}")
-        sumdet += math.log(abs(det))
-        v1x, v1y = d11 * q1x + d12 * q1y, d21 * q1x + d22 * q1y
-        v2x, v2y = d11 * q2x + d12 * q2y, d21 * q2x + d22 * q2y
-        r11 = math.hypot(v1x, v1y)
-        q1x, q1y = v1x / r11, v1y / r11
-        r12 = q1x * v2x + q1y * v2y
-        wx, wy = v2x - r12 * q1x, v2y - r12 * q1y
-        r22 = math.hypot(wx, wy)
-        # the subtraction rounds at eps * |v2|; below that the residual is
-        # noise and the 2x2 volume identity r11 * r22 = |det| is exact
-        noise = 64.0 * eps * max(math.hypot(v2x, v2y), abs(r12))
-        if r22 <= noise:
-            r22 = abs(det) / r11
-            q2x, q2y = -q1y, q1x
-        else:
-            q2x, q2y = wx / r22, wy / r22
-        sum1 += math.log(r11)
-        sum2 += math.log(r22)
-        x, s, _ = next(orbit)
-    l1, l2 = sum1 / iterations, sum2 / iterations
+    images = np.fromiter(chain.from_iterable(fmap.orbit(x, s, iterations)),
+                         float, 3 * iterations).reshape(iterations, 3)
+    xs = np.concatenate(([x], images[:-1, 0]))
+    ss = np.concatenate(([s], images[:-1, 1]))
+    d11, d12, d21, d22, det = fmap.tangent(xs, ss)
+    # the entry-form determinant cancels catastrophically when the phase
+    # coupling dominates; prefer the exact closed form where it exists
+    if det is None:
+        det = d11 * d22 - d12 * d21
+    degenerate = np.flatnonzero(det == 0.0)
+    if degenerate.size:
+        raise NumericsError(f"degenerate tangent map at step {degenerate[0]}")
+    q1x, q1y = _leading_directions(d11, d12, d21, d22)
+    v1x, v1y = d11 * q1x + d12 * q1y, d21 * q1x + d22 * q1y
+    r11 = np.hypot(v1x, v1y)
+    ux, uy = v1x / r11, v1y / r11
+    # the image of q1_k^perp = (-q1y, q1x)
+    v2x, v2y = d12 * q1x - d11 * q1y, d22 * q1x - d21 * q1y
+    r12 = ux * v2x + uy * v2y
+    r22 = np.hypot(v2x - r12 * ux, v2y - r12 * uy)
+    # the subtraction rounds at eps * |v2|; below that the residual is
+    # noise and the 2x2 volume identity r11 * r22 = |det| is exact
+    noise = 64.0 * math.ulp(1.0) * np.maximum(np.hypot(v2x, v2y), np.abs(r12))
+    r22 = np.where(r22 <= noise, np.abs(det) / r11, r22)
+    l1 = float(np.sum(np.log(r11))) / iterations
+    l2 = float(np.sum(np.log(r22))) / iterations
     if l1 < l2:
         l1, l2 = l2, l1
-    return Lyapunov2D(l1=l1, l2=l2, logdet_mean=sumdet / iterations)
+    return Lyapunov2D(l1=l1, l2=l2,
+                      logdet_mean=float(np.sum(np.log(np.abs(det)))) / iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +618,8 @@ def _scan_one(gamma, params, opts, sample_rng):
         rots.append((y - y0) / opts.series_len)
         if seed_i == 0:
             obs = np.cos(2.0 * np.pi * ss)
-    if len(obs) >= _ZERO_ONE_MIN_SAMPLES and _is_constant(obs):
-        # an orbit on a fixed point is regular; a constant series too short
-        # for the statistic still fails the row
-        K = 0.0
+    if _is_constant(obs):
+        K = 0.0                   # an orbit on a fixed point is regular
     else:
         K = zero_one_test(obs, n_c=opts.n_c, rng=sample_rng)
     ann = annulus_check(p_g, n_samples=512)
@@ -615,7 +656,9 @@ def density_scan(gamma_grid, params: ModelParams,
     extrapolating.  Sample failures (numeric, validation and floating-point
     errors such as an overflowing orbit) are recorded with their reason, not
     fatal; results are deterministic for a fixed seed and independent of
-    evaluation order.
+    evaluation order.  Sizes that would fail every sample (fewer than 10000
+    iterations, a series shorter than 1000 samples, ``n_c < 1``) raise
+    :class:`ValidationError` before any sample runs.
     """
     grid = np.asarray(list(gamma_grid), dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
@@ -624,6 +667,14 @@ def density_scan(gamma_grid, params: ModelParams,
         raise ValidationError("gamma_grid must be strictly increasing")
     if grid[0] <= 0.0:
         raise ValidationError("amplitudes must be positive")
+    if opts.iterations < _LYAPUNOV_MIN_ITERATIONS:
+        raise ValidationError(
+            f"iterations must be >= {_LYAPUNOV_MIN_ITERATIONS}, got {opts.iterations}")
+    if opts.series_len < _ZERO_ONE_MIN_SAMPLES:
+        raise ValidationError(
+            f"series_len must be >= {_ZERO_ONE_MIN_SAMPLES}, got {opts.series_len}")
+    if opts.n_c < 1:
+        raise ValidationError(f"n_c must be >= 1, got {opts.n_c}")
     rows = []
     for gamma in grid:
         # key the stream by the amplitude itself so a sample's result does

@@ -63,11 +63,14 @@ def reduce_mod(value: float, modulus: float) -> float:
     return value - modulus * math.floor(value / modulus)
 
 
-def eta_omega(s: float, params: ModelParams) -> float:
+def eta_omega(s, params: ModelParams, xp=math):
     """Frequency-dependent mean of the forcing kernel; lies between
-    ``2 omega^2/(e^2+4 omega^2)`` and ``(e^2+2 omega^2)/(e^2+4 omega^2)``."""
+    ``2 omega^2/(e^2+4 omega^2)`` and ``(e^2+2 omega^2)/(e^2+4 omega^2)``.
+
+    ``xp`` supplies the cosine: ``math`` for a float, ``numpy`` for arrays.
+    """
     e, om = params.e, params.omega
-    return (e * e * math.cos(om * s) ** 2 + 2.0 * om * om) / (e * e + 4.0 * om * om)
+    return (e * e * xp.cos(om * s) ** 2 + 2.0 * om * om) / (e * e + 4.0 * om * om)
 
 
 def _exp_sin2_integral(k, om, anchor, ph, lo, hi):
@@ -118,6 +121,11 @@ def kernels(x: float, s: float, params: ModelParams) -> KernelValues:
 
     return KernelValues(eta=eta_omega(s, params), L1=l1, L2=l2,
                         G1=g1, G2=g2, T1=t1, T2=t2, T3=t3)
+
+
+def _check_section(x, variant):
+    if np.any(np.less_equal(x, 0.0)):
+        raise ValidationError(f"tangent needs x > 0 for {variant}")
 
 
 def _osc(u, a, b, om):
@@ -171,12 +179,13 @@ class _FullMap(_CompiledMap):
         super().__init__(params, dc)
         self.modulus = math.pi / params.omega
 
-    def _phases(self, x, s):
-        """Forcing weight W(s), passage phase phi and phase image f2."""
+    def _phases(self, x, s, xp=math):
+        """Forcing weight W(s), passage phase phi and phase image f2, with
+        the elementary functions of ``xp`` (``math`` or ``numpy``)."""
         p, dc, om = self.params, self.dc, self.params.omega
-        w = (eta_omega(s, p) - dc.a2 * math.cos(2.0 * om * s)
-             + dc.b2 * math.sin(2.0 * om * s))
-        phi = s + p.mu3 - dc.xi * math.log(x)
+        w = (eta_omega(s, p, xp) - dc.a2 * xp.cos(2.0 * om * s)
+             + dc.b2 * xp.sin(2.0 * om * s))
+        phi = s + p.mu3 - dc.xi * xp.log(x)
         return w, phi, phi - p.gamma * dc.xi * w / (p.e * x)
 
     def lift(self, x, s):
@@ -191,24 +200,23 @@ class _FullMap(_CompiledMap):
         return f1, f2
 
     def tangent(self, x, s):
-        if x <= 0.0:
-            raise ValidationError("tangent needs x > 0 for full")
+        _check_section(x, self.variant)
         p, dc = self.params, self.dc
         e, om, gam = p.e, p.omega, p.gamma
-        W, phi, f2 = self._phases(x, s)
-        Wp = om * dc.a2 * math.sin(2.0 * om * s) + 2.0 * om * dc.b2 * math.cos(2.0 * om * s)
+        W, phi, f2 = self._phases(x, s, np)
+        Wp = om * dc.a2 * np.sin(2.0 * om * s) + 2.0 * om * dc.b2 * np.cos(2.0 * om * s)
         f2x = -dc.xi / x + gam * dc.xi * W / (e * x * x)
         f2s = 1.0 - gam * dc.xi * Wp / (e * x)
         phix = -dc.xi / x
 
         def oscp(u, aj, bj):
-            return 2.0 * om * aj * math.sin(2.0 * om * u) \
-                - 2.0 * om * bj * math.cos(2.0 * om * u)
+            return 2.0 * om * aj * np.sin(2.0 * om * u) \
+                - 2.0 * om * bj * np.cos(2.0 * om * u)
 
         p2 = oscp(phi, dc.a1, dc.b1)
         p4 = oscp(f2 - p.Delta3, dc.a1, dc.b1)
         p5 = oscp(f2, dc.a2, dc.b2)
-        d11 = p.mu * dc.delta * x ** (dc.delta - 1.0) + gam * (
+        d11 = p.mu * dc.delta * np.power(x, dc.delta - 1.0) + gam * (
             p.mu2 * p2 * phix - p.mu4 * p4 * f2x - p.mu5 * p5 * f2x)
         d12 = gam * (p.mu2 * p2 - p.mu4 * p4 * f2s - p.mu5 * p5 * f2s)
         return d11, d12, f2x, f2s, None
@@ -237,12 +245,11 @@ class _Case12Map(_CompiledMap):
         return f1, s + self.shift - self.slope * math.log(f1)
 
     def tangent(self, x, s):
-        if x <= 0.0:
-            raise ValidationError("tangent needs x > 0 for case12")
+        _check_section(x, self.variant)
         two_pi_s = _TWO_PI * s
-        B = x**self.delta + self.forcing * (1.0 - self.sqrt_a1 * math.cos(two_pi_s))
-        d11 = self.delta * x ** (self.delta - 1.0)
-        d12 = self.coupling * math.sin(two_pi_s)
+        B = np.power(x, self.delta) + self.forcing * (1.0 - self.sqrt_a1 * np.cos(two_pi_s))
+        d11 = self.delta * np.power(x, self.delta - 1.0)
+        d12 = self.coupling * np.sin(two_pi_s)
         return (d11, d12, -self.slope * d11 / B,
                 1.0 - self.slope * d12 / B, d11)
 
@@ -272,8 +279,9 @@ class _Case34Map(_CompiledMap):
                               + self.amp * math.sin(_TWO_PI * s))
 
     def tangent(self, x, s):
-        d22 = 1.0 + self.dc.xi / self.params.mu1 * math.cos(_TWO_PI * s)
-        return 0.0, 0.0, 0.0, d22, 0.0
+        d22 = 1.0 + self.dc.xi / self.params.mu1 * np.cos(_TWO_PI * s)
+        zero = 0.0 * d22             # shaped like the phase input
+        return zero, zero, zero, d22, zero
 
 
 class _RescaledMap(_CompiledMap):
@@ -301,11 +309,10 @@ class _RescaledMap(_CompiledMap):
                 s + self.shift + self.kick - self.slope * math.log(shape))
 
     def tangent(self, x, s):
-        if x <= 0.0:
-            raise ValidationError("tangent needs x > 0 for rescaled")
+        _check_section(x, self.variant)
         gp, delta, sqrt_a1, slope = self.gp, self.delta, self.sqrt_a1, self.slope
-        A = x**delta + 1.0 - sqrt_a1 * math.cos(_TWO_PI * s)
-        xpow, sin_s = x ** (delta - 1.0), math.sin(_TWO_PI * s)
+        A = np.power(x, delta) + 1.0 - sqrt_a1 * np.cos(_TWO_PI * s)
+        xpow, sin_s = np.power(x, delta - 1.0), np.sin(_TWO_PI * s)
         d11 = gp * delta * xpow
         return (d11, gp * 2.0 * math.pi * sqrt_a1 * sin_s, -slope * delta * xpow / A,
                 1.0 - slope * 2.0 * math.pi * sqrt_a1 * sin_s / A, d11)
@@ -318,11 +325,15 @@ def compile_map(variant: str, params: ModelParams, *,
                 gamma: float | None = None) -> _CompiledMap:
     """The one evaluator of a variant at a parameter point, constants derived once.
 
-    The result has a scalar ``lift(x, s)`` (phase not reduced), a scalar
+    The result has a scalar ``lift(x, s)`` (phase not reduced), a
     ``tangent(x, s)`` returning ``(d11, d12, d21, d22, det_closed_form)``
     (the last None for ``full``), the orbit loop ``orbit(x, s, steps)``,
-    the phase ``modulus`` and its ``variant`` name.  Only the rescaled
-    variant reads ``gamma``, and it needs one in (0, 1).
+    the phase ``modulus`` and its ``variant`` name.  ``tangent`` takes
+    floats or numpy arrays: it evaluates the same numpy ufuncs element by
+    element, so an array call equals the scalar calls, and it raises
+    :class:`ValidationError` if any ``x <= 0`` (except ``case34``, which
+    ignores ``x``).  Only the rescaled variant reads ``gamma``, and it needs
+    one in (0, 1).
     """
     if variant not in _COMPILED:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

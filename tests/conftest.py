@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from mayleonard import ModelParams, NumericsError
+from mayleonard.diagnostics import _BURN_IN, Lyapunov2D
 from mayleonard.singular import CriticalPoint
 
 
@@ -105,3 +106,48 @@ def zero_one_oracle(series, n_c=32, rng=None):
             D[idx] = M - mean_sq * (1.0 - math.cos(nn * c)) / (1.0 - math.cos(c))
         ks[i] = np.corrcoef(n_arr, D)[0, 1]
     return float(np.median(ks))
+
+
+def lyapunov_oracle(fmap, point0, iterations):
+    """Oracle for ``lyapunov_2d``: the QR method with one scalar tangent
+    call and one Gram-Schmidt step per orbit point.
+
+    Returns a ``Lyapunov2D`` from the same orbit as the function it checks
+    (the burn-in, then ``iterations`` measured points); it does no input
+    validation.
+    """
+    x, s = float(point0[0]), float(point0[1])
+    for x, s, _ in fmap.orbit(x, s, _BURN_IN):
+        pass
+    tangent = fmap.tangent
+    orbit = fmap.orbit(x, s, iterations)
+    q1x, q1y, q2x, q2y = 1.0, 0.0, 0.0, 1.0
+    sum1 = sum2 = sumdet = 0.0
+    eps = math.ulp(1.0)
+    for k in range(iterations):
+        d11, d12, d21, d22, det = tangent(x, s)
+        if det is None:
+            det = d11 * d22 - d12 * d21
+        if det == 0.0:
+            raise NumericsError(f"degenerate tangent map at step {k}")
+        sumdet += math.log(abs(det))
+        v1x, v1y = d11 * q1x + d12 * q1y, d21 * q1x + d22 * q1y
+        v2x, v2y = d11 * q2x + d12 * q2y, d21 * q2x + d22 * q2y
+        r11 = math.hypot(v1x, v1y)
+        q1x, q1y = v1x / r11, v1y / r11
+        r12 = q1x * v2x + q1y * v2y
+        wx, wy = v2x - r12 * q1x, v2y - r12 * q1y
+        r22 = math.hypot(wx, wy)
+        noise = 64.0 * eps * max(math.hypot(v2x, v2y), abs(r12))
+        if r22 <= noise:
+            r22 = abs(det) / r11
+            q2x, q2y = -q1y, q1x
+        else:
+            q2x, q2y = wx / r22, wy / r22
+        sum1 += math.log(r11)
+        sum2 += math.log(r22)
+        x, s, _ = next(orbit)
+    l1, l2 = sum1 / iterations, sum2 / iterations
+    if l1 < l2:
+        l1, l2 = l2, l1
+    return Lyapunov2D(l1=l1, l2=l2, logdet_mean=sumdet / iterations)

@@ -211,7 +211,7 @@ def test_certify_rejects_u_radius_outside_open_half(case2_cfg, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_scan_outputs(case2_cfg, tmp_path):
+def test_scan_outputs(case2_cfg, tmp_path, capsys):
     base = tmp_path / "scan"
     rc = main(["scan", "--config", case2_cfg, "--from", "1e-4", "--to", "1e-2",
                "--steps", "4", "--log", "--no-battery",
@@ -229,17 +229,19 @@ def test_scan_outputs(case2_cfg, tmp_path):
     summary = json.loads((tmp_path / "scan.json").read_text())
     assert summary["n_samples"] == 4
     assert 0.0 <= summary["fraction"] <= 1.0
-    # a failed sample records why it failed
+    # sizes that would fail every sample are rejected before any output opens
     short = tmp_path / "short.cfg"
-    short.write_text(CASE2.replace("iterations = 10000", "iterations = 5000"))
-    rc = main(["scan", "--config", str(short), "--from", "1e-4", "--to", "1e-2",
-               "--steps", "2", "--log", "--no-battery", "--output", str(base)])
-    assert rc == 0
-    csv_lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
-    assert len(csv_lines) == 3
-    assert all(line.endswith(",true,iterations must be >= 10000")
-               for line in csv_lines[1:])
-    # so does one whose orbit overflows
+    for key, value in (("iterations = 10000", "iterations = 5000"),
+                       ("series_len = 1200", "series_len = 999")):
+        short.write_text(CASE2.replace(key, value))
+        rc = main(["scan", "--config", str(short), "--from", "1e-4", "--to", "1e-2",
+                   "--steps", "2", "--log", "--no-battery",
+                   "--output", str(tmp_path / "short")])
+        assert rc == 1
+        assert f"error: {key.split()[0]} must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "short.csv").exists()
+        assert not (tmp_path / "short.json").exists()
+    # a failed sample records why it failed: here its orbit overflows
     rc = main(["scan", "--config", case2_cfg, "--from", "5", "--to", "10",
                "--steps", "2", "--no-battery", "--output", str(base)])
     assert rc == 0
@@ -395,8 +397,8 @@ def test_only_flow_commands_import_scipy(tmp_path):
     """Every command but simulate and poincare runs without loading scipy;
     poincare, the positive control, loads it."""
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(CASE2.replace("iterations = 10000", "iterations = 600")
-                   .replace("series_len = 1200", "series_len = 200"))
+    # the smallest scan sizes the density scan accepts; no other command reads them
+    cfg.write_text(CASE2.replace("series_len = 1200", "series_len = 1000"))
     common = ["--config", str(cfg), "--output"]
     runs = {
         "classify": ["classify", *common, "c.json"],

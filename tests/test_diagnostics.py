@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from itertools import count
 
 import numpy as np
 import pytest
 
 from mayleonard import (
     ModelParams,
+    NumericsError,
     ValidationError,
     annulus_check,
     autocorrelation,
@@ -30,7 +32,7 @@ from mayleonard.diagnostics import (
 from mayleonard.params import stable_fixed_point
 from mayleonard.singular import DoublingMap, RigidRotation, doubling_orbit
 
-from conftest import zero_one_oracle
+from conftest import lyapunov_oracle, zero_one_oracle
 
 
 def test_x_star_cases():
@@ -185,6 +187,85 @@ def test_lyapunov_2d_rejects_degenerate_variant():
         lyapunov_2d(compile_map("case34", p), (0.1, 0.3), 20000)
 
 
+def lyapunov_case(name):
+    """A compiled map and a start point: a scan row by its grid index, or
+    the rescaled or full variant at gamma = 1e-3 on the scan parameters."""
+    p = replace(SCAN_PARAMS, gamma=1e-3)
+    if name == "rescaled":
+        return compile_map("rescaled", p, gamma=1e-3), (0.5, 0.3)
+    if name == "full":
+        return compile_map("full", p), (1e-3, 0.3)
+    fmap, x0, rng = scan_row_map(int(name))
+    return fmap, (x0, float(rng.uniform()))
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("49", id="case12-fixed-point"),
+    pytest.param("135", id="case12-period-4"),
+    pytest.param("150", id="case12-chaotic"),
+    "rescaled",
+    "full",
+])
+def test_lyapunov_2d_matches_per_step_oracle(name):
+    """The prefix-product pair is the per-step QR loop's: l1 and the mean
+    log-determinant to 1e-10, and l2, which is ill-conditioned, to 1e-10
+    plus the two results' own consistency."""
+    fmap, point0 = lyapunov_case(name)
+    got = lyapunov_2d(fmap, point0, 10000)
+    want = lyapunov_oracle(fmap, point0, 10000)
+    assert abs(got.l1 - want.l1) <= 1e-10
+    assert abs(got.logdet_mean - want.logdet_mean) <= 1e-10
+    assert abs(got.l2 - want.l2) <= 1e-10 + got.consistency + want.consistency
+    if name == "150":
+        assert got.l1 > 1e-3
+
+
+class _TamperedDet:
+    """The case-12 map at gamma = 1e-3 whose closed-form determinant array
+    passes through ``tamper``."""
+
+    variant = "case12"
+
+    def __init__(self, tamper):
+        self.fmap = compile_map("case12", replace(SCAN_PARAMS, gamma=1e-3))
+        self.tamper = tamper
+
+    def orbit(self, x, s, steps):
+        return self.fmap.orbit(x, s, steps)
+
+    def tangent(self, x, s):
+        *entries, det = self.fmap.tangent(x, s)
+        return (*entries, self.tamper(det.copy()))
+
+
+@pytest.mark.parametrize("step", [0, 4321, 9999])
+def test_lyapunov_2d_names_first_degenerate_step(step):
+    def zero_here_and_last(det):
+        det[[step, -1]] = 0.0
+        return det
+
+    with pytest.raises(NumericsError, match=f"degenerate tangent map at step {step}$"):
+        lyapunov_2d(_TamperedDet(zero_here_and_last), (1e-3, 0.3), 10000)
+
+
+def test_lyapunov_2d_consistency_checks_the_closed_form():
+    """r22 comes from the Jacobian entries, not from the determinant, so a
+    closed form off by a factor 2 reads as consistency ln 2."""
+    res = lyapunov_2d(_TamperedDet(lambda det: 2.0 * det), (1e-3, 0.3), 10000)
+    assert res.consistency == pytest.approx(math.log(2.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("call", [100, _BURN_IN + 4321, _BURN_IN + 9999])
+def test_lyapunov_2d_raises_on_escape(call):
+    """An image off the section raises in the burn-in, among the measured
+    points, and as the last image, which only the escape check reads."""
+    fmap = compile_map("case12", replace(SCAN_PARAMS, gamma=1e-3))
+    lift, calls = fmap.lift, count()
+    fmap.lift = lambda x, s: (-x, s) if next(calls) == call else lift(x, s)
+    with pytest.raises(NumericsError, match="orbit escaped"):
+        lyapunov_2d(fmap, (1e-3, 0.3), 10000)
+
+
 def test_rotation_interval_rigid():
     rot = rotation_interval(RigidRotation(0.3), seeds=4, iterations=5000)
     assert rot.is_point
@@ -306,14 +387,20 @@ SCAN_PARAMS = ModelParams(c=0.6, e=0.2, omega=0.3)
 SCAN_OPTS = ScanOpts(iterations=10000, series_len=1000, seed=7, battery=False)
 
 
+def scan_row_map(index):
+    """The compiled map of the scan row at a grid index, the row's start
+    coordinate ``x0`` and its sample stream, not yet drawn from."""
+    gamma = float(SCAN_GRID[index])
+    rng = np.random.default_rng([SCAN_OPTS.seed, int(np.float64(gamma).view(np.uint64))])
+    return compile_map("case12", replace(SCAN_PARAMS, gamma=gamma)), gamma * SCAN_PARAMS.mu1, rng
+
+
 def scan_phase_series(index, n):
     """The observable ``cos(2 pi s)`` that the scan row at a grid index hands
     to the 0-1 test, from the same draws, extended to ``n`` samples."""
-    gamma = float(SCAN_GRID[index])
-    rng = np.random.default_rng([SCAN_OPTS.seed, int(np.float64(gamma).view(np.uint64))])
+    fmap, x0, rng = scan_row_map(index)
     rng.uniform()                       # the Lyapunov start
-    fmap = compile_map("case12", replace(SCAN_PARAMS, gamma=gamma))
-    orbit = fmap.orbit(gamma * SCAN_PARAMS.mu1, float(rng.uniform()), _BURN_IN + n)
+    orbit = fmap.orbit(x0, float(rng.uniform()), _BURN_IN + n)
     return np.cos(2.0 * np.pi * np.array([s for _, s, _ in orbit][_BURN_IN:]))
 
 
@@ -353,12 +440,12 @@ def test_zero_one_rejects_fixed_point_series():
 
 def test_density_scan_fixed_point_row_is_regular():
     """A fixed point's row reads K = 0 and is neither failed nor a success;
-    a series too short for the 0-1 test still fails the row."""
+    a series too short for the 0-1 test is rejected before the row runs."""
     row, = density_scan([SCAN_GRID[49]], SCAN_PARAMS, SCAN_OPTS).rows
     assert (row.K, row.failed, row.success) == (0.0, False, False)
     short = replace(SCAN_OPTS, series_len=999)
-    row, = density_scan([SCAN_GRID[49]], SCAN_PARAMS, short).rows
-    assert row.failed and "1000 samples" in row.error
+    with pytest.raises(ValidationError, match="series_len must be >= 1000"):
+        density_scan([SCAN_GRID[49]], SCAN_PARAMS, short)
     row, = density_scan([SCAN_GRID[135]], SCAN_PARAMS, SCAN_OPTS).rows
     assert not row.failed and row.K != 0.0 and abs(row.K) < 0.1
 
@@ -470,6 +557,20 @@ def test_density_scan_derives_constants_per_amplitude(monkeypatch):
                                                 battery=False, seed=5))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("iterations", 9999), ("series_len", 999), ("n_c", 0)])
+def test_density_scan_validates_sizes_before_any_row(monkeypatch, field, value):
+    """Sizes that would fail every row raise before the first row runs."""
+    import mayleonard.diagnostics as diagnostics
+
+    def no_row(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(diagnostics, "_scan_one", no_row)
+    with pytest.raises(ValidationError, match=field):
+        density_scan(SCAN_GRID[:2], SCAN_PARAMS, replace(SCAN_OPTS, **{field: value}))
 
 
 def test_density_scan_validates_grid():

@@ -1,12 +1,14 @@
 """Static hygiene of the package sources: every import is read and every
-``__all__`` entry is defined."""
+``__all__`` entry is defined; and of the tests: every oracle in
+``conftest.py`` is called by a test module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mayleonard"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mayleonard"
 
 
 def unread_imports(tree, reexports=False):
@@ -44,6 +46,17 @@ def undefined_exports(tree):
     return [name for name in exported if name not in defined]
 
 
+def uncalled_oracles(conftest, modules):
+    """Module-level functions of ``conftest`` whose docstring starts with
+    "Oracle" and that no module in ``modules`` calls by name."""
+    oracles = {node.name for node in conftest.body
+               if isinstance(node, ast.FunctionDef)
+               and (ast.get_docstring(node) or "").startswith("Oracle")}
+    called = {node.func.id for tree in modules for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    return sorted(oracles - called)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_read_and_exports_defined(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -65,3 +78,30 @@ def test_hygiene_checks_catch_stale_names():
     assert unread_imports(tree) == ["math", "reduce_mod", "replace"]
     assert unread_imports(tree, reexports=True) == ["reduce_mod"]
     assert undefined_exports(tree) == ["Gone"]
+
+
+def test_every_conftest_oracle_is_called():
+    """An oracle outlives its fast path only while some test compares them."""
+    conftest = ast.parse((TESTS / "conftest.py").read_text(encoding="utf-8"))
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(TESTS.glob("test_*.py"))]
+    assert uncalled_oracles(conftest, []) != []       # the check sees the oracles
+    assert uncalled_oracles(conftest, modules) == []
+
+
+def test_oracle_check_catches_an_uncalled_oracle():
+    """Negative control: an oracle that a test module imports but never
+    calls is reported; a called oracle and a helper that is no oracle are
+    not."""
+    conftest = ast.parse(
+        "def fast_oracle(x):\n"
+        "    \"\"\"Oracle for ``fast``.\"\"\"\n"
+        "def stale_oracle(x):\n"
+        "    \"\"\"Oracle for ``gone``.\"\"\"\n"
+        "def helper(x):\n"
+        "    \"\"\"Not an oracle.\"\"\"\n")
+    module = ast.parse(
+        "from conftest import fast_oracle, stale_oracle\n"
+        "def test_fast():\n"
+        "    assert fast_oracle(1) == fast(1)\n")
+    assert uncalled_oracles(conftest, [module]) == ["stale_oracle"]

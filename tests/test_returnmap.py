@@ -13,7 +13,7 @@ from mayleonard import (
     eta_omega,
     kernels,
 )
-from mayleonard.returnmap import finite_difference_jacobian, reduce_mod
+from mayleonard.returnmap import VARIANTS, finite_difference_jacobian, reduce_mod
 from mayleonard.singular import gamma_sequence, make_circle_map
 
 from conftest import quad_checked, random_admissible
@@ -287,6 +287,29 @@ def test_jacobian_determinant_closed_form(rng):
         fd_det = fd[0, 0] * fd[1, 1] - fd[0, 1] * fd[1, 0]
         assert abs(det - fd_det) <= 1e-5 * abs(det)
         assert np.allclose(J, fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tangent_on_arrays_is_the_scalar_tangent(rng, variant):
+    """One array call equals the scalar calls element by element; an array
+    with any point off the section is rejected (the case-34 tangent ignores
+    ``x``)."""
+    params = ModelParams(c=0.6, e=0.2, gamma=1e-3,
+                         omega=6.0 if variant == "case34" else 0.3)
+    fmap = compile_map(variant, params, gamma=1e-3 if variant == "rescaled" else None)
+    xs, ss = rng.uniform(0.01, 1.0, 64), rng.uniform(0.0, fmap.modulus, 64)
+    got = fmap.tangent(xs, ss)
+    want = [fmap.tangent(x, s) for x, s in zip(xs.tolist(), ss.tolist())]
+    for j, entry in enumerate(got):
+        if entry is None:
+            assert variant == "full" and j == 4
+            assert all(w[j] is None for w in want)
+        else:
+            assert np.array_equal(entry, [w[j] for w in want])
+    if variant != "case34":
+        for bad in (0.0, -1e-3):
+            with pytest.raises(ValidationError, match="x > 0"):
+                fmap.tangent(np.where(np.arange(64) == 17, bad, xs), ss)
 
 
 def test_jacobian_case34_degenerate():

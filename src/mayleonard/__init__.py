@@ -34,7 +34,6 @@ from .singular import (
 )
 from .diagnostics import (
     RegimeReport,
-    ScanOpts,
     ScanResult,
     annulus_check,
     autocorrelation,
@@ -52,7 +51,7 @@ __version__ = "0.1.0"
 # the flow layer costs more to import than the rest of the package, so its
 # names resolve on first use
 _FLOW_NAMES = frozenset({
-    "FlowState", "IntegrateOpts", "SectionEvent", "Trajectory", "dwell_time_estimate",
+    "FlowState", "SectionEvent", "Trajectory", "dwell_time_estimate",
     "equilibria_spectrum", "fit_global_constants", "gh_to_ml", "integrate",
     "section_returns", "section_state", "vector_field",
 })

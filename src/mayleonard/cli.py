@@ -30,7 +30,6 @@ from ._io import write_csv, write_json
 from .config import ScanSpec, dump_config, parse_config
 from .diagnostics import (
     Case34SMarginal,
-    ScanOpts,
     ScanRow,
     autocorrelation,
     classify_regime,
@@ -123,7 +122,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("scan", help="density scan over forcing amplitudes")
     common(p)
-    p.add_argument("--axis", default=None)
     p.add_argument("--from", dest="lo", type=float, default=None)
     p.add_argument("--to", dest="hi", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
@@ -168,20 +166,21 @@ def _run(args) -> int:
         sys.stdout.write(dump_config(cfg))
         return 0
     params = cfg.params
-    seed = args.seed if args.seed is not None else cfg.numerics.seed
+    # flag overrides go through the record, which validates them
+    given = {k: getattr(args, k) for k in ("seed", "horizon")
+             if getattr(args, k, None) is not None}
+    num = replace(cfg.numerics, **given)
 
     if args.command in ("simulate", "poincare"):
         # the only commands that integrate the flow; the others never import it
-        from .flow import FlowState, IntegrateOpts, integrate, section_returns, section_state
-        num = cfg.numerics
-        opts = IntegrateOpts(rel_tol=num.rel_tol, abs_tol=num.abs_tol, max_step=num.max_step)
+        from .flow import FlowState, integrate, section_returns, section_state
         if args.command == "simulate":
             traj = integrate(FlowState(args.x0, args.y0, args.z0, 0.0),
-                             args.t_end, params, opts)
+                             args.t_end, params, num)
             write_csv(args.output, ("t", "x", "y", "z"), traj.to_rows())
         else:
             events = section_returns(section_state(args.x0, params),
-                                     args.returns, params, opts,
+                                     args.returns, params, num,
                                      sections=args.sections)
             write_csv(args.output, ("k", "x", "s", "t_raw"),
                       ((ev.index, ev.x, ev.s, ev.t_raw) for ev in events))
@@ -213,20 +212,20 @@ def _run(args) -> int:
 
     if args.command == "certify":
         n = args.n if args.n is not None else _default_n(params)
-        horizon = args.horizon if args.horizon is not None else cfg.numerics.horizon
         if args.battery:
-            report = hypothesis_battery(params, n, args.a, horizon=horizon,
+            report = hypothesis_battery(params, n, args.a, horizon=num.horizon,
                                         u_radius=args.u_radius)
             write_json(args.output, report.to_dict())
         else:
+            # the index is checked before the certificate runs
+            gamma = gamma_sequence(n, args.a, derive_constants(params))
             cmap = make_circle_map(args.a, params)
-            cert = misiurewicz_check(cmap, u_radius=args.u_radius, horizon=horizon)
+            cert = misiurewicz_check(cmap, u_radius=args.u_radius, horizon=num.horizon)
             tm = transition_matrix(cmap)
-            dc = derive_constants(params)
             write_json(args.output, {
                 "a": args.a,
                 "n": n,
-                "gamma": gamma_sequence(n, args.a, dc),
+                "gamma": gamma,
                 "certificate": cert.to_dict(),
                 "transition_matrix": tm.to_dict(),
             })
@@ -241,20 +240,17 @@ def _run(args) -> int:
 
     if args.command == "scan":
         spec = cfg.scan if cfg.scan is not None else ScanSpec()
-        given = {k: getattr(args, k) for k in ("axis", "lo", "hi", "steps", "log")
+        given = {k: getattr(args, k) for k in ("lo", "hi", "steps", "log")
                  if getattr(args, k) is not None}
         spec = replace(spec, **given)
-        sopts = ScanOpts(iterations=cfg.numerics.iterations,
-                         series_len=cfg.numerics.series_len,
-                         seed=seed, battery=not args.no_battery)
-        result = density_scan(spec.grid(), params, sopts)
+        result = density_scan(spec.grid(), params, num, battery=not args.no_battery)
         base_path = args.output[:-4] if args.output.endswith(".csv") else args.output
         _write_rows(base_path + ".csv", ScanRow, result.rows)
         write_json(base_path + ".json", result.to_summary())
         return 0
 
     if args.command == "chaos-test":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(num.seed)
         x0 = args.x0 if args.x0 is not None else max(params.gamma, 1e-6)
         _check_start(x0, args.s0)
         if args.variant == "case34":

@@ -22,6 +22,10 @@ __all__ = ["NumericsConfig", "ScanSpec", "RunConfig",
 
 @dataclass(frozen=True)
 class NumericsConfig:
+    """The run numerics: the flow's tolerances and step cap (``integrate``,
+    ``section_returns``), the random seed, the certificate horizon and the
+    density scan's sizes (``density_scan``)."""
+
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_step: float = math.inf
@@ -35,21 +39,20 @@ class NumericsConfig:
             raise ValidationError("tolerances must be positive and finite")
         if math.isnan(self.max_step):
             raise ValidationError("max_step must be a number (inf leaves steps uncapped)")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.horizon < 1 or self.iterations < 1 or self.series_len < 1:
             raise ValidationError("horizon, iterations, series_len must be >= 1")
 
 
 @dataclass(frozen=True)
 class ScanSpec:
-    axis: str = "gamma"
     lo: float = 1e-6
     hi: float = 0.05
     steps: int = 200
     log: bool = True
 
     def __post_init__(self):
-        if self.axis != "gamma":
-            raise ValidationError(f"unsupported scan axis {self.axis!r}")
         if not (0.0 < self.lo < self.hi < math.inf):
             raise ValidationError("scan range must satisfy 0 < from < to < inf")
         if self.steps < 1:
@@ -75,7 +78,7 @@ _GLOBAL_KEYS = {"mu", "mu1", "mu2", "mu3", "mu4", "mu5",
                 "Delta1", "Delta2", "Delta3"}
 _NUMERICS_KEYS = {f.name for f in fields(NumericsConfig)}
 _SECTION_KEYS = {"eps_tilde"}
-_SCAN_KEYS = {"axis", "from", "to", "steps", "log"}
+_SCAN_KEYS = {"from", "to", "steps", "log"}
 _DIO_KEYS = {"d1", "d2", "n_max"}
 _SECTIONS = {
     "model": _MODEL_KEYS,
@@ -87,13 +90,10 @@ _SECTIONS = {
 }
 _INT_KEYS = {"seed", "horizon", "iterations", "series_len", "steps", "n_max"}
 _BOOL_KEYS = {"log"}
-_STR_KEYS = {"axis"}
 
 
 def _convert(key, raw):
     raw = raw.strip()
-    if key in _STR_KEYS:
-        return raw
     if key in _BOOL_KEYS:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
@@ -144,8 +144,6 @@ def parse_config_text(text: str) -> RunConfig:
             skw["lo"] = skw.pop("from")
         if "to" in skw:
             skw["hi"] = skw.pop("to")
-        if "axis" in skw:
-            skw["axis"] = str(skw["axis"])
         scan = ScanSpec(**skw)
 
     dio = None
@@ -177,7 +175,6 @@ def dump_config(cfg: RunConfig) -> str:
     if cfg.scan is not None:
         s = cfg.scan
         out.write("\n[scan]\n")
-        out.write(f"axis = {s.axis}\n")
         out.write(f"from = {s.lo!r}\nto = {s.hi!r}\n")
         out.write(f"steps = {s.steps}\nlog = {str(s.log).lower()}\n")
     if cfg.diophantine is not None:

@@ -17,6 +17,7 @@ from itertools import chain
 
 import numpy as np
 
+from .config import NumericsConfig
 from .errors import NumericsError, ValidationError
 from .params import ModelParams, derive_constants, stable_fixed_point
 from .returnmap import compile_map
@@ -39,7 +40,6 @@ __all__ = [
     "zero_one_test",
     "AutocorrelationResult",
     "autocorrelation",
-    "ScanOpts",
     "ScanRow",
     "ScanResult",
     "density_scan",
@@ -553,15 +553,10 @@ def autocorrelation(series, lags: int) -> AutocorrelationResult:
 # ---------------------------------------------------------------------------
 # density scan over forcing amplitudes
 
-@dataclass(frozen=True)
-class ScanOpts:
-    iterations: int = 20000
-    series_len: int = 2000
-    n_c: int = 24
-    seed: int = 0
-    battery: bool = True
-    battery_horizon: int = 200
-    battery_grid: int = 256
+# the scan's fixed sizes: frequencies of the 0-1 test, and the horizon,
+# grid and m0 of the per-amplitude expansion certificate
+_SCAN_N_C = 24
+_SCAN_CERT_HORIZON, _SCAN_CERT_GRID, _SCAN_CERT_M0 = 200, 256, 10
 
 
 @dataclass(frozen=True)
@@ -597,12 +592,12 @@ class ScanResult:
         }
 
 
-def _scan_one(gamma, params, opts, sample_rng):
+def _scan_one(gamma, params, numerics, battery, sample_rng):
     p_g = replace(params, gamma=float(gamma))
     fmap = compile_map("case12", p_g)
     s0 = float(sample_rng.uniform())
     x0 = p_g.gamma * p_g.mu1
-    ly = lyapunov_2d(fmap, (x0, s0), opts.iterations)
+    ly = lyapunov_2d(fmap, (x0, s0), numerics.iterations)
     # s-series for the 0-1 statistic and rotation estimates from three seeds
     rots = []
     obs = None
@@ -610,25 +605,25 @@ def _scan_one(gamma, params, opts, sample_rng):
         x, s = x0, float(sample_rng.uniform())
         for x, s, _ in fmap.orbit(x, s, _BURN_IN):
             pass
-        ss = np.empty(opts.series_len)
+        ss = np.empty(numerics.series_len)
         y = y0 = s
-        for i, (_, s, advance) in enumerate(fmap.orbit(x, s, opts.series_len)):
+        for i, (_, s, advance) in enumerate(fmap.orbit(x, s, numerics.series_len)):
             y += advance          # lift displacement
             ss[i] = s
-        rots.append((y - y0) / opts.series_len)
+        rots.append((y - y0) / numerics.series_len)
         if seed_i == 0:
             obs = np.cos(2.0 * np.pi * ss)
     if _is_constant(obs):
         K = 0.0                   # an orbit on a fixed point is regular
     else:
-        K = zero_one_test(obs, n_c=opts.n_c, rng=sample_rng)
+        K = zero_one_test(obs, n_c=_SCAN_N_C, rng=sample_rng)
     ann = annulus_check(p_g, n_samples=512)
-    if opts.battery:
+    if battery:
         a = k_map(float(gamma), fmap.dc) % 1.0
         try:
             cert = misiurewicz_check(
-                make_circle_map(a, p_g), horizon=opts.battery_horizon,
-                grid_size=opts.battery_grid, m0=10)
+                make_circle_map(a, p_g), horizon=_SCAN_CERT_HORIZON,
+                grid_size=_SCAN_CERT_GRID, m0=_SCAN_CERT_M0)
             battery_h4 = bool(cert.passed)
         except NumericsError:
             battery_h4 = False
@@ -644,7 +639,8 @@ def _scan_one(gamma, params, opts, sample_rng):
 
 
 def density_scan(gamma_grid, params: ModelParams,
-                 opts: ScanOpts = ScanOpts()) -> ScanResult:
+                 numerics: NumericsConfig = NumericsConfig(),
+                 battery: bool = True) -> ScanResult:
     """Per-amplitude chaos metrics and the success fraction.
 
     For each amplitude: the top Lyapunov exponent of the low-frequency
@@ -657,8 +653,12 @@ def density_scan(gamma_grid, params: ModelParams,
     errors such as an overflowing orbit) are recorded with their reason, not
     fatal; results are deterministic for a fixed seed and independent of
     evaluation order.  Sizes that would fail every sample (fewer than 10000
-    iterations, a series shorter than 1000 samples, ``n_c < 1``) raise
+    iterations, a series shorter than 1000 samples) raise
     :class:`ValidationError` before any sample runs.
+
+    ``numerics`` gives the seed, the Lyapunov ``iterations`` and the 0-1
+    test's ``series_len``; with ``battery`` false the certificate flag is
+    not computed.
     """
     grid = np.asarray(list(gamma_grid), dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
@@ -667,22 +667,20 @@ def density_scan(gamma_grid, params: ModelParams,
         raise ValidationError("gamma_grid must be strictly increasing")
     if grid[0] <= 0.0:
         raise ValidationError("amplitudes must be positive")
-    if opts.iterations < _LYAPUNOV_MIN_ITERATIONS:
+    if numerics.iterations < _LYAPUNOV_MIN_ITERATIONS:
         raise ValidationError(
-            f"iterations must be >= {_LYAPUNOV_MIN_ITERATIONS}, got {opts.iterations}")
-    if opts.series_len < _ZERO_ONE_MIN_SAMPLES:
+            f"iterations must be >= {_LYAPUNOV_MIN_ITERATIONS}, got {numerics.iterations}")
+    if numerics.series_len < _ZERO_ONE_MIN_SAMPLES:
         raise ValidationError(
-            f"series_len must be >= {_ZERO_ONE_MIN_SAMPLES}, got {opts.series_len}")
-    if opts.n_c < 1:
-        raise ValidationError(f"n_c must be >= 1, got {opts.n_c}")
+            f"series_len must be >= {_ZERO_ONE_MIN_SAMPLES}, got {numerics.series_len}")
     rows = []
     for gamma in grid:
         # key the stream by the amplitude itself so a sample's result does
         # not depend on its position in the grid
         gamma_key = int(np.float64(gamma).view(np.uint64))
-        sample_rng = np.random.default_rng([opts.seed, gamma_key])
+        sample_rng = np.random.default_rng([numerics.seed, gamma_key])
         try:
-            rows.append(_scan_one(gamma, params, opts, sample_rng))
+            rows.append(_scan_one(gamma, params, numerics, battery, sample_rng))
         except (NumericsError, ValidationError, ArithmeticError) as exc:
             # a float overflow's message alone does not say what overflowed
             error = (f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError)

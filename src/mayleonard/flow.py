@@ -36,6 +36,7 @@ import numpy as np
 from scipy.integrate import LSODA, RK45, solve_ivp
 from scipy.optimize import brentq
 
+from .config import NumericsConfig
 from .errors import NumericsError, ValidationError
 from .params import ModelParams, derive_constants
 
@@ -43,7 +44,6 @@ __all__ = [
     "FlowState",
     "Trajectory",
     "SectionEvent",
-    "IntegrateOpts",
     "vector_field",
     "ml_jacobian",
     "gh_to_ml",
@@ -68,17 +68,6 @@ class FlowState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
-class IntegrateOpts:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_step: float = np.inf
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValidationError("tolerances must be positive")
 
 
 @dataclass
@@ -127,35 +116,34 @@ def vector_field(state: FlowState, params: ModelParams) -> np.ndarray:
     return _rhs(state.t, state.as_array(), params)
 
 
-def _rhs(t, q, params):
-    x, y, z = q
+def _rates(t, x, y, z, params):
+    """The three per-capita growth rates and the forcing ``gamma (1-x)
+    sin^2(2 omega t)`` on the first coordinate, which both charts read."""
     c, e, gam, om = params.c, params.e, params.gamma, params.omega
     r = x + y + z
     force = gam * (1.0 - x) * math.sin(2.0 * om * t) ** 2 if gam else 0.0
-    return np.array([
-        x * ((1.0 - r) - c * y + e * z) + force,
-        y * ((1.0 - r) - c * z + e * x),
-        z * ((1.0 - r) - c * x + e * y),
-    ])
+    return ((1.0 - r) - c * y + e * z,
+            (1.0 - r) - c * z + e * x,
+            (1.0 - r) - c * x + e * y,
+            force)
+
+
+def _rhs(t, q, params):
+    x, y, z = q
+    rx, ry, rz, force = _rates(t, x, y, z, params)
+    return np.array([x * rx + force, y * ry, z * rz])
 
 
 def _rhs_log(t, q, params):
     # chart u=ln x, v=ln y, w=ln z; du/dt = x'/x etc.  The forcing term is
     # gamma*(1-x)*sin^2/x which blows up as x -> 0, so this chart is meant
     # for gamma = 0 (it is still correct for gamma > 0 while x stays
-    # representable).
+    # representable).  At gamma = 0 the forcing is not divided, since x may
+    # have underflowed to 0.
     u, v, w = q
-    x, y, z = math.exp(u), math.exp(v), math.exp(w)
-    c, e, gam, om = params.c, params.e, params.gamma, params.omega
-    r = x + y + z
-    du = (1.0 - r) - c * y + e * z
-    if gam:
-        du += gam * (1.0 - x) * math.sin(2.0 * om * t) ** 2 / x
-    return np.array([
-        du,
-        (1.0 - r) - c * z + e * x,
-        (1.0 - r) - c * x + e * y,
-    ])
+    x = math.exp(u)
+    rx, ry, rz, force = _rates(t, x, math.exp(v), math.exp(w), params)
+    return np.array([rx + force / x if params.gamma else rx, ry, rz])
 
 
 def ml_jacobian(point, params: ModelParams) -> np.ndarray:
@@ -254,7 +242,7 @@ def _clamp_octant(y, abs_tol):
 
 
 def integrate(state0: FlowState, t_end: float, params: ModelParams,
-              opts: IntegrateOpts = IntegrateOpts()) -> Trajectory:
+              opts: NumericsConfig = NumericsConfig()) -> Trajectory:
     """Integrate the forced flow from ``state0`` to ``t_end``.
 
     Adaptive Runge-Kutta 5(4) with dense output.  Coordinates may dip
@@ -354,7 +342,7 @@ _FACES = {
 
 
 def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
-                    opts: IntegrateOpts = IntegrateOpts(),
+                    opts: NumericsConfig = NumericsConfig(),
                     sections: str = "o3",
                     max_time: float = 1e7) -> list[SectionEvent]:
     """Extract Poincare section events from the flow.
@@ -366,10 +354,10 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
         is not counted.
     n_returns : int
         Number of crossings to collect.
-    opts : IntegrateOpts
-        Tolerances and step cap.  Every ``max_step`` above 50 is lowered to
-        50 (see the module notes): a crossing is seen only as a sign change
-        between step ends.
+    opts : NumericsConfig
+        Tolerances and step cap; the other fields are not read.  Every
+        ``max_step`` above 50 is lowered to 50 (see the module notes): a
+        crossing is seen only as a sign change between step ends.
     sections : str
         ``"o3"`` counts only entry-face crossings near O3 (full returns of
         the section map).  ``"all"`` counts the entry faces of all three

@@ -44,7 +44,6 @@ __all__ = [
     "lyapunov_1d",
     "transversality_probe",
     "hypothesis_battery",
-    "xi_star_scan",
     "doubling_orbit",
 ]
 
@@ -860,32 +859,3 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
     }
 
     return BatteryReport(n=n, a=a, gamma=gamma, entries=entries)
-
-
-def xi_star_scan(xi_values, a_values, omega: float, sqrt_a1: float,
-                 horizon: int = 300, grid_size: int = 512):
-    """Empirical threshold: smallest scanned ``xi`` whose singular-limit map
-    (``mu3 = 1``) passes both the expansion certificate (``m0 = 20``) and
-    the mixing conditions for some offset ``a``.  Returns
-    ``(xi_star or None, records)``."""
-    records = []
-    xi_star = None
-    for xi in xi_values:
-        hit_a = None
-        for a in a_values:
-            cmap = AnalyticCircleMap(a=a, omega=omega, xi=xi, mu3=1.0, sqrt_a1=sqrt_a1)
-            try:
-                cert = misiurewicz_check(cmap, horizon=horizon, m0=20,
-                                         grid_size=grid_size)
-            except NumericsError:
-                continue
-            if not cert.passed or cert.lambda0 <= 3.0 * math.log(2.0):
-                continue
-            tm = transition_matrix(cmap)
-            if tm.mixing_N is not None:
-                hit_a = a
-                break
-        records.append({"xi": float(xi), "passing_a": hit_a})
-        if hit_a is not None and xi_star is None:
-            xi_star = float(xi)
-    return xi_star, records

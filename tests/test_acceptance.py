@@ -27,14 +27,14 @@ from mayleonard import (
     singular_limit_convergence,
 )
 from mayleonard.cli import main
+from mayleonard.config import NumericsConfig
 from mayleonard.diagnostics import (
     Case34SMarginal,
-    ScanOpts,
     density_scan,
     t1_curve,
     t2_curve,
 )
-from mayleonard.flow import IntegrateOpts, section_state, table1_eigenpairs
+from mayleonard.flow import section_state, table1_eigenpairs
 from mayleonard.params import stable_fixed_point
 from mayleonard.returnmap import compile_map, finite_difference_jacobian, kernels
 from conftest import random_admissible
@@ -147,7 +147,7 @@ def test_criterion_05_power_law_returns():
     of 10 returns from x = 1e-3, < 60 s."""
     t0 = time.monotonic()
     p = ModelParams(c=0.6, e=0.2, gamma=0.0, omega=0.3)
-    opts = IntegrateOpts(rel_tol=1e-8, abs_tol=1e-10, max_step=100.0)
+    opts = NumericsConfig(rel_tol=1e-8, abs_tol=1e-10, max_step=100.0)
     events = section_returns(section_state(1e-3, p), 10, p, opts,
                              sections="all", max_time=2e6)
     logs = [math.log(1e-3)] + [ev.log_x for ev in events]
@@ -272,7 +272,7 @@ def test_criterion_10_density_scan():
     t0 = time.monotonic()
     p = ModelParams(c=0.6, e=0.2, omega=0.3)
     grid = np.geomspace(1e-6, 0.05, 200)
-    res = density_scan(grid, p, ScanOpts(seed=SEED))
+    res = density_scan(grid, p, NumericsConfig(seed=SEED))
     elapsed = time.monotonic() - t0
     prefixes_ok = all(frac > 0.0 for _, _, frac in res.prefix_fractions)
     ok = res.fraction > 0.05 and prefixes_ok and elapsed < 1800.0

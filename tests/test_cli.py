@@ -46,12 +46,12 @@ def case2_cfg(tmp_path):
 
 
 def test_config_round_trip():
-    text = CASE2 + "\n[scan]\naxis = gamma\nfrom = 1e-6\nto = 0.05\nsteps = 50\nlog = true\n"
+    text = CASE2 + "\n[scan]\nfrom = 1e-6\nto = 0.05\nsteps = 50\nlog = true\n"
     cfg = parse_config_text(text)
     assert cfg.params.c == 0.6 and cfg.params.gamma == 0.01
     assert cfg.numerics.seed == 7
     assert cfg.diophantine.n_max == 30
-    assert cfg.scan.axis == "gamma" and cfg.scan.log is True
+    assert cfg.scan.steps == 50 and cfg.scan.log is True
     again = parse_config_text(dump_config(cfg))
     assert again == cfg
 
@@ -60,6 +60,9 @@ def test_config_rejects_unknown_key():
     with pytest.raises(ValidationError) as err:
         parse_config_text(CASE2 + "\n[model]\nbogus = 1\n")
     assert "bogus" in str(err.value) or "model" in str(err.value)
+    # the scan has one axis, the amplitude, so the old key is unknown too
+    with pytest.raises(ValidationError, match="unknown key 'axis' in section"):
+        parse_config_text(CASE2 + "\n[scan]\naxis = gamma\n")
     with pytest.raises(ValidationError) as err:
         parse_config_text("[mystery]\nx = 1\n")
     assert "mystery" in str(err.value)
@@ -211,6 +214,44 @@ def test_certify_rejects_u_radius_outside_open_half(case2_cfg, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_certify_validates_n_before_the_certificate(tmp_path, capsys, monkeypatch):
+    """A bad index is rejected before the certificate runs, and no JSON is written."""
+    import mayleonard.cli as cli
+
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("the certificate ran")
+
+    monkeypatch.setattr(cli, "misiurewicz_check", no_certificate)
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--config", str(CONFIGS / "case1.cfg"), "--n", "0",
+                 "--output", str(out)]) == 1
+    assert "error: n must be a positive index" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    (["scan", "--steps", "2", "--seed", "-1"], "", "", "seed must be >= 0"),
+    (["chaos-test", "--seed", "-1"], "", "", "seed must be >= 0"),
+    (["scan", "--steps", "2"], "seed = 7", "seed = -3", "seed must be >= 0"),
+    (["chaos-test", "--variant", "case34"], "seed = 7", "seed = -3", "seed must be >= 0"),
+    (["certify", "--horizon", "0"], "", "", "horizon"),
+])
+def test_numerics_overrides_are_validated(tmp_path, capsys, command, old, new, message):
+    """A negative seed, from the config or the flag, and a certificate
+    horizon below one are rejected by the numerics record before any output
+    opens."""
+    cfg = tmp_path / "cfg" / "bad.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text(CASE2.replace(old, new) if old else CASE2)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(command + ["--config", str(cfg), "--output", str(out / "result")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(out.iterdir()) == []
+
+
 def test_scan_outputs(case2_cfg, tmp_path, capsys):
     base = tmp_path / "scan"
     rc = main(["scan", "--config", case2_cfg, "--from", "1e-4", "--to", "1e-2",
@@ -264,7 +305,7 @@ def test_scan_partial_override_keeps_config_range(tmp_path):
     assert _scan_gammas(tmp_path / "scan.csv") == list(np.geomspace(1e-6, 0.05, 2))
     # a range and a linear grid that differ from the defaults stay as well
     cfg = tmp_path / "linear.cfg"
-    cfg.write_text(CASE2 + "\n[scan]\naxis = gamma\nfrom = 1e-4\nto = 1e-2\n"
+    cfg.write_text(CASE2 + "\n[scan]\nfrom = 1e-4\nto = 1e-2\n"
                    "steps = 50\nlog = false\n")
     rc = main(["scan", "--config", str(cfg), "--steps", "3", "--no-battery",
                "--output", str(base)])

@@ -20,10 +20,10 @@ from mayleonard import (
     rotation_interval,
     zero_one_test,
 )
+from mayleonard.config import NumericsConfig
 from mayleonard.diagnostics import (
     _BURN_IN,
     Case34SMarginal,
-    ScanOpts,
     _scan_one,
     region_label,
     t1_curve,
@@ -384,14 +384,14 @@ def test_zero_one_statistic_fixtures(rng):
 # scan benchmark: seed 7, 10000 iterations and a 1000-sample series
 SCAN_GRID = np.geomspace(1e-6, 0.05, 200)
 SCAN_PARAMS = ModelParams(c=0.6, e=0.2, omega=0.3)
-SCAN_OPTS = ScanOpts(iterations=10000, series_len=1000, seed=7, battery=False)
+SCAN_NUMERICS = NumericsConfig(iterations=10000, series_len=1000, seed=7)
 
 
 def scan_row_map(index):
     """The compiled map of the scan row at a grid index, the row's start
     coordinate ``x0`` and its sample stream, not yet drawn from."""
     gamma = float(SCAN_GRID[index])
-    rng = np.random.default_rng([SCAN_OPTS.seed, int(np.float64(gamma).view(np.uint64))])
+    rng = np.random.default_rng([SCAN_NUMERICS.seed, int(np.float64(gamma).view(np.uint64))])
     return compile_map("case12", replace(SCAN_PARAMS, gamma=gamma)), gamma * SCAN_PARAMS.mu1, rng
 
 
@@ -441,12 +441,12 @@ def test_zero_one_rejects_fixed_point_series():
 def test_density_scan_fixed_point_row_is_regular():
     """A fixed point's row reads K = 0 and is neither failed nor a success;
     a series too short for the 0-1 test is rejected before the row runs."""
-    row, = density_scan([SCAN_GRID[49]], SCAN_PARAMS, SCAN_OPTS).rows
+    row, = density_scan([SCAN_GRID[49]], SCAN_PARAMS, SCAN_NUMERICS, battery=False).rows
     assert (row.K, row.failed, row.success) == (0.0, False, False)
-    short = replace(SCAN_OPTS, series_len=999)
+    short = replace(SCAN_NUMERICS, series_len=999)
     with pytest.raises(ValidationError, match="series_len must be >= 1000"):
-        density_scan([SCAN_GRID[49]], SCAN_PARAMS, short)
-    row, = density_scan([SCAN_GRID[135]], SCAN_PARAMS, SCAN_OPTS).rows
+        density_scan([SCAN_GRID[49]], SCAN_PARAMS, short, battery=False)
+    row, = density_scan([SCAN_GRID[135]], SCAN_PARAMS, SCAN_NUMERICS, battery=False).rows
     assert not row.failed and row.K != 0.0 and abs(row.K) < 0.1
 
 
@@ -487,15 +487,14 @@ def test_autocorrelation_chaotic_sample_positive_rate():
 def test_density_scan_small_case2():
     p = ModelParams(c=0.6, e=0.2, omega=0.3)
     grid = np.geomspace(1e-5, 0.03, 6)
-    opts = ScanOpts(iterations=10000, series_len=1200, n_c=8,
-                    battery_horizon=100, battery_grid=128, seed=3)
-    res = density_scan(grid, p, opts)
+    numerics = NumericsConfig(iterations=10000, series_len=1200, seed=3)
+    res = density_scan(grid, p, numerics)
     assert res.fraction > 0.5
     assert res.n_failed == 0
     for _, n, frac in res.prefix_fractions:
         assert frac > 0.0
     # deterministic rerun
-    res2 = density_scan(grid, p, opts)
+    res2 = density_scan(grid, p, numerics)
     assert [r.K for r in res2.rows] == [r.K for r in res.rows]
     assert [r.lambda1 for r in res2.rows] == [r.lambda1 for r in res.rows]
 
@@ -503,23 +502,22 @@ def test_density_scan_small_case2():
 def test_density_scan_case1_fraction_zero():
     p = ModelParams(c=0.55, e=0.5, omega=0.05)
     grid = np.geomspace(1e-4, 3e-3, 4)
-    opts = ScanOpts(iterations=10000, series_len=1200, n_c=8, battery=False,
-                    seed=3)
-    res = density_scan(grid, p, opts)
+    numerics = NumericsConfig(iterations=10000, series_len=1200, seed=3)
+    res = density_scan(grid, p, numerics, battery=False)
     assert res.fraction == 0.0
 
 
 def test_density_scan_order_independence():
     """Per-sample results depend only on (seed, amplitude), not position."""
     p = ModelParams(c=0.6, e=0.2, omega=0.3)
-    opts = ScanOpts(iterations=10000, series_len=1200, n_c=8, battery=False,
-                    seed=11)
+    numerics = NumericsConfig(iterations=10000, series_len=1200, seed=11)
     gammas = [1e-4, 3e-3]
     rows = {}
     for g in gammas:
         key = int(np.float64(g).view(np.uint64))
-        rows[g] = _scan_one(g, p, opts, np.random.default_rng([opts.seed, key]))
-    res = density_scan(np.array(gammas), p, opts)
+        rows[g] = _scan_one(g, p, numerics, False,
+                            np.random.default_rng([numerics.seed, key]))
+    res = density_scan(np.array(gammas), p, numerics, battery=False)
     for row, g in zip(res.rows, gammas):
         assert row.K == rows[g].K
         assert row.lambda1 == rows[g].lambda1
@@ -552,15 +550,14 @@ def test_density_scan_derives_constants_per_amplitude(monkeypatch):
     counts = []
     for iterations in (10000, 20000):
         calls.clear()
-        density_scan([1e-4, 3e-3], p, ScanOpts(iterations=iterations,
-                                                series_len=1000, n_c=4,
-                                                battery=False, seed=5))
+        density_scan([1e-4, 3e-3], p, NumericsConfig(iterations=iterations,
+                                                     series_len=1000, seed=5),
+                     battery=False)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
 
-@pytest.mark.parametrize("field, value", [
-    ("iterations", 9999), ("series_len", 999), ("n_c", 0)])
+@pytest.mark.parametrize("field, value", [("iterations", 9999), ("series_len", 999)])
 def test_density_scan_validates_sizes_before_any_row(monkeypatch, field, value):
     """Sizes that would fail every row raise before the first row runs."""
     import mayleonard.diagnostics as diagnostics
@@ -570,7 +567,7 @@ def test_density_scan_validates_sizes_before_any_row(monkeypatch, field, value):
 
     monkeypatch.setattr(diagnostics, "_scan_one", no_row)
     with pytest.raises(ValidationError, match=field):
-        density_scan(SCAN_GRID[:2], SCAN_PARAMS, replace(SCAN_OPTS, **{field: value}))
+        density_scan(SCAN_GRID[:2], SCAN_PARAMS, replace(SCAN_NUMERICS, **{field: value}))
 
 
 def test_density_scan_validates_grid():

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -7,7 +8,6 @@ from scipy.integrate import solve_ivp
 
 from mayleonard import (
     FlowState,
-    IntegrateOpts,
     ModelParams,
     NumericsError,
     ValidationError,
@@ -20,6 +20,7 @@ from mayleonard import (
     section_state,
     vector_field,
 )
+from mayleonard.config import NumericsConfig
 from mayleonard.flow import SectionEvent, table1_eigenpairs
 
 from conftest import random_admissible
@@ -41,6 +42,35 @@ def test_vector_field_forcing_at_third_axis():
     f = vector_field(FlowState(0, 0, 1, t), p)
     assert f[0] == pytest.approx(0.1, rel=1e-12)
     assert f[1] == 0.0 and f[2] == 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_log_chart_is_population_field_over_state(rng, gamma):
+    """Both charts read one vector field: the log chart's rate is the
+    population field divided by the coordinate, forced or not."""
+    from mayleonard.flow import _rhs, _rhs_log
+    p = ModelParams(c=0.6, e=0.2, gamma=gamma, omega=0.3)
+    for _ in range(10):
+        q, t = rng.uniform(0.05, 0.9, size=3), rng.uniform(0.0, 20.0)
+        assert np.allclose(_rhs_log(t, np.log(q), p), _rhs(t, q, p) / q,
+                           rtol=1e-12, atol=0.0)
+
+
+def test_flow_numerics_reject_nonfinite_tolerances():
+    """``integrate`` and ``section_returns`` read the config's numerics
+    record, which rejects NaN or inf tolerances and a NaN step cap whether
+    it is built or replaced; an explicit inf cap is the positive control."""
+    for fn in (integrate, section_returns):
+        assert type(inspect.signature(fn).parameters["opts"].default) is NumericsConfig
+    base = NumericsConfig()
+    for field, bad in [("rel_tol", math.nan), ("rel_tol", math.inf),
+                       ("abs_tol", math.nan), ("abs_tol", math.inf),
+                       ("max_step", math.nan)]:
+        with pytest.raises(ValidationError):
+            NumericsConfig(**{field: bad})
+        with pytest.raises(ValidationError):
+            replace(base, **{field: bad})
+    assert replace(base, max_step=math.inf).max_step == math.inf
 
 
 def test_equilibria_spectrum_matches_reference(rng):
@@ -116,7 +146,7 @@ def test_gh_to_ml_squares_and_field_correspondence(rng):
 
 def test_integrate_stationary_and_plane_invariance():
     p = ModelParams(c=0.6, e=0.2, gamma=0.0)
-    opts = IntegrateOpts(rel_tol=1e-10, abs_tol=1e-12, max_step=1.0)
+    opts = NumericsConfig(rel_tol=1e-10, abs_tol=1e-12, max_step=1.0)
     traj = integrate(FlowState(1, 0, 0, 0.0), 20.0, p, opts)
     assert np.max(np.abs(traj.states - np.array([1.0, 0.0, 0.0]))) < 1e-9
     traj = integrate(FlowState(0.4, 0.5, 0.0, 0.0), 50.0, p, opts)
@@ -132,7 +162,7 @@ def test_integrate_visits_all_saddles():
     """
     p = ModelParams(c=0.6, e=0.2, gamma=0.0)
     traj = integrate(FlowState(0.3, 0.31, 0.29, 0.0), 400.0, p,
-                     IntegrateOpts(rel_tol=1e-9, abs_tol=1e-12, max_step=0.5))
+                     NumericsConfig(rel_tol=1e-9, abs_tol=1e-12, max_step=0.5))
     late = traj.states[traj.ts > 30.0]
     r = late.sum(axis=1)
     assert np.all(np.abs(r - 1.0) < 0.2)
@@ -142,7 +172,7 @@ def test_integrate_visits_all_saddles():
 
 
 def test_integrate_octant_invariance(rng):
-    opts = IntegrateOpts(rel_tol=1e-9, abs_tol=1e-12, max_step=1.0)
+    opts = NumericsConfig(rel_tol=1e-9, abs_tol=1e-12, max_step=1.0)
     for gam in (0.0, 0.01):
         p = ModelParams(c=0.6, e=0.2, gamma=gam, omega=0.3)
         for _ in range(40):
@@ -153,7 +183,7 @@ def test_integrate_octant_invariance(rng):
 
 def test_time_reversal_roundtrip():
     p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
-    opts = IntegrateOpts(rel_tol=1e-11, abs_tol=1e-13, max_step=0.5)
+    opts = NumericsConfig(rel_tol=1e-11, abs_tol=1e-13, max_step=0.5)
     start = FlowState(0.25, 0.35, 0.3, 0.0)
     fwd = integrate(start, 1.0, p, opts)
     end = fwd.states[-1]
@@ -164,10 +194,10 @@ def test_time_reversal_roundtrip():
 def test_dense_output_sampling():
     p = ModelParams(c=0.6, e=0.2, gamma=0.0)
     traj = integrate(FlowState(0.3, 0.3, 0.3, 0.0), 5.0, p,
-                     IntegrateOpts(rel_tol=1e-10, abs_tol=1e-12))
+                     NumericsConfig(rel_tol=1e-10, abs_tol=1e-12))
     mid = traj.state_at(2.5)
     ref = integrate(FlowState(0.3, 0.3, 0.3, 0.0), 2.5, p,
-                    IntegrateOpts(rel_tol=1e-12, abs_tol=1e-14)).states[-1]
+                    NumericsConfig(rel_tol=1e-12, abs_tol=1e-14)).states[-1]
     assert np.max(np.abs(mid - ref)) < 1e-8
     assert traj.stats["steps"] > 0 and traj.stats["rejected_steps"] >= 0
 
@@ -175,7 +205,7 @@ def test_dense_output_sampling():
 def test_state_at_on_backward_trajectory():
     """A backward run's dense output matches the forward run it retraces."""
     p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
-    opts = IntegrateOpts(rel_tol=1e-11, abs_tol=1e-13, max_step=0.5)
+    opts = NumericsConfig(rel_tol=1e-11, abs_tol=1e-13, max_step=0.5)
     fwd = integrate(FlowState(0.25, 0.35, 0.3, 0.0), 2.0, p, opts)
     back = integrate(FlowState(*fwd.states[-1], 2.0), 0.0, p, opts)
     assert back.ts[0] == 2.0 and back.ts[-1] == 0.0
@@ -256,7 +286,7 @@ def test_section_driver_stops_when_time_stalls():
         return np.array([rng.normal() * 1e30 if t > 1.0 else -y[0]])
 
     with pytest.raises(NumericsError, match="step-size underflow"):
-        _run_stepper(noisy, 0.0, [1.0], 10.0, IntegrateOpts(max_step=0.5),
+        _run_stepper(noisy, 0.0, [1.0], 10.0, NumericsConfig(max_step=0.5),
                      [("a", lambda t, y: y[0] - 1e-9)], 1, lambda name, y: True)
 
 
@@ -273,10 +303,10 @@ def test_section_returns_caps_unbounded_step():
     """
     for p in (CASE2, replace(CASE2, gamma=0.0)):
         start = section_state(1e-3, p)
-        capped = _rows(section_returns(start, 6, p, IntegrateOpts(max_step=50.0),
+        capped = _rows(section_returns(start, 6, p, NumericsConfig(max_step=50.0),
                                        sections="all"))
         for max_step in (math.inf, 1e3, 1e6):
-            events = section_returns(start, 6, p, IntegrateOpts(max_step=max_step),
+            events = section_returns(start, 6, p, NumericsConfig(max_step=max_step),
                                      sections="all")
             assert _rows(events) == capped
 
@@ -315,7 +345,7 @@ def test_section_returns_power_law():
 def test_section_returns_forced_settles_on_curve():
     """Forced low-frequency returns settle onto a closed curve."""
     p = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05)
-    opts = IntegrateOpts(rel_tol=1e-9, abs_tol=1e-14, max_step=1.0)
+    opts = NumericsConfig(rel_tol=1e-9, abs_tol=1e-14, max_step=1.0)
     events = section_returns(section_state(0.02, p), 40, p, opts, sections="o3")
     xs = np.array([ev.x for ev in events[-15:]])
     assert xs.min() > 0.0
@@ -409,7 +439,7 @@ def test_fit_with_noise_monte_carlo(rng):
 def test_fit_on_ode_returns_reports_residual():
     """Fit against genuine flow returns: diagnostic only, residual reported."""
     p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
-    opts = IntegrateOpts(rel_tol=1e-8, abs_tol=1e-12, max_step=1.0)
+    opts = NumericsConfig(rel_tol=1e-8, abs_tol=1e-12, max_step=1.0)
     events = section_returns(section_state(0.005, p), 52, p, opts, sections="o3")
     # rescale to cross-section units and the mod-1 phase convention
     scaled = [

@@ -1,6 +1,7 @@
-"""Static hygiene of the package sources: every import is read and every
-``__all__`` entry is defined; and of the tests: every oracle in
-``conftest.py`` is called by a test module."""
+"""Static hygiene of the package sources: every import is read, every
+``__all__`` entry is defined and every lazily exported flow name is bound;
+and of the tests: every oracle in ``conftest.py`` is called by a test
+module."""
 
 import ast
 from pathlib import Path
@@ -29,9 +30,10 @@ def unread_imports(tree, reexports=False):
     return sorted(bound - loaded)
 
 
-def undefined_exports(tree):
-    """Entries of a module-level ``__all__`` that the module never binds."""
-    defined, exported = set(), []
+def module_bindings(tree):
+    """Names bound at module level, and the value expression of each
+    assignment, by target name."""
+    defined, values = set(), {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined.add(node.name)
@@ -39,11 +41,26 @@ def undefined_exports(tree):
             defined.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = {t.id for t in targets if isinstance(t, ast.Name)}
-            defined |= names
-            if "__all__" in names:
-                exported = ast.literal_eval(node.value)
+            for name in (t.id for t in targets if isinstance(t, ast.Name)):
+                defined.add(name)
+                values[name] = node.value
+    return defined, values
+
+
+def undefined_exports(tree):
+    """Entries of a module-level ``__all__`` that the module never binds."""
+    defined, values = module_bindings(tree)
+    exported = ast.literal_eval(values["__all__"]) if "__all__" in values else []
     return [name for name in exported if name not in defined]
+
+
+def unbound_lazy_names(package, module):
+    """Entries of the package's ``_FLOW_NAMES = frozenset({...})`` that the
+    lazily imported module never binds at module level."""
+    _, values = module_bindings(package)
+    lazy = ast.literal_eval(values["_FLOW_NAMES"].args[0])
+    defined, _ = module_bindings(module)
+    return sorted(lazy - defined)
 
 
 def uncalled_oracles(conftest, modules):
@@ -78,6 +95,24 @@ def test_hygiene_checks_catch_stale_names():
     assert unread_imports(tree) == ["math", "reduce_mod", "replace"]
     assert unread_imports(tree, reexports=True) == ["reduce_mod"]
     assert undefined_exports(tree) == ["Gone"]
+
+
+def test_lazy_flow_names_are_bound():
+    """Every name the package resolves lazily from ``flow`` exists there, so a
+    stale entry fails here and not on its first use."""
+    package = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    flow = ast.parse((SRC / "flow.py").read_text(encoding="utf-8"))
+    assert unbound_lazy_names(package, flow) == []
+
+
+def test_lazy_name_check_catches_a_stale_name():
+    """Negative control: a lazy name the module does not bind is reported;
+    a class, a function and an assigned name are not."""
+    package = ast.parse('_FLOW_NAMES = frozenset({"Kept", "run", "TABLE", "Gone"})\n')
+    module = ast.parse("class Kept:\n    pass\n"
+                       "def run():\n    pass\n"
+                       "TABLE = {}\n")
+    assert unbound_lazy_names(package, module) == ["Gone"]
 
 
 def test_every_conftest_oracle_is_called():

@@ -31,7 +31,6 @@ from mayleonard.singular import (
     _largest_rate,
     doubling_orbit,
     transversality_probe,
-    xi_star_scan,
 )
 from mayleonard.diagnostics import Case34SMarginal
 
@@ -598,14 +597,6 @@ def test_transversality_probe_runs():
     for t in samples:
         assert t.dq_da == 1.0
         assert math.isfinite(t.dp_da)
-
-
-def test_xi_star_scan_smoke():
-    xi_star, records = xi_star_scan(
-        xi_values=[5.0, 65.0], a_values=np.arange(0.0, 1.0, 0.125),
-        omega=0.3, sqrt_a1=math.sqrt(0.5), horizon=200, grid_size=256)
-    assert len(records) == 2
-    assert xi_star in (None, 5.0, 65.0)
 
 
 def test_branch_solve_vs_brentq():

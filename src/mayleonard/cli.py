@@ -162,14 +162,14 @@ def _write_rows(path, cls, rows):
 
 def _run(args) -> int:
     cfg = parse_config(args.config)
-    if args.dump_config:
-        sys.stdout.write(dump_config(cfg))
-        return 0
     params = cfg.params
     # flag overrides go through the record, which validates them
     given = {k: getattr(args, k) for k in ("seed", "horizon")
              if getattr(args, k, None) is not None}
     num = replace(cfg.numerics, **given)
+    if args.dump_config:
+        sys.stdout.write(dump_config(replace(cfg, numerics=num)))
+        return 0
 
     if args.command in ("simulate", "poincare"):
         # the only commands that integrate the flow; the others never import it

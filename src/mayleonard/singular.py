@@ -104,7 +104,9 @@ class CircleMap:
     Subclasses implement ``lift`` (with ``lift(s+1) = lift(s) + degree``),
     ``derivative`` and ``second_derivative``, which accept scalars or
     arrays, and ``_critical_phases``, the zeros of the derivative on
-    [0, 1) in closed form.
+    [0, 1) in closed form.  ``value_and_derivative`` may be overridden to
+    share work between the two; it must return exactly the floats of
+    ``value`` and ``derivative``.
     """
 
     degree = 1
@@ -117,6 +119,9 @@ class CircleMap:
 
     def derivative(self, s):
         raise NotImplementedError
+
+    def value_and_derivative(self, s):
+        return self.value(s), self.derivative(s)
 
     def second_derivative(self, s):
         raise NotImplementedError
@@ -180,6 +185,15 @@ class AnalyticCircleMap(CircleMap):
     def derivative(self, s):
         den = 1.0 - self.sqrt_a1 * np.cos(2.0 * np.pi * s)
         return 1.0 - 2.0 * np.pi * self.coef * self.sqrt_a1 * np.sin(2.0 * np.pi * s) / den
+
+    def value_and_derivative(self, s):
+        # one angle, cosine and denominator for both; v - floor(v) rounds the
+        # exact fractional part once, as v % 1.0 does, so the floats agree
+        theta = 2.0 * np.pi * s
+        den = 1.0 - self.sqrt_a1 * np.cos(theta)
+        v = s + self.offset - self.coef * np.log(den)
+        d = 1.0 - 2.0 * np.pi * self.coef * self.sqrt_a1 * np.sin(theta) / den
+        return v - np.floor(v), d
 
     def second_derivative(self, s):
         den = 1.0 - self.sqrt_a1 * np.cos(2.0 * np.pi * s)
@@ -289,6 +303,12 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams) -> list[C
     """
     dc = derive_constants(params)
     s_grid = np.linspace(0.0, 1.0, 256, endpoint=False)
+    # sqrt_a1 cos(2 pi s) on the stencil s + k h, k = -2..2, once per table;
+    # the k = 0 row is the phase grid itself (s + 0.0 is s)
+    h = 1e-3
+    sc = [dc.sqrt_a1 * np.cos(2.0 * np.pi * (s_grid + k * h)) for k in (-2, -1, 0, 1, 2)]
+    den = [1.0 - c for c in sc]
+    coef = -dc.xi * params.omega / math.pi
     rows = []
     for n in n_range:
         try:
@@ -300,21 +320,12 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams) -> list[C
         gp = gamma**dc.p
         f1_sup = gp * (2.0 + dc.sqrt_a1)
         x_absorb = f1_sup
-        xg = np.linspace(x_absorb / 32, x_absorb, 32)
-
-        def f2_diff(s, x=xg[:, None]):
-            b = 1.0 - dc.sqrt_a1 * np.cos(2.0 * np.pi * s)
-            return -dc.xi * params.omega / math.pi * np.log1p(x**dc.delta / b)
-
-        def f1_val(s, x=xg[:, None]):
-            return gp * (x**dc.delta + 1.0 - dc.sqrt_a1 * np.cos(2.0 * np.pi * s))
-
-        f2_sup = float(np.max(np.abs(f2_diff(s_grid))))
-        h = 1e-3
-        sten = [s_grid + k * h for k in (-2, -1, 0, 1, 2)]
+        xd = np.linspace(x_absorb / 32, x_absorb, 32)[:, None] ** dc.delta
+        f2_diff = [coef * np.log1p(xd / b) for b in den]
+        f1_val = [gp * (xd + 1.0 - c) for c in sc]
+        f2_sup = float(np.max(np.abs(f2_diff[2])))
         d_sups = []
-        for fun in (f2_diff, f1_val):
-            v = [fun(sk) for sk in sten]
+        for v in (f2_diff, f1_val):
             d1 = (v[3] - v[1]) / (2 * h)
             d2 = (v[3] - 2 * v[2] + v[1]) / h**2
             d3 = (v[4] - 2 * v[3] + 2 * v[1] - v[0]) / (2 * h**3)
@@ -381,9 +392,17 @@ _U_GRID = 64
 
 
 def _circle_dist(s, centers):
-    """Circle distance from each ``s`` to the nearest center; inf without centers."""
-    d = np.abs((np.asarray(s)[..., None] - centers + 0.5) % 1.0 - 0.5)
-    return d.min(axis=-1, initial=math.inf)
+    """Circle distance from each ``s`` to the nearest center; inf without centers.
+
+    The centers run along a new leading axis, so the reduction is over
+    whole rows; ``y - floor(y)`` is ``y % 1.0`` bit for bit.
+    """
+    s = np.asarray(s)
+    y = s - np.reshape(centers, (-1,) + (1,) * s.ndim)
+    y += 0.5
+    y -= np.floor(y)
+    y -= 0.5
+    return np.abs(y, out=y).min(axis=0, initial=math.inf)
 
 
 def _largest_rate(cum, m):
@@ -431,6 +450,16 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
     hold vacuously, and the outside conditions measure pure uniform
     expansion (a rigid rotation therefore fails, a doubling map passes
     with rate ln 2).
+
+    The grid starts (outside conditions) and the U samples (inside (b))
+    run in one early-exit sweep: each step evaluates
+    ``cmap.value_and_derivative`` once on the points that have not yet
+    entered U, and the sweep ends when none is left or at the horizon.  The
+    critical orbits run in their own loop over the whole horizon; they
+    rarely enter U and would hold the sweep open.  The outside sums use
+    ``np.log``; inside (b) sums ``math.log``, whose last bit differs from
+    ``np.log`` on some inputs, so its sums are those of a per-point scalar
+    loop.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
@@ -440,45 +469,65 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
     crit = cmap.critical_points()
     centers = np.array([cp.s for cp in crit], dtype=float)
     u_intervals = tuple((float(c - r), float(c + r)) for c in centers)
+    # the inside samples: 64 per component of U, less the critical points
+    u_samples = centers[:, None] + np.linspace(-r, r, _U_GRID)
+    u_pos = u_samples.ravel()
+    u_pos = u_pos[~(_circle_dist(u_pos, centers) < 1e-9)] % 1.0
 
     def in_u(s):
         return _circle_dist(s, centers) < r
 
-    conditions = {}
-
-    # --- outside U: all starts off U in lockstep until each enters U; a
-    # segment needs x0 ... x_{m-1} off U
+    # --- one sweep: the grid starts off U (indices below grid_size, for
+    # the outside conditions; a segment needs x0 ... x_{m-1} off U) and the
+    # U samples (inside (b)) step in lockstep until each enters U.  The live
+    # state stays compact, in index order, so the outside starts lead in
+    # ascending order and a view of the first n_live_out is all of them.
     starts = (np.arange(grid_size) + 0.5) / grid_size
-    pos = starts.copy()
-    cum = np.zeros(grid_size)                 # log|(h^m)'|, frozen once the start enters U
-    entered = np.zeros(grid_size, dtype=int)  # length m with h^m(x) in U, 0 = never
-    live = np.flatnonzero(~in_u(starts))
+    n_all = grid_size + u_pos.size
+    cum = np.zeros(n_all)                # log|(h^m)'|, frozen on entering U
+    stop = np.zeros(n_all, dtype=int)    # the m with h^m(x) in U, 0 = never
+    idx = np.concatenate([np.flatnonzero(~in_u(starts)), grid_size + np.arange(u_pos.size)])
+    pos = np.concatenate([starts, u_pos])[idx]
+    acc = np.zeros(idx.size)             # cum of the live points
+    n_live_out = int(np.count_nonzero(idx < grid_size))
     seg_m, seg_c = [], []     # length m >= m0 and the least log|(h^m)'| at it
     min_ratio_a = math.inf
     worst_a = None
     for m in range(1, horizon + 1):
-        if live.size == 0:
+        if idx.size == 0:
             break
-        d = np.abs(np.asarray(cmap.derivative(pos[live]), dtype=float))
-        d = np.maximum(d, 1e-300)
-        cum[live] += np.log(d)
-        pos[live] = np.asarray(cmap.value(pos[live]), dtype=float)
-        # every segment still tracked here avoided U through step m-1, so it
-        # binds the expansion bound at length m even if h^m(x) lands in U
-        if m >= m0:
+        pos, d = cmap.value_and_derivative(pos)
+        d = np.maximum(np.abs(d), 1e-300)
+        logd = np.log(d)
+        if n_live_out < idx.size:
+            # math.log, not np.log, on the U samples (see the docstring)
+            logd[n_live_out:] = list(map(math.log, d[n_live_out:].tolist()))
+        acc += logd
+        # every outside segment still tracked here avoided U through step
+        # m-1, so it binds the expansion bound at length m even if h^m(x)
+        # lands in U
+        if m >= m0 and n_live_out:
+            c = acc[:n_live_out]
             seg_m.append(m)
-            seg_c.append(float(cum[live].min()))
-            ratios = cum[live] / m
+            seg_c.append(float(c.min()))
+            ratios = c / m
             j = int(np.argmin(ratios))
             if ratios[j] < min_ratio_a:
                 min_ratio_a = float(ratios[j])
-                worst_a = float(starts[live[j]])
-        landed = in_u(pos[live])
-        entered[live[landed]] = m
-        live = live[~landed]
+                worst_a = float(starts[idx[j]])
+        landed = in_u(pos)
+        if landed.any():
+            gone = idx[landed]
+            stop[gone] = m
+            cum[gone] = acc[landed]
+            keep = ~landed
+            n_live_out = int(np.count_nonzero(keep[:n_live_out]))
+            idx, pos, acc = idx[keep], pos[keep], acc[keep]
+    cum[idx] = acc      # the points still off U at the horizon
 
     applicable = bool(seg_m)
     lambda0 = _largest_rate(np.array(seg_c), np.array(seg_m)) if applicable else -math.inf
+    conditions = {}
     conditions["outside_a"] = ConditionVerdict(
         passed=bool(lambda0 > 0.0 and applicable),
         worst=min_ratio_a if applicable else -math.inf,
@@ -487,8 +536,9 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
     )
 
     # segments that end by entering U
+    entered, cum_out = stop[:grid_size], cum[:grid_size]
     hit = entered > 0
-    slack_b = cum[hit] - (math.log(_D0) + lambda0 * entered[hit])
+    slack_b = cum_out[hit] - (math.log(_D0) + lambda0 * entered[hit])
     conditions["outside_b"] = ConditionVerdict(
         passed=lambda0 > -math.inf and not (slack_b < 0.0).any(),
         worst=float(slack_b.min()) if slack_b.size else math.inf,
@@ -500,8 +550,9 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
             conditions[key] = ConditionVerdict(
                 passed=True, worst=math.inf, note="vacuous: empty critical set")
     else:
-        # --- critical orbits avoid U; all in lockstep: row i holds the
-        # (i+1)-th iterates
+        # --- critical orbits avoid U, in their own loop: they rarely enter
+        # U, so in the sweep they would hold it to the full horizon.  Row i
+        # holds the (i+1)-th iterates.
         orbits = np.empty((horizon, centers.size))
         s = centers
         for i in range(horizon):
@@ -515,29 +566,14 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
             note="orbit of a critical point re-entered U" if not ok else "")
 
         # --- inside U, sampled on each component
-        u_samples = centers[:, None] + np.linspace(-r, r, _U_GRID)
         h2 = np.asarray(cmap.second_derivative(u_samples), dtype=float)
         worst_h2 = float(np.min(np.abs(h2)))
         ok_sign = bool(((h2 > 0.0).all(axis=1) | (h2 < 0.0).all(axis=1)).all())
         conditions["inside_a"] = ConditionVerdict(
             passed=ok_sign and worst_h2 > 0.0, worst=worst_h2)
 
-        # all starts in lockstep until each first returns to U
-        u_pos = u_samples.ravel()
-        u_pos = u_pos[~(_circle_dist(u_pos, centers) < 1e-9)] % 1.0   # not the critical points
-        cumlog = np.zeros(u_pos.size)
-        p0 = np.zeros(u_pos.size, dtype=int)     # first-return time, 0 = none yet
-        live = np.arange(u_pos.size)
-        for i in range(1, horizon + 1):
-            if live.size == 0:
-                break
-            d = np.maximum(np.abs(np.asarray(cmap.derivative(u_pos[live]), dtype=float)), 1e-300)
-            # math.log, not np.log: the two differ in the last bit on some inputs
-            cumlog[live] += list(map(math.log, d.tolist()))
-            u_pos[live] = cmap.value(u_pos[live])
-            back = in_u(u_pos[live])
-            p0[live[back]] = i
-            live = live[~back]
+        # first returns of the U samples, from the sweep
+        p0, cumlog = stop[grid_size:], cum[grid_size:]
         returned = p0 > 0
         n_noreturn = int(np.count_nonzero(~returned))
         slack = cumlog[returned] - (lambda0 * p0[returned] / 3.0 - math.log(_D0))

@@ -69,6 +69,14 @@ def critical_set_grid(cmap, grid_size=4096, h2_floor=1e-8):
     return out
 
 
+def circle_dist_oracle(s, centers):
+    """Oracle for ``_circle_dist``: the broadcast form, one ``(..., k)``
+    array of differences wrapped with ``% 1.0`` and reduced over its short
+    last axis."""
+    d = np.abs((np.asarray(s)[..., None] - centers + 0.5) % 1.0 - 0.5)
+    return d.min(axis=-1, initial=math.inf)
+
+
 def quad_checked(fun, a, b, tol=1e-10):
     """Oracle for the closed-form kernels: adaptive quadrature that must
     report convergence."""

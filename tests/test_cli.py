@@ -335,6 +335,27 @@ def test_dump_config_flag(case2_cfg, capsys):
     assert cfg.params.c == 0.6
 
 
+def test_dump_config_shows_the_overridden_numerics(case2_cfg, capsys):
+    """--dump-config prints the numerics the run would use: flag overrides
+    applied and validated; without flags it is the parsed config."""
+    rc = main(["classify", "--config", case2_cfg, "--output", "ignored.json",
+               "--seed", "-1", "--dump-config"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "seed" in captured.err
+    rc = main(["certify", "--config", case2_cfg, "--output", "ignored.json",
+               "--horizon", "400", "--dump-config"])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "\nhorizon = 400\n" in text
+    assert parse_config_text(text).numerics.horizon == 400
+    rc = main(["certify", "--config", case2_cfg, "--output", "ignored.json",
+               "--dump-config"])
+    assert rc == 0
+    assert capsys.readouterr().out == dump_config(parse_config_text(CASE2))
+
+
 def test_exit_code_validation(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[model]\nc = 0.6\ne = 0.2\nbogus = 3\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,9 +33,14 @@ from mayleonard.singular import (
     doubling_orbit,
     transversality_probe,
 )
-from mayleonard.diagnostics import Case34SMarginal
+from mayleonard.diagnostics import (
+    _SCAN_CERT_GRID,
+    _SCAN_CERT_HORIZON,
+    _SCAN_CERT_M0,
+    Case34SMarginal,
+)
 
-from conftest import critical_set_grid
+from conftest import circle_dist_oracle, critical_set_grid
 
 CASE1 = ModelParams(c=0.55, e=0.5, omega=0.05)
 CASE2 = ModelParams(c=0.6, e=0.2, omega=0.3)
@@ -125,7 +131,7 @@ def _reference_check(cmap, horizon=1000, m0=30, grid_size=1024):
             s = cp.s
             for _ in range(horizon):
                 s = float(cmap.value(s))
-                margin = float(_circle_dist(s, centers)) - float(radii.max())
+                margin = float(circle_dist_oracle(s, centers)) - float(radii.max())
                 if margin < worst_d:
                     worst_d, witness = margin, cp.s
                 if in_u(np.array([s]))[0]:
@@ -145,7 +151,7 @@ def _reference_check(cmap, horizon=1000, m0=30, grid_size=1024):
         worst_rec, ok_rec, n_noreturn = math.inf, True, 0
         for c, r in zip(centers, radii):
             for s0 in c + np.linspace(-r, r, 64):
-                if float(_circle_dist(s0, centers)) < 1e-9:
+                if float(circle_dist_oracle(s0, centers)) < 1e-9:
                     continue
                 s, cumlog, p0 = float(s0 % 1.0), 0.0, None
                 for i in range(1, horizon + 1):
@@ -406,6 +412,81 @@ def test_misiurewicz_scan_over_offsets():
             cmap = make_circle_map(float(a), p)
             got = misiurewicz_check(cmap, horizon=250).to_dict()
             assert got == _reference_check(cmap, horizon=250).to_dict(), (p, a)
+
+
+def test_misiurewicz_early_exits_match_reference():
+    """Paths where the sweep ends before the horizon equal the scalar
+    reference: case 2 at horizon 1000, where every start and U sample has
+    entered U within a quarter of it, and the scan's certificate sizes."""
+    for a in (0.3, 0.7):
+        cmap = make_circle_map(a, CASE2)
+        steps = []
+        vd = cmap.value_and_derivative
+        cmap.value_and_derivative = lambda s: steps.append(np.size(s)) or vd(s)
+        got = misiurewicz_check(cmap, horizon=1000).to_dict()
+        assert len(steps) < 250, (a, len(steps))
+        assert got == _reference_check(cmap, horizon=1000).to_dict(), a
+    sizes = dict(horizon=_SCAN_CERT_HORIZON, grid_size=_SCAN_CERT_GRID, m0=_SCAN_CERT_M0)
+    for p, a in ((CASE1, 0.25), (CASE2, 0.55)):
+        cmap = make_circle_map(a, p)
+        got = misiurewicz_check(cmap, **sizes).to_dict()
+        assert got == _reference_check(cmap, **sizes).to_dict(), (p, a)
+
+
+def test_misiurewicz_memory_stays_below_one_mib():
+    """One certificate at horizon 1000 and grid 1024 peaks below 1 MiB of
+    traced allocations; a (horizon, grid) buffer alone would take 8 MiB."""
+    cmap = make_circle_map(0.0, CASE1)
+    cmap.critical_points()
+
+    def peak(fun):
+        tracemalloc.start()
+        try:
+            fun()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: misiurewicz_check(cmap, horizon=1000, grid_size=1024)) < 2**20
+    # negative control: numpy's buffers are traced
+    assert peak(lambda: np.zeros((1000, 1024))) > 2**20
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_circle_dist_matches_broadcast_oracle(rng):
+    """Bit for bit the ``% 1.0`` broadcast form, in every shape, at the
+    edges of U and at the wrap points."""
+    r = 1e-2
+    center_sets = [np.empty(0), np.array([0.3]), np.array([0.0, 0.62]),
+                   rng.uniform(0.0, 1.0, 3)]
+    specials = np.array([0.0, -0.0, 1.0, 1.0 - 2.0**-53, 0.5, -0.5, 1.5])
+    for centers in center_sets:
+        edges = np.concatenate([centers - r, centers + r])
+        edges = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf)])
+        for s in (rng.uniform(-0.5, 1.5, 1000), rng.uniform(0.0, 1.0, (40, 3)),
+                  edges, specials, 0.25, -0.0, np.empty(0)):
+            got, want = _circle_dist(s, centers), circle_dist_oracle(s, centers)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(_bits(got), _bits(want)), (s, centers)
+
+
+def test_value_and_derivative_is_value_and_derivative(rng):
+    """The shared evaluation returns the floats of ``value`` and
+    ``derivative`` exactly, on arrays and on Python floats."""
+    points = [rng.uniform(-0.5, 1.5, 2000), rng.uniform(0.0, 1.0, (30, 4)),
+              np.array([0.0, -0.0, 0.5, 1.0, 1.0 - 2.0**-53])]
+    maps = [make_circle_map(a, p) for p in (CASE1, CASE2) for a in (0.0, 0.3, 0.99)]
+    maps += [DoublingMap(), RigidRotation(0.37)]
+    for cmap in maps:
+        cs = [cp.s for cp in cmap.critical_points()]
+        for s in points + [np.array(cs)] + [float(x) for x in points[2]] + cs:
+            v, d = cmap.value_and_derivative(s)
+            assert np.array_equal(_bits(v), _bits(cmap.value(s))), (cmap, s)
+            assert np.array_equal(_bits(d), _bits(cmap.derivative(s))), (cmap, s)
 
 
 def test_misiurewicz_subverdicts_both_ways():

@@ -37,8 +37,9 @@ class NumericsConfig:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ValidationError("tolerances must be positive and finite")
-        if math.isnan(self.max_step):
-            raise ValidationError("max_step must be a number (inf leaves steps uncapped)")
+        if not self.max_step > 0.0:
+            raise ValidationError(
+                f"max_step must be > 0 (inf leaves steps uncapped), got {self.max_step}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.horizon < 1 or self.iterations < 1 or self.series_len < 1:

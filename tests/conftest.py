@@ -77,6 +77,29 @@ def circle_dist_oracle(s, centers):
     return d.min(axis=-1, initial=math.inf)
 
 
+def rhs_oracle(t, q, params, in_logs=False):
+    """Oracle for the flow's ``_field``: the vector field on the numpy
+    scalars of ``x, y, z = q``, returned as an array.
+
+    In the log chart ``q`` holds the logs of the coordinates and the forcing
+    is divided by ``x`` only for ``gamma > 0``.
+    """
+    c, e, gam, om = params.c, params.e, params.gamma, params.omega
+    if in_logs:
+        u, v, w = q
+        x, y, z = math.exp(u), math.exp(v), math.exp(w)
+    else:
+        x, y, z = q
+    r = x + y + z
+    force = gam * (1.0 - x) * math.sin(2.0 * om * t) ** 2 if gam else 0.0
+    rx = (1.0 - r) - c * y + e * z
+    ry = (1.0 - r) - c * z + e * x
+    rz = (1.0 - r) - c * x + e * y
+    if in_logs:
+        return np.array([rx + force / x if gam else rx, ry, rz])
+    return np.array([x * rx + force, y * ry, z * rz])
+
+
 def quad_checked(fun, a, b, tol=1e-10):
     """Oracle for the closed-form kernels: adaptive quadrature that must
     report convergence."""

@@ -436,6 +436,8 @@ def test_nonfinite_s0_is_a_validation_error(case2_cfg, tmp_path, capsys, argv):
     (["scan", "--steps", "2"], "n_max = 30", "n_max = 30\n[scan]\nfrom = nan"),
     (["scan", "--steps", "2"], "n_max = 30", "n_max = 30\n[scan]\nto = inf"),
     (["scan", "--steps", "2", "--to", "inf"], "", ""),
+    (["simulate"], "seed = 7", "seed = 7\nmax_step = 0"),
+    (["poincare"], "seed = 7", "seed = 7\nmax_step = -1"),
 ])
 def test_nonfinite_config_value_is_a_validation_error(tmp_path, capsys, command, old, new):
     cfg = tmp_path / "cfg" / "bad.cfg"
@@ -447,6 +449,35 @@ def test_nonfinite_config_value_is_a_validation_error(tmp_path, capsys, command,
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--x0", "nan"], "state must be finite"),
+    (["simulate", "--z0", "inf"], "state must be finite"),
+    (["simulate", "--x0=-0.5"], "coordinates must be >= 0"),
+    (["simulate", "--y0=-1e-300"], "coordinates must be >= 0"),
+    (["simulate", "--t-end", "inf"], "t_end must be finite"),
+    (["simulate", "--t-end", "nan"], "t_end must be finite"),
+    (["simulate", "--t-end=-inf"], "t_end must be finite"),
+    (["poincare", "--x0", "nan"], "x must lie in"),
+])
+def test_bad_flow_start_is_a_validation_error(case2_cfg, tmp_path, capsys,
+                                              monkeypatch, argv, message):
+    """A non-finite or negative start, or a non-finite end time, exits 1
+    before any integration starts or any output is opened."""
+    import mayleonard.flow as flow
+
+    def never(*args, **kwargs):
+        raise AssertionError("the flow was integrated")
+
+    monkeypatch.setattr(flow, "solve_ivp", never)
+    monkeypatch.setattr(flow, "LSODA", never)
+    out = tmp_path / "out.csv"
+    rc = main(argv + ["--config", case2_cfg, "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_max_step_inf_stays_uncapped():

@@ -23,7 +23,7 @@ from mayleonard import (
 from mayleonard.config import NumericsConfig
 from mayleonard.flow import SectionEvent, table1_eigenpairs
 
-from conftest import random_admissible
+from conftest import random_admissible, rhs_oracle
 
 
 def test_vector_field_equilibria():
@@ -48,29 +48,113 @@ def test_vector_field_forcing_at_third_axis():
 def test_log_chart_is_population_field_over_state(rng, gamma):
     """Both charts read one vector field: the log chart's rate is the
     population field divided by the coordinate, forced or not."""
-    from mayleonard.flow import _rhs, _rhs_log
+    from mayleonard.flow import _field
     p = ModelParams(c=0.6, e=0.2, gamma=gamma, omega=0.3)
+    population, log_chart = _field(p, False), _field(p, True)
     for _ in range(10):
         q, t = rng.uniform(0.05, 0.9, size=3), rng.uniform(0.0, 20.0)
-        assert np.allclose(_rhs_log(t, np.log(q), p), _rhs(t, q, p) / q,
+        assert np.allclose(log_chart(t, np.log(q)), np.array(population(t, q)) / q,
                            rtol=1e-12, atol=0.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1])
+def test_field_matches_numpy_scalar_oracle_bitwise(rng, gamma):
+    """The float field equals the ndarray formulas bit for bit in both
+    charts, at random states and times, at the axis points and at states
+    an RK stage can reach (slightly negative, tiny, near 1)."""
+    from mayleonard.flow import _field
+    p = ModelParams(c=0.6, e=0.2, gamma=gamma, omega=0.3)
+    states = [np.array(pt) for pt in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                      [0.0, 0.0, 1.0], [0.0, 0.0, 0.0])]
+    states += [rng.uniform(0.0, 1.0, size=3) for _ in range(200)]
+    states += [rng.uniform(-1e-12, 1e-12, size=3) for _ in range(20)]
+    states += [10.0 ** rng.uniform(-300, 0, size=3) for _ in range(20)]
+    times = np.concatenate([[0.0, math.pi / (4 * p.omega)],
+                            rng.uniform(0.0, 1e4, size=len(states) - 2)])
+    population, log_chart = _field(p, False), _field(p, True)
+    for q, t in zip(states, times):
+        assert np.array_equal(_bits(population(t, q)), _bits(rhs_oracle(t, q, p)))
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(q))
+        if gamma and q[0] == 0.0:
+            # the forced log chart divides by x: both raise where it is 0
+            for fun in (log_chart, lambda t, q: rhs_oracle(t, q, p, True)):
+                with pytest.raises(ZeroDivisionError):
+                    fun(t, logs)
+            continue
+        assert np.array_equal(_bits(log_chart(t, logs)),
+                              _bits(rhs_oracle(t, logs, p, True)))
 
 
 def test_flow_numerics_reject_nonfinite_tolerances():
     """``integrate`` and ``section_returns`` read the config's numerics
-    record, which rejects NaN or inf tolerances and a NaN step cap whether
-    it is built or replaced; an explicit inf cap is the positive control."""
+    record, which rejects NaN or inf tolerances and a NaN, zero or negative
+    step cap whether it is built or replaced; an explicit inf cap and the
+    smallest positive one are the positive controls."""
     for fn in (integrate, section_returns):
         assert type(inspect.signature(fn).parameters["opts"].default) is NumericsConfig
     base = NumericsConfig()
     for field, bad in [("rel_tol", math.nan), ("rel_tol", math.inf),
                        ("abs_tol", math.nan), ("abs_tol", math.inf),
-                       ("max_step", math.nan)]:
-        with pytest.raises(ValidationError):
+                       ("max_step", math.nan), ("max_step", 0.0),
+                       ("max_step", -0.0), ("max_step", -1.0),
+                       ("max_step", -math.inf)]:
+        named = "tolerances" if field.endswith("tol") else field
+        with pytest.raises(ValidationError, match=named):
             NumericsConfig(**{field: bad})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=named):
             replace(base, **{field: bad})
     assert replace(base, max_step=math.inf).max_step == math.inf
+    assert replace(base, max_step=5e-324).max_step == 5e-324
+
+
+def test_flow_state_rejects_nonfinite_and_negative():
+    """Coordinates are proportions >= 0 and every field is finite; the
+    closed octant, axis points and -0.0 included, is accepted."""
+    for bad in [(math.nan, 0.3, 0.3, 0.0), (0.3, math.inf, 0.3, 0.0),
+                (0.3, 0.3, -math.inf, 0.0), (0.3, 0.3, 0.3, math.nan),
+                (0.3, 0.3, 0.3, math.inf), (-0.5, 0.3, 0.3, 0.0),
+                (0.3, -5e-324, 0.3, 0.0)]:
+        with pytest.raises(ValidationError):
+            FlowState(*bad)
+    for good in [(0, 0, 0), (1.0, 0.0, 0.0), (-0.0, 0.5, 0.5), (0.3, 0.3, 0.3, -7.0)]:
+        assert FlowState(*good).as_array().shape == (3,)
+
+
+def test_integrate_rejects_nonfinite_t_end(monkeypatch):
+    """A non-finite end time is rejected before the integrator is called:
+    RK45 stores every step, so it would run until memory is gone."""
+    import mayleonard.flow as flow
+
+    def never(*args, **kwargs):
+        raise AssertionError("solve_ivp was called")
+
+    p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
+    start = FlowState(0.3, 0.31, 0.29, 0.0)
+    monkeypatch.setattr(flow, "solve_ivp", never)
+    for t_end in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="t_end must be finite"):
+            integrate(start, t_end, p)
+    with pytest.raises(AssertionError, match="solve_ivp was called"):
+        integrate(start, 1.0, p)
+
+
+def test_section_returns_rejects_unknown_sections():
+    """Only ``"o3"`` and ``"all"`` name a set of faces; a near miss is an
+    error, not a silent count of all three faces."""
+    p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
+    start = section_state(1e-3, p)
+    for bad in ("O3", "ALL", "o1", "", None):
+        with pytest.raises(ValidationError, match="sections must be"):
+            section_returns(start, 2, p, sections=bad)
+    o3 = section_returns(start, 2, p, sections="o3")
+    every = section_returns(start, 2, p, sections="all")
+    assert {ev.section for ev in o3} == {"O3"}
+    assert [ev.section for ev in every] != [ev.section for ev in o3]
 
 
 def test_equilibria_spectrum_matches_reference(rng):
@@ -273,6 +357,34 @@ def test_section_driver_reports_stepper_counters(monkeypatch, gamma):
     assert stats["nfev"] > stats["steps"] > 0
 
 
+@pytest.mark.parametrize("params, n", [(CASE1, 30), (CASE2, 10),
+                                       (replace(CASE2, gamma=0.0), 6)])
+def test_section_driver_same_on_float_field_and_oracle(monkeypatch, params, n):
+    """LSODA driven by the float field and by the numpy-scalar oracle takes
+    the same steps and finds the same crossings, bit for bit."""
+    import mayleonard.flow as flow
+
+    reports = []
+    run = flow._run_stepper
+
+    def recording(*args):
+        stats, found = run(*args)
+        reports.append((stats, found))
+        return stats, found
+
+    monkeypatch.setattr(flow, "_run_stepper", recording)
+    start = section_state(1e-3, params)
+    section_returns(start, n, params, sections="all")
+    monkeypatch.setattr(flow, "_field", lambda p, in_logs: (
+        lambda t, q: rhs_oracle(t, q, p, in_logs)))
+    section_returns(start, n, params, sections="all")
+    (stats, found), (stats_ref, found_ref) = reports
+    assert stats == stats_ref and len(found) == len(found_ref) == n
+    for (t, name, y), (t_ref, name_ref, y_ref) in zip(found, found_ref):
+        assert (t, name) == (t_ref, name_ref)
+        assert np.array_equal(_bits(y), _bits(y_ref))
+
+
 def test_section_driver_stops_when_time_stalls():
     """LSODA goes on accepting steps once ``t + h == t``; the driver
     reports that as step-size underflow instead of looping forever."""
@@ -389,8 +501,8 @@ def test_dwell_time_matches_measured():
             return q[0] - cube
         hit_exit.terminal = True
         hit_exit.direction = 1.0
-        from mayleonard.flow import _rhs
-        sol = solve_ivp(lambda t, q: _rhs(t, q, p), (0.0, 500.0),
+        from mayleonard.flow import _field
+        sol = solve_ivp(_field(p, False), (0.0, 500.0),
                         [x0, cube, 1.0 - x0 - cube], rtol=1e-10, atol=1e-14,
                         events=hit_exit, max_step=1.0)
         assert sol.t_events[0].size == 1

@@ -155,6 +155,11 @@ def _check_start(x0, s0):
         raise ValidationError(f"--s0 must be finite, got {s0}")
 
 
+def _check_iters(iters):
+    if iters < 1:
+        raise ValidationError(f"--iters must be >= 1, got {iters}")
+
+
 def _write_rows(path, cls, rows):
     # one CSV column per dataclass field, in field order
     write_csv(path, [f.name for f in fields(cls)], map(astuple, rows))
@@ -188,16 +193,17 @@ def _run(args) -> int:
 
     if args.command == "return-map":
         _check_start(args.x0, args.s0)
+        _check_iters(args.iters)
         gamma = None
         if args.variant == "rescaled":
             if args.a is None:
                 raise ValidationError("rescaled variant needs --a")
             n = args.n if args.n is not None else _default_n(params)
             gamma = gamma_sequence(n, args.a, derive_constants(params))
-        orbit = compile_map(args.variant, params, gamma=gamma).orbit(
+        xs, ss, _ = compile_map(args.variant, params, gamma=gamma).orbit(
             args.x0, args.s0, args.iters)
         write_csv(args.output, ("k", "x", "s"),
-                  ((k, x, s) for k, (x, s, _) in enumerate(orbit, 1)))
+                  zip(range(1, args.iters + 1), xs.tolist(), ss.tolist()))
         return 0
 
     if args.command == "singular-limit":
@@ -253,13 +259,14 @@ def _run(args) -> int:
         rng = np.random.default_rng(num.seed)
         x0 = args.x0 if args.x0 is not None else max(params.gamma, 1e-6)
         _check_start(x0, args.s0)
+        _check_iters(args.iters)
         if args.variant == "case34":
             cmap = Case34SMarginal(params)
             series = cmap.orbit(args.s0, args.iters, burn_in=200)
             rot_info = asdict(rotation_interval(cmap, rng=rng))
         else:
-            orbit = compile_map("case12", params).orbit(x0, args.s0, 200 + args.iters)
-            series = np.array([s for _, s, _ in orbit][200:])
+            _, ss, _ = compile_map("case12", params).orbit(x0, args.s0, 200 + args.iters)
+            series = ss[200:]
             rot_info = None
         obs = np.cos(2.0 * np.pi * series)
         K = zero_one_test(obs, rng=rng)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -252,6 +251,12 @@ _BURN_IN = 500
 _LYAPUNOV_MIN_ITERATIONS = 10_000
 
 
+def _burn_in(fmap, x, s):
+    """The point ``_BURN_IN`` steps of ``fmap`` after ``(x, s)``, as floats."""
+    xs, ss, _ = fmap.orbit(x, s, _BURN_IN)
+    return float(xs[-1]), float(ss[-1])
+
+
 def _leading_directions(d11, d12, d21, d22):
     """Unit first columns of the prefix products ``P_k = D_{k-1} ... D_0``,
     ``k = 0 .. N-1``, of the 2x2 matrices with the given entry arrays.
@@ -313,13 +318,10 @@ def lyapunov_2d(fmap, point0, iterations: int) -> Lyapunov2D:
         raise ValidationError(f"iterations must be >= {_LYAPUNOV_MIN_ITERATIONS}")
     if fmap.variant == "case34":
         raise ValidationError("case34 is rank-one degenerate (det = 0)")
-    x, s = float(point0[0]), float(point0[1])
-    for x, s, _ in fmap.orbit(x, s, _BURN_IN):
-        pass
-    images = np.fromiter(chain.from_iterable(fmap.orbit(x, s, iterations)),
-                         float, 3 * iterations).reshape(iterations, 3)
-    xs = np.concatenate(([x], images[:-1, 0]))
-    ss = np.concatenate(([s], images[:-1, 1]))
+    x, s = _burn_in(fmap, float(point0[0]), float(point0[1]))
+    xs, ss, _ = fmap.orbit(x, s, iterations)
+    xs = np.concatenate(([x], xs[:-1]))
+    ss = np.concatenate(([s], ss[:-1]))
     d11, d12, d21, d22, det = fmap.tangent(xs, ss)
     # the entry-form determinant cancels catastrophically when the phase
     # coupling dominates; prefer the exact closed form where it exists
@@ -522,6 +524,8 @@ def autocorrelation(series, lags: int) -> AutocorrelationResult:
     the lags that sit above the sampling noise floor; a flat envelope
     yields a rate near zero.  Diagnostic only.
     """
+    if lags < 1:
+        raise ValidationError(f"autocorrelation needs lags >= 1, got {lags}")
     x = np.asarray(series, dtype=float)
     if len(x) < 10 * lags:
         raise ValidationError("series must be at least 10x the maximum lag")
@@ -602,15 +606,9 @@ def _scan_one(gamma, params, numerics, battery, sample_rng):
     rots = []
     obs = None
     for seed_i in range(3):
-        x, s = x0, float(sample_rng.uniform())
-        for x, s, _ in fmap.orbit(x, s, _BURN_IN):
-            pass
-        ss = np.empty(numerics.series_len)
-        y = y0 = s
-        for i, (_, s, advance) in enumerate(fmap.orbit(x, s, numerics.series_len)):
-            y += advance          # lift displacement
-            ss[i] = s
-        rots.append((y - y0) / numerics.series_len)
+        x, s = _burn_in(fmap, x0, float(sample_rng.uniform()))
+        _, ss, y = fmap.orbit(x, s, numerics.series_len)
+        rots.append((y - s) / numerics.series_len)
         if seed_i == 0:
             obs = np.cos(2.0 * np.pi * ss)
     if _is_constant(obs):

@@ -17,13 +17,18 @@ order.
 
 :func:`compile_map` is the one evaluator of each variant: it derives the
 constants once per parameter point, and callers hold the compiled map for
-as long as the point is fixed.  Its ``orbit`` is the one orbit loop.
+as long as the point is fixed.  Its ``orbit`` fills float arrays of the
+images and returns them with the lift of the last phase; every image is
+bit-identical to stepping ``lift`` and reducing the phase, and an escape
+from the section names its step.  ``case12``, the density scan's map, has
+its own fused orbit loop; the other variants share one loop over ``lift``.
 :func:`kernels` and :func:`finite_difference_jacobian` are test oracles.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +128,13 @@ def kernels(x: float, s: float, params: ModelParams) -> KernelValues:
                         G1=g1, G2=g2, T1=t1, T2=t2, T3=t3)
 
 
+def _zeros(steps):
+    """Compact float storage for ``steps`` orbit images; ``steps >= 0``."""
+    if steps < 0:
+        raise ValidationError(f"orbit needs steps >= 0, got {steps}")
+    return array("d", [0.0]) * steps
+
+
 def _check_section(x, variant):
     if np.any(np.less_equal(x, 0.0)):
         raise ValidationError(f"tangent needs x > 0 for {variant}")
@@ -148,21 +160,27 @@ class _CompiledMap:
         self.slope = dc.xi * params.omega / math.pi
 
     def orbit(self, x, s, steps):
-        """Yield ``(x, s, advance)`` after each of ``steps`` steps from ``(x, s)``.
+        """The images of ``steps`` steps from ``(x, s)``: ``(xs, ss, y)``.
 
-        ``s`` is the phase reduced by ``modulus`` and ``advance`` the
-        unreduced phase step, so a running sum of ``advance`` is the lift
-        displacement.  An image with ``x <= 0`` has left the section and
-        raises :class:`NumericsError`.
+        ``xs`` and ``ss`` are float arrays of the leading coordinate and of
+        the phase reduced by ``modulus``; ``y`` is the lift of the last
+        phase, the start phase plus each unreduced advance ``f2 - s`` in
+        step order.  Every image is the one that stepping ``lift`` gives.
+        An image with ``x <= 0`` has left the section and raises
+        :class:`NumericsError` naming its step.
         """
         lift, modulus = self.lift, self.modulus
+        xs, ss = _zeros(steps), _zeros(steps)
+        y = s
         for k in range(steps):
             x, f2 = lift(x, s)
             if x <= 0.0:
                 raise NumericsError(f"orbit escaped (x <= 0) at step {k}")
-            advance = f2 - s
+            y += f2 - s
             s = reduce_mod(f2, modulus)
-            yield x, s, advance
+            xs[k] = x
+            ss[k] = s
+        return np.frombuffer(xs), np.frombuffer(ss), y
 
 
 class _FullMap(_CompiledMap):
@@ -243,6 +261,26 @@ class _Case12Map(_CompiledMap):
         if f1 <= 0.0:
             raise NumericsError(f"leading coordinate fell to {f1} <= 0")
         return f1, s + self.shift - self.slope * math.log(f1)
+
+    def orbit(self, x, s, steps):
+        # the body of ``lift`` with the constants and ``math`` bound as
+        # locals; with modulus 1, ``f2 - floor(f2)`` is ``reduce_mod(f2, 1.0)``
+        # to the bit, and the escape check is ``lift``'s ``f1 <= 0`` test
+        delta, forcing, sqrt_a1 = self.delta, self.forcing, self.sqrt_a1
+        shift, slope, two_pi = self.shift, self.slope, _TWO_PI
+        cos, log, floor = math.cos, math.log, math.floor
+        xs, ss = _zeros(steps), _zeros(steps)
+        y = s
+        for k in range(steps):
+            x = x**delta + forcing * (1.0 - sqrt_a1 * cos(two_pi * s))
+            if x <= 0.0:
+                raise NumericsError(f"orbit escaped (x <= 0) at step {k}")
+            f2 = s + shift - slope * log(x)
+            y += f2 - s
+            s = f2 - floor(f2)
+            xs[k] = x
+            ss[k] = s
+        return np.frombuffer(xs), np.frombuffer(ss), y
 
     def tangent(self, x, s):
         _check_section(x, self.variant)
@@ -327,13 +365,18 @@ def compile_map(variant: str, params: ModelParams, *,
 
     The result has a scalar ``lift(x, s)`` (phase not reduced), a
     ``tangent(x, s)`` returning ``(d11, d12, d21, d22, det_closed_form)``
-    (the last None for ``full``), the orbit loop ``orbit(x, s, steps)``,
-    the phase ``modulus`` and its ``variant`` name.  ``tangent`` takes
-    floats or numpy arrays: it evaluates the same numpy ufuncs element by
-    element, so an array call equals the scalar calls, and it raises
-    :class:`ValidationError` if any ``x <= 0`` (except ``case34``, which
-    ignores ``x``).  Only the rescaled variant reads ``gamma``, and it needs
-    one in (0, 1).
+    (the last None for ``full``), the phase ``modulus``, its ``variant``
+    name, and ``orbit(x, s, steps)``.  ``orbit`` returns ``(xs, ss, y)``:
+    float arrays of the ``steps`` images, phases reduced by ``modulus``, and
+    the lift ``y`` of the last phase (the start phase plus each unreduced
+    phase advance, in step order).  Its images are bit-identical to stepping
+    ``lift``; it raises :class:`ValidationError` for ``steps < 0`` and
+    :class:`NumericsError` naming the step of an image with ``x <= 0``.
+    ``tangent`` takes floats or numpy arrays: it evaluates the same numpy
+    ufuncs element by element, so an array call equals the scalar calls,
+    and it raises :class:`ValidationError` if any ``x <= 0`` (except
+    ``case34``, which ignores ``x``).  Only the rescaled variant reads
+    ``gamma``, and it needs one in (0, 1).
     """
     if variant not in _COMPILED:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

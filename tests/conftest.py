@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from mayleonard import ModelParams, NumericsError
 from mayleonard.diagnostics import _BURN_IN, Lyapunov2D
+from mayleonard.returnmap import reduce_mod
 from mayleonard.singular import CriticalPoint
 
 
@@ -139,6 +140,24 @@ def zero_one_oracle(series, n_c=32, rng=None):
     return float(np.median(ks))
 
 
+def orbit_oracle(fmap, x, s, steps):
+    """Oracle for ``orbit``: a generator that steps ``fmap.lift`` and yields
+    ``(x, s, advance)`` after each step.
+
+    ``s`` is the phase reduced by ``reduce_mod`` and ``advance`` the
+    unreduced phase step ``f2 - s``.  An image with ``x <= 0`` raises
+    :class:`NumericsError`; ``lift`` itself may raise first.
+    """
+    lift, modulus = fmap.lift, fmap.modulus
+    for k in range(steps):
+        x, f2 = lift(x, s)
+        if x <= 0.0:
+            raise NumericsError(f"orbit escaped (x <= 0) at step {k}")
+        advance = f2 - s
+        s = reduce_mod(f2, modulus)
+        yield x, s, advance
+
+
 def lyapunov_oracle(fmap, point0, iterations):
     """Oracle for ``lyapunov_2d``: the QR method with one scalar tangent
     call and one Gram-Schmidt step per orbit point.
@@ -147,11 +166,10 @@ def lyapunov_oracle(fmap, point0, iterations):
     (the burn-in, then ``iterations`` measured points); it does no input
     validation.
     """
-    x, s = float(point0[0]), float(point0[1])
-    for x, s, _ in fmap.orbit(x, s, _BURN_IN):
-        pass
+    xs, ss, _ = fmap.orbit(float(point0[0]), float(point0[1]), _BURN_IN)
+    x, s = float(xs[-1]), float(ss[-1])
     tangent = fmap.tangent
-    orbit = fmap.orbit(x, s, iterations)
+    xs, ss, _ = fmap.orbit(x, s, iterations)
     q1x, q1y, q2x, q2y = 1.0, 0.0, 0.0, 1.0
     sum1 = sum2 = sumdet = 0.0
     eps = math.ulp(1.0)
@@ -177,7 +195,7 @@ def lyapunov_oracle(fmap, point0, iterations):
             q2x, q2y = wx / r22, wy / r22
         sum1 += math.log(r11)
         sum2 += math.log(r22)
-        x, s, _ = next(orbit)
+        x, s = float(xs[k]), float(ss[k])
     l1, l2 = sum1 / iterations, sum2 / iterations
     if l1 < l2:
         l1, l2 = l2, l1

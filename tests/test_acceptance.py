@@ -170,10 +170,10 @@ def test_criterion_06a_invariant_curve_collapse():
     for _ in range(32):
         x = float(rng.uniform(0.5 * fixed, 1.5 * fixed))
         s = float(rng.uniform(0.0, 1.0))
-        for x, s, _ in fmap.orbit(x, s, 10000):
-            pass
-        pts.extend((s, x) for x, s, _ in fmap.orbit(x, s, 300))
-    pts = np.asarray(pts)
+        xs, ss, _ = fmap.orbit(x, s, 10000)
+        xs, ss, _ = fmap.orbit(float(xs[-1]), float(ss[-1]), 300)
+        pts.append(np.column_stack([ss, xs]))
+    pts = np.concatenate(pts)
     nb = 128
     idx = np.minimum((pts[:, 0] * nb).astype(int), nb - 1)
     spread = 0.0

@@ -421,6 +421,25 @@ def test_nonfinite_s0_is_a_validation_error(case2_cfg, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["return-map", "--variant", "case12", "--iters", "0"], "--iters must be >= 1, got 0"),
+    (["return-map", "--variant", "full", "--iters", "-3"], "--iters must be >= 1, got -3"),
+    (["chaos-test", "--variant", "case34", "--iters", "-300"],
+     "--iters must be >= 1, got -300"),
+    (["chaos-test", "--variant", "case12", "--iters", "0"], "--iters must be >= 1, got 0"),
+    (["chaos-test", "--variant", "case12", "--lags", "0"],
+     "autocorrelation needs lags >= 1, got 0"),
+    (["chaos-test", "--variant", "case34", "--lags", "-2"],
+     "autocorrelation needs lags >= 1, got -2"),
+])
+def test_bad_sizes_are_a_validation_error(case2_cfg, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    rc = main(argv + ["--config", case2_cfg, "--output", str(out)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, old, new", [
     (["classify"], "gamma = 0.01", "gamma = nan"),
     (["return-map", "--variant", "case12"], "gamma = 0.01", "gamma = nan"),

@@ -258,12 +258,22 @@ def test_lyapunov_2d_consistency_checks_the_closed_form():
 @pytest.mark.parametrize("call", [100, _BURN_IN + 4321, _BURN_IN + 9999])
 def test_lyapunov_2d_raises_on_escape(call):
     """An image off the section raises in the burn-in, among the measured
-    points, and as the last image, which only the escape check reads."""
-    fmap = compile_map("case12", replace(SCAN_PARAMS, gamma=1e-3))
+    points, and as the last image, which only the escape check reads.  The
+    rescaled variant's orbit steps ``lift``, so a patched ``lift`` injects
+    the escape; the case-12 orbit, fused, escapes for real below."""
+    fmap, point0 = lyapunov_case("rescaled")
     lift, calls = fmap.lift, count()
     fmap.lift = lambda x, s: (-x, s) if next(calls) == call else lift(x, s)
     with pytest.raises(NumericsError, match="orbit escaped"):
-        lyapunov_2d(fmap, (1e-3, 0.3), 10000)
+        lyapunov_2d(fmap, point0, 10000)
+
+
+def test_lyapunov_2d_raises_on_case12_escape():
+    """A negative forcing coefficient drives the case-12 image below zero
+    within the burn-in (at step 6 from (1, 0.3))."""
+    fmap = compile_map("case12", replace(SCAN_PARAMS, gamma=1e-2, mu1=-0.5))
+    with pytest.raises(NumericsError, match="orbit escaped .* at step 6$"):
+        lyapunov_2d(fmap, (1.0, 0.3), 10000)
 
 
 def test_rotation_interval_rigid():
@@ -400,8 +410,8 @@ def scan_phase_series(index, n):
     to the 0-1 test, from the same draws, extended to ``n`` samples."""
     fmap, x0, rng = scan_row_map(index)
     rng.uniform()                       # the Lyapunov start
-    orbit = fmap.orbit(x0, float(rng.uniform()), _BURN_IN + n)
-    return np.cos(2.0 * np.pi * np.array([s for _, s, _ in orbit][_BURN_IN:]))
+    _, ss, _ = fmap.orbit(x0, float(rng.uniform()), _BURN_IN + n)
+    return np.cos(2.0 * np.pi * ss[_BURN_IN:])
 
 
 def zero_one_fixture(kind, n):
@@ -453,8 +463,8 @@ def test_density_scan_fixed_point_row_is_regular():
 def test_zero_one_statistic_invariant_curve(rng):
     """The low-frequency family on its attracting curve is regular."""
     p = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05)
-    orbit = compile_map("case12", p).orbit(0.002, 0.1, 2000 + 4000)
-    series = np.array([s for _, s, _ in orbit][2000:])
+    _, ss, _ = compile_map("case12", p).orbit(0.002, 0.1, 2000 + 4000)
+    series = ss[2000:]
     assert zero_one_test(np.cos(2 * np.pi * series), rng=rng) < 0.1
 
 
@@ -474,12 +484,15 @@ def test_autocorrelation_flat_for_rotation():
         autocorrelation(np.ones(4000), 40)
     with pytest.raises(ValidationError):
         autocorrelation(np.ones(100), 40)
+    for lags in (0, -2):
+        with pytest.raises(ValidationError, match=f"lags >= 1, got {lags}"):
+            autocorrelation(np.cos(2 * np.pi * s), lags)
 
 
 def test_autocorrelation_chaotic_sample_positive_rate():
     p = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=0.3)
-    orbit = compile_map("case12", p).orbit(1e-3, 0.2, 500 + 20000)
-    series = np.array([s for _, s, _ in orbit][500:])
+    _, ss, _ = compile_map("case12", p).orbit(1e-3, 0.2, 500 + 20000)
+    series = ss[500:]
     res = autocorrelation(series, 30)
     assert res.decay_rate is None or res.decay_rate > 0.0
 

@@ -513,8 +513,8 @@ def test_dwell_time_matches_measured():
 def _synthetic_events(params, n, rng, noise=0.0):
     from mayleonard.returnmap import compile_map
     x0, s0 = 0.02, rng.uniform()
-    orbit = compile_map("case12", params).orbit(x0, s0, n - 1)
-    clean = [(x0, s0)] + [(x, s) for x, s, _ in orbit]
+    xs, ss, _ = compile_map("case12", params).orbit(x0, s0, n - 1)
+    clean = [(x0, s0)] + list(zip(xs.tolist(), ss.tolist()))
     events = []
     for k, (xk, sk) in enumerate(clean):
         x_obs = abs(xk + rng.normal(scale=noise)) if noise else xk

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import count
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 
 from mayleonard import (
     ModelParams,
+    NumericsError,
     ValidationError,
     compile_map,
     derive_constants,
@@ -16,7 +18,7 @@ from mayleonard import (
 from mayleonard.returnmap import VARIANTS, finite_difference_jacobian, reduce_mod
 from mayleonard.singular import gamma_sequence, make_circle_map
 
-from conftest import quad_checked, random_admissible
+from conftest import orbit_oracle, quad_checked, random_admissible
 
 
 def l2_quadrature(x, s, params):
@@ -51,8 +53,8 @@ def l1_g1_g2_quadrature(x, s, params, kv):
 
 def _image(fmap, x, s):
     """One step of a compiled map, phase reduced."""
-    x1, s1, _ = next(fmap.orbit(x, s, 1))
-    return x1, s1
+    xs, ss, _ = fmap.orbit(x, s, 1)
+    return float(xs[0]), float(ss[0])
 
 
 def _tangent_matrix(fmap, x, s):
@@ -114,7 +116,7 @@ def test_full_map_unforced_form():
     obeys log x2 = delta^2 log x0."""
     params = ModelParams(c=0.6, e=0.2, gamma=0.0, omega=0.3)
     dc = derive_constants(params)
-    (x1, s1, _), (x2, _, _) = compile_map("full", params).orbit(1e-2, 0.3, 2)
+    (x1, x2), (s1, _), _ = compile_map("full", params).orbit(1e-2, 0.3, 2)
     assert x1 == pytest.approx(1e-2**3, rel=1e-14)
     expected_s = reduce_mod(0.3 + 1.0 - dc.xi * math.log(1e-2), math.pi / 0.3)
     assert s1 == pytest.approx(expected_s, abs=1e-10)
@@ -310,6 +312,60 @@ def test_tangent_on_arrays_is_the_scalar_tangent(rng, variant):
         for bad in (0.0, -1e-3):
             with pytest.raises(ValidationError, match="x > 0"):
                 fmap.tangent(np.where(np.arange(64) == 17, bad, xs), ss)
+
+
+ORBIT_PARAMS = ModelParams(c=0.6, e=0.2, gamma=1e-2, omega=0.3)
+
+
+def orbit_map(variant, **changes):
+    params = replace(ORBIT_PARAMS, **changes)
+    return compile_map(variant, params, gamma=1e-3 if variant == "rescaled" else None)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("steps", [0, 1, 5000])
+@pytest.mark.parametrize("x0, s0", [(1e-3, 0.3), (0.02, 0.77), (0.5, 0.05)])
+def test_orbit_is_the_stepped_lift(variant, steps, x0, s0):
+    """The array orbit is the generator over ``lift`` and ``reduce_mod`` to
+    the bit: images, reduced phases, and the lift summed in step order."""
+    fmap = orbit_map(variant)
+    xs, ss, y = fmap.orbit(x0, s0, steps)
+    want = list(orbit_oracle(fmap, x0, s0, steps))
+    assert xs.dtype == ss.dtype == np.float64
+    assert np.array_equal(xs, [w[0] for w in want])
+    assert np.array_equal(ss, [w[1] for w in want])
+    want_y = s0
+    for _, _, advance in want:
+        want_y += advance
+    assert y == want_y
+
+
+@pytest.mark.parametrize("variant", ["full", "case34", "rescaled"])
+def test_orbit_names_the_escape_step(variant):
+    """The shared loop names the step whose image left the section; a bad
+    size is a validation error."""
+    fmap = orbit_map(variant)
+    lift, calls = fmap.lift, count()
+    fmap.lift = lambda x, s: (-x, s) if next(calls) == 7 else lift(x, s)
+    with pytest.raises(NumericsError, match=r"orbit escaped \(x <= 0\) at step 7$"):
+        fmap.orbit(0.02, 0.3, 100)
+    with pytest.raises(ValidationError, match="steps >= 0, got -3"):
+        fmap.orbit(0.02, 0.3, -3)
+
+
+def test_case12_orbit_names_the_escape_step():
+    """The fused case-12 loop never calls ``lift``: a negative forcing
+    coefficient makes a real escape, at the step where stepping ``lift``
+    fails, and a bad size is a validation error."""
+    fmap = orbit_map("case12", mu1=-0.5)
+    taken = []
+    with pytest.raises(NumericsError):
+        taken.extend(orbit_oracle(fmap, 1.0, 0.3, 100))
+    assert len(taken) == 6
+    with pytest.raises(NumericsError, match=r"orbit escaped \(x <= 0\) at step 6$"):
+        fmap.orbit(1.0, 0.3, 100)
+    with pytest.raises(ValidationError, match="steps >= 0, got -1"):
+        fmap.orbit(1.0, 0.3, -1)
 
 
 def test_jacobian_case34_degenerate():

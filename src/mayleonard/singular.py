@@ -104,9 +104,10 @@ class CircleMap:
     Subclasses implement ``lift`` (with ``lift(s+1) = lift(s) + degree``),
     ``derivative`` and ``second_derivative``, which accept scalars or
     arrays, and ``_critical_phases``, the zeros of the derivative on
-    [0, 1) in closed form.  ``value_and_derivative`` may be overridden to
-    share work between the two; it must return exactly the floats of
-    ``value`` and ``derivative``.
+    [0, 1) in closed form.  ``lift_and_derivative`` and
+    ``value_and_derivative`` may be overridden to share work between the
+    two values; they must return exactly the floats of ``lift`` (or
+    ``value``) and ``derivative``.
     """
 
     degree = 1
@@ -119,6 +120,9 @@ class CircleMap:
 
     def derivative(self, s):
         raise NotImplementedError
+
+    def lift_and_derivative(self, s):
+        return self.lift(s), self.derivative(s)
 
     def value_and_derivative(self, s):
         return self.value(s), self.derivative(s)
@@ -147,6 +151,8 @@ class CircleMap:
 
     def orbit(self, s0: float, n: int, burn_in: int = 0) -> np.ndarray:
         """The ``n`` iterates after the first ``burn_in`` ones."""
+        if n < 0 or burn_in < 0:
+            raise ValidationError(f"orbit needs n >= 0 and burn_in >= 0, got {n}, {burn_in}")
         s = float(s0)
         out = np.empty(burn_in + n)
         for i in range(burn_in + n):
@@ -186,13 +192,17 @@ class AnalyticCircleMap(CircleMap):
         den = 1.0 - self.sqrt_a1 * np.cos(2.0 * np.pi * s)
         return 1.0 - 2.0 * np.pi * self.coef * self.sqrt_a1 * np.sin(2.0 * np.pi * s) / den
 
-    def value_and_derivative(self, s):
-        # one angle, cosine and denominator for both; v - floor(v) rounds the
-        # exact fractional part once, as v % 1.0 does, so the floats agree
+    def lift_and_derivative(self, s):
+        # one angle, cosine and denominator for both
         theta = 2.0 * np.pi * s
         den = 1.0 - self.sqrt_a1 * np.cos(theta)
-        v = s + self.offset - self.coef * np.log(den)
-        d = 1.0 - 2.0 * np.pi * self.coef * self.sqrt_a1 * np.sin(theta) / den
+        return (s + self.offset - self.coef * np.log(den),
+                1.0 - 2.0 * np.pi * self.coef * self.sqrt_a1 * np.sin(theta) / den)
+
+    def value_and_derivative(self, s):
+        # v - floor(v) rounds the exact fractional part once, as v % 1.0
+        # does, so the floats agree
+        v, d = self.lift_and_derivative(s)
         return v - np.floor(v), d
 
     def second_derivative(self, s):
@@ -389,6 +399,8 @@ class MisiurewiczCertificate:
 # slack factor of outside (b) and inside (b), and samples per component of U
 _D0 = 1e-3
 _U_GRID = 64
+# steps per pass of the certificate sweep between its bookkeeping rounds
+_BLOCK = 8
 
 
 def _circle_dist(s, centers):
@@ -452,17 +464,29 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
     with rate ln 2).
 
     The grid starts (outside conditions) and the U samples (inside (b))
-    run in one early-exit sweep: each step evaluates
-    ``cmap.value_and_derivative`` once on the points that have not yet
-    entered U, and the sweep ends when none is left or at the horizon.  The
-    critical orbits run in their own loop over the whole horizon; they
-    rarely enter U and would hold the sweep open.  The outside sums use
+    run in one early-exit sweep over the points that have not yet entered
+    U, in blocks of ``_BLOCK`` steps.  Each step only evaluates
+    ``cmap.value_and_derivative`` once and stores the images and
+    derivatives as one row of the block; the logs, the running sums
+    (``np.add.accumulate`` down the rows adds in step order, so the sums
+    are those of a step-by-step loop), the U test, the segment minima and
+    the compaction run once per block.  A point that enters U mid-block is
+    stepped to the block's end, and those extra images are never read.
+    The critical points ride at the end of the live positions, so their
+    images fill the critical orbits while the sweep lasts; the sweep ends
+    when no grid start or U sample is left or at the horizon, and only
+    the rest of the critical orbits then continues with ``cmap.value``
+    (whose floats ``value_and_derivative`` matches).  The outside sums use
     ``np.log``; inside (b) sums ``math.log``, whose last bit differs from
-    ``np.log`` on some inputs, so its sums are those of a per-point scalar
-    loop.
+    ``np.log`` on some inputs, so its sums stay those of a per-point
+    scalar loop and do not depend on numpy's SIMD code.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
+    if m0 < 1:
+        raise ValidationError(f"m0 must be >= 1, got {m0}")
+    if grid_size < 1:
+        raise ValidationError(f"grid_size must be >= 1, got {grid_size}")
     if not 0.0 < u_radius < 0.5:
         raise ValidationError(f"u_radius must lie in (0, 0.5), got {u_radius}")
     r = u_radius
@@ -474,55 +498,78 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
     u_pos = u_samples.ravel()
     u_pos = u_pos[~(_circle_dist(u_pos, centers) < 1e-9)] % 1.0
 
-    def in_u(s):
-        return _circle_dist(s, centers) < r
-
     # --- one sweep: the grid starts off U (indices below grid_size, for
     # the outside conditions; a segment needs x0 ... x_{m-1} off U) and the
-    # U samples (inside (b)) step in lockstep until each enters U.  The live
-    # state stays compact, in index order, so the outside starts lead in
-    # ascending order and a view of the first n_live_out is all of them.
+    # U samples (inside (b)) step in lockstep until each enters U, with the
+    # critical points riding behind them.  The live state stays compact, in
+    # index order, so the outside starts lead in ascending order and a view
+    # of the first n_live_out is all of them.
     starts = (np.arange(grid_size) + 0.5) / grid_size
     n_all = grid_size + u_pos.size
     cum = np.zeros(n_all)                # log|(h^m)'|, frozen on entering U
     stop = np.zeros(n_all, dtype=int)    # the m with h^m(x) in U, 0 = never
-    idx = np.concatenate([np.flatnonzero(~in_u(starts)), grid_size + np.arange(u_pos.size)])
-    pos = np.concatenate([starts, u_pos])[idx]
+    off_u = ~(_circle_dist(starts, centers) < r)
+    idx = np.concatenate([np.flatnonzero(off_u), grid_size + np.arange(u_pos.size)])
+    pos = np.concatenate([starts[off_u], u_pos, centers])
     acc = np.zeros(idx.size)             # cum of the live points
-    n_live_out = int(np.count_nonzero(idx < grid_size))
+    n_live_out = int(np.count_nonzero(off_u))
+    orbits = np.empty((horizon, centers.size))  # row i: the (i+1)-th critical iterates
     seg_m, seg_c = [], []     # length m >= m0 and the least log|(h^m)'| at it
     min_ratio_a = math.inf
     worst_a = None
-    for m in range(1, horizon + 1):
-        if idx.size == 0:
-            break
-        pos, d = cmap.value_and_derivative(pos)
-        d = np.maximum(np.abs(d), 1e-300)
-        logd = np.log(d)
-        if n_live_out < idx.size:
+    done = 0                  # steps taken
+    while idx.size and done < horizon:
+        n = idx.size
+        block = min(_BLOCK, horizon - done)
+        images = np.empty((block, pos.size))
+        derivs = np.empty((block, pos.size))
+        for k in range(block):
+            images[k], derivs[k] = cmap.value_and_derivative(pos)
+            pos = images[k]
+        orbits[done:done + block] = images[:, n:]
+        d = np.abs(derivs[:, :n])
+        np.maximum(d, 1e-300, out=d)
+        logs = np.empty((block, n))
+        np.log(d[:, :n_live_out], out=logs[:, :n_live_out])
+        if n_live_out < n:
             # math.log, not np.log, on the U samples (see the docstring)
-            logd[n_live_out:] = list(map(math.log, d[n_live_out:].tolist()))
-        acc += logd
-        # every outside segment still tracked here avoided U through step
-        # m-1, so it binds the expansion bound at length m even if h^m(x)
-        # lands in U
-        if m >= m0 and n_live_out:
-            c = acc[:n_live_out]
-            seg_m.append(m)
-            seg_c.append(float(c.min()))
-            ratios = c / m
-            j = int(np.argmin(ratios))
-            if ratios[j] < min_ratio_a:
-                min_ratio_a = float(ratios[j])
-                worst_a = float(starts[idx[j]])
-        landed = in_u(pos)
-        if landed.any():
-            gone = idx[landed]
-            stop[gone] = m
-            cum[gone] = acc[landed]
-            keep = ~landed
+            logs[:, n_live_out:] = np.reshape(
+                list(map(math.log, d[:, n_live_out:].ravel().tolist())), (block, -1))
+        logs[0] += acc
+        np.add.accumulate(logs, axis=0, out=logs)     # row k: cum after step done+k+1
+        landed = _circle_dist(images[:, :n], centers) < r
+        hit = landed.any(axis=0)
+        first = np.where(hit, landed.argmax(axis=0), block)   # row of the first landing
+        # every outside segment still tracked at row k avoided U through the
+        # step before, so it binds the expansion bound at that length even
+        # if it lands in U at row k
+        k_lo = max(m0 - done - 1, 0)
+        k_hi = min(int(first[:n_live_out].max(initial=-1)), block - 1)
+        if k_lo <= k_hi:
+            rows = np.arange(k_lo, k_hi + 1)
+            c = np.where(rows[:, None] <= first[:n_live_out],
+                         logs[k_lo:k_hi + 1, :n_live_out], math.inf)
+            for k, cmin in zip(rows.tolist(), c.min(axis=1).tolist()):
+                m = done + k + 1
+                seg_m.append(m)
+                seg_c.append(cmin)
+                # rounding is monotone, so cmin / m is the least c / m
+                if cmin / m < min_ratio_a:
+                    j = int(np.argmin(c[k - k_lo] / m))
+                    min_ratio_a = cmin / m
+                    worst_a = float(starts[idx[j]])
+        if hit.any():
+            cols = np.flatnonzero(hit)
+            gone = idx[cols]
+            stop[gone] = done + 1 + first[cols]
+            cum[gone] = logs[first[cols], cols]
+            keep = ~hit
             n_live_out = int(np.count_nonzero(keep[:n_live_out]))
-            idx, pos, acc = idx[keep], pos[keep], acc[keep]
+            idx, acc = idx[keep], logs[-1, keep]
+            pos = np.concatenate([pos[:n][keep], pos[n:]])
+        else:
+            acc = logs[-1]
+        done += block
     cum[idx] = acc      # the points still off U at the horizon
 
     applicable = bool(seg_m)
@@ -550,12 +597,11 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
             conditions[key] = ConditionVerdict(
                 passed=True, worst=math.inf, note="vacuous: empty critical set")
     else:
-        # --- critical orbits avoid U, in their own loop: they rarely enter
-        # U, so in the sweep they would hold it to the full horizon.  Row i
-        # holds the (i+1)-th iterates.
-        orbits = np.empty((horizon, centers.size))
-        s = centers
-        for i in range(horizon):
+        # --- critical orbits avoid U: the sweep filled the first rows, and
+        # the rest continues alone (the critical points rarely enter U, so
+        # they do not hold the sweep open)
+        s = orbits[done - 1] if done else centers
+        for i in range(done, horizon):
             s = orbits[i] = cmap.value(s)
         margins = _circle_dist(orbits, centers) - r
         # the first minimum in (critical point, step) order
@@ -704,20 +750,21 @@ def _branch_of(s, ends):
 
 def _branch_solve(cmap, lo, hi, target):
     # solve lift(q) = target on the monotone branch [lo, hi]: Newton steps
-    # kept inside the shrinking bracket, a bisection wherever one would leave it
-    f = lambda q: float(cmap.lift(q)) - target
-    fa, fb = f(lo), f(hi)
+    # kept inside the shrinking bracket, a bisection wherever one would leave it;
+    # one shared evaluation of lift and derivative per iterate
+    fa, fb = float(cmap.lift(lo)) - target, float(cmap.lift(hi)) - target
     if fa * fb > 0.0:
         return None
     if fa == 0.0 or fb == 0.0:
         return lo if fa == 0.0 else hi
     q = 0.5 * (lo + hi)
     for _ in range(100):
-        fq = f(q)
+        v, d = cmap.lift_and_derivative(q)
+        fq = float(v) - target
         if fq == 0.0:
             return q
         lo, hi = (q, hi) if (fq > 0.0) == (fa > 0.0) else (lo, q)
-        slope = float(cmap.derivative(q))
+        slope = float(d)
         q_next = q - fq / slope if slope != 0.0 else math.nan
         if not lo < q_next < hi:
             q_next = 0.5 * (lo + hi)

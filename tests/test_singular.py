@@ -433,6 +433,72 @@ def test_misiurewicz_early_exits_match_reference():
         assert got == _reference_check(cmap, **sizes).to_dict(), (p, a)
 
 
+def test_misiurewicz_blocks_match_reference(monkeypatch):
+    """Any number of steps per sweep block gives the scalar reference's
+    floats, at horizons shorter than, equal to and past a block, with the
+    first counted segment length m0 inside a block."""
+    import mayleonard.singular as singular
+
+    maps = [make_circle_map(0.0, CASE1), make_circle_map(0.3, CASE2),
+            DoublingMap(), RigidRotation(0.37)]
+    for cmap in maps:
+        for horizon, m0 in ((1, 5), (7, 5), (33, 5), (250, 29)):
+            want = _reference_check(cmap, horizon=horizon, m0=m0).to_dict()
+            for block in (1, 3, 16):
+                monkeypatch.setattr(singular, "_BLOCK", block)
+                got = misiurewicz_check(cmap, horizon=horizon, m0=m0).to_dict()
+                assert got == want, (cmap, horizon, m0, block)
+
+
+def test_critical_orbits_ride_in_the_sweep():
+    """On case 1 at a = 0 some grid start stays off U for the whole
+    horizon, so the sweep fills every row of the critical orbits and
+    ``cmap.value`` is never called; the margins are those of a scalar
+    orbit loop."""
+    cmap = make_circle_map(0.0, CASE1)
+    centers = np.array([cp.s for cp in cmap.critical_points()])
+    worst = math.inf
+    for s in centers.tolist():
+        for _ in range(250):
+            s = float(cmap.value(s))
+            worst = min(worst, float(circle_dist_oracle(s, centers)) - 1e-2)
+    steps = []
+    vd = cmap.value_and_derivative
+    cmap.value_and_derivative = lambda s: steps.append(np.size(s)) or vd(s)
+
+    def no_value(s):
+        raise AssertionError("cmap.value called")
+
+    cmap.value = no_value
+    cert = misiurewicz_check(cmap, horizon=250)
+    assert len(steps) == 250
+    assert cert.conditions["critical_orbits"].worst == worst
+    assert cert.conditions["critical_orbits"].passed
+
+
+def test_misiurewicz_rejects_bad_sizes():
+    """A grid or a least segment length below one is a validation error:
+    a negative grid would read the U samples' stops as grid starts, and
+    m0 <= 0 would act as m0 = 1."""
+    cmap = make_circle_map(0.3, CASE2)
+    for kwargs in (dict(grid_size=0), dict(grid_size=-4), dict(m0=0), dict(m0=-3),
+                   dict(horizon=0)):
+        with pytest.raises(ValidationError):
+            misiurewicz_check(cmap, **kwargs)
+
+
+def test_circle_map_orbit_sizes():
+    """Negative orbit or burn-in lengths are validation errors; zero
+    lengths give the empty orbit or no burn-in."""
+    cmap = make_circle_map(0.3, CASE2)
+    for n, burn_in in ((-5, 0), (2, -1), (-1, -1)):
+        with pytest.raises(ValidationError):
+            cmap.orbit(0.3, n, burn_in)
+    assert cmap.orbit(0.3, 0).size == 0
+    assert np.array_equal(cmap.orbit(0.3, 2, 0), cmap.orbit(0.3, 3)[:2])
+    assert np.array_equal(cmap.orbit(0.3, 2, 1), cmap.orbit(0.3, 3)[1:])
+
+
 def test_misiurewicz_memory_stays_below_one_mib():
     """One certificate at horizon 1000 and grid 1024 peaks below 1 MiB of
     traced allocations; a (horizon, grid) buffer alone would take 8 MiB."""
@@ -475,8 +541,8 @@ def test_circle_dist_matches_broadcast_oracle(rng):
 
 
 def test_value_and_derivative_is_value_and_derivative(rng):
-    """The shared evaluation returns the floats of ``value`` and
-    ``derivative`` exactly, on arrays and on Python floats."""
+    """The shared evaluations return the floats of ``value`` (or ``lift``)
+    and ``derivative`` exactly, on arrays and on Python floats."""
     points = [rng.uniform(-0.5, 1.5, 2000), rng.uniform(0.0, 1.0, (30, 4)),
               np.array([0.0, -0.0, 0.5, 1.0, 1.0 - 2.0**-53])]
     maps = [make_circle_map(a, p) for p in (CASE1, CASE2) for a in (0.0, 0.3, 0.99)]
@@ -486,6 +552,9 @@ def test_value_and_derivative_is_value_and_derivative(rng):
         for s in points + [np.array(cs)] + [float(x) for x in points[2]] + cs:
             v, d = cmap.value_and_derivative(s)
             assert np.array_equal(_bits(v), _bits(cmap.value(s))), (cmap, s)
+            assert np.array_equal(_bits(d), _bits(cmap.derivative(s))), (cmap, s)
+            y, d = cmap.lift_and_derivative(s)
+            assert np.array_equal(_bits(y), _bits(cmap.lift(s))), (cmap, s)
             assert np.array_equal(_bits(d), _bits(cmap.derivative(s))), (cmap, s)
 
 
@@ -678,6 +747,24 @@ def test_transversality_probe_runs():
     for t in samples:
         assert t.dq_da == 1.0
         assert math.isfinite(t.dp_da)
+
+
+class _SeparateCalls(AnalyticCircleMap):
+    """The analytic map with the base class's separate lift and derivative."""
+
+    def lift_and_derivative(self, s):
+        return self.lift(s), self.derivative(s)
+
+
+def test_transversality_probe_shared_evaluation_is_bitwise():
+    """The Newton steps' shared lift-and-derivative evaluation gives the
+    probe's floats of separate ``lift`` and ``derivative`` calls."""
+    for p in (CASE1, CASE2):
+        for a in (0.0, 0.3, 0.71):
+            h = make_circle_map(a, p)
+            ref = _SeparateCalls(a=h.a, omega=h.omega, xi=h.xi, mu3=h.mu3,
+                                 sqrt_a1=h.sqrt_a1)
+            assert transversality_probe(h) == transversality_probe(ref), (p, a)
 
 
 def test_branch_solve_vs_brentq():

@@ -8,7 +8,6 @@ from .params import (
     ModelParams,
     check_c1a_c1b,
     derive_constants,
-    trig_collapse,
 )
 from .returnmap import (
     KernelValues,
@@ -24,7 +23,6 @@ from .singular import (
     RigidRotation,
     gamma_sequence,
     hypothesis_battery,
-    k_inverse,
     k_map,
     lyapunov_1d,
     make_circle_map,
@@ -39,9 +37,7 @@ from .diagnostics import (
     autocorrelation,
     classify_regime,
     density_scan,
-    horseshoe_condition,
     lyapunov_2d,
-    region_curves,
     rotation_interval,
     zero_one_test,
 )
@@ -52,8 +48,8 @@ __version__ = "0.1.0"
 # names resolve on first use
 _FLOW_NAMES = frozenset({
     "FlowState", "SectionEvent", "Trajectory", "dwell_time_estimate",
-    "equilibria_spectrum", "fit_global_constants", "gh_to_ml", "integrate",
-    "section_returns", "section_state", "vector_field",
+    "equilibria_spectrum", "fit_global_constants", "integrate",
+    "section_returns", "section_state",
 })
 
 

@@ -65,12 +65,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_required=True):
+    def common(p):
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--seed", type=int, default=None,
                        help="override numerics.seed")
-        p.add_argument("--output", required=output_required,
-                       help="output path (CSV/JSON per subcommand)")
+        p.add_argument("--output",
+                       help="output path (CSV/JSON per subcommand; "
+                            "not needed with --dump-config)")
         p.add_argument("--dump-config", action="store_true",
                        help="print the normalised config and exit")
 
@@ -175,6 +176,8 @@ def _run(args) -> int:
     if args.dump_config:
         sys.stdout.write(dump_config(replace(cfg, numerics=num)))
         return 0
+    if args.output is None:
+        raise ValidationError("the following arguments are required: --output")
 
     if args.command in ("simulate", "poincare"):
         # the only commands that integrate the flow; the others never import it

@@ -1,12 +1,13 @@
 """Regime classification, attractor-type conditions, and chaos metrics.
 
 Everything here is a measurement on the analytic return-map family:
-classification of the four dynamical regimes, the horseshoe and
-invariant-annulus conditions, two-dimensional Lyapunov spectra with the
-determinant cross-check, rotation intervals through monotone envelope
-maps, the 0-1 chaos statistic, autocorrelation decay, and the density
-scan over forcing amplitudes that emulates the positive-measure claim as
-an empirical fraction.
+classification of the four dynamical regimes and of the regions bounded
+by the horseshoe and torus curves, the invariant-annulus condition,
+two-dimensional Lyapunov spectra with the determinant cross-check,
+rotation intervals through monotone envelope maps, the 0-1 chaos
+statistic, autocorrelation decay, and the density scan over forcing
+amplitudes that emulates the positive-measure claim as an empirical
+fraction.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from .singular import CircleMap, k_map, make_circle_map, misiurewicz_check
 __all__ = [
     "AnnulusReport",
     "annulus_check",
-    "HorseshoeReport",
-    "horseshoe_condition",
-    "region_curves",
     "region_label",
     "RegimeReport",
     "classify_regime",
@@ -99,14 +97,6 @@ def annulus_check(params: ModelParams, n_samples: int = 8192) -> AnnulusReport:
     )
 
 
-@dataclass(frozen=True)
-class HorseshoeReport:
-    holds: bool
-    margin: float
-    t1: float
-    sqrt_a1: float
-
-
 def t1_curve(xi: float, omega: float, C: float) -> float:
     """Lower boundary of the horseshoe region.
 
@@ -122,21 +112,6 @@ def t1_curve(xi: float, omega: float, C: float) -> float:
 def t2_curve(xi: float, omega: float) -> float:
     """Upper boundary of the attracting-torus region, ``1/sqrt(1+(xi omega)^2)``."""
     return 1.0 / math.sqrt(1.0 + (xi * omega) ** 2)
-
-
-def horseshoe_condition(C: float, params: ModelParams) -> HorseshoeReport:
-    """Whether ``t1(xi) < sqrt(a1) < 1`` holds; margin is ``sqrt(a1) - t1``."""
-    dc = derive_constants(params)
-    t1 = t1_curve(dc.xi, params.omega, C)
-    holds = t1 < dc.sqrt_a1 < 1.0
-    return HorseshoeReport(holds=holds, margin=dc.sqrt_a1 - t1,
-                           t1=t1, sqrt_a1=dc.sqrt_a1)
-
-
-def region_curves(xi_grid, omega: float, C: float = 10.0):
-    """Rows ``(xi, t1, t2)`` of the two boundary curves on the given grid."""
-    return [(float(xi), t1_curve(xi, omega, C), t2_curve(xi, omega))
-            for xi in xi_grid]
 
 
 def region_label(sqrt_a1: float, xi: float, omega: float, C: float = 10.0,

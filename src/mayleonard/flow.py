@@ -3,7 +3,7 @@
 The vector field is the three-species May-Leonard system with a
 non-negative periodic forcing of amplitude ``gamma`` acting on the first
 coordinate.  This module integrates it with an embedded adaptive
-Runge-Kutta 5(4) scheme with dense output (``integrate``), verifies the
+Runge-Kutta 5(4) scheme (``integrate``), verifies the
 saddle spectra of the unperturbed network, and extracts Poincare return
 data on the entry faces of the saddle neighbourhoods (``section_returns``).
 
@@ -33,7 +33,7 @@ Two integration charts are available:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import LSODA, RK45, solve_ivp
@@ -47,9 +47,7 @@ __all__ = [
     "FlowState",
     "Trajectory",
     "SectionEvent",
-    "vector_field",
     "ml_jacobian",
-    "gh_to_ml",
     "equilibria_spectrum",
     "table1_eigenpairs",
     "integrate",
@@ -81,19 +79,11 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Step samples, their dense output and the integrator statistics."""
+    """Step samples and the integrator statistics."""
 
     ts: np.ndarray
     states: np.ndarray           # shape (n, 3)
     stats: dict
-    sol: object = field(repr=False)   # scipy OdeSolution over the span
-
-    def state_at(self, t: float) -> np.ndarray:
-        """Evaluate the dense output at time t (within the integrated span)."""
-        if not (self.sol.t_min <= t <= self.sol.t_max):
-            raise ValidationError(
-                f"t={t} outside integrated span [{self.ts[0]}, {self.ts[-1]}]")
-        return self.sol(t)
 
     def to_rows(self):
         """Rows (t, x, y, z) for CSV export."""
@@ -118,11 +108,6 @@ class SectionEvent:
     x: float
     log_x: float
     state: np.ndarray
-
-
-def vector_field(state: FlowState, params: ModelParams) -> np.ndarray:
-    """Right-hand side of the forced system at the given state and time."""
-    return np.array(_field(params, False)(state.t, state.as_array()))
 
 
 def _field(params: ModelParams, in_logs: bool):
@@ -169,12 +154,6 @@ def ml_jacobian(point, params: ModelParams) -> np.ndarray:
         [y * (e - 1.0), 1.0 - r - c * z + e * x - y, y * (-1.0 - c)],
         [z * (-1.0 - c), z * (e - 1.0), 1.0 - r - c * x + e * y - z],
     ])
-
-
-def gh_to_ml(state_gh) -> np.ndarray:
-    """Componentwise square: the cubic-equivariant chart to population coordinates."""
-    v = np.asarray(state_gh, dtype=float)
-    return v * v
 
 
 _AXIS_POINTS = {1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 3: (0.0, 0.0, 1.0)}
@@ -258,8 +237,8 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
               opts: NumericsConfig = NumericsConfig()) -> Trajectory:
     """Integrate the forced flow from ``state0`` to ``t_end``.
 
-    Adaptive Runge-Kutta 5(4) with dense output.  ``t_end`` must be finite,
-    since every step is stored.  Coordinates may dip below zero by at most
+    Adaptive Runge-Kutta 5(4).  ``t_end`` must be finite, since every step
+    is stored.  Coordinates may dip below zero by at most
     ``abs_tol`` (they are clamped in the stored samples); a larger violation
     raises :class:`NumericsError` since the closed octant is exactly
     invariant for the model.
@@ -269,7 +248,7 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
     if t_end == state0.t:
         raise ValidationError("t_end must differ from the initial time")
     res = solve_ivp(_field(params, False), (state0.t, t_end),
-                    state0.as_array(), method=RK45, dense_output=True,
+                    state0.as_array(), method=RK45,
                     rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step)
     if res.status < 0:
         raise NumericsError(
@@ -277,7 +256,7 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
             "(likely stiffness near an equilibrium)"
         )
     return Trajectory(ts=res.t, states=_clamp_octant(res.y.T, opts.abs_tol),
-                      stats=_stats(res.nfev, len(res.t) - 1), sol=res.sol)
+                      stats=_stats(res.nfev, len(res.t) - 1))
 
 
 def _run_stepper(fun, t0, y0, t_end, opts, events, max_events, accept):

@@ -21,7 +21,6 @@ __all__ = [
     "C1Report",
     "derive_constants",
     "check_c1a_c1b",
-    "trig_collapse",
     "stable_fixed_point",
     "saddle_node_gamma",
 ]
@@ -239,20 +238,3 @@ def check_c1a_c1b(params: ModelParams, spec: DiophantineCheckSpec) -> C1Report:
         worst_pair=worst_pair, worst_margin=worst_margin, n_max=nm,
     )
 
-
-def trig_collapse(xc: float, yc: float) -> tuple[float, float]:
-    """Collapse ``xc*cos(a) + yc*sin(a)`` into ``A*cos(phase + a)``.
-
-    Returns the amplitude ``A = sqrt(xc**2 + yc**2) >= 0`` and the phase in
-    ``[0, 2*pi)`` such that the identity holds for every angle ``a``.
-
-    Raises
-    ------
-    ValidationError
-        On the zero vector (the phase is undefined).
-    """
-    if xc == 0.0 and yc == 0.0:
-        raise ValidationError("trig_collapse is undefined for the zero vector")
-    amplitude = math.hypot(xc, yc)
-    phase = (-math.atan2(yc, xc)) % (2.0 * math.pi)
-    return amplitude, phase

@@ -22,7 +22,6 @@ images and returns them with the lift of the last phase; every image is
 bit-identical to stepping ``lift`` and reducing the phase, and an escape
 from the section names its step.  ``case12``, the density scan's map, has
 its own fused orbit loop; the other variants share one loop over ``lift``.
-:func:`kernels` and :func:`finite_difference_jacobian` are test oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "eta_omega",
     "kernels",
     "compile_map",
-    "finite_difference_jacobian",
     "reduce_mod",
 ]
 
@@ -382,13 +380,3 @@ def compile_map(variant: str, params: ModelParams, *,
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     return _COMPILED[variant](params, derive_constants(params), gamma)
 
-
-def finite_difference_jacobian(fmap: _CompiledMap, x: float, s: float) -> np.ndarray:
-    """Central-difference Jacobian of a compiled map's phase lift (test oracle),
-    relative step 1e-6."""
-    lift = fmap.lift
-    hx = 1e-6 * max(abs(x), 1.0)
-    hs = 1e-6
-    col_x = np.subtract(lift(x + hx, s), lift(x - hx, s)) / (2.0 * hx)
-    col_s = np.subtract(lift(x, s + hs), lift(x, s - hs)) / (2.0 * hs)
-    return np.column_stack([col_x, col_s])

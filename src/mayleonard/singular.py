@@ -34,7 +34,6 @@ __all__ = [
     "TransitionMatrix",
     "BatteryReport",
     "k_map",
-    "k_inverse",
     "first_admissible_index",
     "gamma_sequence",
     "make_circle_map",
@@ -44,7 +43,6 @@ __all__ = [
     "lyapunov_1d",
     "transversality_probe",
     "hypothesis_battery",
-    "doubling_orbit",
 ]
 
 
@@ -58,21 +56,18 @@ def k_map(x: float, constants: DerivedConstants) -> float:
     return -constants.K_omega * constants.xi * math.log(x)
 
 
-def k_inverse(y: float, constants: DerivedConstants) -> float:
-    return math.exp(-y / (constants.K_omega * constants.xi))
-
-
 def first_admissible_index(constants: DerivedConstants, gamma_plus: float) -> int:
     """Smallest index whose amplitude lies below ``gamma_plus`` for every offset ``a``."""
     return math.floor(constants.K_omega * constants.xi * math.log(1.0 / gamma_plus)) + 1
 
 
-def gamma_sequence(n: int, a: float, constants: DerivedConstants,
-                   gamma_plus: float | None = None) -> float:
+def gamma_sequence(n: int, a: float, constants: DerivedConstants) -> float:
     """The n-th amplitude with phase offset ``a``: ``exp(-(n+a)/(K_omega xi))``.
 
-    When ``gamma_plus`` is given, indices whose amplitude is not below that
-    admissibility bound are rejected.
+    ``a`` must lie in [0, 1) and ``n`` be positive; an amplitude that
+    underflows double precision is a :class:`ValidationError`.  Admissibility
+    is not checked here: :func:`first_admissible_index` gives the first
+    admissible index.
     """
     if not (0.0 <= a < 1.0):
         raise ValidationError(f"a must lie in [0, 1), got {a}")
@@ -85,13 +80,6 @@ def gamma_sequence(n: int, a: float, constants: DerivedConstants,
             f"amplitude at index n={n} underflows double precision "
             f"(K_omega * xi = {kxi:.3e})"
         )
-    if gamma_plus is not None:
-        n0 = first_admissible_index(constants, gamma_plus)
-        if n < n0:
-            raise ValidationError(
-                f"n={n} below the first admissible index n0={n0} "
-                f"(gamma_plus={gamma_plus})"
-            )
     return gamma
 
 
@@ -256,18 +244,6 @@ class RigidRotation(CircleMap):
         return ()
 
 
-def doubling_orbit(n: int, rng: np.random.Generator) -> np.ndarray:
-    """A Lebesgue-typical doubling orbit of length n.
-
-    Built from a random bit stream (53-bit windows), which realises the
-    doubling dynamics without the float collapse that plain iteration of
-    ``2 s mod 1`` suffers after 53 steps.
-    """
-    bits = rng.integers(0, 2, size=n + 53).astype(float)
-    weights = 2.0 ** -(np.arange(1, 54))
-    return np.correlate(bits, weights, mode="valid")[:n]
-
-
 def make_circle_map(a: float, params: ModelParams) -> AnalyticCircleMap:
     dc = derive_constants(params)
     return AnalyticCircleMap(a=a, omega=params.omega, xi=dc.xi, mu3=params.mu3,
@@ -307,10 +283,15 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams) -> list[C
     functions, so their round-off scales with the difference itself.  The
     phase grid has 256 points and the absorbing range 32.
 
-    The indices must increase, and there must be at least one.  The table
-    stops at the first index whose amplitude underflows double precision; if
-    the first one does, that is a :class:`ValidationError`.
+    The indices must strictly increase (else :class:`ValidationError`), and
+    there must be at least one.  The table stops at the first index whose
+    amplitude underflows double precision; if the first one does, that is a
+    :class:`ValidationError`.
     """
+    n_range = list(n_range)
+    for n, m in zip(n_range, n_range[1:]):
+        if m <= n:
+            raise ValidationError(f"the indices must strictly increase, got {m} after {n}")
     dc = derive_constants(params)
     s_grid = np.linspace(0.0, 1.0, 256, endpoint=False)
     # sqrt_a1 cos(2 pi s) on the stencil s + k h, k = -2..2, once per table;

@@ -78,6 +78,31 @@ def circle_dist_oracle(s, centers):
     return d.min(axis=-1, initial=math.inf)
 
 
+def finite_difference_jacobian(fmap, x, s):
+    """Oracle for ``tangent`` and the closed-form determinants: the
+    central-difference Jacobian of a compiled map's phase lift, relative
+    step 1e-6."""
+    lift = fmap.lift
+    hx = 1e-6 * max(abs(x), 1.0)
+    hs = 1e-6
+    col_x = np.subtract(lift(x + hx, s), lift(x - hx, s)) / (2.0 * hx)
+    col_s = np.subtract(lift(x, s + hs), lift(x, s - hs)) / (2.0 * hs)
+    return np.column_stack([col_x, col_s])
+
+
+def doubling_orbit(n, rng):
+    """Oracle input for the chaos controls: a Lebesgue-typical doubling orbit
+    of length n.
+
+    Built from a random bit stream (53-bit windows), which realises the
+    doubling dynamics without the float collapse that plain iteration of
+    ``2 s mod 1`` suffers after 53 steps.
+    """
+    bits = rng.integers(0, 2, size=n + 53).astype(float)
+    weights = 2.0 ** -(np.arange(1, 54))
+    return np.correlate(bits, weights, mode="valid")[:n]
+
+
 def rhs_oracle(t, q, params, in_logs=False):
     """Oracle for the flow's ``_field``: the vector field on the numpy
     scalars of ``x, y, z = q``, returned as an array.

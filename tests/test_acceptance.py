@@ -36,8 +36,8 @@ from mayleonard.diagnostics import (
 )
 from mayleonard.flow import section_state, table1_eigenpairs
 from mayleonard.params import stable_fixed_point
-from mayleonard.returnmap import compile_map, finite_difference_jacobian, kernels
-from conftest import random_admissible
+from mayleonard.returnmap import compile_map, kernels
+from conftest import finite_difference_jacobian, random_admissible
 
 SEED = 20260809
 

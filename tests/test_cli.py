@@ -326,13 +326,21 @@ def test_chaos_test_json(case2_cfg, tmp_path, variant):
     assert (rep["rotation"] is None) == (variant == "case12")
 
 
-def test_dump_config_flag(case2_cfg, capsys):
+def test_dump_config_flag(case2_cfg, capsys, tmp_path, monkeypatch):
     rc = main(["classify", "--config", case2_cfg, "--output", "ignored.json",
                "--dump-config"])
     assert rc == 0
     text = capsys.readouterr().out
     cfg = parse_config_text(text)
     assert cfg.params.c == 0.6
+    # --dump-config needs no output path; every other run does
+    monkeypatch.chdir(tmp_path)
+    assert main(["classify", "--config", case2_cfg, "--dump-config"]) == 0
+    assert capsys.readouterr().out == text
+    assert main(["classify", "--config", case2_cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--output" in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["case2.cfg"]
 
 
 def test_dump_config_shows_the_overridden_numerics(case2_cfg, capsys):

@@ -14,32 +14,30 @@ from mayleonard import (
     dwell_time_estimate,
     equilibria_spectrum,
     fit_global_constants,
-    gh_to_ml,
     integrate,
     section_returns,
     section_state,
-    vector_field,
 )
 from mayleonard.config import NumericsConfig
-from mayleonard.flow import SectionEvent, table1_eigenpairs
+from mayleonard.flow import SectionEvent, _field, table1_eigenpairs
 
 from conftest import random_admissible, rhs_oracle
 
 
 def test_vector_field_equilibria():
     p = ModelParams(c=0.6, e=0.2, gamma=0.0)
-    assert np.allclose(vector_field(FlowState(0, 0, 0, 0.0), p), 0.0)
+    assert np.allclose(_field(p, False)(0.0, np.zeros(3)), 0.0)
     # the (1-x) factor kills the forcing at the first axis point for any t
     pf = replace(p, gamma=0.2)
     for t in (0.0, 0.3, 2.7):
-        assert np.allclose(vector_field(FlowState(1, 0, 0, t), pf), 0.0)
+        assert np.allclose(_field(pf, False)(t, np.array([1.0, 0.0, 0.0])), 0.0)
 
 
 def test_vector_field_forcing_at_third_axis():
     """The third axis point picks up exactly the forcing in the x-direction."""
     p = ModelParams(c=0.6, e=0.2, gamma=0.1, omega=0.3)
     t = math.pi / (4 * p.omega)          # sin(2 omega t) = 1
-    f = vector_field(FlowState(0, 0, 1, t), p)
+    f = _field(p, False)(t, np.array([0.0, 0.0, 1.0]))
     assert f[0] == pytest.approx(0.1, rel=1e-12)
     assert f[1] == 0.0 and f[2] == 0.0
 
@@ -192,13 +190,11 @@ def test_spectrum_expanding_direction_example():
 
 
 def test_gh_to_ml_squares_and_field_correspondence(rng):
-    assert np.allclose(gh_to_ml((1, 0, 0)), (1, 0, 0))
-    assert np.allclose(gh_to_ml((0.5, 0.5, 0.5)), (0.25, 0.25, 0.25))
-
     # cubic-equivariant field whose squared trajectories satisfy the
     # population model: lambda=1/2, A = (-1/2, -(1+c)/2, (e-1)/2) cyclically
     c, e = 0.6, 0.2
     p = ModelParams(c=c, e=e, gamma=0.0)
+    field = _field(p, False)
     lam = 0.5
     A = np.array([-0.5, -(1 + c) / 2.0, (e - 1) / 2.0])
 
@@ -215,7 +211,7 @@ def test_gh_to_ml_squares_and_field_correspondence(rng):
     for _ in range(20):
         v = rng.uniform(0.05, 0.9, size=3)
         lhs = 2.0 * v * gh_field(v)          # d/dt of the squared variables
-        rhs = vector_field(FlowState(*gh_to_ml(v), 0.0), p)
+        rhs = field(0.0, v * v)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     # short integrated arc, mapped pointwise, satisfies the population field
@@ -224,7 +220,7 @@ def test_gh_to_ml_squares_and_field_correspondence(rng):
     for t in np.linspace(0.1, 0.9, 5):
         v = sol.sol(t)
         lhs = 2.0 * v * gh_field(v)
-        rhs = vector_field(FlowState(*gh_to_ml(v), t), p)
+        rhs = field(t, v * v)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
@@ -272,32 +268,11 @@ def test_time_reversal_roundtrip():
     fwd = integrate(start, 1.0, p, opts)
     end = fwd.states[-1]
     back = integrate(FlowState(*end, 1.0), 0.0, p, opts)
+    # a backward run stores its samples in its own time order
+    assert back.ts[0] == 1.0 and back.ts[-1] == 0.0
     assert np.max(np.abs(back.states[-1] - start.as_array())) < 1e-8
-
-
-def test_dense_output_sampling():
-    p = ModelParams(c=0.6, e=0.2, gamma=0.0)
-    traj = integrate(FlowState(0.3, 0.3, 0.3, 0.0), 5.0, p,
-                     NumericsConfig(rel_tol=1e-10, abs_tol=1e-12))
-    mid = traj.state_at(2.5)
-    ref = integrate(FlowState(0.3, 0.3, 0.3, 0.0), 2.5, p,
-                    NumericsConfig(rel_tol=1e-12, abs_tol=1e-14)).states[-1]
-    assert np.max(np.abs(mid - ref)) < 1e-8
-    assert traj.stats["steps"] > 0 and traj.stats["rejected_steps"] >= 0
-
-
-def test_state_at_on_backward_trajectory():
-    """A backward run's dense output matches the forward run it retraces."""
-    p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
-    opts = NumericsConfig(rel_tol=1e-11, abs_tol=1e-13, max_step=0.5)
-    fwd = integrate(FlowState(0.25, 0.35, 0.3, 0.0), 2.0, p, opts)
-    back = integrate(FlowState(*fwd.states[-1], 2.0), 0.0, p, opts)
-    assert back.ts[0] == 2.0 and back.ts[-1] == 0.0
-    assert np.max(np.abs(back.state_at(1.0) - fwd.state_at(1.0))) < 1e-8
     for traj in (fwd, back):
-        for t in (-0.1, 2.1):
-            with pytest.raises(ValidationError):
-                traj.state_at(t)
+        assert traj.stats["steps"] > 0 and traj.stats["rejected_steps"] >= 0
 
 
 CASE1 = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05, mu1=1.0, mu3=1.0,

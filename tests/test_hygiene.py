@@ -1,6 +1,7 @@
 """Static hygiene of the package sources: every import is read, every
-``__all__`` entry is defined and every lazily exported flow name is bound;
-and of the tests: every oracle in ``conftest.py`` is called by a test
+``__all__`` entry is defined, every lazily exported flow name is bound, and
+every exported name is reached by the package itself; and of the tests:
+every import is read and every oracle in ``conftest.py`` is called by a test
 module."""
 
 import ast
@@ -10,6 +11,20 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "mayleonard"
+
+# exported names that no command, no battery entry and no other package
+# function reaches, each kept for the reason given
+UNREACHED_ALLOWED = {
+    "kernels": "the paper's kernel formulas, checked against quadrature",
+    "equilibria_spectrum": "the paper's saddle spectra, checked against the flow",
+    "table1_eigenpairs": "the paper's Table 1 eigenpairs, checked against the flow",
+    "fit_global_constants": "tool for checking the flow against the maps",
+    "dwell_time_estimate": "tool for checking the flow against the maps",
+    "region_label": "a region column for the scan or classify is still undecided",
+    "lyapunov_1d": "an SRB verdict on the circle map is still undecided",
+    "DoublingMap": "the expansion certificate's passing control",
+    "RigidRotation": "the expansion certificate's failing control",
+}
 
 
 def unread_imports(tree, reexports=False):
@@ -54,13 +69,57 @@ def undefined_exports(tree):
     return [name for name in exported if name not in defined]
 
 
-def unbound_lazy_names(package, module):
-    """Entries of the package's ``_FLOW_NAMES = frozenset({...})`` that the
-    lazily imported module never binds at module level."""
+def lazy_names(package):
+    """Entries of the package's ``_FLOW_NAMES = frozenset({...})``."""
     _, values = module_bindings(package)
-    lazy = ast.literal_eval(values["_FLOW_NAMES"].args[0])
+    return set(ast.literal_eval(values["_FLOW_NAMES"].args[0]))
+
+
+def unbound_lazy_names(package, module):
+    """Entries of the package's ``_FLOW_NAMES`` that the lazily imported
+    module never binds at module level."""
     defined, _ = module_bindings(module)
-    return sorted(lazy - defined)
+    return sorted(lazy_names(package) - defined)
+
+
+def exported_names(package, modules):
+    """Entries of every module ``__all__`` and of the package's lazy
+    ``_FLOW_NAMES``."""
+    names = lazy_names(package)
+    for tree in modules:
+        _, values = module_bindings(tree)
+        if "__all__" in values:
+            names.update(ast.literal_eval(values["__all__"]))
+    return names
+
+
+def reached_names(modules):
+    """Names loaded in ``modules``, as a ``Name`` or as an attribute, outside
+    the module-level ``def`` or ``class`` that binds the name itself."""
+    def loads(node):
+        return ({n.id for n in ast.walk(node)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                | {n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)})
+    reached = set()
+    for tree in modules:
+        for node in tree.body:
+            own = {node.name} if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else set()
+            reached |= loads(node) - own
+    return reached
+
+
+def surface_faults(package, modules, allowed):
+    """Exported names that no module reaches and that ``allowed`` does not
+    list; and entries of ``allowed`` that a module reaches or that no module
+    binds (a stale allow-list)."""
+    exported = exported_names(package, modules)
+    reached = reached_names(modules)
+    defined = set().union(*(module_bindings(tree)[0] for tree in modules))
+    unreached = sorted(exported - reached - set(allowed))
+    stale = sorted(name for name in allowed if name in reached or name not in defined)
+    return unreached, stale
 
 
 def uncalled_oracles(conftest, modules):
@@ -74,11 +133,51 @@ def uncalled_oracles(conftest, modules):
     return sorted(oracles - called)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_imports_read_and_exports_defined(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert unread_imports(tree, reexports=path.name == "__init__.py") == []
+    assert unread_imports(tree, reexports=path == SRC / "__init__.py") == []
     assert undefined_exports(tree) == []
+
+
+def test_every_exported_name_is_reached():
+    """The package surface is what the commands, the battery or another
+    package function use, plus the named allow-list."""
+    package = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert surface_faults(package, modules, UNREACHED_ALLOWED) == ([], [])
+    # without the allow-list, exactly its names are the unreached ones
+    assert surface_faults(package, modules, {})[0] == sorted(UNREACHED_ALLOWED)
+
+
+def test_surface_check_catches_unreached_and_stale_names():
+    """Negative control: an exported name reached only inside its own
+    function is reported, and so are an allow-list entry that is reached and
+    one that nothing defines; an allow-listed unreached name, a name read as
+    an attribute and a lazy name read elsewhere are not."""
+    package = ast.parse('_FLOW_NAMES = frozenset({"step"})\n')
+    module = ast.parse(
+        "__all__ = ['run', 'again', 'kept', 'used', 'helper', 'Shape']\n"
+        "def run(n):\n"
+        "    return Shape.area(n) + step(n)\n"
+        "def again(n):\n"
+        "    return again(n - 1) if n else 0\n"
+        "def kept():\n"
+        "    pass\n"
+        "def used():\n"
+        "    pass\n"
+        "def helper():\n"
+        "    pass\n"
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        return Shape\n")
+    flow = ast.parse("def step(n):\n    return n\n"
+                     "def caller(pkg):\n    return used() + pkg.helper() + run(1)\n")
+    allowed = {"kept": "control", "used": "reached", "gone": "defined nowhere"}
+    assert surface_faults(package, [module, flow], allowed) == (["again"], ["gone", "used"])
 
 
 def test_hygiene_checks_catch_stale_names():

@@ -9,7 +9,6 @@ from mayleonard import (
     ValidationError,
     check_c1a_c1b,
     derive_constants,
-    trig_collapse,
 )
 from mayleonard.params import saddle_node_gamma, stable_fixed_point
 
@@ -124,34 +123,7 @@ def test_c1a_boundary_violation():
     assert not report.c1b_up_to_n_max
 
 
-def test_trig_collapse_identity_cases():
-    amp, phase = trig_collapse(1.0, 0.0)
-    assert amp == 1.0 and phase == 0.0
-    amp, phase = trig_collapse(0.5, 0.5)
-    assert amp == pytest.approx(math.sqrt(0.5), rel=1e-15)
-    angles = np.linspace(0.0, 2.0 * np.pi, 100)
-    resid = np.abs(0.5 * np.cos(angles) + 0.5 * np.sin(angles)
-                   - amp * np.cos(phase + angles))
-    assert resid.max() <= 1e-12
-
-
 def test_trig_collapse_uses_a1_identity():
-    """With a1 = b1 = 1/2 the collapsed amplitude is sqrt(a1)."""
+    """With a1 = b1 = 1/2, ``a1 cos + b1 sin`` collapses to amplitude sqrt(a1)."""
     dc = derive_constants(ModelParams(c=0.6, e=0.2, omega=0.3))
-    amp, _ = trig_collapse(dc.a1, dc.b1)
-    assert amp == pytest.approx(math.sqrt(dc.a1), rel=1e-14)
-
-
-def test_trig_collapse_random(rng):
-    """Residual below 1e-12 on 100 angles for 1000 random nonzero inputs."""
-    angles = np.linspace(0.0, 2.0 * np.pi, 100)
-    for _ in range(1000):
-        xc, yc = rng.normal(size=2)
-        if xc == 0.0 and yc == 0.0:
-            continue
-        amp, phase = trig_collapse(xc, yc)
-        resid = np.abs(xc * np.cos(angles) + yc * np.sin(angles)
-                       - amp * np.cos(phase + angles))
-        assert resid.max() <= 1e-12 * max(1.0, amp)
-    with pytest.raises(ValidationError):
-        trig_collapse(0.0, 0.0)
+    assert math.hypot(dc.a1, dc.b1) == pytest.approx(dc.sqrt_a1, rel=1e-14)

@@ -15,10 +15,10 @@ from mayleonard import (
     eta_omega,
     kernels,
 )
-from mayleonard.returnmap import VARIANTS, finite_difference_jacobian, reduce_mod
+from mayleonard.returnmap import VARIANTS, reduce_mod
 from mayleonard.singular import gamma_sequence, make_circle_map
 
-from conftest import orbit_oracle, quad_checked, random_admissible
+from conftest import finite_difference_jacobian, orbit_oracle, quad_checked, random_admissible
 
 
 def l2_quadrature(x, s, params):

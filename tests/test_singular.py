@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from mayleonard import (
     derive_constants,
     gamma_sequence,
     hypothesis_battery,
-    k_inverse,
     k_map,
     lyapunov_1d,
     make_circle_map,
@@ -30,9 +30,10 @@ from mayleonard.singular import (
     _branch_solve,
     _circle_dist,
     _largest_rate,
-    doubling_orbit,
+    first_admissible_index,
     transversality_probe,
 )
+from mayleonard.config import parse_config
 from mayleonard.diagnostics import (
     _SCAN_CERT_GRID,
     _SCAN_CERT_HORIZON,
@@ -40,7 +41,7 @@ from mayleonard.diagnostics import (
     Case34SMarginal,
 )
 
-from conftest import circle_dist_oracle, critical_set_grid
+from conftest import circle_dist_oracle, critical_set_grid, doubling_orbit
 
 CASE1 = ModelParams(c=0.55, e=0.5, omega=0.05)
 CASE2 = ModelParams(c=0.6, e=0.2, omega=0.3)
@@ -189,7 +190,6 @@ def test_k_map_arithmetic(dc_case2):
     assert kxi == pytest.approx(4.1380, abs=5e-5)
     assert k_map(0.5, dc_case2) == pytest.approx(-kxi * math.log(0.5), rel=1e-13)
     assert k_map(0.1, dc_case2) > k_map(0.5, dc_case2)
-    assert k_map(k_inverse(0.37, dc_case2), dc_case2) == pytest.approx(0.37, rel=1e-12)
     with pytest.raises(ValidationError):
         k_map(0.0, dc_case2)
 
@@ -210,9 +210,16 @@ def test_gamma_sequence_properties(dc_case2, rng):
         g = gamma_sequence(n, a, dc_case2)
         resid = (k_map(g, dc_case2) - a) % 1.0
         assert min(resid, 1.0 - resid) < 1e-10
-    with pytest.raises(ValidationError):
-        gamma_sequence(3, 0.0, dc_case2, gamma_plus=0.05)
-    assert gamma_sequence(13, 0.0, dc_case2, gamma_plus=0.05) < 0.05
+
+
+@pytest.mark.parametrize("name", ["case1.cfg", "case2.cfg"])
+def test_first_admissible_index_is_the_first_below_the_bound(name):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    dc = derive_constants(parse_config(configs / name).params)
+    n0 = first_admissible_index(dc, 0.05)
+    # index 0 is no sequence index; its amplitude exp(-0) is 1 (case 1 has n0 = 1)
+    before = gamma_sequence(n0 - 1, 0.0, dc) if n0 > 1 else 1.0
+    assert gamma_sequence(n0, 0.0, dc) < 0.05 <= before
 
 
 def test_circle_map_basic_structure():
@@ -371,6 +378,14 @@ def test_convergence_table(dc_case2):
     g = gamma_sequence(13, 0.3, dc_case2)
     assert rows[0].f1_sup == pytest.approx(
         g**dc_case2.p * (1.0 + 1.0 + dc_case2.sqrt_a1), rel=1e-12)
+
+
+@pytest.mark.parametrize("indices", [[13, 5000, 14], [14, 13, 13]])
+def test_convergence_table_needs_increasing_indices(indices):
+    """An index after an underflowing one is not silently dropped, and a
+    repeated or falling index is no table."""
+    with pytest.raises(ValidationError, match="strictly increase"):
+        singular_limit_convergence(indices, 0.3, ModelParams(c=0.6, e=0.2, omega=0.3))
 
 
 def test_boundary_phase_equals_circle_map():

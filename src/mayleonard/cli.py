@@ -127,8 +127,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--to", dest="hi", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--log", action="store_true", default=None)
-    p.add_argument("--no-battery", action="store_true",
-                   help="skip the per-sample certificate flag")
 
     p = sub.add_parser("chaos-test",
                        help="0-1 statistic and autocorrelation of an orbit")
@@ -144,8 +142,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _default_n(params):
-    return first_admissible_index(derive_constants(params), gamma_plus=0.05)
+_GAMMA_PLUS = 0.05      # admissibility bound on the rescaled family's amplitude
+
+
+def _index(n, a, params):
+    """The sequence index, the first admissible one when ``n`` is None, and
+    its amplitude, which must lie below the admissibility bound."""
+    dc = derive_constants(params)
+    first = first_admissible_index(dc, gamma_plus=_GAMMA_PLUS)
+    n = first if n is None else n
+    gamma = gamma_sequence(n, a, dc)
+    if gamma >= _GAMMA_PLUS:
+        raise ValidationError(
+            f"n={n} at a={a} gives gamma = {gamma:.4g}, not below the admissibility "
+            f"bound {_GAMMA_PLUS}; the first admissible index is {first}")
+    return n, gamma
 
 
 def _check_start(x0, s0):
@@ -201,8 +212,7 @@ def _run(args) -> int:
         if args.variant == "rescaled":
             if args.a is None:
                 raise ValidationError("rescaled variant needs --a")
-            n = args.n if args.n is not None else _default_n(params)
-            gamma = gamma_sequence(n, args.a, derive_constants(params))
+            _, gamma = _index(args.n, args.a, params)
         xs, ss, _ = compile_map(args.variant, params, gamma=gamma).orbit(
             args.x0, args.s0, args.iters)
         write_csv(args.output, ("k", "x", "s"),
@@ -210,7 +220,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "singular-limit":
-        n0 = args.n_from if args.n_from is not None else _default_n(params)
+        # the first index has the table's largest amplitude
+        n0, _ = _index(args.n_from, args.a, params)
         rows = singular_limit_convergence(range(n0, n0 + args.n_count),
                                           args.a, params)
         if len(rows) < args.n_count:
@@ -220,14 +231,13 @@ def _run(args) -> int:
         return 0
 
     if args.command == "certify":
-        n = args.n if args.n is not None else _default_n(params)
+        # the index is checked before the certificate runs
+        n, gamma = _index(args.n, args.a, params)
         if args.battery:
             report = hypothesis_battery(params, n, args.a, horizon=num.horizon,
                                         u_radius=args.u_radius)
             write_json(args.output, report.to_dict())
         else:
-            # the index is checked before the certificate runs
-            gamma = gamma_sequence(n, args.a, derive_constants(params))
             cmap = make_circle_map(args.a, params)
             cert = misiurewicz_check(cmap, u_radius=args.u_radius, horizon=num.horizon)
             tm = transition_matrix(cmap)
@@ -252,7 +262,7 @@ def _run(args) -> int:
         given = {k: getattr(args, k) for k in ("lo", "hi", "steps", "log")
                  if getattr(args, k) is not None}
         spec = replace(spec, **given)
-        result = density_scan(spec.grid(), params, num, battery=not args.no_battery)
+        result = density_scan(spec.grid(), params, num)
         base_path = args.output[:-4] if args.output.endswith(".csv") else args.output
         _write_rows(base_path + ".csv", ScanRow, result.rows)
         write_json(base_path + ".json", result.to_summary())

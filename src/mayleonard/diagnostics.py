@@ -21,7 +21,7 @@ from .config import NumericsConfig
 from .errors import NumericsError, ValidationError
 from .params import ModelParams, derive_constants, stable_fixed_point
 from .returnmap import compile_map
-from .singular import CircleMap, k_map, make_circle_map, misiurewicz_check
+from .singular import CircleMap
 
 __all__ = [
     "AnnulusReport",
@@ -532,10 +532,8 @@ def autocorrelation(series, lags: int) -> AutocorrelationResult:
 # ---------------------------------------------------------------------------
 # density scan over forcing amplitudes
 
-# the scan's fixed sizes: frequencies of the 0-1 test, and the horizon,
-# grid and m0 of the per-amplitude expansion certificate
+# the number of frequencies the scan's 0-1 test draws
 _SCAN_N_C = 24
-_SCAN_CERT_HORIZON, _SCAN_CERT_GRID, _SCAN_CERT_M0 = 200, 256, 10
 
 
 @dataclass(frozen=True)
@@ -547,7 +545,6 @@ class ScanRow:
     rot_lo: float
     rot_hi: float
     annulus_ok: bool
-    battery_h4: bool | None
     success: bool
     failed: bool
     error: str = ""
@@ -571,7 +568,7 @@ class ScanResult:
         }
 
 
-def _scan_one(gamma, params, numerics, battery, sample_rng):
+def _scan_one(gamma, params, numerics, sample_rng):
     p_g = replace(params, gamma=float(gamma))
     fmap = compile_map("case12", p_g)
     s0 = float(sample_rng.uniform())
@@ -591,47 +588,33 @@ def _scan_one(gamma, params, numerics, battery, sample_rng):
     else:
         K = zero_one_test(obs, n_c=_SCAN_N_C, rng=sample_rng)
     ann = annulus_check(p_g, n_samples=512)
-    if battery:
-        a = k_map(float(gamma), fmap.dc) % 1.0
-        try:
-            cert = misiurewicz_check(
-                make_circle_map(a, p_g), horizon=_SCAN_CERT_HORIZON,
-                grid_size=_SCAN_CERT_GRID, m0=_SCAN_CERT_M0)
-            battery_h4 = bool(cert.passed)
-        except NumericsError:
-            battery_h4 = False
-    else:
-        battery_h4 = None
     success = (ly.l1 > 1e-3) and (K > 0.9)
     return ScanRow(
         gamma=float(gamma), lambda1=ly.l1, lambda2=ly.l2, K=K,
         rot_lo=float(min(rots)), rot_hi=float(max(rots)),
         annulus_ok=bool(ann.defined and ann.invariant),
-        battery_h4=battery_h4, success=success, failed=False,
+        success=success, failed=False,
     )
 
 
 def density_scan(gamma_grid, params: ModelParams,
-                 numerics: NumericsConfig = NumericsConfig(),
-                 battery: bool = True) -> ScanResult:
+                 numerics: NumericsConfig = NumericsConfig()) -> ScanResult:
     """Per-amplitude chaos metrics and the success fraction.
 
     For each amplitude: the top Lyapunov exponent of the low-frequency
     family, the 0-1 statistic of the phase series, rotation-estimate
-    spread over seeds, the annulus flag, and a quick expansion-certificate
-    flag.  The summary fraction counts samples with a positive exponent
-    and a chaotic 0-1 verdict; nested-prefix fractions over shrinking
-    amplitude ranges emulate the density-at-zero statement without
-    extrapolating.  Sample failures (numeric, validation and floating-point
-    errors such as an overflowing orbit) are recorded with their reason, not
-    fatal; results are deterministic for a fixed seed and independent of
-    evaluation order.  Sizes that would fail every sample (fewer than 10000
-    iterations, a series shorter than 1000 samples) raise
+    spread over seeds, and the annulus flag.  The summary fraction counts
+    samples with a positive exponent and a chaotic 0-1 verdict; nested-prefix
+    fractions over shrinking amplitude ranges emulate the density-at-zero
+    statement without extrapolating.  Sample failures (numeric, validation
+    and floating-point errors such as an overflowing orbit) are recorded with
+    their reason, not fatal; results are deterministic for a fixed seed and
+    independent of evaluation order.  Sizes that would fail every sample
+    (fewer than 10000 iterations, a series shorter than 1000 samples) raise
     :class:`ValidationError` before any sample runs.
 
     ``numerics`` gives the seed, the Lyapunov ``iterations`` and the 0-1
-    test's ``series_len``; with ``battery`` false the certificate flag is
-    not computed.
+    test's ``series_len``.
     """
     grid = np.asarray(list(gamma_grid), dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
@@ -653,7 +636,7 @@ def density_scan(gamma_grid, params: ModelParams,
         gamma_key = int(np.float64(gamma).view(np.uint64))
         sample_rng = np.random.default_rng([numerics.seed, gamma_key])
         try:
-            rows.append(_scan_one(gamma, params, numerics, battery, sample_rng))
+            rows.append(_scan_one(gamma, params, numerics, sample_rng))
         except (NumericsError, ValidationError, ArithmeticError) as exc:
             # a float overflow's message alone does not say what overflowed
             error = (f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError)
@@ -661,7 +644,7 @@ def density_scan(gamma_grid, params: ModelParams,
             rows.append(ScanRow(
                 gamma=float(gamma), lambda1=math.nan, lambda2=math.nan,
                 K=math.nan, rot_lo=math.nan, rot_hi=math.nan,
-                annulus_ok=False, battery_h4=None, success=False,
+                annulus_ok=False, success=False,
                 failed=True, error=error))
     n_failed = sum(1 for r in rows if r.failed)
     fraction = sum(1 for r in rows if r.success) / len(rows)

@@ -229,6 +229,29 @@ def test_certify_validates_n_before_the_certificate(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, index_flag", [
+    (["certify", "--horizon", "50"], "--n"),
+    (["return-map", "--variant", "rescaled", "--iters", "10"], "--n"),
+    (["singular-limit", "--n-count", "2"], "--n-from"),
+], ids=["certify", "return-map", "singular-limit"])
+def test_an_inadmissible_index_is_a_validation_error(tmp_path, capsys, command, index_flag):
+    """On case 2 index 2 gives gamma = 0.617, above the admissibility bound
+    0.05: the error names the first admissible index, 13, and no output is
+    written.  The amplitude decides, not the index: n = 12 at a = 0.99 gives
+    gamma = 0.0433 and runs, and so does the default index."""
+    base = [*command, "--config", str(CONFIGS / "case2.cfg")]
+    out = tmp_path / "out"
+    assert main([*base, "--a", "0.0", index_flag, "2", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=2 at a=0.0 gives gamma = 0.6167, not below")
+    assert "the first admissible index is 13" in err
+    assert not out.exists()
+    assert main([*base, "--a", "0.0", "--output", str(out)]) == 0
+    assert out.exists()
+    assert main([*base, "--a", "0.99", index_flag, "12",
+                 "--output", str(tmp_path / "edge")]) == 0
+
+
 @pytest.mark.parametrize("command, old, new, message", [
     (["scan", "--steps", "2", "--seed", "-1"], "", "", "seed must be >= 0"),
     (["chaos-test", "--seed", "-1"], "", "", "seed must be >= 0"),
@@ -255,15 +278,12 @@ def test_numerics_overrides_are_validated(tmp_path, capsys, command, old, new, m
 def test_scan_outputs(case2_cfg, tmp_path, capsys):
     base = tmp_path / "scan"
     rc = main(["scan", "--config", case2_cfg, "--from", "1e-4", "--to", "1e-2",
-               "--steps", "4", "--log", "--no-battery",
+               "--steps", "4", "--log",
                "--output", str(base)])
     assert rc == 0
     csv_lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert csv_lines[0].startswith("gamma,lambda1,lambda2,K")
     assert len(csv_lines) == 5
-    # the certificate was not run: its column is empty, not "false"
-    col = csv_lines[0].split(",").index("battery_h4")
-    assert all(line.split(",")[col] == "" for line in csv_lines[1:])
     # no sample failed: the last column, the failure reason, is empty
     assert csv_lines[0].endswith(",failed,error")
     assert all(line.endswith(",false,") for line in csv_lines[1:])
@@ -276,7 +296,7 @@ def test_scan_outputs(case2_cfg, tmp_path, capsys):
                        ("series_len = 1200", "series_len = 999")):
         short.write_text(CASE2.replace(key, value))
         rc = main(["scan", "--config", str(short), "--from", "1e-4", "--to", "1e-2",
-                   "--steps", "2", "--log", "--no-battery",
+                   "--steps", "2", "--log",
                    "--output", str(tmp_path / "short")])
         assert rc == 1
         assert f"error: {key.split()[0]} must be >= " in capsys.readouterr().err
@@ -284,7 +304,7 @@ def test_scan_outputs(case2_cfg, tmp_path, capsys):
         assert not (tmp_path / "short.json").exists()
     # a failed sample records why it failed: here its orbit overflows
     rc = main(["scan", "--config", case2_cfg, "--from", "5", "--to", "10",
-               "--steps", "2", "--no-battery", "--output", str(base)])
+               "--steps", "2", "--output", str(base)])
     assert rc == 0
     csv_lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 3
@@ -300,14 +320,14 @@ def test_scan_partial_override_keeps_config_range(tmp_path):
     """A flag overrides its own field of the config's [scan] section only."""
     base = tmp_path / "scan"
     rc = main(["scan", "--config", str(CONFIGS / "case2.cfg"), "--steps", "2",
-               "--no-battery", "--output", str(base)])
+               "--output", str(base)])
     assert rc == 0
     assert _scan_gammas(tmp_path / "scan.csv") == list(np.geomspace(1e-6, 0.05, 2))
     # a range and a linear grid that differ from the defaults stay as well
     cfg = tmp_path / "linear.cfg"
     cfg.write_text(CASE2 + "\n[scan]\nfrom = 1e-4\nto = 1e-2\n"
                    "steps = 50\nlog = false\n")
-    rc = main(["scan", "--config", str(cfg), "--steps", "3", "--no-battery",
+    rc = main(["scan", "--config", str(cfg), "--steps", "3",
                "--output", str(base)])
     assert rc == 0
     assert _scan_gammas(tmp_path / "scan.csv") == list(np.linspace(1e-4, 1e-2, 3))

@@ -451,12 +451,12 @@ def test_zero_one_rejects_fixed_point_series():
 def test_density_scan_fixed_point_row_is_regular():
     """A fixed point's row reads K = 0 and is neither failed nor a success;
     a series too short for the 0-1 test is rejected before the row runs."""
-    row, = density_scan([SCAN_GRID[49]], SCAN_PARAMS, SCAN_NUMERICS, battery=False).rows
+    row, = density_scan([SCAN_GRID[49]], SCAN_PARAMS, SCAN_NUMERICS).rows
     assert (row.K, row.failed, row.success) == (0.0, False, False)
     short = replace(SCAN_NUMERICS, series_len=999)
     with pytest.raises(ValidationError, match="series_len must be >= 1000"):
-        density_scan([SCAN_GRID[49]], SCAN_PARAMS, short, battery=False)
-    row, = density_scan([SCAN_GRID[135]], SCAN_PARAMS, SCAN_NUMERICS, battery=False).rows
+        density_scan([SCAN_GRID[49]], SCAN_PARAMS, short)
+    row, = density_scan([SCAN_GRID[135]], SCAN_PARAMS, SCAN_NUMERICS).rows
     assert not row.failed and row.K != 0.0 and abs(row.K) < 0.1
 
 
@@ -516,8 +516,18 @@ def test_density_scan_case1_fraction_zero():
     p = ModelParams(c=0.55, e=0.5, omega=0.05)
     grid = np.geomspace(1e-4, 3e-3, 4)
     numerics = NumericsConfig(iterations=10000, series_len=1200, seed=3)
-    res = density_scan(grid, p, numerics, battery=False)
+    res = density_scan(grid, p, numerics)
     assert res.fraction == 0.0
+
+
+def test_density_scan_annulus_column_takes_both_values():
+    """At omega = sqrt(3)/2 * c on the case-1 saddle values the scan's
+    annulus flag holds at the small amplitudes and fails above 1.6e-4."""
+    p = ModelParams(c=0.55, e=0.5, omega=math.sqrt(3.0) / 2.0 * 0.55)
+    numerics = NumericsConfig(iterations=10000, series_len=1000)
+    res = density_scan(np.geomspace(1e-5, 1e-2, 6), p, numerics)
+    assert [r.annulus_ok for r in res.rows] == [True] * 3 + [False] * 3
+    assert res.n_failed == 0
 
 
 def test_density_scan_order_independence():
@@ -528,9 +538,9 @@ def test_density_scan_order_independence():
     rows = {}
     for g in gammas:
         key = int(np.float64(g).view(np.uint64))
-        rows[g] = _scan_one(g, p, numerics, False,
+        rows[g] = _scan_one(g, p, numerics,
                             np.random.default_rng([numerics.seed, key]))
-    res = density_scan(np.array(gammas), p, numerics, battery=False)
+    res = density_scan(np.array(gammas), p, numerics)
     for row, g in zip(res.rows, gammas):
         assert row.K == rows[g].K
         assert row.lambda1 == rows[g].lambda1
@@ -564,8 +574,7 @@ def test_density_scan_derives_constants_per_amplitude(monkeypatch):
     for iterations in (10000, 20000):
         calls.clear()
         density_scan([1e-4, 3e-3], p, NumericsConfig(iterations=iterations,
-                                                     series_len=1000, seed=5),
-                     battery=False)
+                                                     series_len=1000, seed=5))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 

@@ -24,6 +24,8 @@ UNREACHED_ALLOWED = {
     "lyapunov_1d": "an SRB verdict on the circle map is still undecided",
     "DoublingMap": "the expansion certificate's passing control",
     "RigidRotation": "the expansion certificate's failing control",
+    "k_map": "the scan amplitude's singular-limit offset a = k_map(gamma) mod 1, "
+             "for the scan's CE-rate column (ROADMAP item 10)",
 }
 
 

@@ -34,12 +34,7 @@ from mayleonard.singular import (
     transversality_probe,
 )
 from mayleonard.config import parse_config
-from mayleonard.diagnostics import (
-    _SCAN_CERT_GRID,
-    _SCAN_CERT_HORIZON,
-    _SCAN_CERT_M0,
-    Case34SMarginal,
-)
+from mayleonard.diagnostics import Case34SMarginal
 
 from conftest import circle_dist_oracle, critical_set_grid, doubling_orbit
 
@@ -432,7 +427,8 @@ def test_misiurewicz_scan_over_offsets():
 def test_misiurewicz_early_exits_match_reference():
     """Paths where the sweep ends before the horizon equal the scalar
     reference: case 2 at horizon 1000, where every start and U sample has
-    entered U within a quarter of it, and the scan's certificate sizes."""
+    entered U within a quarter of it, and horizon 200 on a 256-point grid
+    with m0 = 10."""
     for a in (0.3, 0.7):
         cmap = make_circle_map(a, CASE2)
         steps = []
@@ -441,7 +437,7 @@ def test_misiurewicz_early_exits_match_reference():
         got = misiurewicz_check(cmap, horizon=1000).to_dict()
         assert len(steps) < 250, (a, len(steps))
         assert got == _reference_check(cmap, horizon=1000).to_dict(), a
-    sizes = dict(horizon=_SCAN_CERT_HORIZON, grid_size=_SCAN_CERT_GRID, m0=_SCAN_CERT_M0)
+    sizes = dict(horizon=200, grid_size=256, m0=10)
     for p, a in ((CASE1, 0.25), (CASE2, 0.55)):
         cmap = make_circle_map(a, p)
         got = misiurewicz_check(cmap, **sizes).to_dict()
@@ -746,6 +742,25 @@ def test_battery_case2_structure():
     assert report.entries["H6"]["value"] == pytest.approx(1.0, abs=1e-6)
     d = report.to_dict()
     assert d["n"] == 14 and d["a"] == 0.3
+
+
+@pytest.mark.parametrize("column, failing, passing", [
+    ("f2_sup", "H2", "H3"),
+    ("d2_sup", "H3", "H2"),
+])
+def test_battery_h2_and_h3_read_their_own_columns(monkeypatch, column, failing, passing):
+    """H2 reads the sup distances f1/f2 and H3 the derivative distances
+    d1-d3: a table where one column of one group stops decreasing fails
+    that group's hypothesis only."""
+    import mayleonard.singular as singular
+
+    p = ModelParams(c=0.6, e=0.2, omega=0.3)
+    rows = singular_limit_convergence(range(14, 22), 0.3, p)
+    rows[-1] = replace(rows[-1], **{column: getattr(rows[0], column)})
+    monkeypatch.setattr(singular, "singular_limit_convergence", lambda *args: rows)
+    report = hypothesis_battery(p, n=14, a=0.3, horizon=50)
+    assert report.entries[failing]["status"] == "fail"
+    assert report.entries[passing]["status"] == "pass"
 
 
 def test_battery_distortion_bound():

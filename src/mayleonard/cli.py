@@ -19,6 +19,7 @@ Identical config and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict, astuple, fields, replace
@@ -59,7 +60,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process, on the first call; parse_args leaves it as it
+    # was, so in-process callers share it
     parser = _Parser(prog="mayleonard",
                      description="Forced May-Leonard system toolbox")
     parser.add_argument("--version", action="version", version=__version__)

@@ -457,10 +457,11 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
     images fill the critical orbits while the sweep lasts; the sweep ends
     when no grid start or U sample is left or at the horizon, and only
     the rest of the critical orbits then continues with ``cmap.value``
-    (whose floats ``value_and_derivative`` matches).  The outside sums use
-    ``np.log``; inside (b) sums ``math.log``, whose last bit differs from
-    ``np.log`` on some inputs, so its sums stay those of a per-point
-    scalar loop and do not depend on numpy's SIMD code.
+    (whose floats ``value_and_derivative`` matches).  The outside and
+    inside (b) sums share one ``np.log`` per block.  A ``math.log`` on the
+    U samples would not make their sums independent of numpy's SIMD code:
+    their images and derivatives already come from numpy's ``cos``,
+    ``sin`` and ``log``.
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
@@ -508,14 +509,9 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
             images[k], derivs[k] = cmap.value_and_derivative(pos)
             pos = images[k]
         orbits[done:done + block] = images[:, n:]
-        d = np.abs(derivs[:, :n])
-        np.maximum(d, 1e-300, out=d)
-        logs = np.empty((block, n))
-        np.log(d[:, :n_live_out], out=logs[:, :n_live_out])
-        if n_live_out < n:
-            # math.log, not np.log, on the U samples (see the docstring)
-            logs[:, n_live_out:] = np.reshape(
-                list(map(math.log, d[:, n_live_out:].ravel().tolist())), (block, -1))
+        logs = np.abs(derivs[:, :n])
+        np.maximum(logs, 1e-300, out=logs)
+        np.log(logs, out=logs)
         logs[0] += acc
         np.add.accumulate(logs, axis=0, out=logs)     # row k: cum after step done+k+1
         landed = _circle_dist(images[:, :n], centers) < r

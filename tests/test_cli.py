@@ -229,6 +229,42 @@ def test_certify_validates_n_before_the_certificate(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_main_builds_its_parser_once(case2_cfg, tmp_path, monkeypatch):
+    """In-process calls share one parser: it is built on the first call only."""
+    import mayleonard.cli as cli
+
+    builds = []
+    add_subparsers = cli._Parser.add_subparsers
+    monkeypatch.setattr(cli._Parser, "add_subparsers",
+                        lambda self, **kw: builds.append(self) or add_subparsers(self, **kw))
+    cli._build_parser.cache_clear()
+    for name in ("a.json", "b.json"):
+        assert main(["classify", "--config", case2_cfg,
+                     "--output", str(tmp_path / name)]) == 0
+    assert len(builds) == 1
+
+
+def test_a_failed_parse_leaves_the_shared_parser_as_it_was(case2_cfg, tmp_path, capsys):
+    """Calls on the shared parser do not change the next one: after a
+    battery with other flags and a call that fails in the parser, the JSON
+    equals that of the same call made first on a freshly built parser."""
+    import mayleonard.cli as cli
+
+    argv = ["certify", "--config", case2_cfg, "--a", "0.3", "--horizon", "100"]
+    other = ["certify", "--config", case2_cfg, "--a", "0.7", "--battery",
+             "--u-radius", "0.2"]
+    alone, after = tmp_path / "alone.json", tmp_path / "after.json"
+    cli._build_parser.cache_clear()
+    assert main(argv + ["--output", str(alone)]) == 0
+    cli._build_parser.cache_clear()
+    assert main(other + ["--horizon", "50", "--output", str(tmp_path / "bat.json")]) == 0
+    assert main(other + ["--horizon", "many", "--output", str(after)]) == 1
+    assert capsys.readouterr().err.startswith("error: argument --horizon")
+    assert not after.exists()
+    assert main(argv + ["--output", str(after)]) == 0
+    assert after.read_bytes() == alone.read_bytes()
+
+
 @pytest.mark.parametrize("command, index_flag", [
     (["certify", "--horizon", "50"], "--n"),
     (["return-map", "--variant", "rescaled", "--iters", "10"], "--n"),

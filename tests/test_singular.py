@@ -60,7 +60,8 @@ def _bisect_rate(seg, m0):
 def _reference_check(cmap, horizon=1000, m0=30, grid_size=1024):
     """Scalar reference for ``misiurewicz_check`` at its default U radius
     1e-2, slack d0 = 1e-3 and 64 samples per component of U: one Python
-    loop per critical orbit and per U start, and lambda0 by bisection."""
+    loop per critical orbit and per U start, and lambda0 by bisection.
+    Every derivative log is ``np.log``, as in the certificate."""
     d0 = 1e-3
     crit = cmap.critical_points()
     centers = np.array([cp.s for cp in crit]) if crit else np.empty(0)
@@ -151,7 +152,7 @@ def _reference_check(cmap, horizon=1000, m0=30, grid_size=1024):
                     continue
                 s, cumlog, p0 = float(s0 % 1.0), 0.0, None
                 for i in range(1, horizon + 1):
-                    cumlog += math.log(max(abs(float(cmap.derivative(s))), 1e-300))
+                    cumlog += float(np.log(max(abs(float(cmap.derivative(s))), 1e-300)))
                     s = float(cmap.value(s))
                     if in_u(np.array([s]))[0]:
                         p0 = i

@@ -336,15 +336,17 @@ class Case34SMarginal(CircleMap):
         self.phi = fmap.shift - fmap.offset - fmap.drift
         self.amp = fmap.amp
 
-    def lift(self, s):
-        return np.asarray(s, dtype=float) + self.phi \
-            + self.amp * np.sin(2.0 * np.pi * np.asarray(s, dtype=float))
-
-    def derivative(self, s):
-        return 1.0 + 2.0 * np.pi * self.amp * np.cos(2.0 * np.pi * np.asarray(s, dtype=float))
-
-    def second_derivative(self, s):
-        return -(2.0 * np.pi) ** 2 * self.amp * np.sin(2.0 * np.pi * np.asarray(s, dtype=float))
+    def jet(self, s, order=0):
+        s = np.asarray(s, dtype=float)
+        theta = 2.0 * np.pi * s
+        sin = np.sin(theta)
+        h = s + self.phi + self.amp * sin
+        if order == 0:
+            return (h,)
+        dh = 1.0 + 2.0 * np.pi * self.amp * np.cos(theta)
+        if order == 1:
+            return h, dh
+        return h, dh, -(2.0 * np.pi) ** 2 * self.amp * sin
 
     def _critical_phases(self):
         # h' = 0 is cos(2 pi s) = -1/(2 pi amp)
@@ -375,20 +377,24 @@ def rotation_interval(cmap: CircleMap, seeds: int = 8,
     the upper envelope and the smallest for the lower one.  Both envelopes
     run from every seed as one lockstep ``(2, seeds)`` array.  A width
     below 1e-3 is reported as a point, which is the invariant-map case:
-    both envelopes coincide with the map itself.
+    both envelopes coincide with the map itself.  Fewer than one seed or
+    iteration is a :class:`ValidationError`.
     """
     if cmap.degree != 1:
         raise ValidationError("rotation intervals need a degree-one map")
+    if seeds < 1 or iterations < 1:
+        raise ValidationError(
+            f"rotation intervals need seeds >= 1 and iterations >= 1, got {seeds}, {iterations}")
     if rng is None:
         rng = np.random.default_rng(0)
     crit = cmap.critical_points()
-    maxima = [(cp.s, float(cmap.lift(cp.s))) for cp in crit if cp.second_derivative < 0.0]
-    minima = [(cp.s, float(cmap.lift(cp.s))) for cp in crit if cp.second_derivative > 0.0]
+    maxima = [(cp.s, float(cmap.jet(cp.s)[0])) for cp in crit if cp.second_derivative < 0.0]
+    minima = [(cp.s, float(cmap.jet(cp.s)[0])) for cp in crit if cp.second_derivative > 0.0]
 
     def step(y):
         # row 0 follows the upper envelope, row 1 the lower one
         s = y % 1.0
-        v = cmap.lift(s) + (y - s)
+        v = cmap.jet(s)[0] + (y - s)
         for m, fm in maxima:
             np.maximum(v[0], fm + np.floor(y[0] - m), out=v[0])
         for w, fw in minima:

@@ -87,36 +87,27 @@ def gamma_sequence(n: int, a: float, constants: DerivedConstants) -> float:
 # circle maps
 
 class CircleMap:
-    """Degree-d circle map exposed through its lift and derivatives.
+    """Degree-d circle map exposed through one evaluator, its jet.
 
-    Subclasses implement ``lift`` (with ``lift(s+1) = lift(s) + degree``),
-    ``derivative`` and ``second_derivative``, which accept scalars or
-    arrays, and ``_critical_phases``, the zeros of the derivative on
-    [0, 1) in closed form.  ``lift_and_derivative`` and
-    ``value_and_derivative`` may be overridden to share work between the
-    two values; they must return exactly the floats of ``lift`` (or
-    ``value``) and ``derivative``.
+    Subclasses implement ``jet(s, order=0)``, which returns the tuple
+    ``(h, h', h'')[:order + 1]`` of the lift (with ``h(s+1) = h(s) +
+    degree``) and its derivatives on scalars or arrays, and
+    ``_critical_phases``, the zeros of ``h'`` on [0, 1) in closed form.
+    Each entry of the jet has one formula, so ``jet(s, 2)[:k + 1]`` is
+    ``jet(s, k)`` bit for bit; the trigonometric maps evaluate a
+    derivative only when the order asks for it.
+    ``value`` reduces the lift as ``v - floor(v)``, which rounds the exact
+    fractional part once, as ``v % 1.0`` does, so the floats agree.
     """
 
     degree = 1
 
-    def lift(self, s):
+    def jet(self, s, order=0):
         raise NotImplementedError
 
     def value(self, s):
-        return self.lift(s) % 1.0
-
-    def derivative(self, s):
-        raise NotImplementedError
-
-    def lift_and_derivative(self, s):
-        return self.lift(s), self.derivative(s)
-
-    def value_and_derivative(self, s):
-        return self.value(s), self.derivative(s)
-
-    def second_derivative(self, s):
-        raise NotImplementedError
+        v = self.jet(s)[0]
+        return v - np.floor(v)
 
     def critical_points(self):
         """Zeros of the derivative on [0, 1) in increasing order, with curvature values.
@@ -127,7 +118,7 @@ class CircleMap:
         """
         out = []
         for s in sorted(self._critical_phases()):
-            h2 = float(self.second_derivative(s))
+            h2 = float(self.jet(s, 2)[2])
             if abs(h2) < 1e-8:
                 raise NumericsError(
                     f"degenerate critical point at s={s}: |h''|={abs(h2)} below 1e-8")
@@ -173,30 +164,18 @@ class AnalyticCircleMap(CircleMap):
         self.offset = self.a + self.mu3 * self.omega / math.pi
         self.coef = self.xi * self.omega / math.pi
 
-    def lift(self, s):
-        return s + self.offset - self.coef * np.log(1.0 - self.sqrt_a1 * np.cos(2.0 * np.pi * s))
-
-    def derivative(self, s):
-        den = 1.0 - self.sqrt_a1 * np.cos(2.0 * np.pi * s)
-        return 1.0 - 2.0 * np.pi * self.coef * self.sqrt_a1 * np.sin(2.0 * np.pi * s) / den
-
-    def lift_and_derivative(self, s):
-        # one angle, cosine and denominator for both
+    def jet(self, s, order=0):
+        # one angle, cosine and denominator for every order
         theta = 2.0 * np.pi * s
-        den = 1.0 - self.sqrt_a1 * np.cos(theta)
-        return (s + self.offset - self.coef * np.log(den),
-                1.0 - 2.0 * np.pi * self.coef * self.sqrt_a1 * np.sin(theta) / den)
-
-    def value_and_derivative(self, s):
-        # v - floor(v) rounds the exact fractional part once, as v % 1.0
-        # does, so the floats agree
-        v, d = self.lift_and_derivative(s)
-        return v - np.floor(v), d
-
-    def second_derivative(self, s):
-        den = 1.0 - self.sqrt_a1 * np.cos(2.0 * np.pi * s)
-        return (-4.0 * np.pi**2 * self.coef * self.sqrt_a1
-                * (np.cos(2.0 * np.pi * s) - self.sqrt_a1) / den**2)
+        cos = np.cos(theta)
+        den = 1.0 - self.sqrt_a1 * cos
+        h = s + self.offset - self.coef * np.log(den)
+        if order == 0:
+            return (h,)
+        dh = 1.0 - 2.0 * np.pi * self.coef * self.sqrt_a1 * np.sin(theta) / den
+        if order == 1:
+            return h, dh
+        return h, dh, -4.0 * np.pi**2 * self.coef * self.sqrt_a1 * (cos - self.sqrt_a1) / den**2
 
     def _critical_phases(self):
         # with theta = 2 pi s, h' = 0 is kappa sin(theta) + sqrt_a1 cos(theta) = 1,
@@ -214,14 +193,9 @@ class DoublingMap(CircleMap):
 
     degree = 2
 
-    def lift(self, s):
-        return 2.0 * np.asarray(s, dtype=float)
-
-    def derivative(self, s):
-        return np.full_like(np.asarray(s, dtype=float), 2.0)
-
-    def second_derivative(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
+    def jet(self, s, order=0):
+        s = np.asarray(s, dtype=float)
+        return (2.0 * s, np.full_like(s, 2.0), np.zeros_like(s))[:order + 1]
 
     def _critical_phases(self):
         return ()
@@ -231,14 +205,9 @@ class RigidRotation(CircleMap):
     def __init__(self, alpha: float):
         self.alpha = alpha
 
-    def lift(self, s):
-        return np.asarray(s, dtype=float) + self.alpha
-
-    def derivative(self, s):
-        return np.ones_like(np.asarray(s, dtype=float))
-
-    def second_derivative(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
+    def jet(self, s, order=0):
+        s = np.asarray(s, dtype=float)
+        return (s + self.alpha, np.ones_like(s), np.zeros_like(s))[:order + 1]
 
     def _critical_phases(self):
         return ()
@@ -447,17 +416,18 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
     The grid starts (outside conditions) and the U samples (inside (b))
     run in one early-exit sweep over the points that have not yet entered
     U, in blocks of ``_BLOCK`` steps.  Each step only evaluates
-    ``cmap.value_and_derivative`` once and stores the images and
-    derivatives as one row of the block; the logs, the running sums
-    (``np.add.accumulate`` down the rows adds in step order, so the sums
-    are those of a step-by-step loop), the U test, the segment minima and
-    the compaction run once per block.  A point that enters U mid-block is
-    stepped to the block's end, and those extra images are never read.
+    ``cmap.jet(pos, 1)``, reduces the lift as ``cmap.value`` does and
+    stores the images and derivatives as one row of the block; the logs,
+    the running sums (``np.add.accumulate`` down the rows adds in step
+    order, so the sums are those of a step-by-step loop), the U test, the
+    segment minima and the compaction run once per block.  A point that
+    enters U mid-block is stepped to the block's end, and those extra
+    images are never read.
     The critical points ride at the end of the live positions, so their
     images fill the critical orbits while the sweep lasts; the sweep ends
     when no grid start or U sample is left or at the horizon, and only
     the rest of the critical orbits then continues with ``cmap.value``
-    (whose floats ``value_and_derivative`` matches).  The outside and
+    (whose floats the sweep's reduction matches).  The outside and
     inside (b) sums share one ``np.log`` per block.  A ``math.log`` on the
     U samples would not make their sums independent of numpy's SIMD code:
     their images and derivatives already come from numpy's ``cos``,
@@ -506,8 +476,8 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
         images = np.empty((block, pos.size))
         derivs = np.empty((block, pos.size))
         for k in range(block):
-            images[k], derivs[k] = cmap.value_and_derivative(pos)
-            pos = images[k]
+            y, derivs[k] = cmap.jet(pos, 1)
+            pos = images[k] = y - np.floor(y)
         orbits[done:done + block] = images[:, n:]
         logs = np.abs(derivs[:, :n])
         np.maximum(logs, 1e-300, out=logs)
@@ -589,7 +559,7 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
             note="orbit of a critical point re-entered U" if not ok else "")
 
         # --- inside U, sampled on each component
-        h2 = np.asarray(cmap.second_derivative(u_samples), dtype=float)
+        h2 = np.asarray(cmap.jet(u_samples, 2)[2], dtype=float)
         worst_h2 = float(np.min(np.abs(h2)))
         ok_sign = bool(((h2 > 0.0).all(axis=1) | (h2 < 0.0).all(axis=1)).all())
         conditions["inside_a"] = ConditionVerdict(
@@ -658,7 +628,7 @@ def transition_matrix(cmap: CircleMap) -> TransitionMatrix:
     intervals = tuple((ends[i], ends[i + 1]) for i in range(r))
     Q = np.zeros((r, r), dtype=bool)
     for i, (lo, hi) in enumerate(intervals):
-        ia, ib = float(cmap.lift(lo)), float(cmap.lift(hi))
+        ia, ib = float(cmap.jet(lo)[0]), float(cmap.jet(hi)[0])
         im_lo, im_hi = min(ia, ib), max(ia, ib)
         for m, (alo, ahi) in enumerate(intervals):
             # does some integer shift place [alo, ahi] inside [im_lo, im_hi]?
@@ -696,7 +666,7 @@ def lyapunov_1d(cmap: CircleMap, s0: float, iterations: int):
     s_start = float(s0)
     while True:
         # the points after 100, ..., 99 + iterations steps
-        d = np.abs(cmap.derivative(cmap.orbit(s_start, iterations, 99)))
+        d = np.abs(cmap.jet(cmap.orbit(s_start, iterations, 99), 1)[1])
         if not (d < 1e-300).any():
             return float(np.sum(np.log(d))) / iterations, restarts
         restarts += 1
@@ -726,17 +696,17 @@ def _branch_of(s, ends):
 
 
 def _branch_solve(cmap, lo, hi, target):
-    # solve lift(q) = target on the monotone branch [lo, hi]: Newton steps
+    # solve h(q) = target on the monotone branch [lo, hi]: Newton steps
     # kept inside the shrinking bracket, a bisection wherever one would leave it;
-    # one shared evaluation of lift and derivative per iterate
-    fa, fb = float(cmap.lift(lo)) - target, float(cmap.lift(hi)) - target
+    # one first-order jet per iterate
+    fa, fb = float(cmap.jet(lo)[0]) - target, float(cmap.jet(hi)[0]) - target
     if fa * fb > 0.0:
         return None
     if fa == 0.0 or fb == 0.0:
         return lo if fa == 0.0 else hi
     q = 0.5 * (lo + hi)
     for _ in range(100):
-        v, d = cmap.lift_and_derivative(q)
+        v, d = cmap.jet(q, 1)
         fq = float(v) - target
         if fq == 0.0:
             return q
@@ -775,7 +745,7 @@ def transversality_probe(base: AnalyticCircleMap):
             s_ref = ref_orbit[j]
             lo, hi = _branch_of(s_ref, ends)
             s_rep = (s_ref - lo) % 1.0 + lo
-            target = q + round(float(cmap_new.lift(s_rep)) - q)
+            target = q + round(float(cmap_new.jet(s_rep)[0]) - q)
             sol = _branch_solve(cmap_new, lo, hi, target)
             if sol is None:
                 return None

@@ -41,27 +41,27 @@ def random_admissible(rng, n, omega_range=(0.05, 5.0)):
 
 
 def critical_set_grid(cmap, grid_size=4096, h2_floor=1e-8):
-    """Oracle for ``critical_points``: sign changes of ``cmap.derivative`` on
-    a uniform grid, refined by bracketed root-finding to ~1e-12.
+    """Oracle for ``critical_points``: sign changes of ``h'`` on a uniform
+    grid, refined by bracketed root-finding to ~1e-12.
 
-    Works for any map with ``derivative`` and ``second_derivative``.  Two
+    Works for any map with a second-order ``jet``.  Two
     zeros inside one grid cell show no sign change, so it misses a pair of
     turns closer than ``1/grid_size``; a zero with ``|h''|`` below
     ``h2_floor`` raises :class:`NumericsError`.
     """
     grid = np.linspace(0.0, 1.0, grid_size + 1)
-    dv = np.asarray(cmap.derivative(grid))
+    dv = np.asarray(cmap.jet(grid, 1)[1])
     da, db = dv[:-1], dv[1:]
     roots = []
     for i in np.flatnonzero((da == 0.0) | (da * db < 0.0)):
         if da[i] == 0.0:
             roots.append(grid[i])
         else:
-            roots.append(brentq(lambda s: float(cmap.derivative(s)), grid[i], grid[i + 1],
+            roots.append(brentq(lambda s: float(cmap.jet(s, 1)[1]), grid[i], grid[i + 1],
                                 xtol=1e-14, rtol=8.9e-16))
     out = []
     for r in sorted(set(np.round(np.mod(roots, 1.0), 13))):
-        h2 = float(cmap.second_derivative(r))
+        h2 = float(cmap.jet(r, 2)[2])
         if abs(h2) < h2_floor:
             raise NumericsError(
                 f"degenerate critical point at s={r}: |h''|={abs(h2)} below {h2_floor}"

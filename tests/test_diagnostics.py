@@ -304,16 +304,17 @@ def test_rotation_interval_noninvertible_marginal():
 
 def _scalar_rotation_interval(cmap, seeds, iterations, rng):
     """Reference for ``rotation_interval``: each envelope map from each seed
-    in its own loop of scalar lift calls; returns (lo, hi, width, is_point)."""
+    in its own loop of scalar order-0 jet calls; returns (lo, hi, width,
+    is_point)."""
     crit = cmap.critical_points()
     maxima = [cp.s for cp in crit if cp.second_derivative < 0.0]
     minima = [cp.s for cp in crit if cp.second_derivative > 0.0]
-    max_vals = [float(cmap.lift(m)) for m in maxima]
-    min_vals = [float(cmap.lift(w)) for w in minima]
+    max_vals = [float(cmap.jet(m)[0]) for m in maxima]
+    min_vals = [float(cmap.jet(w)[0]) for w in minima]
 
     def lift_at(y):
         s = y % 1.0
-        return float(cmap.lift(s)) + (y - s)
+        return float(cmap.jet(s)[0]) + (y - s)
 
     def upper(y):
         v = lift_at(y)
@@ -370,6 +371,15 @@ def test_rotation_interval_lockstep_equals_scalar_reference(cmap, seeds, iterati
 def test_rotation_interval_rejects_higher_degree():
     with pytest.raises(ValidationError):
         rotation_interval(DoublingMap())
+
+
+def test_rotation_interval_rejects_bad_sizes():
+    """No seed, a negative seed count or no iteration is a validation
+    error, not an empty reduction, a negative dimension or a division by
+    zero."""
+    for kwargs in (dict(seeds=0), dict(seeds=-2), dict(iterations=0)):
+        with pytest.raises(ValidationError):
+            rotation_interval(RigidRotation(0.3), **kwargs)
 
 
 def test_zero_one_statistic_fixtures(rng):

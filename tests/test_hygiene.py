@@ -1,6 +1,7 @@
 """Static hygiene of the package sources: every import is read, every
-``__all__`` entry is defined, every lazily exported flow name is bound, and
-every exported name is reached by the package itself; and of the tests:
+``__all__`` entry is defined, every lazily exported flow name is bound,
+every exported name is reached by the package itself, and every circle map
+has one evaluator; and of the tests:
 every import is read and every oracle in ``conftest.py`` is called by a test
 module."""
 
@@ -124,6 +125,40 @@ def surface_faults(package, modules, allowed):
     return unreached, stale
 
 
+# the per-order evaluators that ``CircleMap.jet`` replaced
+DELETED_EVALUATORS = {"lift", "derivative", "second_derivative",
+                      "lift_and_derivative", "value_and_derivative"}
+
+
+def circle_map_classes(modules):
+    """``CircleMap`` and every class in ``modules`` that derives from it,
+    directly or through another one, by name."""
+    classes = {node.name: node for tree in modules for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def bases(node):
+        return {b.id if isinstance(b, ast.Name) else b.attr
+                for b in node.bases if isinstance(b, (ast.Name, ast.Attribute))}
+
+    family, size = {"CircleMap"}, 0
+    while size != len(family):
+        size = len(family)
+        family |= {name for name, node in classes.items() if bases(node) & family}
+    return {name: classes[name] for name in family if name in classes}
+
+
+def circle_map_faults(modules):
+    """A subclass of ``CircleMap`` that binds no ``jet`` of its own, and a
+    ``CircleMap`` class that binds one of the deleted evaluators."""
+    faults = []
+    for name, node in sorted(circle_map_classes(modules).items()):
+        bound, _ = module_bindings(node)
+        if name != "CircleMap" and "jet" not in bound:
+            faults.append(f"{name} has no jet")
+        faults += [f"{name}.{evaluator}" for evaluator in sorted(bound & DELETED_EVALUATORS)]
+    return faults
+
+
 def uncalled_oracles(conftest, modules):
     """Module-level functions of ``conftest`` whose docstring starts with
     "Oracle" and that no module in ``modules`` calls by name."""
@@ -180,6 +215,43 @@ def test_surface_check_catches_unreached_and_stale_names():
                      "def caller(pkg):\n    return used() + pkg.helper() + run(1)\n")
     allowed = {"kept": "control", "used": "reached", "gone": "defined nowhere"}
     assert surface_faults(package, [module, flow], allowed) == (["again"], ["gone", "used"])
+
+
+def test_every_circle_map_has_one_evaluator():
+    """Each circle map states its formulas once, in ``jet``; none brings
+    back a per-order evaluator next to it."""
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))]
+    assert sorted(circle_map_classes(modules)) == [
+        "AnalyticCircleMap", "Case34SMarginal", "CircleMap", "DoublingMap", "RigidRotation"]
+    assert circle_map_faults(modules) == []
+
+
+def test_circle_map_check_catches_a_second_evaluator():
+    """Negative control: a deleted evaluator bound by def or by assignment,
+    on the base or on a subclass two levels down or across modules, and a
+    subclass without its own ``jet`` are reported; a class outside the
+    family is not."""
+    module = ast.parse(
+        "class CircleMap:\n"
+        "    def jet(self, s, order=0):\n        raise NotImplementedError\n"
+        "    def value_and_derivative(self, s):\n        pass\n"
+        "class Good(CircleMap):\n"
+        "    def jet(self, s, order=0):\n        pass\n"
+        "class Old(CircleMap):\n"
+        "    def lift(self, s):\n        pass\n"
+        "class Shared(Good):\n"
+        "    derivative = Good.jet\n"
+        "class Other:\n"
+        "    def lift(self, s):\n        pass\n")
+    other = ast.parse(
+        "from . import singular\n"
+        "class Marginal(singular.CircleMap):\n"
+        "    def jet(self, s, order=0):\n        pass\n"
+        "    def second_derivative(self, s):\n        pass\n")
+    assert circle_map_faults([module, other]) == [
+        "CircleMap.value_and_derivative", "Marginal.second_derivative",
+        "Old has no jet", "Old.lift", "Shared has no jet", "Shared.derivative"]
 
 
 def test_hygiene_checks_catch_stale_names():

@@ -86,7 +86,7 @@ def _reference_check(cmap, horizon=1000, m0=30, grid_size=1024):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        d = np.maximum(np.abs(np.asarray(cmap.derivative(pos[idx]), dtype=float)), 1e-300)
+        d = np.maximum(np.abs(np.asarray(cmap.jet(pos[idx], 1)[1], dtype=float)), 1e-300)
         cum[idx] += np.log(d)
         pos[idx] = np.asarray(cmap.value(pos[idx]), dtype=float)
         seg_a.append((m, float(cum[idx].min())))
@@ -139,7 +139,7 @@ def _reference_check(cmap, horizon=1000, m0=30, grid_size=1024):
 
         worst_h2, ok_sign = math.inf, True
         for c, r in zip(centers, radii):
-            h2 = np.asarray(cmap.second_derivative(c + np.linspace(-r, r, 64)))
+            h2 = np.asarray(cmap.jet(c + np.linspace(-r, r, 64), 2)[2])
             worst_h2 = min(worst_h2, float(np.min(np.abs(h2))))
             ok_sign = ok_sign and bool(np.all(h2 > 0.0) or np.all(h2 < 0.0))
         conditions["inside_a"] = ConditionVerdict(
@@ -152,7 +152,7 @@ def _reference_check(cmap, horizon=1000, m0=30, grid_size=1024):
                     continue
                 s, cumlog, p0 = float(s0 % 1.0), 0.0, None
                 for i in range(1, horizon + 1):
-                    cumlog += float(np.log(max(abs(float(cmap.derivative(s))), 1e-300)))
+                    cumlog += float(np.log(max(abs(float(cmap.jet(s, 1)[1])), 1e-300)))
                     s = float(cmap.value(s))
                     if in_u(np.array([s]))[0]:
                         p0 = i
@@ -218,21 +218,35 @@ def test_first_admissible_index_is_the_first_below_the_bound(name):
     assert gamma_sequence(n0, 0.0, dc) < 0.05 <= before
 
 
+def _every_circle_map():
+    """One map of each family: h_a on both configs, the case-3/4 phase
+    marginal invertible and not, the doubling map and a rigid rotation."""
+    return [make_circle_map(0.3, CASE1), make_circle_map(0.3, CASE2),
+            Case34SMarginal(ModelParams(c=0.95, e=0.9, gamma=0.01, omega=6.0, mu1=10.0)),
+            Case34SMarginal(ModelParams(c=0.6, e=0.2, gamma=0.01, omega=6.0, mu1=1.0)),
+            DoublingMap(), RigidRotation(0.37)]
+
+
 def test_circle_map_basic_structure():
-    h = AnalyticCircleMap(a=0.3, omega=0.3, xi=65.0, mu3=1.0, sqrt_a1=math.sqrt(0.5))
-    # degree-one lift
+    """Each map's lift has its degree, and ``h'`` and ``h''`` match central
+    differences of ``h`` and ``h'`` (step 1e-6) away from and at the turns."""
+    maps = _every_circle_map()
+    assert [len(cmap.critical_points()) for cmap in maps] == [2, 2, 0, 2, 0, 0]
     grid = np.linspace(0.0, 1.0, 1025)
-    assert np.max(np.abs(h.lift(grid + 1.0) - h.lift(grid) - 1.0)) < 1e-12
-    # derivative is one where the sine vanishes
-    assert float(h.derivative(0.0)) == pytest.approx(1.0, abs=1e-14)
-    assert float(h.derivative(0.5)) == pytest.approx(1.0, abs=1e-14)
-    # derivative consistency with differences
-    for s in (0.1, 0.33, 0.77):
-        fd = (float(h.lift(s + 1e-6)) - float(h.lift(s - 1e-6))) / 2e-6
-        assert fd == pytest.approx(float(h.derivative(s)), rel=1e-7)
-        fd2 = (float(h.derivative(s + 1e-6))
-               - float(h.derivative(s - 1e-6))) / 2e-6
-        assert fd2 == pytest.approx(float(h.second_derivative(s)), rel=1e-6)
+    for cmap in maps:
+        h, dh = cmap.jet(grid, 1)
+        scale = max(1.0, float(np.max(np.abs(dh))))
+        assert np.max(np.abs(cmap.jet(grid + 1.0)[0] - h - cmap.degree)) < 1e-13 * scale
+        for s in [0.1, 0.33, 0.77] + [cp.s for cp in cmap.critical_points()]:
+            lo, mid, hi = cmap.jet(s - 1e-6, 1), cmap.jet(s, 2), cmap.jet(s + 1e-6, 1)
+            fd = (float(hi[0]) - float(lo[0])) / 2e-6
+            assert fd == pytest.approx(float(mid[1]), rel=1e-7, abs=1e-8 * scale), (cmap, s)
+            fd2 = (float(hi[1]) - float(lo[1])) / 2e-6
+            assert fd2 == pytest.approx(float(mid[2]), rel=1e-6, abs=1e-6 * scale), (cmap, s)
+    # on h_a the derivative is one where the sine vanishes
+    for h in maps[:2]:
+        assert float(h.jet(0.0, 1)[1]) == pytest.approx(1.0, abs=1e-14)
+        assert float(h.jet(0.5, 1)[1]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_circle_map_offset_equivariance():
@@ -309,7 +323,7 @@ def test_closed_form_critical_points_vs_grid_oracle(cmap, turns):
     for cp, rp in zip(found, ref):
         assert abs(cp.s - rp.s) < 1e-12
         assert cp.second_derivative == pytest.approx(rp.second_derivative, rel=1e-9)
-        assert abs(float(cmap.derivative(cp.s))) < 1e-12
+        assert abs(float(cmap.jet(cp.s, 1)[1])) < 1e-12
 
 
 def test_closed_form_finds_turns_the_grid_misses():
@@ -321,7 +335,7 @@ def test_closed_form_finds_turns_the_grid_misses():
     assert len(crit) == 2
     assert 0.0 < crit[1].s - crit[0].s < 1e-5
     for cp in crit:
-        assert abs(float(h.derivative(cp.s))) < 1e-12
+        assert abs(float(h.jet(cp.s, 1)[1])) < 1e-12
     assert sorted(np.sign(cp.second_derivative) for cp in crit) == [-1.0, 1.0]
     assert critical_set_grid(h) == []
 
@@ -349,7 +363,7 @@ def test_critical_set_empty_for_weak_turns():
     h = AnalyticCircleMap(a=0.0, omega=0.05, xi=3.0, mu3=1.0, sqrt_a1=0.1)
     assert h.critical_points() == []
     grid = np.linspace(0, 1, 4096)
-    assert float(np.min(h.derivative(grid))) > 0.0
+    assert float(np.min(h.jet(grid, 1)[1])) > 0.0
 
 
 def test_rigid_rotation_and_doubling_critical_sets():
@@ -432,11 +446,11 @@ def test_misiurewicz_early_exits_match_reference():
     with m0 = 10."""
     for a in (0.3, 0.7):
         cmap = make_circle_map(a, CASE2)
-        steps = []
-        vd = cmap.value_and_derivative
-        cmap.value_and_derivative = lambda s: steps.append(np.size(s)) or vd(s)
+        orders = []
+        jet = cmap.jet
+        cmap.jet = lambda s, order=0: orders.append(order) or jet(s, order)
         got = misiurewicz_check(cmap, horizon=1000).to_dict()
-        assert len(steps) < 250, (a, len(steps))
+        assert orders.count(1) < 250, (a, orders.count(1))
         assert got == _reference_check(cmap, horizon=1000).to_dict(), a
     sizes = dict(horizon=200, grid_size=256, m0=10)
     for p, a in ((CASE1, 0.25), (CASE2, 0.55)):
@@ -474,16 +488,16 @@ def test_critical_orbits_ride_in_the_sweep():
         for _ in range(250):
             s = float(cmap.value(s))
             worst = min(worst, float(circle_dist_oracle(s, centers)) - 1e-2)
-    steps = []
-    vd = cmap.value_and_derivative
-    cmap.value_and_derivative = lambda s: steps.append(np.size(s)) or vd(s)
+    orders = []
+    jet = cmap.jet
+    cmap.jet = lambda s, order=0: orders.append(order) or jet(s, order)
 
     def no_value(s):
         raise AssertionError("cmap.value called")
 
     cmap.value = no_value
     cert = misiurewicz_check(cmap, horizon=250)
-    assert len(steps) == 250
+    assert orders.count(1) == 250
     assert cert.conditions["critical_orbits"].worst == worst
     assert cert.conditions["critical_orbits"].passed
 
@@ -552,22 +566,25 @@ def test_circle_dist_matches_broadcast_oracle(rng):
             assert np.array_equal(_bits(got), _bits(want)), (s, centers)
 
 
-def test_value_and_derivative_is_value_and_derivative(rng):
-    """The shared evaluations return the floats of ``value`` (or ``lift``)
-    and ``derivative`` exactly, on arrays and on Python floats."""
+def test_jet_orders_are_prefixes_and_value_reduces_the_lift(rng):
+    """``jet(s, k)`` is the first ``k + 1`` entries of ``jet(s, 2)`` and
+    ``value(s)`` is ``jet(s)[0] % 1.0``, bit for bit, on arrays and on
+    Python floats."""
     points = [rng.uniform(-0.5, 1.5, 2000), rng.uniform(0.0, 1.0, (30, 4)),
               np.array([0.0, -0.0, 0.5, 1.0, 1.0 - 2.0**-53])]
     maps = [make_circle_map(a, p) for p in (CASE1, CASE2) for a in (0.0, 0.3, 0.99)]
-    maps += [DoublingMap(), RigidRotation(0.37)]
+    maps += _every_circle_map()[2:]
     for cmap in maps:
         cs = [cp.s for cp in cmap.critical_points()]
         for s in points + [np.array(cs)] + [float(x) for x in points[2]] + cs:
-            v, d = cmap.value_and_derivative(s)
-            assert np.array_equal(_bits(v), _bits(cmap.value(s))), (cmap, s)
-            assert np.array_equal(_bits(d), _bits(cmap.derivative(s))), (cmap, s)
-            y, d = cmap.lift_and_derivative(s)
-            assert np.array_equal(_bits(y), _bits(cmap.lift(s))), (cmap, s)
-            assert np.array_equal(_bits(d), _bits(cmap.derivative(s))), (cmap, s)
+            full = cmap.jet(s, 2)
+            assert len(full) == 3
+            for k in (0, 1):
+                part = cmap.jet(s, k)
+                assert len(part) == k + 1
+                for got, want in zip(part, full):
+                    assert np.array_equal(_bits(got), _bits(want)), (cmap, s, k)
+            assert np.array_equal(_bits(cmap.value(s)), _bits(full[0] % 1.0)), (cmap, s)
 
 
 def test_misiurewicz_subverdicts_both_ways():
@@ -629,7 +646,7 @@ def test_transition_matrix_interval_oracle():
     r = len(tm.intervals)
     assert r == 2
     for i, (lo, hi) in enumerate(tm.intervals):
-        ia, ib = float(h.lift(lo)), float(h.lift(hi))
+        ia, ib = float(h.jet(lo)[0]), float(h.jet(hi)[0])
         im_lo, im_hi = min(ia, ib), max(ia, ib)
         for m, (alo, ahi) in enumerate(tm.intervals):
             # sample the candidate target arc; every representative shift
@@ -660,8 +677,9 @@ def test_lyapunov_1d_fixtures(rng):
 
 
 def _scalar_lyapunov_1d(cmap, s0, iterations):
-    """Reference for ``lyapunov_1d``: one scalar derivative and one math.log
-    per step, restarting 1e-9 further on when a derivative vanishes."""
+    """Reference for ``lyapunov_1d``: one scalar first-order jet and one
+    math.log per step, restarting 1e-9 further on when a derivative
+    vanishes."""
     restarts, s_start = 0, float(s0)
     while True:
         s = s_start
@@ -669,7 +687,7 @@ def _scalar_lyapunov_1d(cmap, s0, iterations):
             s = float(cmap.value(s))
         total = 0.0
         for _ in range(iterations):
-            d = abs(float(cmap.derivative(s)))
+            d = abs(float(cmap.jet(s, 1)[1]))
             if d < 1e-300:
                 break
             total += math.log(d)
@@ -689,9 +707,10 @@ class _HalfTurn(RigidRotation):
         super().__init__(0.5)
         self.flat_everywhere = flat_everywhere
 
-    def derivative(self, s):
+    def jet(self, s, order=0):
         s = np.asarray(s, dtype=float)
-        return np.where((s == 0.5) | self.flat_everywhere, 0.0, 1.0)
+        flat = (s == 0.5) | self.flat_everywhere
+        return (super().jet(s)[0], np.where(flat, 0.0, 1.0))[:order + 1]
 
 
 def test_lyapunov_1d_vs_scalar_reference():
@@ -780,33 +799,15 @@ def test_transversality_probe_runs():
         assert math.isfinite(t.dp_da)
 
 
-class _SeparateCalls(AnalyticCircleMap):
-    """The analytic map with the base class's separate lift and derivative."""
-
-    def lift_and_derivative(self, s):
-        return self.lift(s), self.derivative(s)
-
-
-def test_transversality_probe_shared_evaluation_is_bitwise():
-    """The Newton steps' shared lift-and-derivative evaluation gives the
-    probe's floats of separate ``lift`` and ``derivative`` calls."""
-    for p in (CASE1, CASE2):
-        for a in (0.0, 0.3, 0.71):
-            h = make_circle_map(a, p)
-            ref = _SeparateCalls(a=h.a, omega=h.omega, xi=h.xi, mu3=h.mu3,
-                                 sqrt_a1=h.sqrt_a1)
-            assert transversality_probe(h) == transversality_probe(ref), (p, a)
-
-
 def test_branch_solve_vs_brentq():
     """The bracketed Newton solve on a monotone branch of h_a agrees with
     brentq, returns an endpoint that solves exactly, and None without a
     sign change."""
     h = make_circle_map(0.3, CASE2)
     lo, hi = (cp.s for cp in h.critical_points())
-    f_lo, f_hi = float(h.lift(lo)), float(h.lift(hi))
+    f_lo, f_hi = float(h.jet(lo)[0]), float(h.jet(hi)[0])
     for target in np.linspace(f_lo, f_hi, 9)[1:-1]:
-        ref = brentq(lambda q: float(h.lift(q)) - target, lo, hi, xtol=1e-15)
+        ref = brentq(lambda q: float(h.jet(q)[0]) - target, lo, hi, xtol=1e-15)
         assert abs(_branch_solve(h, lo, hi, target) - ref) < 1e-13
     assert _branch_solve(h, lo, hi, f_lo) == lo
     assert _branch_solve(h, lo, hi, max(f_lo, f_hi) + 1.0) is None

@@ -2,7 +2,9 @@
 
 Floats are rendered with ``repr`` (shortest round-trip form), so identical
 inputs produce byte-identical files across runs.  CSV quoting follows
-RFC 4180; JSON keys are emitted in sorted order.
+RFC 4180; JSON keys are emitted in sorted order, and a non-finite float
+(NaN or +/-inf) is written to JSON as ``null``, so every JSON file is
+RFC 8259 JSON.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _sanitize(obj):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and math.isnan(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         try:
@@ -59,7 +61,8 @@ def _sanitize(obj):
 
 
 def json_bytes(obj) -> bytes:
-    return (json.dumps(_sanitize(obj), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(_sanitize(obj), indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode("utf-8")
 
 
 def write_json(path, obj) -> None:

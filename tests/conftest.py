@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from mayleonard import ModelParams, NumericsError
+from mayleonard import ModelParams, NumericsError, derive_constants
 from mayleonard.diagnostics import _BURN_IN, Lyapunov2D
+from mayleonard.params import stable_fixed_point
 from mayleonard.returnmap import reduce_mod
 from mayleonard.singular import CriticalPoint
 
@@ -88,6 +89,38 @@ def finite_difference_jacobian(fmap, x, s):
     col_x = np.subtract(lift(x + hx, s), lift(x - hx, s)) / (2.0 * hx)
     col_s = np.subtract(lift(x, s + hs), lift(x, s - hs)) / (2.0 * hs)
     return np.column_stack([col_x, col_s])
+
+
+def annulus_grid_oracle(params, n_samples):
+    """Oracle for ``annulus_check``: the grid search it replaced.
+
+    The band ``x* -/+ 2 g sqrt(a1)`` (``g = gamma mu1``, ``x*`` the stable
+    fixed point of ``x**delta + g``) is sampled on an s-grid times a radial
+    grid of about ``n_samples`` points; returns ``(min_margin,
+    worst_point)`` from the row-major first minimum of the signed margins,
+    or None where the band is undefined.
+    """
+    g = params.gamma * params.mu1
+    if g <= 0.0:
+        return None
+    dc = derive_constants(params)
+    fixed = stable_fixed_point(g, dc.delta)
+    if fixed is None:
+        return None
+    w = 2.0 * g * dc.sqrt_a1
+    lo, hi = fixed - w, fixed + w
+    if lo <= 0.0:
+        return None
+    n_s = max(16, int(math.sqrt(n_samples * 8)))
+    n_r = max(4, n_samples // n_s)
+    ss = np.linspace(0.0, 1.0, n_s, endpoint=False)
+    xs = np.linspace(lo, hi, n_r)
+    X, S = np.meshgrid(xs, ss, indexing="ij")
+    F1 = X**dc.delta + params.gamma * params.mu1 * (
+        1.0 - dc.sqrt_a1 * np.cos(2.0 * np.pi * S))
+    margins = np.minimum(F1 - lo, hi - F1)
+    i, j = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    return float(margins[i, j]), (float(X[i, j]), float(S[i, j]))
 
 
 def doubling_orbit(n, rng):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mayleonard._io import json_bytes
 from mayleonard.cli import main
 from mayleonard.config import dump_config, parse_config_text
 from mayleonard.errors import ValidationError
@@ -197,6 +199,30 @@ def test_certify_battery(case2_cfg, tmp_path):
     assert rc == 0
     report = json.loads(out.read_text())
     assert set(report["entries"]) == {"H1", "H2", "H3", "H4", "H5", "H6", "H7"}
+
+
+def _strict_json(text):
+    """Parse RFC 8259 JSON: a bare ``NaN``, ``Infinity`` or ``-Infinity`` raises."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_non_finite_floats_as_null():
+    data = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan,
+            "array": np.array([np.inf, 1.5])}
+    assert _strict_json(json_bytes(data).decode()) == {
+        "inf": None, "-inf": None, "nan": None, "array": [None, 1.5]}
+
+
+def test_certify_battery_with_an_infinite_rate_is_standard_json(tmp_path):
+    """On case 1 at a = 0.75 the certificate's rate is -inf: it is written
+    as ``null``, not as a bare ``-Infinity``."""
+    out = tmp_path / "battery.json"
+    assert main(["certify", "--config", str(CONFIGS / "case1.cfg"), "--a", "0.75",
+                 "--battery", "--horizon", "250", "--output", str(out)]) == 0
+    report = _strict_json(out.read_text())
+    assert report["entries"]["H4"]["lambda0"] is None
 
 
 @pytest.mark.parametrize("battery", [False, True])

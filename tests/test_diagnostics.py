@@ -31,7 +31,7 @@ from mayleonard.diagnostics import (
 from mayleonard.params import stable_fixed_point
 from mayleonard.singular import DoublingMap, RigidRotation
 
-from conftest import doubling_orbit, lyapunov_oracle, zero_one_oracle
+from conftest import annulus_grid_oracle, doubling_orbit, lyapunov_oracle, zero_one_oracle
 
 
 def test_x_star_cases():
@@ -71,14 +71,44 @@ def test_annulus_undefined_cases():
 
 
 def test_annulus_mean_fixed_point_consistency():
-    """The s-average of the map at x* returns x* exactly (unit forcing mean)."""
-    p = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05, mu1=1.0)
-    from mayleonard import derive_constants
-    dc = derive_constants(p)
-    fixed = stable_fixed_point(p.gamma, dc.delta)
-    ss = np.linspace(0.0, 1.0, 4096, endpoint=False)
-    f1 = fixed**dc.delta + p.gamma * (1 - dc.sqrt_a1 * np.cos(2 * np.pi * ss))
-    assert float(f1.mean()) == pytest.approx(fixed, rel=1e-9)
+    """The s-average of the map at x* returns x* exactly (unit forcing
+    mean): the band is centred on the fixed point of ``x**delta + gamma mu1``,
+    and a forcing ``gamma mu1 <= 0`` leaves it undefined."""
+    for mu1 in (1.0, 0.5, 2.0):
+        p = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05, mu1=mu1)
+        dc = derive_constants(p)
+        fixed = annulus_check(p).x_star
+        assert fixed == stable_fixed_point(p.gamma * mu1, dc.delta)
+        ss = np.linspace(0.0, 1.0, 4096, endpoint=False)
+        f1 = fixed**dc.delta + p.gamma * mu1 * (1 - dc.sqrt_a1 * np.cos(2 * np.pi * ss))
+        assert float(f1.mean()) == pytest.approx(fixed, rel=1e-9)
+    rep = annulus_check(ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05, mu1=-0.5))
+    assert not rep.defined and rep.x_star is None
+    assert "mu1" in rep.note
+
+
+@pytest.mark.parametrize("n_samples", [512, 8192])
+def test_annulus_corners_match_the_grid_search(n_samples):
+    """The two-corner margin and worst point are the grid search's, bit for
+    bit, over 400 amplitudes on three parameter sets; the band is defined
+    on the same amplitudes."""
+    sets = [ModelParams(c=0.55, e=0.5, omega=0.05), ModelParams(c=0.6, e=0.2, omega=0.3),
+            ModelParams(c=0.55, e=0.5, omega=math.sqrt(3.0) / 2.0 * 0.55)]
+    defined = 0
+    for p in sets:
+        for gamma in np.geomspace(1e-7, 0.3, 400):
+            q = replace(p, gamma=float(gamma))
+            rep = annulus_check(q)
+            grid = annulus_grid_oracle(q, n_samples)
+            assert rep.defined == (grid is not None)
+            if grid is None:
+                continue
+            defined += 1
+            margin, (x, s) = grid
+            assert (rep.min_margin.hex(), rep.worst_point[0].hex(), rep.worst_point[1].hex()) \
+                == (margin.hex(), x.hex(), s.hex())
+            assert rep.invariant == (margin >= 0.0)
+    assert defined == 460
 
 
 def test_horseshoe_condition_reference_point():

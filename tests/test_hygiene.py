@@ -3,7 +3,7 @@
 every exported name is reached by the package itself, and every circle map
 has one evaluator; and of the tests:
 every import is read and every oracle in ``conftest.py`` is called by a test
-module."""
+module; and the package's module graph is the table below."""
 
 import ast
 from pathlib import Path
@@ -28,6 +28,45 @@ UNREACHED_ALLOWED = {
     "k_map": "the scan amplitude's singular-limit offset a = k_map(gamma) mod 1, "
              "for the scan's CE-rate column (ROADMAP item 10)",
 }
+
+
+# each package module and the sibling modules it imports, at module or
+# function level; ``__init__`` is the package itself
+MODULE_GRAPH = {
+    "__init__": {"diagnostics", "errors", "flow", "params", "returnmap", "singular"},
+    "_io": set(),
+    "cli": {"__init__", "_io", "config", "diagnostics", "errors", "flow", "params",
+            "returnmap", "singular"},
+    "config": {"errors", "params"},
+    "diagnostics": {"config", "errors", "params", "returnmap", "singular"},
+    "errors": set(),
+    "flow": {"config", "errors", "params"},
+    "params": {"errors"},
+    "returnmap": {"errors", "params"},
+    "singular": {"errors", "params"},
+}
+
+
+def sibling_imports(tree, siblings):
+    """The modules of ``siblings`` that ``tree`` imports anywhere, by a
+    relative import or through the ``mayleonard`` package; ``from . import
+    name`` imports the sibling ``name``, or else the package ``__init__``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("mayleonard."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not (module + ".").startswith("mayleonard."):
+                continue
+            path = module.split(".")[1:] if node.level == 0 else module.split(".")
+            if path and path[0]:
+                found.add(path[0])
+            else:
+                found.update(alias.name if alias.name in siblings else "__init__"
+                             for alias in node.names)
+    return found & siblings
 
 
 def unread_imports(tree, reexports=False):
@@ -268,6 +307,35 @@ def test_hygiene_checks_catch_stale_names():
     assert unread_imports(tree) == ["math", "reduce_mod", "replace"]
     assert unread_imports(tree, reexports=True) == ["reduce_mod"]
     assert undefined_exports(tree) == ["Gone"]
+
+
+def test_module_graph_is_the_table():
+    """No package module imports a sibling that ``MODULE_GRAPH`` does not
+    list for it, and each listed import is there: a new edge, such as
+    ``singular`` reading ``returnmap`` again, is a visible edit of the
+    table."""
+    siblings = {path.stem for path in SRC.glob("*.py")}
+    graph = {path.stem: sibling_imports(ast.parse(path.read_text(encoding="utf-8")), siblings)
+             for path in sorted(SRC.glob("*.py"))}
+    assert graph == MODULE_GRAPH
+
+
+def test_module_graph_check_sees_every_import_form():
+    """Negative control: module-level, function-level, package and absolute
+    imports are each an edge; a third-party import and a name that is no
+    sibling are not."""
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from . import __version__, flow\n"
+        "from .errors import ValidationError\n"
+        "import mayleonard.config\n"
+        "def f():\n"
+        "    from .returnmap import compile_map\n"
+        "    from mayleonard.params import derive_constants\n"
+        "    from mayleonard import singular\n"
+        "    return compile_map, derive_constants, singular, np\n")
+    siblings = {"__init__", "config", "errors", "flow", "params", "returnmap", "singular"}
+    assert sibling_imports(tree, siblings) == siblings
 
 
 def test_lazy_flow_names_are_bound():

@@ -14,6 +14,7 @@ from mayleonard import (
     NumericsError,
     RigidRotation,
     ValidationError,
+    compile_map,
     derive_constants,
     gamma_sequence,
     hypothesis_battery,
@@ -783,11 +784,45 @@ def test_battery_h2_and_h3_read_their_own_columns(monkeypatch, column, failing, 
     assert report.entries[passing]["status"] == "pass"
 
 
+def _first_batteries():
+    """The battery at the first admissible index of each config, three offsets."""
+    for params in (CASE1, CASE2):
+        n = first_admissible_index(derive_constants(params), 0.05)
+        for a in (0.0, 0.3, 0.75):
+            yield params, hypothesis_battery(params, n, a, horizon=50)
+
+
 def test_battery_distortion_bound():
-    p = ModelParams(c=0.6, e=0.2, omega=0.3)
-    report = hypothesis_battery(p, n=14, a=0.3, horizon=200)
-    h1 = report.entries["H1"]
-    assert h1["sampled_ratio"] <= h1["distortion_bound"] * (1 + 1e-9)
+    """H1's distortion bound, the endpoint ratio of the monotone determinant
+    ``gamma**p delta x**(delta-1)``, is its 64-sample ratio over the
+    absorbing range to within 2 ulps."""
+    for params, report in _first_batteries():
+        dc = derive_constants(params)
+        h1 = report.entries["H1"]
+        assert h1["status"] == "pass" and set(h1) == {"status", "distortion_bound", "note"}
+        gp = report.gamma**dc.p
+        xs = np.linspace(gp * (1.0 - dc.sqrt_a1),
+                         gp * (1.0 + dc.sqrt_a1 + (2.0 * gp) ** dc.delta), 64)
+        dets = gp * dc.delta * xs ** (dc.delta - 1.0)
+        bound = h1["distortion_bound"]
+        assert abs(float(dets.max() / dets.min()) - bound) <= 2.0 * math.ulp(bound)
+
+
+def test_battery_h6_is_the_rescaled_maps_slope():
+    """H6's unit slope is the finite-difference slope of the ``rescaled``
+    map's leading component in ``u = x**delta``, normalised by ``gamma**p``,
+    at every turn of ``h_a`` to within 1e-9."""
+    for params, report in _first_batteries():
+        dc = derive_constants(params)
+        assert report.entries["H6"] == {"status": "pass", "value": 1.0, "note": ""}
+        gp = report.gamma**dc.p
+        lift = compile_map("rescaled", params, gamma=report.gamma).lift
+        u = 1e-6
+        turns = make_circle_map(report.a, params).critical_points()
+        assert len(turns) == 2
+        for cp in turns:
+            slope = (lift(u ** (1.0 / dc.delta), cp.s)[0] / gp - lift(0.0, cp.s)[0] / gp) / u
+            assert abs(slope - 1.0) < 1e-9
 
 
 def test_transversality_probe_runs():

@@ -8,7 +8,12 @@ saddle spectra of the unperturbed network, and extracts Poincare return
 data on the entry faces of the saddle neighbourhoods (``section_returns``).
 
 Section returns step with LSODA, which switches between Adams and BDF
-formulas as it detects stiffness.  Near a saddle the -1 eigenvalue holds an
+formulas as it detects stiffness.  One driver (``_run_stepper``) steps the
+``lsoda`` integrator of ``scipy.integrate.ode`` directly, one step per call,
+reads LSODA's own counters, and rebuilds the interpolant of a step that
+brackets a crossing from LSODA's Nordsieck array, bit-identical to scipy's
+``LSODA.dense_output()``; the tests pin this seam against the loop on
+scipy's ``LSODA`` solver class.  Near a saddle the -1 eigenvalue holds an
 explicit Runge-Kutta step near 3, while each dwell is ``delta`` times
 longer than the one before, so RK45 would pay for every dwell in steps.
 Every section step is capped at 50 (any ``max_step`` above it is lowered):
@@ -33,10 +38,11 @@ Two integration charts are available:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import LSODA, RK45, solve_ivp
+from scipy.integrate import RK45, ode, solve_ivp
 from scipy.optimize import brentq
 
 from .config import NumericsConfig
@@ -47,6 +53,7 @@ __all__ = [
     "FlowState",
     "Trajectory",
     "SectionEvent",
+    "SectionReturns",
     "ml_jacobian",
     "equilibria_spectrum",
     "table1_eigenpairs",
@@ -108,6 +115,16 @@ class SectionEvent:
     x: float
     log_x: float
     state: np.ndarray
+
+
+class SectionReturns(list):
+    """The :class:`SectionEvent` list of one ``section_returns`` run, with
+    LSODA's counters of the run (``steps``, ``nfev``, ``njev``, ``nlu``) as
+    ``stats``."""
+
+    def __init__(self, events, stats):
+        super().__init__(events)
+        self.stats = stats
 
 
 def _field(params: ModelParams, in_logs: bool):
@@ -259,52 +276,98 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
                       stats=_stats(res.nfev, len(res.t) - 1))
 
 
-def _run_stepper(fun, t0, y0, t_end, opts, events, max_events, accept):
-    """Drive scipy's LSODA stepper until ``max_events`` crossings are accepted.
+# scipy's LSODA raises a smaller rtol to this, with a warning
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
-    ``events`` is a sequence of ``(name, g(t, y))``, where ``y`` is a list
-    of floats at the step ends and an array on the interpolant; a crossing
-    is recorded when g falls from positive to non-positive within a step,
-    with the crossing time refined by root-finding on the dense interpolant
-    to a tolerance of ``1e-12 * max(1, |t|)``, and kept when
-    ``accept(name, y)`` holds.  Returns ``(stats, found)``: the stepper's own counters
-    (``steps``, ``nfev``, ``njev``, ``nlu``) and the kept crossings as
-    ``(t, name, y)``, fewer than ``max_events`` if ``t_end`` came first.
+
+def _no_jacobian():
+    # LSODA builds its Jacobian from differences; ``run`` still takes a callable
+    return None
+
+
+def _run_stepper(fun, t0, y0, t_end, opts, events, max_events, accept):
+    """Step LSODA from ``t0`` until ``max_events`` crossings are accepted.
+
+    The integrator is ``scipy.integrate.ode``'s LSODA, run with itask 5 and
+    ``t_end`` as its critical time: each ``run`` takes one step and never
+    steps past ``t_end``.  ``events`` is a sequence of ``(name, g(t, y))``,
+    where ``y`` is a list of floats at the step ends and an array on the
+    interpolant; a crossing is recorded when g falls from positive to
+    non-positive within a step, with the crossing time refined by
+    root-finding on the step's interpolant to a tolerance of
+    ``1e-12 * max(1, |t|)``, and kept when ``accept(name, y)`` holds.
+    Returns ``(stats, found)``: LSODA's own counters (``steps``, ``nfev``,
+    ``njev``, ``nlu``) and the kept crossings as ``(t, name, y)``, fewer
+    than ``max_events`` if ``t_end`` came first.
     """
-    stepper = LSODA(fun, t0, np.asarray(y0, dtype=float), t_end,
-                    rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step)
-    steps, found = 0, []
-    g_prev = [g(t0, stepper.y.tolist()) for _, g in events]
-    while stepper.status == "running" and len(found) < max_events:
-        msg = stepper.step()
+    rtol = opts.rel_tol
+    if rtol < _RTOL_FLOOR:
+        warnings.warn(f"rel_tol={rtol} is below LSODA's floor of 100 eps; "
+                      f"raised to {_RTOL_FLOOR}", stacklevel=3)
+        rtol = _RTOL_FLOOR
+    solver = ode(fun).set_integrator("lsoda", rtol=rtol, atol=opts.abs_tol,
+                                     max_step=opts.max_step)
+    solver.set_initial_value(y0, t0)
+    lsoda = solver._integrator
+    lsoda.rwork[0] = t_end
+    lsoda.call_args[2] = 5
+    run, t, y = lsoda.run, t0, solver._y
+    found = []
+    g_prev = [g(t, y.tolist()) for _, g in events]
+    while t < t_end and len(found) < max_events:
+        t_old = t
+        y, t = run(fun, _no_jacobian, y, t, t_end, (), ())
+        if not lsoda.success:
+            raise NumericsError(f"LSODA failed at t={t} with istate={lsoda.istate}")
         # LSODA does not fail once its step underflows: it goes on
         # accepting steps that leave t where it was
-        if stepper.status == "failed" or stepper.t == stepper.t_old:
+        if t == t_old:
             raise NumericsError(
-                f"step-size underflow at t={stepper.t}: {msg or 't + h == t'} "
+                f"step-size underflow at t={t}: t + h == t "
                 "(likely stiffness near an equilibrium)"
             )
-        steps += 1
         # the event functions read the step end as floats; the interpolant is
         # built only for a step that brackets a crossing
-        t_new, y_new = stepper.t, stepper.y.tolist()
+        y_new = y.tolist()
         sol = None
         hits = []
         for k, (name, g) in enumerate(events):
-            g_new = g(t_new, y_new)
+            g_new = g(t, y_new)
             if g_prev[k] > 0.0 >= g_new:
                 if sol is None:
-                    sol = stepper.dense_output()
-                t_hit = brentq(lambda t: g(t, sol(t)), stepper.t_old, t_new,
-                               xtol=1e-12 * max(1.0, abs(t_new)))
+                    sol = _nordsieck_interpolant(lsoda, len(y_new), t)
+                t_hit = brentq(lambda s: g(s, sol(s)), t_old, t,
+                               xtol=1e-12 * max(1.0, abs(t)))
                 hits.append((t_hit, name, np.asarray(sol(t_hit), dtype=float)))
             g_prev[k] = g_new
         if hits:
             hits.sort()
             found += [hit for hit in hits if accept(hit[1], hit[2])]
-    stats = {"steps": steps, "nfev": stepper.nfev,
-             "njev": int(stepper.njev), "nlu": int(stepper.nlu)}
+    iwork = lsoda.iwork
+    stats = {"steps": int(iwork[10]), "nfev": int(iwork[11]),
+             "njev": int(iwork[12]), "nlu": int(iwork[12])}
     return stats, found[:max_events]
+
+
+def _nordsieck_interpolant(lsoda, n, t):
+    """The interpolant of LSODA's last step, which ended at ``t``.
+
+    LSODA keeps the step in its Nordsieck array, ``yh[:, j] = h**j
+    y^(j)(t) / j!`` in ``rwork[20:]``, scaled to the step size it will try
+    next.  The polynomial uses the order of the last step (``iwork[13]``);
+    when the next order is lower (``iwork[14]``), LSODA has not rescaled
+    the last column, so it is rescaled here from the last step size
+    ``rwork[10]`` to the next one, ``rwork[11]``.  These are the formulas
+    and operations of scipy's ``LSODA.dense_output``, so the values are
+    bit-identical to it.
+    """
+    iwork, rwork = lsoda.iwork, lsoda.rwork
+    order, h = iwork[13], rwork[11]
+    yh = np.reshape(rwork[20:20 + (order + 1) * n], (n, order + 1), order="F").copy()
+    if iwork[14] < order:
+        yh[:, -1] *= (h / rwork[10]) ** order
+    p = np.arange(order + 1)
+    return lambda s: np.dot(yh, ((s - t) / h) ** p)
 
 
 def _stats(nfev, accepted):
@@ -342,7 +405,7 @@ _FACES = {
 def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
                     opts: NumericsConfig = NumericsConfig(),
                     sections: str = "o3",
-                    max_time: float = 1e7) -> list[SectionEvent]:
+                    max_time: float = 1e7) -> SectionReturns:
     """Extract Poincare section events from the flow.
 
     Parameters
@@ -363,6 +426,16 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
         symmetry, and consecutive crossings realise the single-passage
         contraction exponent ``delta`` rather than its cube.  Any other
         value raises :class:`ValidationError`.
+    max_time : float
+        Time budget after ``state0.t``, finite and positive; a run that
+        finds fewer than ``n_returns`` crossings within it raises
+        :class:`NumericsError`.
+
+    Returns
+    -------
+    SectionReturns
+        The ``n_returns`` events in time order, with LSODA's counters of
+        the run as ``stats``.
 
     Notes
     -----
@@ -376,12 +449,16 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
         raise ValidationError("state0 must be off the invariant plane (x > 0)")
     if sections not in ("o3", "all"):
         raise ValidationError(f"sections must be 'o3' or 'all', got {sections!r}")
+    if not 0.0 < max_time < math.inf:
+        raise ValidationError(f"max_time must be finite and > 0, got {max_time}")
     opts = replace(opts, max_step=min(50.0, opts.max_step))
     wanted = ["O3"] if sections == "o3" else ["O1", "O2", "O3"]
 
     # the section level eps_tilde and the saddle-side threshold 1/2, in the chart
     in_logs = params.gamma == 0.0
     if in_logs:
+        if min(state0.y, state0.z) <= 0.0:
+            raise ValidationError("the log chart (gamma = 0) needs y > 0 and z > 0")
         q0 = np.log(state0.as_array())
         level, half = math.log(params.eps_tilde), math.log(0.5)
     else:
@@ -394,8 +471,9 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
 
     events = [(name, lambda t, q, ci=_FACES[name][0]: q[ci] - level)
               for name in wanted]
-    _, found = _run_stepper(_field(params, in_logs), state0.t, q0, state0.t + max_time,
-                            opts, events, n_returns, near_saddle)
+    stats, found = _run_stepper(_field(params, in_logs), state0.t, q0,
+                                state0.t + max_time, opts, events, n_returns,
+                                near_saddle)
     if len(found) < n_returns:
         raise NumericsError(
             f"only {len(found)} of {n_returns} section crossings found within "
@@ -419,7 +497,7 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
             index=k, section=name, t_raw=float(t_hit),
             s=float(t_hit % period), x=x, log_x=log_x, state=state,
         ))
-    return out
+    return SectionReturns(out, stats)
 
 
 def dwell_time_estimate(x_u0: float, params: ModelParams) -> float:

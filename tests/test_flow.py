@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA, RK45, solve_ivp
 
 from mayleonard import (
     FlowState,
@@ -21,7 +21,7 @@ from mayleonard import (
 from mayleonard.config import NumericsConfig
 from mayleonard.flow import SectionEvent, _field, table1_eigenpairs
 
-from conftest import random_admissible, rhs_oracle
+from conftest import random_admissible, rhs_oracle, stepper_oracle
 
 
 def test_vector_field_equilibria():
@@ -153,6 +153,36 @@ def test_section_returns_rejects_unknown_sections():
     every = section_returns(start, 2, p, sections="all")
     assert {ev.section for ev in o3} == {"O3"}
     assert [ev.section for ev in every] != [ev.section for ev in o3]
+
+
+def test_section_returns_validates_max_time(monkeypatch):
+    """A ``max_time`` that is not finite and positive is rejected before any
+    integration: NaN used to step forever, 0 to report a step-size
+    underflow, and a negative budget to integrate backwards.  The default
+    and criterion 5's 2e6 still run."""
+    import mayleonard.flow as flow
+
+    def never(*args):
+        raise AssertionError("the flow was integrated")
+
+    p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
+    start = section_state(1e-3, p)
+    monkeypatch.setattr(flow, "_run_stepper", never)
+    for bad in (math.nan, 0.0, -0.0, -1.0, -math.inf, math.inf):
+        with pytest.raises(ValidationError, match="max_time must be"):
+            section_returns(start, 2, p, max_time=bad)
+    monkeypatch.undo()
+    for good in (1e7, 2e6):
+        assert len(section_returns(start, 2, p, max_time=good)) == 2
+
+
+def test_log_chart_start_needs_positive_coordinates():
+    """At ``gamma = 0`` the run starts from the logs of the state, so a
+    start on another invariant plane is a validation error."""
+    p = ModelParams(c=0.6, e=0.2, gamma=0.0, omega=0.3)
+    for start in (FlowState(0.5, 0.5, 0.0), FlowState(0.5, 0.0, 0.5)):
+        with pytest.raises(ValidationError, match="log chart"):
+            section_returns(start, 1, p)
 
 
 def test_equilibria_spectrum_matches_reference(rng):
@@ -292,44 +322,117 @@ def _counting(base, calls):
 
 
 def test_integrate_and_section_returns_step_through_flow_stepper(monkeypatch):
-    """Each flow path takes its steps through the stepper class bound in
-    ``flow``, ``integrate`` through ``RK45`` and section returns through
-    ``LSODA``, so a subclass patched in there sees every step."""
+    """Each flow path takes its steps through one seam in ``flow``:
+    ``integrate`` through the ``RK45`` class and section returns through
+    the ``_run_stepper`` driver, so a stand-in patched there sees every
+    step."""
     import mayleonard.flow as flow
 
     rk45, lsoda = [], []
     monkeypatch.setattr(flow, "RK45", _counting(flow.RK45, rk45))
-    monkeypatch.setattr(flow, "LSODA", _counting(flow.LSODA, lsoda))
+    monkeypatch.setattr(flow, "_run_stepper", lambda *args: stepper_oracle(
+        _counting(LSODA, lsoda), *args))
     p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
     traj = integrate(FlowState(0.3, 0.31, 0.29, 0.0), 5.0, p)
     assert len(rk45) == traj.stats["steps"] > 0 and not lsoda
     rk45.clear()
-    section_returns(section_state(1e-3, p), 2, p, sections="all")
-    assert len(lsoda) > 0 and not rk45
+    events = section_returns(section_state(1e-3, p), 2, p, sections="all")
+    assert events.stats["steps"] == len(lsoda) > 0 and not rk45
+
+
+def _recording(run, calls):
+    """``run`` with each call's arguments and result appended to ``calls``."""
+    def recording(*args):
+        result = run(*args)
+        calls.append((args, result))
+        return result
+
+    return recording
+
+
+def _assert_same_run(run, ref):
+    """Two ``_run_stepper`` results with equal counters and bit-equal
+    crossings."""
+    (stats, found), (stats_ref, found_ref) = run, ref
+    assert stats == stats_ref and len(found) == len(found_ref)
+    for (t, name, y), (t_ref, name_ref, y_ref) in zip(found, found_ref):
+        assert (t, name) == (t_ref, name_ref)
+        assert np.array_equal(_bits(y), _bits(y_ref))
 
 
 @pytest.mark.parametrize("gamma", [0.01, 0.0])
 def test_section_driver_reports_stepper_counters(monkeypatch, gamma):
-    """The section driver returns LSODA's own counters: one step per
-    ``step()`` call, and the stepper's ``nfev``, ``njev`` and ``nlu``."""
+    """``section_returns`` reports the driver's counters, and they equal
+    scipy's ``LSODA`` on the same run: one step per ``step()`` call, and
+    the stepper's ``nfev``, ``njev`` and ``nlu``."""
     import mayleonard.flow as flow
 
-    calls, reports = [], []
-    run = flow._run_stepper
-
-    def recording(*args):
-        stats, found = run(*args)
-        reports.append(stats)
-        return stats, found
-
-    monkeypatch.setattr(flow, "LSODA", _counting(flow.LSODA, calls))
-    monkeypatch.setattr(flow, "_run_stepper", recording)
+    reports, calls = [], []
+    monkeypatch.setattr(flow, "_run_stepper", _recording(flow._run_stepper, reports))
     p = replace(CASE2, gamma=gamma)
-    section_returns(section_state(1e-3, p), 3, p, sections="all")
-    (stats,), stepper = reports, calls[-1]
+    events = section_returns(section_state(1e-3, p), 3, p, sections="all")
+    ((args, (stats, _)),) = reports
+    assert events.stats == stats
+    stepper_oracle(_counting(LSODA, calls), *args)
+    stepper = calls[-1]
     assert stats == {"steps": len(calls), "nfev": stepper.nfev,
                      "njev": stepper.njev, "nlu": stepper.nlu}
     assert stats["nfev"] > stats["steps"] > 0
+
+
+@pytest.mark.parametrize("params, n", [(CASE1, 30), (CASE2, 10),
+                                       (replace(CASE2, gamma=0.0), 6)])
+def test_section_driver_matches_lsoda_oracle_bitwise(monkeypatch, params, n):
+    """The driver and scipy's ``LSODA`` stepped by the oracle loop take the
+    same steps and find the same crossings, bit for bit."""
+    import mayleonard.flow as flow
+
+    reports = []
+    monkeypatch.setattr(flow, "_run_stepper", _recording(flow._run_stepper, reports))
+    section_returns(section_state(1e-3, params), n, params, sections="all")
+    ((args, run),) = reports
+    assert len(run[1]) == n
+    _assert_same_run(run, stepper_oracle(LSODA, *args))
+
+
+@pytest.mark.parametrize("params", [CASE1, CASE2])
+def test_nordsieck_interpolant_is_lsoda_dense_output(params):
+    """The interpolant rebuilt from LSODA's Nordsieck array equals scipy's
+    ``LSODA.dense_output()`` bit for bit at the start, the midpoint and the
+    end of each of 5000 steps, among them steps where the next order is
+    lower, whose last column is rescaled."""
+    from mayleonard.flow import _nordsieck_interpolant
+
+    start = section_state(1e-3, params)
+    opts = NumericsConfig()
+    stepper = LSODA(_field(params, False), 0.0, start.as_array(), 1e7,
+                    rtol=opts.rel_tol, atol=opts.abs_tol, max_step=50.0)
+    lsoda = stepper._lsoda_solver._integrator
+    lowered = 0
+    for _ in range(5000):
+        assert stepper.step() is None
+        lowered += lsoda.iwork[14] < lsoda.iwork[13]
+        ref = stepper.dense_output()
+        sol = _nordsieck_interpolant(lsoda, 3, stepper.t)
+        for t in (stepper.t_old, 0.5 * (stepper.t_old + stepper.t), stepper.t):
+            assert np.array_equal(_bits(sol(t)), _bits(ref(t)))
+    assert lowered > 0
+
+
+def test_section_driver_raises_a_tiny_rel_tol_as_lsoda_does(monkeypatch):
+    """A ``rel_tol`` below 100 eps warns and runs at 100 eps, as scipy's
+    ``LSODA`` does: the crossings equal the oracle's bit for bit."""
+    import mayleonard.flow as flow
+
+    reports = []
+    monkeypatch.setattr(flow, "_run_stepper", _recording(flow._run_stepper, reports))
+    opts = NumericsConfig(rel_tol=1e-16, abs_tol=1e-12)
+    with pytest.warns(UserWarning, match="rel_tol=1e-16 is below"):
+        section_returns(section_state(1e-3, CASE2), 2, CASE2, opts, sections="all")
+    ((args, run),) = reports
+    assert len(run[1]) == 2
+    with pytest.warns(UserWarning, match="rtol"):
+        _assert_same_run(run, stepper_oracle(LSODA, *args))
 
 
 @pytest.mark.parametrize("params, n", [(CASE1, 30), (CASE2, 10),
@@ -340,24 +443,15 @@ def test_section_driver_same_on_float_field_and_oracle(monkeypatch, params, n):
     import mayleonard.flow as flow
 
     reports = []
-    run = flow._run_stepper
-
-    def recording(*args):
-        stats, found = run(*args)
-        reports.append((stats, found))
-        return stats, found
-
-    monkeypatch.setattr(flow, "_run_stepper", recording)
+    monkeypatch.setattr(flow, "_run_stepper", _recording(flow._run_stepper, reports))
     start = section_state(1e-3, params)
     section_returns(start, n, params, sections="all")
     monkeypatch.setattr(flow, "_field", lambda p, in_logs: (
         lambda t, q: rhs_oracle(t, q, p, in_logs)))
     section_returns(start, n, params, sections="all")
-    (stats, found), (stats_ref, found_ref) = reports
-    assert stats == stats_ref and len(found) == len(found_ref) == n
-    for (t, name, y), (t_ref, name_ref, y_ref) in zip(found, found_ref):
-        assert (t, name) == (t_ref, name_ref)
-        assert np.array_equal(_bits(y), _bits(y_ref))
+    (_, run), (_, ref) = reports
+    assert len(run[1]) == n
+    _assert_same_run(run, ref)
 
 
 def test_section_driver_stops_when_time_stalls():
@@ -401,14 +495,15 @@ def test_section_returns_caps_unbounded_step():
 @pytest.mark.parametrize("params, n", [(CASE1, 40), (CASE2, 10),
                                        (replace(CASE2, gamma=0.0), 6)])
 def test_section_returns_match_rk45_oracle(monkeypatch, params, n):
-    """LSODA section events agree with RK45 patched in as the oracle:
+    """LSODA section events agree with RK45 stepped by the oracle loop:
     relative 1e-6 in ``t_raw`` and 1e-5 in ``log_x`` (measured worst 6e-8
     and 3e-7, forced case 2)."""
     import mayleonard.flow as flow
 
     start = section_state(1e-3, params)
     events = section_returns(start, n, params, sections="all")
-    monkeypatch.setattr(flow, "LSODA", flow.RK45)
+    monkeypatch.setattr(flow, "_run_stepper",
+                        lambda *args: stepper_oracle(RK45, *args))
     oracle = section_returns(start, n, params, sections="all")
     assert [ev.section for ev in events] == [ev.section for ev in oracle]
     for ev, ref in zip(events, oracle):

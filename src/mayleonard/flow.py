@@ -2,26 +2,25 @@
 
 The vector field is the three-species May-Leonard system with a
 non-negative periodic forcing of amplitude ``gamma`` acting on the first
-coordinate.  This module integrates it with an embedded adaptive
-Runge-Kutta 5(4) scheme (``integrate``), verifies the
+coordinate.  This module integrates it (``integrate``), verifies the
 saddle spectra of the unperturbed network, and extracts Poincare return
 data on the entry faces of the saddle neighbourhoods (``section_returns``).
 
-Section returns step with LSODA, which switches between Adams and BDF
-formulas as it detects stiffness.  One driver (``_run_stepper``) steps the
-``lsoda`` integrator of ``scipy.integrate.ode`` directly, one step per call,
-reads LSODA's own counters, and rebuilds the interpolant of a step that
-brackets a crossing from LSODA's Nordsieck array, bit-identical to scipy's
+Both step with LSODA, which switches between Adams and BDF formulas as it
+detects stiffness.  One driver (``_run_stepper``) steps the ``lsoda``
+integrator of ``scipy.integrate.ode`` directly, one step per call, reads
+LSODA's own counters, and rebuilds the interpolant of a step that brackets
+a crossing from LSODA's Nordsieck array, bit-identical to scipy's
 ``LSODA.dense_output()``; the tests pin this seam against the loop on
 scipy's ``LSODA`` solver class.  Near a saddle the -1 eigenvalue holds an
 explicit Runge-Kutta step near 3, while each dwell is ``delta`` times
-longer than the one before, so RK45 would pay for every dwell in steps.
-Every section step is capped at 50 (any ``max_step`` above it is lowered):
-a crossing is seen only as a sign change between step ends, and in the log
-chart, where a dwell is exactly linear, LSODA would otherwise grow its steps
-past a whole transit.
+longer than the one before, so an explicit method would pay for every
+dwell in steps.  Every section step is capped at 50 (any ``max_step``
+above it is lowered): a crossing is seen only as a sign change between
+step ends, and in the log chart, where a dwell is exactly linear, LSODA
+would otherwise grow its steps past a whole transit.
 
-Both integrators read one vector field, built per run by ``_field`` for
+The driver reads one vector field, built per run by ``_field`` for
 its chart: the formulas run on Python floats, bit-identical to the same
 formulas on arrays, at about half the cost of a call on numpy scalars.
 Two integration charts are available:
@@ -42,7 +41,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import RK45, ode, solve_ivp
+from scipy.integrate import ode
 from scipy.optimize import brentq
 
 from .config import NumericsConfig
@@ -86,7 +85,8 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Step samples and the integrator statistics."""
+    """The state at ``t0`` and at every step end, with LSODA's counters of
+    the run (``steps``, ``nfev``, ``njev``) as ``stats``."""
 
     ts: np.ndarray
     states: np.ndarray           # shape (n, 3)
@@ -119,7 +119,7 @@ class SectionEvent:
 
 class SectionReturns(list):
     """The :class:`SectionEvent` list of one ``section_returns`` run, with
-    LSODA's counters of the run (``steps``, ``nfev``, ``njev``, ``nlu``) as
+    LSODA's counters of the run (``steps``, ``nfev``, ``njev``) as
     ``stats``."""
 
     def __init__(self, events, stats):
@@ -252,9 +252,11 @@ def _clamp_octant(y, abs_tol):
 
 def integrate(state0: FlowState, t_end: float, params: ModelParams,
               opts: NumericsConfig = NumericsConfig()) -> Trajectory:
-    """Integrate the forced flow from ``state0`` to ``t_end``.
+    """Integrate the forced flow from ``state0`` to ``t_end``, forward or
+    backward in time.
 
-    Adaptive Runge-Kutta 5(4).  ``t_end`` must be finite, since every step
+    LSODA through ``_run_stepper``, in population coordinates, storing the
+    start and every step end.  ``t_end`` must be finite, since every step
     is stored.  Coordinates may dip below zero by at most
     ``abs_tol`` (they are clamped in the stored samples); a larger violation
     raises :class:`NumericsError` since the closed octant is exactly
@@ -264,16 +266,19 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
         raise ValidationError(f"t_end must be finite, got {t_end}")
     if t_end == state0.t:
         raise ValidationError("t_end must differ from the initial time")
-    res = solve_ivp(_field(params, False), (state0.t, t_end),
-                    state0.as_array(), method=RK45,
-                    rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step)
-    if res.status < 0:
-        raise NumericsError(
-            f"step-size underflow at t={res.t[-1]}: {res.message} "
-            "(likely stiffness near an equilibrium)"
-        )
-    return Trajectory(ts=res.t, states=_clamp_octant(res.y.T, opts.abs_tol),
-                      stats=_stats(res.nfev, len(res.t) - 1))
+    ts, states = [], []
+
+    def record(t, y):
+        # an event that never changes sign: it only sees every step end
+        ts.append(t)
+        states.append(y)
+        return 1.0
+
+    stats, _ = _run_stepper(_field(params, False), state0.t, state0.as_array(),
+                            t_end, opts, [("step", record)], 1, None)
+    return Trajectory(ts=np.array(ts),
+                      states=_clamp_octant(np.array(states), opts.abs_tol),
+                      stats=stats)
 
 
 # scipy's LSODA raises a smaller rtol to this, with a warning
@@ -289,16 +294,18 @@ def _run_stepper(fun, t0, y0, t_end, opts, events, max_events, accept):
     """Step LSODA from ``t0`` until ``max_events`` crossings are accepted.
 
     The integrator is ``scipy.integrate.ode``'s LSODA, run with itask 5 and
-    ``t_end`` as its critical time: each ``run`` takes one step and never
-    steps past ``t_end``.  ``events`` is a sequence of ``(name, g(t, y))``,
-    where ``y`` is a list of floats at the step ends and an array on the
-    interpolant; a crossing is recorded when g falls from positive to
-    non-positive within a step, with the crossing time refined by
-    root-finding on the step's interpolant to a tolerance of
-    ``1e-12 * max(1, |t|)``, and kept when ``accept(name, y)`` holds.
+    ``t_end`` as its critical time: each ``run`` takes one step towards
+    ``t_end``, forward or backward, never past it, and the last step ends
+    on ``t_end`` exactly.  ``events`` is a sequence of ``(name, g(t, y))``.
+    Each g is called once at ``t0`` and once at every step end, in step
+    order, with ``y`` a fresh list of floats; on the interpolant of a step
+    it may also be called with an array.  A crossing is recorded when g
+    falls from positive to non-positive within a step, with the crossing
+    time refined by root-finding on the step's interpolant to a tolerance
+    of ``1e-12 * max(1, |t|)``, and kept when ``accept(name, y)`` holds.
     Returns ``(stats, found)``: LSODA's own counters (``steps``, ``nfev``,
-    ``njev``, ``nlu``) and the kept crossings as ``(t, name, y)``, fewer
-    than ``max_events`` if ``t_end`` came first.
+    ``njev``) and the kept crossings as ``(t, name, y)``, fewer than
+    ``max_events`` if ``t_end`` came first.
     """
     rtol = opts.rel_tol
     if rtol < _RTOL_FLOOR:
@@ -314,7 +321,7 @@ def _run_stepper(fun, t0, y0, t_end, opts, events, max_events, accept):
     run, t, y = lsoda.run, t0, solver._y
     found = []
     g_prev = [g(t, y.tolist()) for _, g in events]
-    while t < t_end and len(found) < max_events:
+    while t != t_end and len(found) < max_events:
         t_old = t
         y, t = run(fun, _no_jacobian, y, t, t_end, (), ())
         if not lsoda.success:
@@ -345,7 +352,7 @@ def _run_stepper(fun, t0, y0, t_end, opts, events, max_events, accept):
             found += [hit for hit in hits if accept(hit[1], hit[2])]
     iwork = lsoda.iwork
     stats = {"steps": int(iwork[10]), "nfev": int(iwork[11]),
-             "njev": int(iwork[12]), "nlu": int(iwork[12])}
+             "njev": int(iwork[12])}
     return stats, found[:max_events]
 
 
@@ -368,17 +375,6 @@ def _nordsieck_interpolant(lsoda, n, t):
         yh[:, -1] *= (h / rwork[10]) ** order
     p = np.arange(order + 1)
     return lambda s: np.dot(yh, ((s - t) / h) ** p)
-
-
-def _stats(nfev, accepted):
-    # ``integrate`` only: RK45 spends 6 evaluations per attempted step plus
-    # one startup call, so the rejection count can be recovered from nfev.
-    attempted = max(accepted, (nfev - 1) // 6)
-    return {
-        "steps": accepted,
-        "nfev": nfev,
-        "rejected_steps": attempted - accepted,
-    }
 
 
 def section_state(x: float, params: ModelParams, t0: float = 0.0) -> FlowState:

@@ -191,8 +191,7 @@ def stepper_oracle(solver_cls, fun, t0, y0, t_end, opts, events, max_events, acc
         if hits:
             hits.sort()
             found += [hit for hit in hits if accept(hit[1], hit[2])]
-    stats = {"steps": steps, "nfev": stepper.nfev,
-             "njev": int(stepper.njev), "nlu": int(stepper.nlu)}
+    stats = {"steps": steps, "nfev": stepper.nfev, "njev": int(stepper.njev)}
     return stats, found[:max_events]
 
 

@@ -335,6 +335,7 @@ def test_criterion_12_determinism(tmp_path):
                   "--iters", "10000", "--x0", "0.5", "--s0", "0.25"],
         "poincare": ["poincare", "--config", str(cfg), "--x0", "0.001",
                      "--returns", "3", "--sections", "all"],
+        "simulate": ["simulate", "--config", str(cfg), "--t-end", "50"],
         "table": ["singular-limit", "--config", str(cfg), "--a", "0.3",
                   "--n-count", "6"],
         "certify": ["certify", "--config", str(cfg), "--a", "0.3",

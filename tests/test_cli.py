@@ -579,7 +579,6 @@ def test_bad_flow_start_is_a_validation_error(case2_cfg, tmp_path, capsys,
     def never(*args, **kwargs):
         raise AssertionError("the flow was integrated")
 
-    monkeypatch.setattr(flow, "solve_ivp", never)
     monkeypatch.setattr(flow, "_run_stepper", never)
     out = tmp_path / "out.csv"
     rc = main(argv + ["--config", case2_cfg, "--output", str(out)])

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import LSODA, RK45, solve_ivp
+from scipy.integrate import LSODA, RK45, OdeSolver, solve_ivp
 
 from mayleonard import (
     FlowState,
@@ -125,19 +125,19 @@ def test_flow_state_rejects_nonfinite_and_negative():
 
 def test_integrate_rejects_nonfinite_t_end(monkeypatch):
     """A non-finite end time is rejected before the integrator is called:
-    RK45 stores every step, so it would run until memory is gone."""
+    every step is stored, so it would run until memory is gone."""
     import mayleonard.flow as flow
 
-    def never(*args, **kwargs):
-        raise AssertionError("solve_ivp was called")
+    def never(*args):
+        raise AssertionError("the flow was integrated")
 
     p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
     start = FlowState(0.3, 0.31, 0.29, 0.0)
-    monkeypatch.setattr(flow, "solve_ivp", never)
+    monkeypatch.setattr(flow, "_run_stepper", never)
     for t_end in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValidationError, match="t_end must be finite"):
             integrate(start, t_end, p)
-    with pytest.raises(AssertionError, match="solve_ivp was called"):
+    with pytest.raises(AssertionError, match="the flow was integrated"):
         integrate(start, 1.0, p)
 
 
@@ -302,7 +302,8 @@ def test_time_reversal_roundtrip():
     assert back.ts[0] == 1.0 and back.ts[-1] == 0.0
     assert np.max(np.abs(back.states[-1] - start.as_array())) < 1e-8
     for traj in (fwd, back):
-        assert traj.stats["steps"] > 0 and traj.stats["rejected_steps"] >= 0
+        assert set(traj.stats) == {"steps", "nfev", "njev"}
+        assert traj.stats["nfev"] > traj.stats["steps"] == len(traj.ts) - 1 > 0
 
 
 CASE1 = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05, mu1=1.0, mu3=1.0,
@@ -322,22 +323,28 @@ def _counting(base, calls):
 
 
 def test_integrate_and_section_returns_step_through_flow_stepper(monkeypatch):
-    """Each flow path takes its steps through one seam in ``flow``:
-    ``integrate`` through the ``RK45`` class and section returns through
-    the ``_run_stepper`` driver, so a stand-in patched there sees every
-    step."""
+    """Both flow paths take every step through the one driver in ``flow``,
+    ``_run_stepper``: a stand-in patched there sees every step, and the
+    driver itself steps no scipy ``OdeSolver``."""
     import mayleonard.flow as flow
 
-    rk45, lsoda = [], []
-    monkeypatch.setattr(flow, "RK45", _counting(flow.RK45, rk45))
+    def never(self):
+        raise AssertionError("an OdeSolver was stepped")
+
+    start = FlowState(0.3, 0.31, 0.29, 0.0)
+    with monkeypatch.context() as m:
+        m.setattr(OdeSolver, "step", never)
+        traj = integrate(start, 5.0, CASE2)
+        events = section_returns(section_state(1e-3, CASE2), 2, CASE2, sections="all")
+    steps = []
     monkeypatch.setattr(flow, "_run_stepper", lambda *args: stepper_oracle(
-        _counting(LSODA, lsoda), *args))
-    p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
-    traj = integrate(FlowState(0.3, 0.31, 0.29, 0.0), 5.0, p)
-    assert len(rk45) == traj.stats["steps"] > 0 and not lsoda
-    rk45.clear()
-    events = section_returns(section_state(1e-3, p), 2, p, sections="all")
-    assert events.stats["steps"] == len(lsoda) > 0 and not rk45
+        _counting(LSODA, steps), *args))
+    assert integrate(start, 5.0, CASE2).stats == traj.stats
+    assert len(steps) == traj.stats["steps"] > 0
+    steps.clear()
+    assert section_returns(section_state(1e-3, CASE2), 2, CASE2,
+                           sections="all").stats == events.stats
+    assert len(steps) == events.stats["steps"] > 0
 
 
 def _recording(run, calls):
@@ -364,7 +371,7 @@ def _assert_same_run(run, ref):
 def test_section_driver_reports_stepper_counters(monkeypatch, gamma):
     """``section_returns`` reports the driver's counters, and they equal
     scipy's ``LSODA`` on the same run: one step per ``step()`` call, and
-    the stepper's ``nfev``, ``njev`` and ``nlu``."""
+    the stepper's ``nfev`` and ``njev``."""
     import mayleonard.flow as flow
 
     reports, calls = [], []
@@ -376,7 +383,7 @@ def test_section_driver_reports_stepper_counters(monkeypatch, gamma):
     stepper_oracle(_counting(LSODA, calls), *args)
     stepper = calls[-1]
     assert stats == {"steps": len(calls), "nfev": stepper.nfev,
-                     "njev": stepper.njev, "nlu": stepper.nlu}
+                     "njev": stepper.njev}
     assert stats["nfev"] > stats["steps"] > 0
 
 
@@ -419,20 +426,77 @@ def test_nordsieck_interpolant_is_lsoda_dense_output(params):
     assert lowered > 0
 
 
-def test_section_driver_raises_a_tiny_rel_tol_as_lsoda_does(monkeypatch):
+def _trajectory_bits(traj):
+    return traj.stats, _bits(traj.ts).tolist(), _bits(traj.states).tolist()
+
+
+def _integrate_bits(opts):
+    return _trajectory_bits(integrate(FlowState(0.3, 0.31, 0.29, 0.0), 20.0,
+                                      CASE2, opts))
+
+
+def _section_bits(opts):
+    events = section_returns(section_state(1e-3, CASE2), 2, CASE2, opts,
+                             sections="all")
+    assert len(events) == 2
+    return events.stats, [(ev.section, _bits([ev.t_raw, *ev.state]).tolist())
+                          for ev in events]
+
+
+@pytest.mark.parametrize("run", [_section_bits, _integrate_bits],
+                         ids=["section_returns", "integrate"])
+def test_section_driver_raises_a_tiny_rel_tol_as_lsoda_does(monkeypatch, run):
     """A ``rel_tol`` below 100 eps warns and runs at 100 eps, as scipy's
-    ``LSODA`` does: the crossings equal the oracle's bit for bit."""
+    ``LSODA`` does, from either entry point: the counters and the crossings
+    or step ends equal the oracle's bit for bit."""
     import mayleonard.flow as flow
 
-    reports = []
-    monkeypatch.setattr(flow, "_run_stepper", _recording(flow._run_stepper, reports))
     opts = NumericsConfig(rel_tol=1e-16, abs_tol=1e-12)
     with pytest.warns(UserWarning, match="rel_tol=1e-16 is below"):
-        section_returns(section_state(1e-3, CASE2), 2, CASE2, opts, sections="all")
-    ((args, run),) = reports
-    assert len(run[1]) == 2
+        got = run(opts)
+    monkeypatch.setattr(flow, "_run_stepper",
+                        lambda *args: stepper_oracle(LSODA, *args))
     with pytest.warns(UserWarning, match="rtol"):
-        _assert_same_run(run, stepper_oracle(LSODA, *args))
+        assert run(opts) == got
+
+
+@pytest.mark.parametrize("params", [CASE1, CASE2, replace(CASE2, gamma=0.0)],
+                         ids=["case1", "case2", "unforced"])
+def test_integrate_matches_lsoda_oracle_bitwise(monkeypatch, params):
+    """``integrate`` and scipy's ``LSODA`` stepped by the oracle loop store
+    the same step ends bit for bit, with the same counters, forward over
+    t = 0 -> 300 and backward from the state at t = 10 to t = 0 (further
+    back, the flow leaves the octant or blows up)."""
+    import mayleonard.flow as flow
+
+    start = FlowState(0.3, 0.31, 0.29, 0.0)
+    runs = [(start, 300.0),
+            (FlowState(*integrate(start, 10.0, params).states[-1], 10.0), 0.0)]
+    got = [_trajectory_bits(integrate(s, t_end, params)) for s, t_end in runs]
+    oracle_runs = []
+    monkeypatch.setattr(flow, "_run_stepper", _recording(
+        lambda *args: stepper_oracle(LSODA, *args), oracle_runs))
+    assert [_trajectory_bits(integrate(s, t_end, params)) for s, t_end in runs] == got
+    assert len(oracle_runs) == len(runs)
+
+
+@pytest.mark.parametrize("params", [CASE1, CASE2, replace(CASE2, gamma=0.0)],
+                         ids=["case1", "case2", "unforced"])
+def test_integrate_matches_rk45_oracle(monkeypatch, params):
+    """The LSODA end state at t = 500 agrees with RK45 stepped by the
+    oracle loop to 1e-5 in every coordinate (measured worst 1.9e-6 on
+    case 1, 7e-9 on case 2)."""
+    import mayleonard.flow as flow
+
+    start = FlowState(0.3, 0.31, 0.29, 0.0)
+    traj = integrate(start, 500.0, params)
+    oracle_runs = []
+    monkeypatch.setattr(flow, "_run_stepper", _recording(
+        lambda *args: stepper_oracle(RK45, *args), oracle_runs))
+    oracle = integrate(start, 500.0, params)
+    assert len(oracle_runs) == 1
+    assert traj.ts[-1] == oracle.ts[-1] == 500.0
+    assert np.max(np.abs(traj.states[-1] - oracle.states[-1])) < 1e-5
 
 
 @pytest.mark.parametrize("params, n", [(CASE1, 30), (CASE2, 10),

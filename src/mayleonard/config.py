@@ -1,15 +1,13 @@
 """Flat sectioned key-value run configuration.
 
-The format is INI-style text with sections ``model``, ``global-maps``,
-``numerics``, ``section``, ``scan`` and ``diophantine``; keys are
-case-sensitive and unknown keys are rejected with the offending name, so
-configs double as reviewable fixtures.
+INI-style text whose keys are the fields of the run's records, grouped in
+sections by ``_SECTIONS``; keys are case-sensitive and unknown ones are
+rejected by name, so configs double as reviewable fixtures.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, fields
 
@@ -74,41 +72,37 @@ class RunConfig:
     diophantine: DiophantineCheckSpec | None = None
 
 
-_MODEL_KEYS = {"c", "e", "gamma", "omega"}
-_GLOBAL_KEYS = {"mu", "mu1", "mu2", "mu3", "mu4", "mu5",
-                "Delta1", "Delta2", "Delta3"}
-_NUMERICS_KEYS = {f.name for f in fields(NumericsConfig)}
-_SECTION_KEYS = {"eps_tilde"}
-_SCAN_KEYS = {"from", "to", "steps", "log"}
-_DIO_KEYS = {"d1", "d2", "n_max"}
+def _same(names):
+    return {name: name for name in names}
+
+
+_MODEL = ("c", "e", "gamma", "omega")
+# section -> (record it fills, {config key: field name}), in dump order; each
+# key's type is its field's annotation
 _SECTIONS = {
-    "model": _MODEL_KEYS,
-    "global-maps": _GLOBAL_KEYS,
-    "numerics": _NUMERICS_KEYS,
-    "section": _SECTION_KEYS,
-    "scan": _SCAN_KEYS,
-    "diophantine": _DIO_KEYS,
+    "model": (ModelParams, _same(_MODEL)),
+    "global-maps": (ModelParams, _same(sorted(
+        {f.name for f in fields(ModelParams)} - {*_MODEL, "eps_tilde"}))),
+    "section": (ModelParams, _same(["eps_tilde"])),
+    "numerics": (NumericsConfig, _same(sorted(f.name for f in fields(NumericsConfig)))),
+    "scan": (ScanSpec, {"from": "lo", "to": "hi", "steps": "steps", "log": "log"}),
+    "diophantine": (DiophantineCheckSpec, _same(f.name for f in fields(DiophantineCheckSpec))),
 }
-_INT_KEYS = {"seed", "horizon", "iterations", "series_len", "steps", "n_max"}
-_BOOL_KEYS = {"log"}
 
 
-def _convert(key, raw):
+def _convert(key, kind, raw):
+    """``raw`` as ``kind``, the field's annotation: "int", "float" or "bool"."""
     raw = raw.strip()
-    if key in _BOOL_KEYS:
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValidationError(f"key {key!r}: expected a boolean, got {raw!r}")
+    if kind == "bool":
+        states = configparser.ConfigParser.BOOLEAN_STATES   # true/false, yes/no, on/off, 1/0
+        if raw.lower() not in states:
+            raise ValidationError(f"key {key!r}: expected a boolean, got {raw!r}")
+        return states[raw.lower()]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return int(raw) if kind == "int" else float(raw)
     except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise ValidationError(f"key {key!r}: expected {kind}, got {raw!r}") from None
+        what = "an integer" if kind == "int" else "a number"
+        raise ValidationError(f"key {key!r}: expected {what}, got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -118,39 +112,25 @@ def parse_config_text(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ValidationError(f"malformed config: {exc}") from None
-    values: dict[str, dict] = {}
+    values: dict[type, dict] = {}         # record -> its fields' values
     for section in cp.sections():
         if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
-        allowed = _SECTIONS[section]
-        values[section] = {}
+        record, keys = _SECTIONS[section]
+        kinds = {f.name: f.type for f in fields(record)}
+        kw = values.setdefault(record, {})
         for key, raw in cp.items(section):
-            if key not in allowed:
+            if key not in keys:
                 raise ValidationError(f"unknown key {key!r} in section [{section}]")
-            values[section][key] = _convert(key, raw)
+            kw[keys[key]] = _convert(key, kinds[keys[key]], raw)
 
-    model = values.get("model", {})
+    model = values.get(ModelParams, {})
     if "c" not in model or "e" not in model:
         raise ValidationError("config must provide model.c and model.e")
-    pkw = dict(model)
-    pkw.update(values.get("global-maps", {}))
-    pkw.update(values.get("section", {}))
-    params = ModelParams(**pkw)
-    numerics = NumericsConfig(**values.get("numerics", {}))
-
-    scan = None
-    if "scan" in values:
-        skw = dict(values["scan"])
-        if "from" in skw:
-            skw["lo"] = skw.pop("from")
-        if "to" in skw:
-            skw["hi"] = skw.pop("to")
-        scan = ScanSpec(**skw)
-
-    dio = None
-    if "diophantine" in values:
-        dio = DiophantineCheckSpec(**values["diophantine"])
-
+    params = ModelParams(**model)
+    numerics = NumericsConfig(**values.get(NumericsConfig, {}))
+    scan, dio = (record(**values[record]) if record in values else None
+                 for record in (ScanSpec, DiophantineCheckSpec))
     return RunConfig(params=params, numerics=numerics, scan=scan, diophantine=dio)
 
 
@@ -160,26 +140,16 @@ def parse_config(path) -> RunConfig:
 
 
 def dump_config(cfg: RunConfig) -> str:
-    p, n = cfg.params, cfg.numerics
-    out = io.StringIO()
-    out.write("[model]\n")
-    for k in ("c", "e", "gamma", "omega"):
-        out.write(f"{k} = {getattr(p, k)!r}\n")
-    out.write("\n[global-maps]\n")
-    for k in sorted(_GLOBAL_KEYS):
-        out.write(f"{k} = {getattr(p, k)!r}\n")
-    out.write("\n[section]\n")
-    out.write(f"eps_tilde = {p.eps_tilde!r}\n")
-    out.write("\n[numerics]\n")
-    for k in sorted(_NUMERICS_KEYS):
-        out.write(f"{k} = {getattr(n, k)!r}\n")
-    if cfg.scan is not None:
-        s = cfg.scan
-        out.write("\n[scan]\n")
-        out.write(f"from = {s.lo!r}\nto = {s.hi!r}\n")
-        out.write(f"steps = {s.steps}\nlog = {str(s.log).lower()}\n")
-    if cfg.diophantine is not None:
-        d = cfg.diophantine
-        out.write("\n[diophantine]\n")
-        out.write(f"d1 = {d.d1!r}\nd2 = {d.d2!r}\nn_max = {d.n_max}\n")
-    return out.getvalue()
+    """The config as text in section-table order; ``[scan]`` and
+    ``[diophantine]`` only when set."""
+    records = {type(r): r for r in (cfg.params, cfg.numerics, cfg.scan, cfg.diophantine)}
+    blocks = []
+    for section, (record, keys) in _SECTIONS.items():
+        if record in records:
+            block = f"[{section}]\n"
+            for key, name in keys.items():
+                value = getattr(records[record], name)
+                text = str(value).lower() if isinstance(value, bool) else repr(value)
+                block += f"{key} = {text}\n"
+            blocks.append(block)
+    return "\n".join(blocks)

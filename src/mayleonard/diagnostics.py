@@ -64,9 +64,13 @@ def annulus_check(params: ModelParams) -> AnnulusReport:
     ``x**delta + g (1 - sqrt(a1) cos 2 pi s)`` and ``x*`` the stable fixed
     point of ``x**delta + g``.  The image grows in ``x`` and is smallest at
     ``s = 0`` and largest at ``s = 1/2``, so the minimal signed margin
-    (negative when an image escapes) is the smaller of the two corner
-    margins ``F1(lo, 0) - lo`` and ``hi - F1(hi, 1/2)``; ``worst_point``
-    is that corner, the lower one on a tie.
+    (negative when an image escapes) is at a corner of the band.  As
+    ``x* = x*^delta + g``, the lower margin ``F1(lo, 0) - lo`` is
+    ``g sqrt(a1) - (x*^delta - lo^delta)`` and the upper one
+    ``hi - F1(hi, 1/2)`` is ``g sqrt(a1) - (hi^delta - x*^delta)``.  Since
+    ``x^delta`` is strictly convex for ``delta > 1`` and ``x*`` is the
+    band's midpoint, the upper margin is always the smaller: it is the
+    minimal margin, and ``worst_point`` is ``(hi, 1/2)``.
     """
     g = params.gamma * params.mu1
     if g <= 0.0:
@@ -82,18 +86,16 @@ def annulus_check(params: ModelParams) -> AnnulusReport:
     if lo <= 0.0:
         return AnnulusReport(False, False, math.nan, fixed, None, None,
                              note="band reaches the invariant plane (x* <= 2 g sqrt(a1))")
-    # the two corners as one array, so that they take numpy's power and cos
-    X, S = np.array([lo, hi]), np.array([0.0, 0.5])
-    F1 = X**dc.delta + g * (1.0 - dc.sqrt_a1 * np.cos(2.0 * np.pi * S))
-    margins = np.array([F1[0] - lo, hi - F1[1]])
-    i = int(np.argmin(margins))
+    # the corner as a one-element array, so that it takes numpy's power and cos
+    X, S = np.array([hi]), np.array([0.5])
+    margin = float(hi - (X**dc.delta + g * (1.0 - dc.sqrt_a1 * np.cos(2.0 * np.pi * S)))[0])
     return AnnulusReport(
         defined=True,
-        invariant=bool(margins[i] >= 0.0),
-        min_margin=float(margins[i]),
+        invariant=margin >= 0.0,
+        min_margin=margin,
         x_star=fixed,
         band=(lo, hi),
-        worst_point=(float(X[i]), float(S[i])),
+        worst_point=(float(hi), 0.5),
     )
 
 

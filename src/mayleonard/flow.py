@@ -93,9 +93,9 @@ class Trajectory:
     stats: dict
 
     def to_rows(self):
-        """Rows (t, x, y, z) for CSV export."""
-        for t, s in zip(self.ts, self.states):
-            yield (t, s[0], s[1], s[2])
+        """Rows (t, x, y, z) of Python floats for CSV export."""
+        for t, (x, y, z) in zip(self.ts.tolist(), self.states.tolist()):
+            yield (t, x, y, z)
 
 
 @dataclass(frozen=True)
@@ -327,11 +327,12 @@ def _run_stepper(fun, t0, y0, t_end, opts, events, max_events, accept):
         if not lsoda.success:
             raise NumericsError(f"LSODA failed at t={t} with istate={lsoda.istate}")
         # LSODA does not fail once its step underflows: it goes on
-        # accepting steps that leave t where it was
+        # accepting steps that leave t where it was.  The state tells a
+        # blow-up (backward in time, say) from a stalled approach
         if t == t_old:
             raise NumericsError(
-                f"step-size underflow at t={t}: t + h == t "
-                "(likely stiffness near an equilibrium)"
+                f"step-size underflow at t={t}: t + h == t, "
+                f"state {y.tolist()} at the last step end"
             )
         # the event functions read the step end as floats; the interpolant is
         # built only for a step that brackets a crossing

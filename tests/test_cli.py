@@ -87,6 +87,94 @@ def test_config_eps_tilde_only_in_section(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[model]\nc = 0.6\ne = 0.2\n\n[numerics]\nseed = 1.5\n", "key 'seed': expected an integer"),
+    ("[model]\nc = 0.6\ne = 0.2\n\n[scan]\nlog = maybe\n", "key 'log': expected a boolean"),
+    ("[model]\nc = abc\ne = 0.2\n", "key 'c': expected a number"),
+    ("c = 0.6\n", "malformed config"),
+], ids=["int", "bool", "float", "no-section"])
+def test_config_rejects_a_value_of_the_wrong_type(text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_config_text(text)
+
+
+EVERY_KEY = """\
+[model]
+c = 0.7
+e = 0.25
+gamma = 0.02
+omega = 0.4
+
+[global-maps]
+Delta1 = 1.5
+Delta2 = 2.5
+Delta3 = 0.5
+mu = 0.9
+mu1 = 0.8
+mu2 = 0.2
+mu3 = 0.7
+mu4 = 0.3
+mu5 = 0.4
+
+[section]
+eps_tilde = 0.2
+
+[numerics]
+abs_tol = 1e-11
+horizon = 300
+iterations = 5000
+max_step = 0.5
+rel_tol = 1e-08
+seed = 3
+series_len = 1500
+
+[scan]
+from = 1e-05
+to = 0.02
+steps = 17
+log = false
+
+[diophantine]
+d1 = 0.02
+d2 = 2.5
+n_max = 40
+"""
+
+
+@pytest.mark.parametrize("name", ["every-key", "case1.cfg", "case2.cfg"])
+def test_config_schema_is_the_records_fields(name):
+    """The section table names every field of the four records exactly
+    once, each annotated int, float or bool; a config parses to values of
+    exactly the fields' types and round-trips through ``dump_config``.
+    ``EVERY_KEY`` sets every key, each to a value other than its default,
+    and is its own dump."""
+    from dataclasses import MISSING, fields
+    from mayleonard.config import _SECTIONS, NumericsConfig, ScanSpec
+    from mayleonard.params import DiophantineCheckSpec, ModelParams
+
+    every = name == "every-key"
+    text = EVERY_KEY if every else (Path(__file__).resolve().parents[1] / "configs" / name).read_text()
+    cfg = parse_config_text(text)
+    records = {ModelParams: cfg.params, NumericsConfig: cfg.numerics,
+               ScanSpec: cfg.scan, DiophantineCheckSpec: cfg.diophantine}
+    keyed = sorted((record.__name__, field) for record, keys in _SECTIONS.values()
+                   for field in keys.values())
+    assert keyed == sorted((record.__name__, f.name)
+                           for record in records for f in fields(record))
+    kinds = {"int": int, "float": float, "bool": bool}
+    for record, value in records.items():
+        for f in fields(record):
+            assert f.type in kinds
+            assert f.default is MISSING or type(f.default) is kinds[f.type]
+            if value is not None:
+                assert type(getattr(value, f.name)) is kinds[f.type], f.name
+            if every:
+                assert getattr(value, f.name) != f.default, f.name
+    assert parse_config_text(dump_config(cfg)) == cfg
+    if every:
+        assert dump_config(cfg) == EVERY_KEY
+
+
 def test_classify_reports_case2(case2_cfg, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["classify", "--config", case2_cfg, "--output", str(out)])

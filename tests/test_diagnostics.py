@@ -89,7 +89,7 @@ def test_annulus_mean_fixed_point_consistency():
 
 @pytest.mark.parametrize("n_samples", [512, 8192])
 def test_annulus_corners_match_the_grid_search(n_samples):
-    """The two-corner margin and worst point are the grid search's, bit for
+    """The upper-corner margin and worst point are the grid search's, bit for
     bit, over 400 amplitudes on three parameter sets; the band is defined
     on the same amplitudes."""
     sets = [ModelParams(c=0.55, e=0.5, omega=0.05), ModelParams(c=0.6, e=0.2, omega=0.3),

@@ -535,6 +535,22 @@ def test_section_driver_stops_when_time_stalls():
                      [("a", lambda t, y: y[0] - 1e-9)], 1, lambda name, y: True)
 
 
+@pytest.mark.parametrize("gamma, t_stall", [(0.01, -4.02), (0.0, -3.93)])
+def test_backward_blow_up_reports_its_state(gamma, t_stall):
+    """Backward from (0.3, 0.31, 0.29) on case 2 the solution blows up near
+    t = -4; the underflow error shows that state (every coordinate above
+    1e13 at the last step end) instead of guessing at stiffness."""
+    p = replace(CASE2, gamma=gamma)
+    with pytest.raises(NumericsError, match="step-size underflow") as info:
+        integrate(FlowState(0.3, 0.31, 0.29), -10.0, p)
+    msg = str(info.value)
+    assert "stiffness" not in msg
+    t = float(msg.split("t=")[1].split(":")[0])
+    state = [float(v) for v in msg.split("state [")[1].split("]")[0].split(",")]
+    assert t == pytest.approx(t_stall, abs=0.01)
+    assert len(state) == 3 and min(state) > 1e12
+
+
 def _rows(events):
     return [(ev.section, ev.t_raw, ev.s, ev.x, ev.log_x) for ev in events]
 

@@ -42,6 +42,7 @@ from .errors import NumericsError, ValidationError
 from .params import check_c1a_c1b, derive_constants
 from .returnmap import VARIANTS, compile_map
 from .singular import (
+    GAMMA_PLUS,
     ConvergenceRow,
     first_admissible_index,
     gamma_sequence,
@@ -146,20 +147,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_GAMMA_PLUS = 0.05      # admissibility bound on the rescaled family's amplitude
-
-
 def _index(n, a, params):
     """The sequence index, the first admissible one when ``n`` is None, and
     its amplitude, which must lie below the admissibility bound."""
     dc = derive_constants(params)
-    first = first_admissible_index(dc, gamma_plus=_GAMMA_PLUS)
+    first = first_admissible_index(dc)
     n = first if n is None else n
     gamma = gamma_sequence(n, a, dc)
-    if gamma >= _GAMMA_PLUS:
+    if gamma >= GAMMA_PLUS:
         raise ValidationError(
             f"n={n} at a={a} gives gamma = {gamma:.4g}, not below the admissibility "
-            f"bound {_GAMMA_PLUS}; the first admissible index is {first}")
+            f"bound {GAMMA_PLUS}; the first admissible index is {first}")
     return n, gamma
 
 
@@ -184,12 +182,14 @@ def _write_rows(path, cls, rows):
 def _run(args) -> int:
     cfg = parse_config(args.config)
     params = cfg.params
-    # flag overrides go through the record, which validates them
-    given = {k: getattr(args, k) for k in ("seed", "horizon")
-             if getattr(args, k, None) is not None}
-    num = replace(cfg.numerics, **given)
+    # flag overrides go through the records, which validate them, before the
+    # dump; only ``scan`` has the scan flags
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    num = replace(cfg.numerics, **{k: flags[k] for k in ("seed", "horizon") if k in flags})
+    scan_flags = {k: flags[k] for k in ("lo", "hi", "steps", "log") if k in flags}
+    spec = replace(cfg.scan or ScanSpec(), **scan_flags) if scan_flags else cfg.scan
     if args.dump_config:
-        sys.stdout.write(dump_config(replace(cfg, numerics=num)))
+        sys.stdout.write(dump_config(replace(cfg, numerics=num, scan=spec)))
         return 0
     if args.output is None:
         raise ValidationError("the following arguments are required: --output")
@@ -262,11 +262,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "scan":
-        spec = cfg.scan if cfg.scan is not None else ScanSpec()
-        given = {k: getattr(args, k) for k in ("lo", "hi", "steps", "log")
-                 if getattr(args, k) is not None}
-        spec = replace(spec, **given)
-        result = density_scan(spec.grid(), params, num)
+        result = density_scan((spec or ScanSpec()).grid(), params, num)
         base_path = args.output[:-4] if args.output.endswith(".csv") else args.output
         _write_rows(base_path + ".csv", ScanRow, result.rows)
         write_json(base_path + ".json", result.to_summary())

@@ -127,6 +127,10 @@ def parse_config_text(text: str) -> RunConfig:
     model = values.get(ModelParams, {})
     if "c" not in model or "e" not in model:
         raise ValidationError("config must provide model.c and model.e")
+    dio = values.get(DiophantineCheckSpec)
+    if dio is not None and (missing := [k for k in ("d1", "d2") if k not in dio]):
+        raise ValidationError(
+            "config must provide " + " and ".join(f"diophantine.{k}" for k in missing))
     params = ModelParams(**model)
     numerics = NumericsConfig(**values.get(NumericsConfig, {}))
     scan, dio = (record(**values[record]) if record in values else None

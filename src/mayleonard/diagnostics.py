@@ -99,16 +99,17 @@ def annulus_check(params: ModelParams) -> AnnulusReport:
     )
 
 
-def t1_curve(xi: float, omega: float, C: float) -> float:
-    """Lower boundary of the horseshoe region.
+_C = 10.0      # the constant C > 2 of the horseshoe boundary t1
+
+
+def t1_curve(xi: float, omega: float) -> float:
+    """Lower boundary of the horseshoe region, at ``C = 10``.
 
     Evaluated as ``(1 - exp(-u)) / (1 - exp(-u)/C)`` with ``u = C/(xi omega)``,
     which is the overflow-safe rewriting of the exponential ratio.
     """
-    if C <= 2.0:
-        raise ValidationError(f"C must exceed 2, got {C}")
-    u = C / (xi * omega)
-    return (1.0 - math.exp(-u)) / (1.0 - math.exp(-u) / C)
+    u = _C / (xi * omega)
+    return (1.0 - math.exp(-u)) / (1.0 - math.exp(-u) / _C)
 
 
 def t2_curve(xi: float, omega: float) -> float:
@@ -116,13 +117,13 @@ def t2_curve(xi: float, omega: float) -> float:
     return 1.0 / math.sqrt(1.0 + (xi * omega) ** 2)
 
 
-def region_label(sqrt_a1: float, xi: float, omega: float, C: float = 10.0,
+def region_label(sqrt_a1: float, xi: float, omega: float,
                  battery_pass: bool | None = None) -> str:
     """Region of the (xi, sqrt(a1)) plane: I below t2 (attracting curve),
     III above t1 (rotational horseshoes), and II/IV between the curves
     (torus breakdown vs rank-one attractors), disambiguated by the
     hypothesis battery when its verdict is supplied."""
-    t1 = t1_curve(xi, omega, C)
+    t1 = t1_curve(xi, omega)
     t2 = t2_curve(xi, omega)
     if sqrt_a1 < t2:
         return "I"
@@ -176,14 +177,15 @@ class RegimeReport:
         }
 
 
-def classify_regime(params: ModelParams, C: float = 10.0) -> RegimeReport:
+def classify_regime(params: ModelParams) -> RegimeReport:
     """Assign one of the four dynamical regimes.
 
     Low frequency (``omega <= 0.5``) splits on whether ``gamma**(delta-1)``
     is appreciable (above 0.1: the power-law term matters) or negligible;
     high frequency (``omega >= 5``) splits on the circle-map invertibility
     threshold ``xi vs 2 mu1``.  Frequencies between the two thresholds get
-    an indeterminate verdict: only the four corners are defined.
+    an indeterminate verdict: only the four corners are defined.  The
+    horseshoe boundary ``t1`` is taken at ``C = 10``.
     """
     dc = derive_constants(params)
     gamma_pow = params.gamma ** (dc.delta - 1.0) if params.gamma > 0 else 0.0
@@ -202,7 +204,7 @@ def classify_regime(params: ModelParams, C: float = 10.0) -> RegimeReport:
         label=_CASE_LABELS.get(tag),
         delta=dc.delta, omega=om, xi=dc.xi, mu1=params.mu1,
         gamma_pow=gamma_pow,
-        t1=t1_curve(dc.xi, om, C), t2=t2_curve(dc.xi, om),
+        t1=t1_curve(dc.xi, om), t2=t2_curve(dc.xi, om),
         sqrt_a1=dc.sqrt_a1, xi_minus_2mu1=dc.xi - 2.0 * params.mu1,
     )
 

@@ -378,8 +378,8 @@ def _nordsieck_interpolant(lsoda, n, t):
     return lambda s: np.dot(yh, ((s - t) / h) ** p)
 
 
-def section_state(x: float, params: ModelParams, t0: float = 0.0) -> FlowState:
-    """A start point on the entry face of the O3 neighbourhood.
+def section_state(x: float, params: ModelParams) -> FlowState:
+    """A start point on the entry face of the O3 neighbourhood, at ``t = 0``.
 
     ``x`` is the leading coordinate; the point is placed on the invariant
     sphere proxy ``x + y + z = 1`` with ``y = eps_tilde``.
@@ -387,7 +387,7 @@ def section_state(x: float, params: ModelParams, t0: float = 0.0) -> FlowState:
     eps = params.eps_tilde
     if not (0.0 < x <= eps):
         raise ValidationError(f"x must lie in (0, eps_tilde={eps}], got {x}")
-    return FlowState(x=x, y=eps, z=1.0 - x - eps, t=t0)
+    return FlowState(x=x, y=eps, z=1.0 - x - eps, t=0.0)
 
 
 # entry faces: near O3 the coordinate y falls through eps_tilde (measure x),
@@ -397,12 +397,12 @@ _FACES = {
     "O1": (2, 1),
     "O2": (0, 2),
 }
+_MAX_TIME = 1e7     # time budget of a section run after its start
 
 
 def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
                     opts: NumericsConfig = NumericsConfig(),
-                    sections: str = "o3",
-                    max_time: float = 1e7) -> SectionReturns:
+                    sections: str = "o3") -> SectionReturns:
     """Extract Poincare section events from the flow.
 
     Parameters
@@ -423,10 +423,6 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
         symmetry, and consecutive crossings realise the single-passage
         contraction exponent ``delta`` rather than its cube.  Any other
         value raises :class:`ValidationError`.
-    max_time : float
-        Time budget after ``state0.t``, finite and positive; a run that
-        finds fewer than ``n_returns`` crossings within it raises
-        :class:`NumericsError`.
 
     Returns
     -------
@@ -436,6 +432,8 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
 
     Notes
     -----
+    Fewer than ``n_returns`` crossings within the fixed time budget of
+    ``1e7`` after ``state0.t`` raise :class:`NumericsError`.
     For ``gamma = 0`` the integration runs in the logarithmic chart, so
     crossing coordinates are meaningful far below the double-precision
     underflow threshold (reported through ``log_x``).
@@ -446,8 +444,6 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
         raise ValidationError("state0 must be off the invariant plane (x > 0)")
     if sections not in ("o3", "all"):
         raise ValidationError(f"sections must be 'o3' or 'all', got {sections!r}")
-    if not 0.0 < max_time < math.inf:
-        raise ValidationError(f"max_time must be finite and > 0, got {max_time}")
     opts = replace(opts, max_step=min(50.0, opts.max_step))
     wanted = ["O3"] if sections == "o3" else ["O1", "O2", "O3"]
 
@@ -469,12 +465,12 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
     events = [(name, lambda t, q, ci=_FACES[name][0]: q[ci] - level)
               for name in wanted]
     stats, found = _run_stepper(_field(params, in_logs), state0.t, q0,
-                                state0.t + max_time, opts, events, n_returns,
+                                state0.t + _MAX_TIME, opts, events, n_returns,
                                 near_saddle)
     if len(found) < n_returns:
         raise NumericsError(
             f"only {len(found)} of {n_returns} section crossings found within "
-            f"max_time={max_time}; the start may be too close to the invariant plane"
+            f"max_time={_MAX_TIME}; the start may be too close to the invariant plane"
         )
     period = math.pi / params.omega
     out = []

@@ -185,15 +185,13 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     ------
     ValidationError
         If ``c <= e`` (the saddle value would not exceed one, which breaks
-        every downstream contract) or ``omega <= 0``.
+        every downstream contract).
     """
     c, e, om = params.c, params.e, params.omega
     if c <= e:
         raise ValidationError(
             f"need e < c for a saddle value delta = c/e > 1, got c={c}, e={e}"
         )
-    if om <= 0.0:
-        raise ValidationError(f"omega must be > 0, got {om}")
     delta = c / e
     xi = (e * e + c * e + c * c) / e**3
     a1 = c * c / (c * c + 4.0 * om * om)

@@ -191,7 +191,7 @@ class _FullMap(_CompiledMap):
 
     variant = "full"
 
-    def __init__(self, params, dc, gamma=None):
+    def __init__(self, params, dc, gamma):
         super().__init__(params, dc)
         self.modulus = math.pi / params.omega
 
@@ -249,7 +249,7 @@ class _Case12Map(_CompiledMap):
 
     variant = "case12"
 
-    def __init__(self, params, dc, gamma=None):
+    def __init__(self, params, dc, gamma):
         super().__init__(params, dc)
         self.forcing = params.gamma * params.mu1
         self.coupling = 2.0 * math.pi * params.gamma * params.mu1 * dc.sqrt_a1
@@ -301,7 +301,7 @@ class _Case34Map(_CompiledMap):
 
     variant = "case34"
 
-    def __init__(self, params, dc, gamma=None):
+    def __init__(self, params, dc, gamma):
         if params.gamma <= 0.0 or params.mu1 <= 0.0:
             raise ValidationError("case34 map requires gamma > 0 and mu1 > 0")
         super().__init__(params, dc)

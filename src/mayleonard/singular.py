@@ -33,6 +33,7 @@ __all__ = [
     "TransitionMatrix",
     "BatteryReport",
     "k_map",
+    "GAMMA_PLUS",
     "first_admissible_index",
     "gamma_sequence",
     "make_circle_map",
@@ -55,9 +56,12 @@ def k_map(x: float, constants: DerivedConstants) -> float:
     return -constants.K_omega * constants.xi * math.log(x)
 
 
-def first_admissible_index(constants: DerivedConstants, gamma_plus: float) -> int:
-    """Smallest index whose amplitude lies below ``gamma_plus`` for every offset ``a``."""
-    return math.floor(constants.K_omega * constants.xi * math.log(1.0 / gamma_plus)) + 1
+GAMMA_PLUS = 0.05      # admissibility bound on the rescaled family's amplitude
+
+
+def first_admissible_index(constants: DerivedConstants) -> int:
+    """Smallest index whose amplitude lies below ``GAMMA_PLUS`` for every offset ``a``."""
+    return math.floor(constants.K_omega * constants.xi * math.log(1.0 / GAMMA_PLUS)) + 1
 
 
 def gamma_sequence(n: int, a: float, constants: DerivedConstants) -> float:
@@ -348,6 +352,9 @@ class MisiurewiczCertificate:
 # slack factor of outside (b) and inside (b), and samples per component of U
 _D0 = 1e-3
 _U_GRID = 64
+# least counted segment length of outside (a), and starts of the outside grid
+_M0 = 30
+_GRID_SIZE = 1024
 # steps per pass of the certificate sweep between its bookkeeping rounds
 _BLOCK = 8
 
@@ -388,13 +395,13 @@ def _largest_rate(cum, m):
     return lam
 
 
-def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 1000,
-                      m0: int = 30, grid_size: int = 1024) -> MisiurewiczCertificate:
+def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2,
+                      horizon: int = 1000) -> MisiurewiczCertificate:
     """Run the five-part expansion certification at a finite horizon.
 
-    * outside (a): every sampled orbit segment that avoids the critical
-      neighbourhood U for its whole length and is at least ``m0`` long
-      expands at the extracted uniform rate ``lambda0 > 0``;
+    * outside (a): every orbit segment of 1024 evenly spaced starts that
+      avoids the critical neighbourhood U for its whole length and is at
+      least ``m0 = 30`` long expands at the extracted rate ``lambda0 > 0``;
     * outside (b): segments that end by entering U expand at the same rate
       up to the slack factor ``d0 = 1e-3``;
     * critical orbits: forward iterates of every critical point stay out
@@ -434,10 +441,6 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    if m0 < 1:
-        raise ValidationError(f"m0 must be >= 1, got {m0}")
-    if grid_size < 1:
-        raise ValidationError(f"grid_size must be >= 1, got {grid_size}")
     if not 0.0 < u_radius < 0.5:
         raise ValidationError(f"u_radius must lie in (0, 0.5), got {u_radius}")
     r = u_radius
@@ -449,23 +452,23 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
     u_pos = u_samples.ravel()
     u_pos = u_pos[~(_circle_dist(u_pos, centers) < 1e-9)] % 1.0
 
-    # --- one sweep: the grid starts off U (indices below grid_size, for
+    # --- one sweep: the grid starts off U (indices below _GRID_SIZE, for
     # the outside conditions; a segment needs x0 ... x_{m-1} off U) and the
     # U samples (inside (b)) step in lockstep until each enters U, with the
     # critical points riding behind them.  The live state stays compact, in
     # index order, so the outside starts lead in ascending order and a view
     # of the first n_live_out is all of them.
-    starts = (np.arange(grid_size) + 0.5) / grid_size
-    n_all = grid_size + u_pos.size
+    starts = (np.arange(_GRID_SIZE) + 0.5) / _GRID_SIZE
+    n_all = _GRID_SIZE + u_pos.size
     cum = np.zeros(n_all)                # log|(h^m)'|, frozen on entering U
     stop = np.zeros(n_all, dtype=int)    # the m with h^m(x) in U, 0 = never
     off_u = ~(_circle_dist(starts, centers) < r)
-    idx = np.concatenate([np.flatnonzero(off_u), grid_size + np.arange(u_pos.size)])
+    idx = np.concatenate([np.flatnonzero(off_u), _GRID_SIZE + np.arange(u_pos.size)])
     pos = np.concatenate([starts[off_u], u_pos, centers])
     acc = np.zeros(idx.size)             # cum of the live points
     n_live_out = int(np.count_nonzero(off_u))
     orbits = np.empty((horizon, centers.size))  # row i: the (i+1)-th critical iterates
-    seg_m, seg_c = [], []     # length m >= m0 and the least log|(h^m)'| at it
+    seg_m, seg_c = [], []     # length m >= _M0 and the least log|(h^m)'| at it
     min_ratio_a = math.inf
     worst_a = None
     done = 0                  # steps taken
@@ -489,7 +492,7 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
         # every outside segment still tracked at row k avoided U through the
         # step before, so it binds the expansion bound at that length even
         # if it lands in U at row k
-        k_lo = max(m0 - done - 1, 0)
+        k_lo = max(_M0 - done - 1, 0)
         k_hi = min(int(first[:n_live_out].max(initial=-1)), block - 1)
         if k_lo <= k_hi:
             rows = np.arange(k_lo, k_hi + 1)
@@ -529,7 +532,7 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
     )
 
     # segments that end by entering U
-    entered, cum_out = stop[:grid_size], cum[:grid_size]
+    entered, cum_out = stop[:_GRID_SIZE], cum[:_GRID_SIZE]
     hit = entered > 0
     slack_b = cum_out[hit] - (math.log(_D0) + lambda0 * entered[hit])
     conditions["outside_b"] = ConditionVerdict(
@@ -565,7 +568,7 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
             passed=ok_sign and worst_h2 > 0.0, worst=worst_h2)
 
         # first returns of the U samples, from the sweep
-        p0, cumlog = stop[grid_size:], cum[grid_size:]
+        p0, cumlog = stop[_GRID_SIZE:], cum[_GRID_SIZE:]
         returned = p0 > 0
         n_noreturn = int(np.count_nonzero(~returned))
         slack = cumlog[returned] - (lambda0 * p0[returned] / 3.0 - math.log(_D0))
@@ -577,7 +580,7 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2, horizon: int = 10
 
     passed = all(v.passed for v in conditions.values())
     return MisiurewiczCertificate(
-        passed=passed, lambda0=lambda0, m0=m0, horizon=horizon,
+        passed=passed, lambda0=lambda0, m0=_M0, horizon=horizon,
         u_intervals=u_intervals, conditions=conditions,
         notes="finite-horizon floating-point check; not robust under perturbation",
     )

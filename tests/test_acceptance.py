@@ -148,8 +148,7 @@ def test_criterion_05_power_law_returns():
     t0 = time.monotonic()
     p = ModelParams(c=0.6, e=0.2, gamma=0.0, omega=0.3)
     opts = NumericsConfig(rel_tol=1e-8, abs_tol=1e-10, max_step=100.0)
-    events = section_returns(section_state(1e-3, p), 10, p, opts,
-                             sections="all", max_time=2e6)
+    events = section_returns(section_state(1e-3, p), 10, p, opts, sections="all")
     logs = [math.log(1e-3)] + [ev.log_x for ev in events]
     ratios = [logs[k + 1] / logs[k] for k in range(10)]
     elapsed = time.monotonic() - t0
@@ -234,13 +233,13 @@ def test_criterion_07_singular_limit_convergence():
 def test_criterion_08_region_geometry():
     """Boundary curves at xi*omega = 19.5, C = 10, and monotonicity, < 1 s."""
     t0 = time.monotonic()
-    t1 = t1_curve(65.0, 0.3, 10.0)
+    t1 = t1_curve(65.0, 0.3)
     t2 = t2_curve(65.0, 0.3)
     # the exact t1 is 0.4267497, a round-half-up tie at 4 figures: allow one
     # unit in the fourth significant digit
     vals_ok = abs(t1 - 0.4268) <= 1e-4 and abs(t2 - 0.05121) <= 5e-6
     grid = np.linspace(1.0, 200.0, 100)
-    t1s = [t1_curve(x, 0.3, 10.0) for x in grid]
+    t1s = [t1_curve(x, 0.3) for x in grid]
     t2s = [t2_curve(x, 0.3) for x in grid]
     mono = all(b < a for a, b in zip(t1s, t1s[1:])) and \
         all(b < a for a, b in zip(t2s, t2s[1:]))

@@ -11,7 +11,7 @@ import pytest
 
 from mayleonard._io import json_bytes
 from mayleonard.cli import main
-from mayleonard.config import dump_config, parse_config_text
+from mayleonard.config import ScanSpec, dump_config, parse_config_text
 from mayleonard.errors import ValidationError
 
 CASE2 = """\
@@ -532,6 +532,46 @@ def test_dump_config_shows_the_overridden_numerics(case2_cfg, capsys):
                "--dump-config"])
     assert rc == 0
     assert capsys.readouterr().out == dump_config(parse_config_text(CASE2))
+
+
+def test_dump_config_shows_the_overridden_scan(case2_cfg, capsys):
+    """--dump-config prints the [scan] the run would use: the scan flags
+    override the config's section, or the defaults without one, and are
+    validated before the dump; without flags or a section there is no
+    [scan]."""
+    shipped = str(Path(__file__).resolve().parents[1] / "configs" / "case2.cfg")
+    rc = main(["scan", "--config", shipped, "--from", "1e-5", "--steps", "3",
+               "--seed", "5", "--dump-config"])
+    assert rc == 0
+    cfg = parse_config_text(capsys.readouterr().out)
+    assert (cfg.scan.lo, cfg.scan.hi, cfg.scan.steps, cfg.scan.log) == (1e-5, 0.05, 3, True)
+    assert cfg.numerics.seed == 5
+    rc = main(["scan", "--config", shipped, "--from", "1", "--to", "0.5", "--dump-config"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scan range must satisfy 0 < from < to < inf\n"
+    assert main(["scan", "--config", case2_cfg, "--steps", "4", "--dump-config"]) == 0
+    assert parse_config_text(capsys.readouterr().out).scan == ScanSpec(steps=4)
+    assert main(["scan", "--config", case2_cfg, "--dump-config"]) == 0
+    assert capsys.readouterr().out == dump_config(parse_config_text(CASE2))
+
+
+def test_incomplete_diophantine_section_is_a_validation_error(tmp_path, capsys):
+    """A [diophantine] section must set d1 and d2; the message names the
+    missing keys, and a missing model key keeps its own message."""
+    for body, missing in (("d1 = 0.1\n", "diophantine.d2"),
+                          ("n_max = 5\n", "diophantine.d1 and diophantine.d2"),
+                          ("", "diophantine.d1 and diophantine.d2")):
+        path = tmp_path / "dio.cfg"
+        path.write_text("[model]\nc = 0.6\ne = 0.2\n\n[diophantine]\n" + body)
+        assert main(["classify", "--config", str(path), "--output",
+                     str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err == f"error: config must provide {missing}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config_text("[model]\nc = 0.6\n\n[diophantine]\nd1 = 0.1\n")
+    assert str(err.value) == "config must provide model.c and model.e"
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_exit_code_validation(tmp_path):

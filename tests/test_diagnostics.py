@@ -114,25 +114,23 @@ def test_annulus_corners_match_the_grid_search(n_samples):
 def test_horseshoe_condition_reference_point():
     p = ModelParams(c=0.6, e=0.2, omega=0.3)          # xi*omega = 19.5
     dc = derive_constants(p)
-    t1 = t1_curve(dc.xi, p.omega, 10.0)
+    t1 = t1_curve(dc.xi, p.omega)
     # exact value 0.42674969...: the 4-figure form 0.4268 is its round-half-up
     # at the tie boundary 0.42675, so allow one unit in the fourth digit
     assert t1 == pytest.approx(0.4267497, abs=1e-6)
     assert t1 == pytest.approx(0.4268, abs=1e-4)
-    assert region_label(dc.sqrt_a1, dc.xi, p.omega, C=10.0) == "III"
-    rep = classify_regime(p, C=10.0)
+    assert region_label(dc.sqrt_a1, dc.xi, p.omega) == "III"
+    rep = classify_regime(p)
     assert rep.t1 == t1
     assert rep.sqrt_a1 == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    with pytest.raises(ValidationError):
-        t1_curve(dc.xi, p.omega, 2.0)
 
 
 def test_t_curve_limits_and_monotonicity():
-    assert t1_curve(1e7, 1.0, 10.0) < 1e-5          # huge xi*omega
-    assert t1_curve(1e-9, 1.0, 10.0) == pytest.approx(1.0, abs=1e-6)
+    assert t1_curve(1e7, 1.0) < 1e-5          # huge xi*omega
+    assert t1_curve(1e-9, 1.0) == pytest.approx(1.0, abs=1e-6)
     assert t2_curve(1e-9, 1.0) == pytest.approx(1.0, abs=1e-6)
     xis = np.linspace(1.0, 200.0, 100)
-    t1s = [t1_curve(xi, 0.3, 10.0) for xi in xis]
+    t1s = [t1_curve(xi, 0.3) for xi in xis]
     t2s = [t2_curve(xi, 0.3) for xi in xis]
     assert all(b < a for a, b in zip(t1s, t1s[1:]))
     assert all(b < a for a, b in zip(t2s, t2s[1:]))
@@ -144,7 +142,7 @@ def test_horseshoe_margin_continuous_in_frequency():
     """The margin ``sqrt(a1) - t1`` varies continuously over a fine frequency
     grid with a single verdict flip."""
     oms = np.geomspace(0.01, 10.0, 2000)
-    reports = [classify_regime(ModelParams(c=0.6, e=0.2, omega=om), C=10.0) for om in oms]
+    reports = [classify_regime(ModelParams(c=0.6, e=0.2, omega=om)) for om in oms]
     margins = np.array([r.sqrt_a1 - r.t1 for r in reports])
     assert float(np.max(np.abs(np.diff(margins)))) < 1e-3
     flips = int(np.sum(np.abs(np.diff(np.sign(margins))) > 0))

@@ -1,11 +1,13 @@
 """Static hygiene of the package sources: every import is read, every
 ``__all__`` entry is defined, every lazily exported flow name is bound,
-every exported name is reached by the package itself, and every circle map
-has one evaluator; and of the tests:
+every exported name is reached by the package itself, every defaulted
+parameter is set by some package call, and every circle map has one
+evaluator; and of the tests:
 every import is read and every oracle in ``conftest.py`` is called by a test
 module; and the package's module graph is the table below."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,17 @@ UNREACHED_ALLOWED = {
     "RigidRotation": "the expansion certificate's failing control",
     "k_map": "the scan amplitude's singular-limit offset a = k_map(gamma) mod 1, "
              "for the scan's CE-rate column (ROADMAP item 10)",
+}
+
+# defaulted parameters, as ``function.parameter``, that no package call sets,
+# each kept for the reason given
+UNSET_DEFAULTS_ALLOWED = {
+    "main.argv": "the console entry point: None reads sys.argv",
+    "rotation_interval.seeds": "criterion 11 runs its own sizes (6 seeds)",
+    "rotation_interval.iterations": "criterion 11 runs its own sizes "
+                                    "(20,000 and 5,000 iterations)",
+    "region_label.battery_pass": "the battery's II/IV split; a region column for "
+                                 "the scan or classify is still undecided",
 }
 
 
@@ -164,6 +177,66 @@ def surface_faults(package, modules, allowed):
     return unreached, stale
 
 
+def defaulted_parameters(tree):
+    """``(function, parameter, position)`` for every parameter with a default
+    of every ``def`` in ``tree``, methods and nested functions included.
+    ``position`` counts the positional parameters after a method's ``self``
+    and is None for a keyword-only one; an ``__init__`` is named after its
+    class, as its calls name it."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            if cls is not None and not static:
+                positional = positional[1:]
+            name = cls if cls is not None and child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            found.extend((name, arg.arg, i) for i, arg in enumerate(positional) if i >= first)
+            found.extend((name, arg.arg, None) for arg, default
+                         in zip(args.kwonlyargs, args.kw_defaults) if default is not None)
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def unset_defaults(modules, allowed):
+    """Defaulted parameters, as ``function.parameter``, that no call in
+    ``modules`` sets by keyword or by position and that ``allowed`` does not
+    list; and entries of ``allowed`` that are no such parameter (a stale
+    allow-list).  A call is matched to every function of its name; a
+    ``*sequence`` sets every position and a ``**mapping`` every keyword."""
+    keywords, positions = {}, {}
+    for tree in modules:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positions[name] = max(positions.get(name, 0),
+                                  math.inf if starred else len(node.args))
+    unset = set()
+    for tree in modules:
+        for func, param, position in defaulted_parameters(tree):
+            passed = keywords.get(func, set())
+            if not (param in passed or None in passed
+                    or position is not None and positions.get(func, 0) > position):
+                unset.add(f"{func}.{param}")
+    return sorted(unset - set(allowed)), sorted(set(allowed) - unset)
+
+
 # the per-order evaluators that ``CircleMap.jet`` replaced
 DELETED_EVALUATORS = {"lift", "derivative", "second_derivative",
                       "lift_and_derivative", "value_and_derivative"}
@@ -254,6 +327,48 @@ def test_surface_check_catches_unreached_and_stale_names():
                      "def caller(pkg):\n    return used() + pkg.helper() + run(1)\n")
     allowed = {"kept": "control", "used": "reached", "gone": "defined nowhere"}
     assert surface_faults(package, [module, flow], allowed) == (["again"], ["gone", "used"])
+
+
+def test_every_default_is_set_by_the_package():
+    """A defaulted parameter is an option some package call uses; a value
+    that only tests set is a module constant, unless the allow-list names
+    it with a reason."""
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))]
+    assert unset_defaults(modules, UNSET_DEFAULTS_ALLOWED) == ([], [])
+    # without the allow-list, exactly its names are the unset ones
+    assert unset_defaults(modules, {})[0] == sorted(UNSET_DEFAULTS_ALLOWED)
+
+
+def test_default_check_catches_unset_and_stale_names():
+    """Negative control: a default that no call reaches by keyword or by
+    position is reported, a method's and a keyword-only one too, and so are
+    an allow-list entry that a call sets and one that nothing defines; a
+    default set by keyword, by position, by ``*``/``**`` unpacking or
+    through the class's constructor is not, nor is a lambda's."""
+    module = ast.parse(
+        "def run(n, steps=10, *, log=False, tol=1e-9, seed=0):\n"
+        "    return n\n"
+        "def used(x, k=1, scale=2.0):\n"
+        "    return x\n"
+        "class Shape:\n"
+        "    def __init__(self, side=1.0):\n"
+        "        pass\n"
+        "    def area(self, unit='m'):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def make(side=2.0):\n"
+        "        pass\n")
+    caller = ast.parse(
+        "def caller(opts):\n"
+        "    run(1, log=True)\n"
+        "    used(1, 2, **opts)\n"
+        "    Shape(3.0).area()\n"
+        "    Shape.make(*opts)\n"
+        "    return lambda t, c=0: t\n")
+    allowed = {"run.tol": "control", "used.k": "set", "gone.x": "defined nowhere"}
+    assert unset_defaults([module, caller], allowed) == (
+        ["area.unit", "run.seed", "run.steps"], ["gone.x", "used.k"])
 
 
 def test_every_circle_map_has_one_evaluator():

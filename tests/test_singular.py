@@ -213,7 +213,7 @@ def test_gamma_sequence_properties(dc_case2, rng):
 def test_first_admissible_index_is_the_first_below_the_bound(name):
     configs = Path(__file__).resolve().parents[1] / "configs"
     dc = derive_constants(parse_config(configs / name).params)
-    n0 = first_admissible_index(dc, 0.05)
+    n0 = first_admissible_index(dc)
     # index 0 is no sequence index; its amplitude exp(-0) is 1 (case 1 has n0 = 1)
     before = gamma_sequence(n0 - 1, 0.0, dc) if n0 > 1 else 1.0
     assert gamma_sequence(n0, 0.0, dc) < 0.05 <= before
@@ -440,7 +440,7 @@ def test_misiurewicz_scan_over_offsets():
             assert got == _reference_check(cmap, horizon=250).to_dict(), (p, a)
 
 
-def test_misiurewicz_early_exits_match_reference():
+def test_misiurewicz_early_exits_match_reference(monkeypatch):
     """Paths where the sweep ends before the horizon equal the scalar
     reference: case 2 at horizon 1000, where every start and U sample has
     entered U within a quarter of it, and horizon 200 on a 256-point grid
@@ -453,11 +453,15 @@ def test_misiurewicz_early_exits_match_reference():
         got = misiurewicz_check(cmap, horizon=1000).to_dict()
         assert orders.count(1) < 250, (a, orders.count(1))
         assert got == _reference_check(cmap, horizon=1000).to_dict(), a
-    sizes = dict(horizon=200, grid_size=256, m0=10)
+    import mayleonard.singular as singular
+
+    monkeypatch.setattr(singular, "_GRID_SIZE", 256)
+    monkeypatch.setattr(singular, "_M0", 10)
     for p, a in ((CASE1, 0.25), (CASE2, 0.55)):
         cmap = make_circle_map(a, p)
-        got = misiurewicz_check(cmap, **sizes).to_dict()
-        assert got == _reference_check(cmap, **sizes).to_dict(), (p, a)
+        got = misiurewicz_check(cmap, horizon=200).to_dict()
+        want = _reference_check(cmap, horizon=200, m0=10, grid_size=256).to_dict()
+        assert got == want, (p, a)
 
 
 def test_misiurewicz_blocks_match_reference(monkeypatch):
@@ -471,9 +475,10 @@ def test_misiurewicz_blocks_match_reference(monkeypatch):
     for cmap in maps:
         for horizon, m0 in ((1, 5), (7, 5), (33, 5), (250, 29)):
             want = _reference_check(cmap, horizon=horizon, m0=m0).to_dict()
+            monkeypatch.setattr(singular, "_M0", m0)
             for block in (1, 3, 16):
                 monkeypatch.setattr(singular, "_BLOCK", block)
-                got = misiurewicz_check(cmap, horizon=horizon, m0=m0).to_dict()
+                got = misiurewicz_check(cmap, horizon=horizon).to_dict()
                 assert got == want, (cmap, horizon, m0, block)
 
 
@@ -504,14 +509,10 @@ def test_critical_orbits_ride_in_the_sweep():
 
 
 def test_misiurewicz_rejects_bad_sizes():
-    """A grid or a least segment length below one is a validation error:
-    a negative grid would read the U samples' stops as grid starts, and
-    m0 <= 0 would act as m0 = 1."""
+    """A horizon below one is a validation error."""
     cmap = make_circle_map(0.3, CASE2)
-    for kwargs in (dict(grid_size=0), dict(grid_size=-4), dict(m0=0), dict(m0=-3),
-                   dict(horizon=0)):
-        with pytest.raises(ValidationError):
-            misiurewicz_check(cmap, **kwargs)
+    with pytest.raises(ValidationError, match="horizon must be >= 1"):
+        misiurewicz_check(cmap, horizon=0)
 
 
 def test_circle_map_orbit_sizes():
@@ -540,7 +541,7 @@ def test_misiurewicz_memory_stays_below_one_mib():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: misiurewicz_check(cmap, horizon=1000, grid_size=1024)) < 2**20
+    assert peak(lambda: misiurewicz_check(cmap, horizon=1000)) < 2**20
     # negative control: numpy's buffers are traced
     assert peak(lambda: np.zeros((1000, 1024))) > 2**20
 
@@ -787,7 +788,7 @@ def test_battery_h2_and_h3_read_their_own_columns(monkeypatch, column, failing, 
 def _first_batteries():
     """The battery at the first admissible index of each config, three offsets."""
     for params in (CASE1, CASE2):
-        n = first_admissible_index(derive_constants(params), 0.05)
+        n = first_admissible_index(derive_constants(params))
         for a in (0.0, 0.3, 0.75):
             yield params, hypothesis_battery(params, n, a, horizon=50)
 

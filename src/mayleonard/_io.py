@@ -50,12 +50,7 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        try:
-            return _sanitize(obj.item())
-        except (AttributeError, ValueError):
-            pass
-    if hasattr(obj, "tolist"):
+    if hasattr(obj, "tolist"):            # numpy scalar or array
         return _sanitize(obj.tolist())
     return obj
 

@@ -53,6 +53,9 @@ from .singular import (
     transition_matrix,
 )
 
+# map steps that chaos-test discards before its phase series
+_CHAOS_BURN_IN = 200
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route through the
@@ -212,13 +215,11 @@ def _run(args) -> int:
     if args.command == "return-map":
         _check_start(args.x0, args.s0)
         _check_iters(args.iters)
-        gamma = None
         if args.variant == "rescaled":
             if args.a is None:
                 raise ValidationError("rescaled variant needs --a")
-            _, gamma = _index(args.n, args.a, params)
-        xs, ss, _ = compile_map(args.variant, params, gamma=gamma).orbit(
-            args.x0, args.s0, args.iters)
+            params = replace(params, gamma=_index(args.n, args.a, params)[1])
+        xs, ss, _ = compile_map(args.variant, params).orbit(args.x0, args.s0, args.iters)
         write_csv(args.output, ("k", "x", "s"),
                   zip(range(1, args.iters + 1), xs.tolist(), ss.tolist()))
         return 0
@@ -240,7 +241,7 @@ def _run(args) -> int:
         if args.battery:
             report = hypothesis_battery(params, n, args.a, horizon=num.horizon,
                                         u_radius=args.u_radius)
-            write_json(args.output, report.to_dict())
+            write_json(args.output, asdict(report))
         else:
             cmap = make_circle_map(args.a, params)
             cert = misiurewicz_check(cmap, u_radius=args.u_radius, horizon=num.horizon)
@@ -273,15 +274,15 @@ def _run(args) -> int:
         x0 = args.x0 if args.x0 is not None else max(params.gamma, 1e-6)
         _check_start(x0, args.s0)
         _check_iters(args.iters)
+        steps = _CHAOS_BURN_IN + args.iters
         if args.variant == "case34":
             cmap = Case34SMarginal(params)
-            series = cmap.orbit(args.s0, args.iters, burn_in=200)
+            series = cmap.orbit(args.s0, steps)
             rot_info = asdict(rotation_interval(cmap, rng=rng))
         else:
-            _, ss, _ = compile_map("case12", params).orbit(x0, args.s0, 200 + args.iters)
-            series = ss[200:]
+            series = compile_map("case12", params).orbit(x0, args.s0, steps)[1]
             rot_info = None
-        obs = np.cos(2.0 * np.pi * series)
+        obs = np.cos(2.0 * np.pi * series[_CHAOS_BURN_IN:])
         K = zero_one_test(obs, rng=rng)
         acf = autocorrelation(obs, args.lags)
         write_json(args.output, {

@@ -230,12 +230,6 @@ _BURN_IN = 500
 _LYAPUNOV_MIN_ITERATIONS = 10_000
 
 
-def _burn_in(fmap, x, s):
-    """The point ``_BURN_IN`` steps of ``fmap`` after ``(x, s)``, as floats."""
-    xs, ss, _ = fmap.orbit(x, s, _BURN_IN)
-    return float(xs[-1]), float(ss[-1])
-
-
 def _leading_directions(d11, d12, d21, d22):
     """Unit first columns of the prefix products ``P_k = D_{k-1} ... D_0``,
     ``k = 0 .. N-1``, of the 2x2 matrices with the given entry arrays.
@@ -271,7 +265,7 @@ def lyapunov_2d(fmap, point0, iterations: int) -> Lyapunov2D:
     """Tangent-map Lyapunov exponents of a compiled map by the QR method,
     over the whole orbit at once.
 
-    The orbit runs 500 burn-in steps before the first measured one; the
+    One orbit call runs the 500 burn-in steps and the measured points; the
     image of the last measured point is computed only to check that it
     stays on the section.  With ``D_k`` the tangent at the k-th measured
     point (one array call of ``fmap.tangent``):
@@ -291,17 +285,16 @@ def lyapunov_2d(fmap, point0, iterations: int) -> Lyapunov2D:
     Returns the ordered pair ``l1 >= l2``.  The rank-one degenerate variant
     (constant leading coordinate) has no meaningful spectrum and is
     rejected; a zero determinant raises :class:`NumericsError` naming the
-    first such step, as does an orbit that leaves the section.
+    first such measured step, and an orbit that leaves the section names
+    its step counted from ``point0``, burn-in included.
     """
     if iterations < _LYAPUNOV_MIN_ITERATIONS:
         raise ValidationError(f"iterations must be >= {_LYAPUNOV_MIN_ITERATIONS}")
     if fmap.variant == "case34":
         raise ValidationError("case34 is rank-one degenerate (det = 0)")
-    x, s = _burn_in(fmap, float(point0[0]), float(point0[1]))
-    xs, ss, _ = fmap.orbit(x, s, iterations)
-    xs = np.concatenate(([x], xs[:-1]))
-    ss = np.concatenate(([s], ss[:-1]))
-    d11, d12, d21, d22, det = fmap.tangent(xs, ss)
+    # the measured points are the images _BURN_IN ... _BURN_IN + iterations - 1
+    xs, ss, _ = fmap.orbit(float(point0[0]), float(point0[1]), _BURN_IN + iterations)
+    d11, d12, d21, d22, det = fmap.tangent(xs[_BURN_IN - 1:-1], ss[_BURN_IN - 1:-1])
     # the entry-form determinant cancels catastrophically when the phase
     # coupling dominates; prefer the exact closed form where it exists
     if det is None:
@@ -588,7 +581,9 @@ def _scan_one(gamma, params, numerics, sample_rng):
     rots = []
     obs = None
     for seed_i in range(3):
-        x, s = _burn_in(fmap, x0, float(sample_rng.uniform()))
+        # two calls: the rotation estimate is the lift from the burnt-in phase
+        xs, ss, _ = fmap.orbit(x0, float(sample_rng.uniform()), _BURN_IN)
+        x, s = float(xs[-1]), float(ss[-1])
         _, ss, y = fmap.orbit(x, s, numerics.series_len)
         rots.append((y - s) / numerics.series_len)
         if seed_i == 0:

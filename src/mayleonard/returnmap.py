@@ -16,12 +16,13 @@ derivations drop them; each variant's class docstring names the dropped
 order.
 
 :func:`compile_map` is the one evaluator of each variant: it derives the
-constants once per parameter point, and callers hold the compiled map for
-as long as the point is fixed.  Its ``orbit`` fills float arrays of the
-images and returns them with the lift of the last phase; every image is
-bit-identical to stepping ``lift`` and reducing the phase, and an escape
-from the section names its step.  ``case12``, the density scan's map, has
-its own fused orbit loop; the other variants share one loop over ``lift``.
+constants once per parameter point, whose ``gamma`` is the amplitude of
+every variant, and callers hold the compiled map for as long as the point
+is fixed.  Its ``orbit`` fills float arrays of the images and returns them
+with the lift of the last phase; every image is bit-identical to stepping
+``lift`` and reducing the phase, and an escape from the section names its
+step.  ``case12``, the density scan's map, has its own fused orbit loop;
+the other variants share one loop over ``lift``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
     "compile_map",
     "reduce_mod",
 ]
-
-VARIANTS = ("full", "case12", "case34", "rescaled")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -191,7 +190,7 @@ class _FullMap(_CompiledMap):
 
     variant = "full"
 
-    def __init__(self, params, dc, gamma):
+    def __init__(self, params, dc):
         super().__init__(params, dc)
         self.modulus = math.pi / params.omega
 
@@ -249,7 +248,7 @@ class _Case12Map(_CompiledMap):
 
     variant = "case12"
 
-    def __init__(self, params, dc, gamma):
+    def __init__(self, params, dc):
         super().__init__(params, dc)
         self.forcing = params.gamma * params.mu1
         self.coupling = 2.0 * math.pi * params.gamma * params.mu1 * dc.sqrt_a1
@@ -301,7 +300,7 @@ class _Case34Map(_CompiledMap):
 
     variant = "case34"
 
-    def __init__(self, params, dc, gamma):
+    def __init__(self, params, dc):
         if params.gamma <= 0.0 or params.mu1 <= 0.0:
             raise ValidationError("case34 map requires gamma > 0 and mu1 > 0")
         super().__init__(params, dc)
@@ -332,8 +331,9 @@ class _RescaledMap(_CompiledMap):
 
     variant = "rescaled"
 
-    def __init__(self, params, dc, gamma):
-        if gamma is None or not 0.0 < gamma < 1.0:
+    def __init__(self, params, dc):
+        gamma = params.gamma
+        if not 0.0 < gamma < 1.0:
             raise ValidationError(f"rescaled family needs gamma in (0, 1), got {gamma}")
         super().__init__(params, dc)
         self.gp = gamma**dc.p
@@ -355,28 +355,29 @@ class _RescaledMap(_CompiledMap):
 
 
 _COMPILED = {cls.variant: cls for cls in (_FullMap, _Case12Map, _Case34Map, _RescaledMap)}
+VARIANTS = tuple(_COMPILED)
 
 
-def compile_map(variant: str, params: ModelParams, *,
-                gamma: float | None = None) -> _CompiledMap:
+def compile_map(variant: str, params: ModelParams) -> _CompiledMap:
     """The one evaluator of a variant at a parameter point, constants derived once.
 
-    The result has a scalar ``lift(x, s)`` (phase not reduced), a
-    ``tangent(x, s)`` returning ``(d11, d12, d21, d22, det_closed_form)``
-    (the last None for ``full``), the phase ``modulus``, its ``variant``
-    name, and ``orbit(x, s, steps)``.  ``orbit`` returns ``(xs, ss, y)``:
+    The amplitude is ``params.gamma`` for every variant; the rescaled one
+    needs it in (0, 1).  The result has a scalar ``lift(x, s)`` (phase not
+    reduced), a ``tangent(x, s)`` returning ``(d11, d12, d21, d22,
+    det_closed_form)`` (the last None for ``full``), the phase ``modulus``,
+    its ``variant`` name, and ``orbit(x, s, steps)``.  ``orbit`` returns ``(xs, ss, y)``:
     float arrays of the ``steps`` images, phases reduced by ``modulus``, and
     the lift ``y`` of the last phase (the start phase plus each unreduced
     phase advance, in step order).  Its images are bit-identical to stepping
     ``lift``; it raises :class:`ValidationError` for ``steps < 0`` and
     :class:`NumericsError` naming the step of an image with ``x <= 0``.
+    A call of ``m + k`` steps holds the images of ``m`` steps and then those
+    of ``k`` steps from the last one, so a burn-in needs no second call.
     ``tangent`` takes floats or numpy arrays: it evaluates the same numpy
     ufuncs element by element, so an array call equals the scalar calls,
     and it raises :class:`ValidationError` if any ``x <= 0`` (except
-    ``case34``, which ignores ``x``).  Only the rescaled variant reads
-    ``gamma``, and it needs one in (0, 1).
+    ``case34``, which ignores ``x``).
     """
     if variant not in _COMPILED:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return _COMPILED[variant](params, derive_constants(params), gamma)
-
+    return _COMPILED[variant](params, derive_constants(params))

@@ -131,15 +131,17 @@ class CircleMap:
     def _critical_phases(self):
         raise NotImplementedError
 
-    def orbit(self, s0: float, n: int, burn_in: int = 0) -> np.ndarray:
-        """The ``n`` iterates after the first ``burn_in`` ones."""
-        if n < 0 or burn_in < 0:
-            raise ValidationError(f"orbit needs n >= 0 and burn_in >= 0, got {n}, {burn_in}")
-        s = float(s0)
-        out = np.empty(burn_in + n)
-        for i in range(burn_in + n):
-            s = out[i] = float(self.value(s))
-        return out[burn_in:]
+    def orbit(self, s0, n: int) -> np.ndarray:
+        """The first ``n`` iterates of a start or of an array of starts,
+        stepped in lockstep: row ``i`` holds the ``(i+1)``-th iterates, so
+        the result has shape ``(n,) + shape(s0)``."""
+        if n < 0:
+            raise ValidationError(f"orbit needs n >= 0, got {n}")
+        s = np.asarray(s0, dtype=float)
+        out = np.empty((n,) + s.shape)
+        for i in range(n):
+            s = out[i] = self.value(s)
+        return out
 
 
 @dataclass
@@ -432,8 +434,8 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2,
     The critical points ride at the end of the live positions, so their
     images fill the critical orbits while the sweep lasts; the sweep ends
     when no grid start or U sample is left or at the horizon, and only
-    the rest of the critical orbits then continues with ``cmap.value``
-    (whose floats the sweep's reduction matches).  The outside and
+    the rest of the critical orbits then continues in one ``cmap.orbit``
+    call (whose floats the sweep's reduction matches).  The outside and
     inside (b) sums share one ``np.log`` per block.  A ``math.log`` on the
     U samples would not make their sums independent of numpy's SIMD code:
     their images and derivatives already come from numpy's ``cos``,
@@ -549,9 +551,7 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2,
         # --- critical orbits avoid U: the sweep filled the first rows, and
         # the rest continues alone (the critical points rarely enter U, so
         # they do not hold the sweep open)
-        s = orbits[done - 1] if done else centers
-        for i in range(done, horizon):
-            s = orbits[i] = cmap.value(s)
+        orbits[done:] = cmap.orbit(orbits[done - 1] if done else centers, horizon - done)
         margins = _circle_dist(orbits, centers) - r
         # the first minimum in (critical point, step) order
         j, i = np.unravel_index(np.argmin(margins.T), margins.T.shape)
@@ -668,7 +668,7 @@ def lyapunov_1d(cmap: CircleMap, s0: float, iterations: int):
     s_start = float(s0)
     while True:
         # the points after 100, ..., 99 + iterations steps
-        d = np.abs(cmap.jet(cmap.orbit(s_start, iterations, 99), 1)[1])
+        d = np.abs(cmap.jet(cmap.orbit(s_start, 99 + iterations)[99:], 1)[1])
         if not (d < 1e-300).any():
             return float(np.sum(np.log(d))) / iterations, restarts
         restarts += 1
@@ -779,10 +779,6 @@ class BatteryReport:
     a: float
     gamma: float
     entries: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"n": self.n, "a": self.a, "gamma": self.gamma,
-                "entries": self.entries}
 
 
 def hypothesis_battery(params: ModelParams, n: int, a: float,

@@ -10,6 +10,7 @@ as an honest failure rather than weakened.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -131,7 +132,7 @@ def test_criterion_04_jacobian_determinant():
         gam = gamma_sequence(n, a, dc)
         x = float(rng.uniform(0.05, 1.0))
         s = float(rng.uniform(0.0, 1.0))
-        fmap = compile_map("rescaled", params, gamma=gam)
+        fmap = compile_map("rescaled", replace(params, gamma=gam))
         det_cf = fmap.tangent(x, s)[4]
         fd = finite_difference_jacobian(fmap, x, s)
         det_fd = fd[0, 0] * fd[1, 1] - fd[0, 1] * fd[1, 0]

@@ -303,6 +303,18 @@ def test_json_writes_non_finite_floats_as_null():
         "inf": None, "-inf": None, "nan": None, "array": [None, 1.5]}
 
 
+def test_json_writes_numpy_arrays_as_lists_and_scalars_as_numbers():
+    """An array is a list whatever its length; a numpy scalar is a number,
+    and a numpy NaN is ``null``."""
+    data = {"one": np.array([0.5]), "two": np.array([0.5, 2.0]),
+            "scalar": np.float64(0.25), "count": np.int64(3), "flag": np.bool_(True),
+            "nan": np.float64(math.nan)}
+    assert json_bytes(data) == json_bytes({
+        "one": [0.5], "two": [0.5, 2.0], "scalar": 0.25, "count": 3, "flag": True,
+        "nan": None})
+    assert _strict_json(json_bytes(data).decode())["one"] == [0.5]
+
+
 def test_certify_battery_with_an_infinite_rate_is_standard_json(tmp_path):
     """On case 1 at a = 0.75 the certificate's rate is -inf: it is written
     as ``null``, not as a bare ``-Infinity``."""

@@ -204,7 +204,7 @@ def test_lyapunov_2d_determinant_identity(rng):
 
 def test_lyapunov_2d_positive_on_chaotic_sample():
     p = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=0.3)
-    res = lyapunov_2d(compile_map("rescaled", p, gamma=1e-3), (0.5, 0.3), 20000)
+    res = lyapunov_2d(compile_map("rescaled", p), (0.5, 0.3), 20000)
     assert res.l1 > 0.0
     assert res.consistency < 1e-3
 
@@ -220,7 +220,7 @@ def lyapunov_case(name):
     the rescaled or full variant at gamma = 1e-3 on the scan parameters."""
     p = replace(SCAN_PARAMS, gamma=1e-3)
     if name == "rescaled":
-        return compile_map("rescaled", p, gamma=1e-3), (0.5, 0.3)
+        return compile_map("rescaled", p), (0.5, 0.3)
     if name == "full":
         return compile_map("full", p), (1e-3, 0.3)
     fmap, x0, rng = scan_row_map(int(name))
@@ -287,12 +287,14 @@ def test_lyapunov_2d_consistency_checks_the_closed_form():
 def test_lyapunov_2d_raises_on_escape(call):
     """An image off the section raises in the burn-in, among the measured
     points, and as the last image, which only the escape check reads.  The
+    burn-in and the measured points are one orbit, so the step is counted
+    from ``point0``: lift call ``_BURN_IN + 4321`` is step 4821.  The
     rescaled variant's orbit steps ``lift``, so a patched ``lift`` injects
     the escape; the case-12 orbit, fused, escapes for real below."""
     fmap, point0 = lyapunov_case("rescaled")
     lift, calls = fmap.lift, count()
     fmap.lift = lambda x, s: (-x, s) if next(calls) == call else lift(x, s)
-    with pytest.raises(NumericsError, match="orbit escaped"):
+    with pytest.raises(NumericsError, match=rf"orbit escaped \(x <= 0\) at step {call}$"):
         lyapunov_2d(fmap, point0, 10000)
 
 

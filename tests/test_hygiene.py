@@ -1,8 +1,8 @@
 """Static hygiene of the package sources: every import is read, every
 ``__all__`` entry is defined, every lazily exported flow name is bound,
 every exported name is reached by the package itself, every defaulted
-parameter is set by some package call, and every circle map has one
-evaluator; and of the tests:
+parameter is set by some package call, every parameter is read, and every
+circle map has one evaluator; and of the tests:
 every import is read and every oracle in ``conftest.py`` is called by a test
 module; and the package's module graph is the table below."""
 
@@ -40,6 +40,17 @@ UNSET_DEFAULTS_ALLOWED = {
                                     "(20,000 and 5,000 iterations)",
     "region_label.battery_pass": "the battery's II/IV split; a region column for "
                                  "the scan or classify is still undecided",
+}
+
+# parameters, as ``scope.parameter``, that their function never reads, each
+# kept for the reason given; lambdas are checked too, named ``<lambda>``
+UNREAD_PARAMETERS_ALLOWED = {
+    "_Case34Map.lift.x": "the case-34 image ignores x by construction; "
+                         "every variant's lift takes (x, s)",
+    "_Case34Map.tangent.x": "the case-34 tangent ignores x by construction; "
+                            "every variant's tangent takes (x, s)",
+    "section_returns.<lambda>.t": "an event function takes (t, q); the face "
+                                  "crossing reads only the state",
 }
 
 
@@ -237,6 +248,67 @@ def unset_defaults(modules, allowed):
     return sorted(unset - set(allowed)), sorted(set(allowed) - unset)
 
 
+def _loads(node, name):
+    """Whether ``node`` loads ``name``, outside nested functions whose own
+    parameters rebind it (their defaults still count: they run outside)."""
+    if isinstance(node, ast.Name):
+        return node.id == name and isinstance(node.ctx, ast.Load)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
+            and name in _parameter_names(node.args):
+        outside = [*node.args.defaults, *node.args.kw_defaults,
+                   *getattr(node, "decorator_list", [])]
+        return any(_loads(n, name) for n in outside if n is not None)
+    return any(_loads(child, name) for child in ast.iter_child_nodes(node))
+
+
+def _parameter_names(args):
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return [arg.arg for arg in every if arg is not None]
+
+
+def _only_raises_not_implemented(func):
+    body = func.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]              # the docstring
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in ast.unparse(body[0]))
+
+
+def unread_parameters(modules, allowed):
+    """Parameters, as ``scope.parameter``, that their function or lambda
+    never loads and that ``allowed`` does not list; and entries of
+    ``allowed`` that are no such parameter (a stale allow-list).  The scope
+    is the dotted path of classes and functions down to the function; a
+    method's ``self`` and a body that only raises ``NotImplementedError``
+    are skipped, and a load in a nested function counts as a read."""
+    unread = set()
+
+    def visit(node, path, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path + [child.name], True)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, path, False)
+                continue
+            name = getattr(child, "name", "<lambda>")
+            names = _parameter_names(child.args)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in getattr(child, "decorator_list", []))
+            if in_class and not static:
+                names = names[1:]
+            body = child.body if isinstance(child.body, list) else [child.body]
+            if not isinstance(child, ast.Lambda) and _only_raises_not_implemented(child):
+                names = []
+            unread.update(f"{'.'.join(path + [name])}.{param}" for param in names
+                          if not any(_loads(n, param) for n in body))
+            visit(child, path + [name], False)
+
+    for tree in modules:
+        visit(tree, [], False)
+    return sorted(unread - set(allowed)), sorted(set(allowed) - unread)
+
+
 # the per-order evaluators that ``CircleMap.jet`` replaced
 DELETED_EVALUATORS = {"lift", "derivative", "second_derivative",
                       "lift_and_derivative", "value_and_derivative"}
@@ -369,6 +441,50 @@ def test_default_check_catches_unset_and_stale_names():
     allowed = {"run.tol": "control", "used.k": "set", "gone.x": "defined nowhere"}
     assert unset_defaults([module, caller], allowed) == (
         ["area.unit", "run.seed", "run.steps"], ["gone.x", "used.k"])
+
+
+def test_every_parameter_is_read():
+    """A parameter is an input its function reads; one kept only for the
+    shape of an interface is named in the allow-list with a reason."""
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))]
+    assert unread_parameters(modules, UNREAD_PARAMETERS_ALLOWED) == ([], [])
+    # without the allow-list, exactly its names are the unread ones
+    assert unread_parameters(modules, {})[0] == sorted(UNREAD_PARAMETERS_ALLOWED)
+
+
+def test_parameter_check_catches_unread_and_stale_names():
+    """Negative control: an unread parameter is reported, a method's,
+    ``*args``/``**kwargs``, a nested function's, a lambda's and a static
+    method's first one too, and one that only a nested lambda's own
+    parameter of the same name loads; so are an allow-list entry that is
+    read and one that nothing defines.  A read in a nested function or in a
+    nested default (the keyword-only ``log``) counts, a method's ``self`` is
+    skipped, and so is a body that only raises ``NotImplementedError``."""
+    module = ast.parse(
+        "def run(n, steps, *args, log=False, **opts):\n"
+        "    def inner(k, unused):\n"
+        "        return k + n\n"
+        "    shadow = lambda steps: steps\n"
+        "    return inner(1, 2), shadow, lambda t, q, c=log: q[c]\n"
+        "def kept(x, y):\n"
+        "    return x\n"
+        "def used(x):\n"
+        "    return x\n"
+        "class Shape:\n"
+        "    def area(self, unit):\n"
+        "        return self\n"
+        "    def jet(self, s, order=0):\n"
+        "        \"\"\"Abstract.\"\"\"\n"
+        "        raise NotImplementedError\n"
+        "    @staticmethod\n"
+        "    def make(side):\n"
+        "        return 2.0\n")
+    allowed = {"kept.y": "control", "used.x": "read", "gone.x": "defined nowhere"}
+    assert unread_parameters([module], allowed) == (
+        ["Shape.area.unit", "Shape.make.side", "run.<lambda>.t", "run.args",
+         "run.inner.unused", "run.opts", "run.steps"],
+        ["gone.x", "used.x"])
 
 
 def test_every_circle_map_has_one_evaluator():

@@ -227,7 +227,7 @@ def test_rescaled_conjugacy_with_case12(rng):
     dc = derive_constants(params)
     n, a = 14, 0.3
     gam = gamma_sequence(n, a, dc)
-    rescaled = compile_map("rescaled", params, gamma=gam)
+    rescaled = compile_map("rescaled", replace(params, gamma=gam))
     case12 = compile_map("case12", replace(params, gamma=gam))
     const = reduce_mod(dc.xi * 0.3 / (dc.delta * math.pi) * math.log(gam), 1.0)
     for _ in range(100):
@@ -249,7 +249,7 @@ def test_rescaled_boundary_is_circle_map():
     n, a = 14, 0.3
     cmap = make_circle_map(a, params)
     gam = gamma_sequence(n, a, dc)
-    rescaled = compile_map("rescaled", params, gamma=gam)
+    rescaled = compile_map("rescaled", replace(params, gamma=gam))
     for s in (0.0, 0.21, 0.5, 0.93):
         assert _image(rescaled, 0.0, s)[1] == pytest.approx(float(cmap.value(s)), abs=1e-10)
     out_x, _ = _image(rescaled, 0.0, 0.5)
@@ -257,14 +257,18 @@ def test_rescaled_boundary_is_circle_map():
 
 
 def test_rescaled_needs_an_amplitude_in_the_unit_interval():
-    """The rescaled variant is compiled from its amplitude alone; without one,
-    or with one outside (0, 1), it is a validation error."""
+    """The rescaled variant reads its amplitude from the parameters, as every
+    variant does; one outside (0, 1), the default 0 included, is a
+    validation error.  No variant takes the amplitude as a keyword."""
     params = ModelParams(c=0.6, e=0.2, omega=0.3)
-    for gamma in (None, 0.0, 1.0, math.nan):
-        with pytest.raises(ValidationError):
-            compile_map("rescaled", params, gamma=gamma)
-    with pytest.raises(TypeError):
-        compile_map("rescaled", params, n=14, a=0.3)
+    for gamma in (0.0, 1.0, 2.0):
+        with pytest.raises(ValidationError, match="gamma in \\(0, 1\\)"):
+            compile_map("rescaled", replace(params, gamma=gamma))
+    gp = compile_map("rescaled", replace(params, gamma=0.5)).gp
+    assert gp == 0.5 ** derive_constants(params).p
+    for variant in VARIANTS:
+        with pytest.raises(TypeError):
+            compile_map(variant, replace(params, gamma=1e-3), gamma=1e-3)
 
 
 def test_jacobian_determinant_closed_form(rng):
@@ -273,7 +277,7 @@ def test_jacobian_determinant_closed_form(rng):
     dc = derive_constants(params)
     gam = 0.01
     gp = gam**dc.p
-    fmap = compile_map("rescaled", params, gamma=gam)
+    fmap = compile_map("rescaled", replace(params, gamma=gam))
     J, det, det_cf = _tangent_matrix(fmap, 0.5, 0.37)
     assert det_cf == pytest.approx(gp * 3.0 * 0.25, rel=1e-12)
     assert det == pytest.approx(det_cf, rel=1e-10)
@@ -298,7 +302,7 @@ def test_tangent_on_arrays_is_the_scalar_tangent(rng, variant):
     ``x``)."""
     params = ModelParams(c=0.6, e=0.2, gamma=1e-3,
                          omega=6.0 if variant == "case34" else 0.3)
-    fmap = compile_map(variant, params, gamma=1e-3 if variant == "rescaled" else None)
+    fmap = compile_map(variant, params)
     xs, ss = rng.uniform(0.01, 1.0, 64), rng.uniform(0.0, fmap.modulus, 64)
     got = fmap.tangent(xs, ss)
     want = [fmap.tangent(x, s) for x, s in zip(xs.tolist(), ss.tolist())]
@@ -318,8 +322,10 @@ ORBIT_PARAMS = ModelParams(c=0.6, e=0.2, gamma=1e-2, omega=0.3)
 
 
 def orbit_map(variant, **changes):
-    params = replace(ORBIT_PARAMS, **changes)
-    return compile_map(variant, params, gamma=1e-3 if variant == "rescaled" else None)
+    """The variant on ``ORBIT_PARAMS``; the rescaled one at gamma = 1e-3."""
+    if variant == "rescaled":
+        changes = {"gamma": 1e-3, **changes}
+    return compile_map(variant, replace(ORBIT_PARAMS, **changes))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -401,7 +407,7 @@ def test_distortion_bound_on_band(rng):
     gam = 0.01
     x_lo, x_hi = 0.2, 0.8
     bound = (x_hi / x_lo) ** 2.0
-    fmap = compile_map("rescaled", params, gamma=gam)
+    fmap = compile_map("rescaled", replace(params, gamma=gam))
     dets = []
     for _ in range(100):
         x, s = rng.uniform(x_lo, x_hi), rng.uniform(0.0, 1.0)

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -405,7 +405,7 @@ def test_boundary_phase_equals_circle_map():
     from mayleonard.returnmap import compile_map, reduce_mod
     dc = derive_constants(p)
     h = make_circle_map(0.3, p)
-    lift = compile_map("rescaled", p, gamma=gamma_sequence(15, 0.3, dc)).lift
+    lift = compile_map("rescaled", replace(p, gamma=gamma_sequence(15, 0.3, dc))).lift
     for s in np.linspace(0, 1, 13, endpoint=False):
         _, f2 = lift(0.0, s)
         assert reduce_mod(f2, 1.0) == pytest.approx(float(h.value(s)), abs=1e-9)
@@ -516,15 +516,34 @@ def test_misiurewicz_rejects_bad_sizes():
 
 
 def test_circle_map_orbit_sizes():
-    """Negative orbit or burn-in lengths are validation errors; zero
-    lengths give the empty orbit or no burn-in."""
+    """A negative orbit length is a validation error, for one start or for
+    an array of them; a zero length gives the empty orbit, of shape ``(0,)``
+    or ``(0, k)``."""
     cmap = make_circle_map(0.3, CASE2)
-    for n, burn_in in ((-5, 0), (2, -1), (-1, -1)):
-        with pytest.raises(ValidationError):
-            cmap.orbit(0.3, n, burn_in)
-    assert cmap.orbit(0.3, 0).size == 0
-    assert np.array_equal(cmap.orbit(0.3, 2, 0), cmap.orbit(0.3, 3)[:2])
-    assert np.array_equal(cmap.orbit(0.3, 2, 1), cmap.orbit(0.3, 3)[1:])
+    starts = np.array([0.1, 0.2, 0.3])
+    for start in (0.3, starts):
+        for n in (-5, -1):
+            with pytest.raises(ValidationError, match="n >= 0"):
+                cmap.orbit(start, n)
+    assert cmap.orbit(0.3, 0).shape == (0,)
+    assert cmap.orbit(starts, 0).shape == (0, 3)
+
+
+def test_circle_map_orbit_steps_starts_in_lockstep():
+    """For every family, each column of the orbit of an array of starts is
+    the orbit of that start alone, to the bit, and row ``i`` holds the
+    ``(i+1)``-th iterates: the scalar orbit steps ``value`` on floats."""
+    starts = np.array([0.0, 0.137, 0.5, 0.731, 0.999])
+    for cmap in _every_circle_map():
+        got = cmap.orbit(starts, 300)
+        assert got.shape == (300, starts.size)
+        for j, s0 in enumerate(starts.tolist()):
+            one = cmap.orbit(s0, 300)
+            assert np.array_equal(_bits(got[:, j]), _bits(one)), (cmap, s0)
+            s = s0
+            for i in range(20):
+                s = float(cmap.value(s))
+                assert _bits(one[i]) == _bits(s), (cmap, s0, i)
 
 
 def test_misiurewicz_memory_stays_below_one_mib():
@@ -762,7 +781,7 @@ def test_battery_case2_structure():
     assert report.entries["H5"]["status"] in ("indicative", "not-checkable")
     # nondegeneracy value at the turns equals one
     assert report.entries["H6"]["value"] == pytest.approx(1.0, abs=1e-6)
-    d = report.to_dict()
+    d = asdict(report)
     assert d["n"] == 14 and d["a"] == 0.3
 
 
@@ -817,7 +836,7 @@ def test_battery_h6_is_the_rescaled_maps_slope():
         dc = derive_constants(params)
         assert report.entries["H6"] == {"status": "pass", "value": 1.0, "note": ""}
         gp = report.gamma**dc.p
-        lift = compile_map("rescaled", params, gamma=report.gamma).lift
+        lift = compile_map("rescaled", replace(params, gamma=report.gamma)).lift
         u = 1e-6
         turns = make_circle_map(report.a, params).critical_points()
         assert len(turns) == 2

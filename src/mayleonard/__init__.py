@@ -32,7 +32,7 @@ from .singular import (
 )
 from .diagnostics import (
     RegimeReport,
-    ScanResult,
+    ScanSummary,
     annulus_check,
     autocorrelation,
     classify_regime,

@@ -16,15 +16,17 @@ import math
 
 
 def _fmt(v):
-    if hasattr(v, "item") and not isinstance(v, (str, bytes)):
-        v = v.item()                      # numpy scalar -> python scalar
+    if hasattr(v, "tolist"):              # numpy scalar -> python scalar
+        v = v.tolist()
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         if math.isnan(v):
             return "nan"
         return repr(v)
-    return v
+    if v is None or isinstance(v, (int, str)):
+        return v
+    raise TypeError(f"a CSV cell must be a scalar, got {v!r}")
 
 
 def csv_bytes(header, rows) -> bytes:
@@ -61,5 +63,8 @@ def json_bytes(obj) -> bytes:
 
 
 def write_json(path, obj) -> None:
+    # render first, as write_csv does: an object that cannot be rendered
+    # must not leave an empty file
+    data = json_bytes(obj)
     with open(path, "wb") as fh:
-        fh.write(json_bytes(obj))
+        fh.write(data)

@@ -203,7 +203,8 @@ def _run(args) -> int:
         if args.command == "simulate":
             traj = integrate(FlowState(args.x0, args.y0, args.z0, 0.0),
                              args.t_end, params, num)
-            write_csv(args.output, ("t", "x", "y", "z"), traj.to_rows())
+            write_csv(args.output, ("t", "x", "y", "z"),
+                      zip(traj.ts.tolist(), *traj.states.T.tolist()))
         else:
             events = section_returns(section_state(args.x0, params),
                                      args.returns, params, num,
@@ -250,23 +251,23 @@ def _run(args) -> int:
                 "a": args.a,
                 "n": n,
                 "gamma": gamma,
-                "certificate": cert.to_dict(),
-                "transition_matrix": tm.to_dict(),
+                "certificate": asdict(cert),
+                "transition_matrix": asdict(tm),
             })
         return 0
 
     if args.command == "classify":
-        report = classify_regime(params).to_dict()
+        report = asdict(classify_regime(params))
         if cfg.diophantine is not None:
             report["admissibility"] = asdict(check_c1a_c1b(params, cfg.diophantine))
         write_json(args.output, report)
         return 0
 
     if args.command == "scan":
-        result = density_scan((spec or ScanSpec()).grid(), params, num)
+        rows, summary = density_scan((spec or ScanSpec()).grid(), params, num)
         base_path = args.output[:-4] if args.output.endswith(".csv") else args.output
-        _write_rows(base_path + ".csv", ScanRow, result.rows)
-        write_json(base_path + ".json", result.to_summary())
+        _write_rows(base_path + ".csv", ScanRow, rows)
+        write_json(base_path + ".json", asdict(summary))
         return 0
 
     if args.command == "chaos-test":

@@ -38,7 +38,7 @@ __all__ = [
     "AutocorrelationResult",
     "autocorrelation",
     "ScanRow",
-    "ScanResult",
+    "ScanSummary",
     "density_scan",
 ]
 
@@ -147,34 +147,15 @@ _CASE_LABELS = {
 
 @dataclass(frozen=True)
 class RegimeReport:
+    """The regime verdict, with the inputs it read (``delta``, ``omega``,
+    ``xi``, ``mu1``) and the quantities each threshold compares
+    (``gamma_pow``, ``t1``, ``t2``, ``sqrt_a1``, ``xi_minus_2mu1``)."""
+
     case_tag: int | None
     verdict: str
     label: str | None
-    delta: float
-    omega: float
-    xi: float
-    mu1: float
-    gamma_pow: float
-    t1: float
-    t2: float
-    sqrt_a1: float
-    xi_minus_2mu1: float
-
-    def to_dict(self):
-        return {
-            "case_tag": self.case_tag,
-            "verdict": self.verdict,
-            "label": self.label,
-            "inputs": {"delta": self.delta, "omega": self.omega,
-                       "xi": self.xi, "mu1": self.mu1},
-            "conditions": {
-                "gamma_pow": self.gamma_pow,
-                "t1": self.t1,
-                "t2": self.t2,
-                "sqrt_a1": self.sqrt_a1,
-                "xi_minus_2mu1": self.xi_minus_2mu1,
-            },
-        }
+    inputs: dict
+    conditions: dict
 
 
 def classify_regime(params: ModelParams) -> RegimeReport:
@@ -202,10 +183,12 @@ def classify_regime(params: ModelParams) -> RegimeReport:
     return RegimeReport(
         case_tag=tag, verdict=verdict,
         label=_CASE_LABELS.get(tag),
-        delta=dc.delta, omega=om, xi=dc.xi, mu1=params.mu1,
-        gamma_pow=gamma_pow,
-        t1=t1_curve(dc.xi, om), t2=t2_curve(dc.xi, om),
-        sqrt_a1=dc.sqrt_a1, xi_minus_2mu1=dc.xi - 2.0 * params.mu1,
+        inputs={"delta": dc.delta, "omega": om, "xi": dc.xi, "mu1": params.mu1},
+        conditions={
+            "gamma_pow": gamma_pow,
+            "t1": t1_curve(dc.xi, om), "t2": t2_curve(dc.xi, om),
+            "sqrt_a1": dc.sqrt_a1, "xi_minus_2mu1": dc.xi - 2.0 * params.mu1,
+        },
     )
 
 
@@ -554,21 +537,14 @@ class ScanRow:
 
 
 @dataclass(frozen=True)
-class ScanResult:
-    rows: list
+class ScanSummary:
+    """The scan's success ``fraction`` over ``n_samples`` amplitudes, and one
+    ``{"r", "n", "fraction"}`` entry per nested prefix ``gamma <= r``."""
+
+    n_samples: int
+    n_failed: int
     fraction: float
     prefix_fractions: list
-    n_failed: int
-
-    def to_summary(self):
-        return {
-            "n_samples": len(self.rows),
-            "n_failed": self.n_failed,
-            "fraction": self.fraction,
-            "prefix_fractions": [
-                {"r": r, "n": n, "fraction": f} for (r, n, f) in self.prefix_fractions
-            ],
-        }
 
 
 def _scan_one(gamma, params, numerics, sample_rng):
@@ -603,8 +579,10 @@ def _scan_one(gamma, params, numerics, sample_rng):
 
 
 def density_scan(gamma_grid, params: ModelParams,
-                 numerics: NumericsConfig = NumericsConfig()) -> ScanResult:
-    """Per-amplitude chaos metrics and the success fraction.
+                 numerics: NumericsConfig = NumericsConfig()) -> tuple[list, ScanSummary]:
+    """Per-amplitude chaos metrics and the success fraction, as
+    ``(rows, summary)``: one :class:`ScanRow` per amplitude and the
+    :class:`ScanSummary`.
 
     For each amplitude: the top Lyapunov exponent of the low-frequency
     family, the 0-1 statistic of the phase series, rotation-estimate
@@ -661,6 +639,7 @@ def density_scan(gamma_grid, params: ModelParams,
         sel = [row for row in rows if row.gamma <= r]
         if not sel:
             continue
-        prefix.append((r, len(sel), sum(1 for row in sel if row.success) / len(sel)))
-    return ScanResult(rows=rows, fraction=fraction,
-                      prefix_fractions=prefix, n_failed=n_failed)
+        prefix.append({"r": r, "n": len(sel),
+                       "fraction": sum(1 for row in sel if row.success) / len(sel)})
+    return rows, ScanSummary(n_samples=len(rows), n_failed=n_failed,
+                             fraction=fraction, prefix_fractions=prefix)

@@ -92,11 +92,6 @@ class Trajectory:
     states: np.ndarray           # shape (n, 3)
     stats: dict
 
-    def to_rows(self):
-        """Rows (t, x, y, z) of Python floats for CSV export."""
-        for t, (x, y, z) in zip(self.ts.tolist(), self.states.tolist()):
-            yield (t, x, y, z)
-
 
 @dataclass(frozen=True)
 class SectionEvent:

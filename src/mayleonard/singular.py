@@ -16,7 +16,7 @@ property is not even an open condition, so no robustness is claimed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -325,30 +325,22 @@ class MisiurewiczCertificate:
     ``passed`` aggregates the five sub-conditions; ``lambda0`` is the
     largest uniform expansion rate consistent with every sampled
     U-avoiding orbit segment: the largest double in [-50, 50] that every
-    segment of length ``m >= m0`` satisfies as ``log|(h^m)'| >= lambda0 m``.
+    segment of length ``m >= M0`` satisfies as ``log|(h^m)'| >= lambda0 m``.
+    ``M0``, the slack factor ``d0`` and the critical neighbourhood ``U``
+    (one arc per critical point) carry Wang and Young's symbols, and the
+    field names are the JSON keys of ``certify``.
     The certificate is a finite computation at the recorded horizon and
     grid, not a proof.
     """
 
     passed: bool
     lambda0: float
-    m0: int
+    M0: int
+    d0: float
     horizon: int
-    u_intervals: tuple
+    U: tuple
     conditions: dict
     notes: str = ""
-
-    def to_dict(self):
-        return {
-            "passed": self.passed,
-            "lambda0": self.lambda0,
-            "M0": self.m0,
-            "d0": _D0,
-            "horizon": self.horizon,
-            "U": [list(iv) for iv in self.u_intervals],
-            "conditions": {k: asdict(v) for k, v in self.conditions.items()},
-            "notes": self.notes,
-        }
 
 
 # slack factor of outside (b) and inside (b), and samples per component of U
@@ -403,7 +395,7 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2,
 
     * outside (a): every orbit segment of 1024 evenly spaced starts that
       avoids the critical neighbourhood U for its whole length and is at
-      least ``m0 = 30`` long expands at the extracted rate ``lambda0 > 0``;
+      least ``M0 = 30`` long expands at the extracted rate ``lambda0 > 0``;
     * outside (b): segments that end by entering U expand at the same rate
       up to the slack factor ``d0 = 1e-3``;
     * critical orbits: forward iterates of every critical point stay out
@@ -580,8 +572,8 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2,
 
     passed = all(v.passed for v in conditions.values())
     return MisiurewiczCertificate(
-        passed=passed, lambda0=lambda0, m0=_M0, horizon=horizon,
-        u_intervals=u_intervals, conditions=conditions,
+        passed=passed, lambda0=lambda0, M0=_M0, d0=_D0, horizon=horizon,
+        U=u_intervals, conditions=conditions,
         notes="finite-horizon floating-point check; not robust under perturbation",
     )
 
@@ -596,21 +588,14 @@ class TransitionMatrix:
     mixing_N: int | None
     note: str = ""
 
-    def to_dict(self):
-        return {
-            "intervals": [list(iv) for iv in self.intervals],
-            "Q": self.Q.astype(int).tolist(),
-            "mixing_N": self.mixing_N,
-            "note": self.note,
-        }
-
 
 def transition_matrix(cmap: CircleMap) -> TransitionMatrix:
     """Interval-covering matrix of the monotonicity partition.
 
     Entry (i, m) is 1 when the image of the i-th monotonicity interval
-    covers the m-th one (as circle arcs, lift-shift aware).  The smallest
-    power with all entries positive is searched up to ``r**2``.  A circle
+    covers the m-th one (as circle arcs, lift-shift aware), and 0 otherwise;
+    ``Q`` is an integer matrix, so its powers count covering chains.  The
+    smallest power with all entries positive is searched up to ``r**2``.  A circle
     diffeomorphism has a single interval and no meaningful mixing verdict.
     """
     crit = cmap.critical_points()
@@ -618,17 +603,17 @@ def transition_matrix(cmap: CircleMap) -> TransitionMatrix:
         # h' has no zero and averages to the degree, so degree one means h' > 0
         if cmap.degree == 1:
             return TransitionMatrix(
-                intervals=((0.0, 1.0),), Q=np.ones((1, 1), dtype=bool),
+                intervals=((0.0, 1.0),), Q=np.ones((1, 1), dtype=int),
                 mixing_N=None, note="diffeomorphism: mixing verdict not applicable")
         return TransitionMatrix(
-            intervals=((0.0, 1.0),), Q=np.ones((1, 1), dtype=bool),
+            intervals=((0.0, 1.0),), Q=np.ones((1, 1), dtype=int),
             mixing_N=1, note=f"expanding degree-{cmap.degree} map, full image")
 
     cs = sorted(cp.s for cp in crit)
     r = len(cs)
     ends = cs + [cs[0] + 1.0]
     intervals = tuple((ends[i], ends[i + 1]) for i in range(r))
-    Q = np.zeros((r, r), dtype=bool)
+    Q = np.zeros((r, r), dtype=int)
     for i, (lo, hi) in enumerate(intervals):
         ia, ib = float(cmap.jet(lo)[0]), float(cmap.jet(hi)[0])
         im_lo, im_hi = min(ia, ib), max(ia, ib)

@@ -272,12 +272,13 @@ def test_criterion_10_density_scan():
     t0 = time.monotonic()
     p = ModelParams(c=0.6, e=0.2, omega=0.3)
     grid = np.geomspace(1e-6, 0.05, 200)
-    res = density_scan(grid, p, NumericsConfig(seed=SEED))
+    _, summary = density_scan(grid, p, NumericsConfig(seed=SEED))
     elapsed = time.monotonic() - t0
-    prefixes_ok = all(frac > 0.0 for _, _, frac in res.prefix_fractions)
-    ok = res.fraction > 0.05 and prefixes_ok and elapsed < 1800.0
-    detail = (f"fraction {res.fraction:.3f}, failed {res.n_failed}, "
-              f"prefixes {[(r, round(f, 3)) for r, _, f in res.prefix_fractions]}, "
+    prefixes = [(pf["r"], pf["fraction"]) for pf in summary.prefix_fractions]
+    prefixes_ok = all(frac > 0.0 for _, frac in prefixes)
+    ok = summary.fraction > 0.05 and prefixes_ok and elapsed < 1800.0
+    detail = (f"fraction {summary.fraction:.3f}, failed {summary.n_failed}, "
+              f"prefixes {[(r, round(f, 3)) for r, f in prefixes]}, "
               f"{elapsed:.0f}s")
     assert _verdict(10, ok, "amplitude density scan", detail)
 

@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mayleonard._io import json_bytes
+from mayleonard._io import csv_bytes, json_bytes, write_json
 from mayleonard.cli import main
 from mayleonard.config import ScanSpec, dump_config, parse_config_text
+from mayleonard.diagnostics import RegimeReport, ScanSummary
 from mayleonard.errors import ValidationError
+from mayleonard.singular import MisiurewiczCertificate, TransitionMatrix
 
 CASE2 = """\
 [model]
@@ -180,6 +183,8 @@ def test_classify_reports_case2(case2_cfg, tmp_path):
     rc = main(["classify", "--config", case2_cfg, "--output", str(out)])
     assert rc == 0
     report = json.loads(out.read_text())
+    # the record's fields are the keys, and the admissibility check rides along
+    assert set(report) == _field_names(RegimeReport) | {"admissibility"}
     assert report["case_tag"] == 2
     assert report["admissibility"]["c1a"] is True
     assert report["conditions"]["sqrt_a1"] == pytest.approx(0.5**0.5)
@@ -268,13 +273,22 @@ def test_singular_limit_default_flags_on_shipped_configs(tmp_path, capsys, name,
         assert "underflows" in capsys.readouterr().err
 
 
+def _field_names(record):
+    return {f.name for f in fields(record)}
+
+
 def test_certify_json(case2_cfg, tmp_path):
     out = tmp_path / "cert.json"
     rc = main(["certify", "--config", case2_cfg, "--a", "0.3",
                "--horizon", "200", "--output", str(out)])
     assert rc == 0
     cert = json.loads(out.read_text())
-    assert "certificate" in cert and "transition_matrix" in cert
+    assert set(cert) == {"a", "n", "gamma", "certificate", "transition_matrix"}
+    # each record is written under its own field names
+    assert set(cert["certificate"]) == _field_names(MisiurewiczCertificate)
+    assert set(cert["transition_matrix"]) == _field_names(TransitionMatrix)
+    assert cert["certificate"]["M0"] == 30 and cert["certificate"]["d0"] == 1e-3
+    assert all(len(arc) == 2 for arc in cert["certificate"]["U"])
     assert cert["certificate"]["horizon"] == 200
     assert set(cert["certificate"]["conditions"]) == {
         "outside_a", "outside_b", "critical_orbits", "inside_a", "inside_b"}
@@ -313,6 +327,27 @@ def test_json_writes_numpy_arrays_as_lists_and_scalars_as_numbers():
         "one": [0.5], "two": [0.5, 2.0], "scalar": 0.25, "count": 3, "flag": True,
         "nan": None})
     assert _strict_json(json_bytes(data).decode())["one"] == [0.5]
+
+
+def test_write_json_keeps_the_old_file_when_rendering_fails(tmp_path):
+    """The object is rendered before the file opens: a value that JSON cannot
+    hold leaves the old bytes in place."""
+    path = tmp_path / "out.json"
+    path.write_bytes(b'{"old": 1}')
+    with pytest.raises(TypeError):
+        write_json(path, {"a": {1, 2}})
+    assert path.read_bytes() == b'{"old": 1}'
+
+
+def test_csv_cells_take_numpy_scalars_and_reject_arrays():
+    """A numpy float, int or bool scalar writes the bytes of the Python
+    value; an array is not a cell, whatever its length."""
+    header = ("x", "k", "ok")
+    numpy_row = [np.float64(0.1), np.int64(3), np.bool_(True)]
+    assert csv_bytes(header, [numpy_row]) == csv_bytes(header, [[0.1, 3, True]])
+    for cell in (np.array([0.5]), np.array([0.5, 2.0]), [0.5]):
+        with pytest.raises(TypeError, match=r"a CSV cell must be a scalar, got \["):
+            csv_bytes(("a",), [[cell]])
 
 
 def test_certify_battery_with_an_infinite_rate_is_standard_json(tmp_path):
@@ -450,6 +485,9 @@ def test_scan_outputs(case2_cfg, tmp_path, capsys):
     assert csv_lines[0].endswith(",failed,error")
     assert all(line.endswith(",false,") for line in csv_lines[1:])
     summary = json.loads((tmp_path / "scan.json").read_text())
+    assert set(summary) == _field_names(ScanSummary)
+    assert all(set(prefix) == {"r", "n", "fraction"}
+               for prefix in summary["prefix_fractions"])
     assert summary["n_samples"] == 4
     assert 0.0 <= summary["fraction"] <= 1.0
     # sizes that would fail every sample are rejected before any output opens

@@ -121,8 +121,8 @@ def test_horseshoe_condition_reference_point():
     assert t1 == pytest.approx(0.4268, abs=1e-4)
     assert region_label(dc.sqrt_a1, dc.xi, p.omega) == "III"
     rep = classify_regime(p)
-    assert rep.t1 == t1
-    assert rep.sqrt_a1 == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert rep.conditions["t1"] == t1
+    assert rep.conditions["sqrt_a1"] == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
 
 def test_t_curve_limits_and_monotonicity():
@@ -143,7 +143,7 @@ def test_horseshoe_margin_continuous_in_frequency():
     grid with a single verdict flip."""
     oms = np.geomspace(0.01, 10.0, 2000)
     reports = [classify_regime(ModelParams(c=0.6, e=0.2, omega=om)) for om in oms]
-    margins = np.array([r.sqrt_a1 - r.t1 for r in reports])
+    margins = np.array([r.conditions["sqrt_a1"] - r.conditions["t1"] for r in reports])
     assert float(np.max(np.abs(np.diff(margins)))) < 1e-3
     flips = int(np.sum(np.abs(np.diff(np.sign(margins))) > 0))
     assert flips == 1
@@ -160,12 +160,12 @@ def test_region_labels():
 
 def test_classify_regime_corners():
     r = classify_regime(ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3))
-    assert r.case_tag == 2 and r.gamma_pow == pytest.approx(1e-4)
+    assert r.case_tag == 2 and r.conditions["gamma_pow"] == pytest.approx(1e-4)
     r = classify_regime(ModelParams(c=0.55, e=0.5, gamma=0.01, omega=0.3))
     assert r.case_tag == 1
-    assert r.gamma_pow == pytest.approx(0.01**0.1, rel=1e-12)
+    assert r.conditions["gamma_pow"] == pytest.approx(0.01**0.1, rel=1e-12)
     r = classify_regime(ModelParams(c=0.6, e=0.2, gamma=0.01, omega=6.0, mu1=1.0))
-    assert r.case_tag == 4 and r.xi_minus_2mu1 > 0
+    assert r.case_tag == 4 and r.conditions["xi_minus_2mu1"] > 0
     r = classify_regime(ModelParams(c=0.6, e=0.2, gamma=0.01, omega=6.0, mu1=40.0))
     assert r.case_tag == 3
     r = classify_regime(ModelParams(c=0.6, e=0.2, gamma=0.01, omega=2.0))
@@ -491,12 +491,12 @@ def test_zero_one_rejects_fixed_point_series():
 def test_density_scan_fixed_point_row_is_regular():
     """A fixed point's row reads K = 0 and is neither failed nor a success;
     a series too short for the 0-1 test is rejected before the row runs."""
-    row, = density_scan([SCAN_GRID[49]], SCAN_PARAMS, SCAN_NUMERICS).rows
+    (row,), _ = density_scan([SCAN_GRID[49]], SCAN_PARAMS, SCAN_NUMERICS)
     assert (row.K, row.failed, row.success) == (0.0, False, False)
     short = replace(SCAN_NUMERICS, series_len=999)
     with pytest.raises(ValidationError, match="series_len must be >= 1000"):
         density_scan([SCAN_GRID[49]], SCAN_PARAMS, short)
-    row, = density_scan([SCAN_GRID[135]], SCAN_PARAMS, SCAN_NUMERICS).rows
+    (row,), _ = density_scan([SCAN_GRID[135]], SCAN_PARAMS, SCAN_NUMERICS)
     assert not row.failed and row.K != 0.0 and abs(row.K) < 0.1
 
 
@@ -541,23 +541,23 @@ def test_density_scan_small_case2():
     p = ModelParams(c=0.6, e=0.2, omega=0.3)
     grid = np.geomspace(1e-5, 0.03, 6)
     numerics = NumericsConfig(iterations=10000, series_len=1200, seed=3)
-    res = density_scan(grid, p, numerics)
-    assert res.fraction > 0.5
-    assert res.n_failed == 0
-    for _, n, frac in res.prefix_fractions:
-        assert frac > 0.0
+    rows, summary = density_scan(grid, p, numerics)
+    assert summary.fraction > 0.5
+    assert summary.n_failed == 0
+    for prefix in summary.prefix_fractions:
+        assert prefix["fraction"] > 0.0
     # deterministic rerun
-    res2 = density_scan(grid, p, numerics)
-    assert [r.K for r in res2.rows] == [r.K for r in res.rows]
-    assert [r.lambda1 for r in res2.rows] == [r.lambda1 for r in res.rows]
+    rows2, _ = density_scan(grid, p, numerics)
+    assert [r.K for r in rows2] == [r.K for r in rows]
+    assert [r.lambda1 for r in rows2] == [r.lambda1 for r in rows]
 
 
 def test_density_scan_case1_fraction_zero():
     p = ModelParams(c=0.55, e=0.5, omega=0.05)
     grid = np.geomspace(1e-4, 3e-3, 4)
     numerics = NumericsConfig(iterations=10000, series_len=1200, seed=3)
-    res = density_scan(grid, p, numerics)
-    assert res.fraction == 0.0
+    _, summary = density_scan(grid, p, numerics)
+    assert summary.fraction == 0.0
 
 
 def test_density_scan_annulus_column_takes_both_values():
@@ -565,9 +565,9 @@ def test_density_scan_annulus_column_takes_both_values():
     annulus flag holds at the small amplitudes and fails above 1.6e-4."""
     p = ModelParams(c=0.55, e=0.5, omega=math.sqrt(3.0) / 2.0 * 0.55)
     numerics = NumericsConfig(iterations=10000, series_len=1000)
-    res = density_scan(np.geomspace(1e-5, 1e-2, 6), p, numerics)
-    assert [r.annulus_ok for r in res.rows] == [True] * 3 + [False] * 3
-    assert res.n_failed == 0
+    rows, summary = density_scan(np.geomspace(1e-5, 1e-2, 6), p, numerics)
+    assert [r.annulus_ok for r in rows] == [True] * 3 + [False] * 3
+    assert summary.n_failed == 0
 
 
 def test_density_scan_order_independence():
@@ -580,8 +580,8 @@ def test_density_scan_order_independence():
         key = int(np.float64(g).view(np.uint64))
         rows[g] = _scan_one(g, p, numerics,
                             np.random.default_rng([numerics.seed, key]))
-    res = density_scan(np.array(gammas), p, numerics)
-    for row, g in zip(res.rows, gammas):
+    scanned, _ = density_scan(np.array(gammas), p, numerics)
+    for row, g in zip(scanned, gammas):
         assert row.K == rows[g].K
         assert row.lambda1 == rows[g].lambda1
 

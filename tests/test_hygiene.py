@@ -1,8 +1,9 @@
 """Static hygiene of the package sources: every import is read, every
 ``__all__`` entry is defined, every lazily exported flow name is bound,
 every exported name is reached by the package itself, every defaulted
-parameter is set by some package call, every parameter is read, and every
-circle map has one evaluator; and of the tests:
+parameter is set by some package call, every parameter is read, every
+circle map has one evaluator, and no class has a ``to_*`` serialiser;
+and of the tests:
 every import is read and every oracle in ``conftest.py`` is called by a test
 module; and the package's module graph is the table below."""
 
@@ -343,6 +344,24 @@ def circle_map_faults(modules):
     return faults
 
 
+def serialiser_methods(modules):
+    """``Class.name`` for each ``to_*`` method that a class in ``modules``
+    defines or binds by assignment.  A record's fields are its JSON keys,
+    and the CLI writes ``asdict(record)``."""
+    found = []
+    for cls in (node for tree in modules for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{cls.name}.{name}" for name in names if name.startswith("to_")]
+    return sorted(found)
+
+
 def uncalled_oracles(conftest, modules):
     """Module-level functions of ``conftest`` whose docstring starts with
     "Oracle" and that no module in ``modules`` calls by name."""
@@ -522,6 +541,35 @@ def test_circle_map_check_catches_a_second_evaluator():
     assert circle_map_faults([module, other]) == [
         "CircleMap.value_and_derivative", "Marginal.second_derivative",
         "Old has no jet", "Old.lift", "Shared has no jet", "Shared.derivative"]
+
+
+def test_no_class_has_a_serialiser():
+    """Records reach JSON through ``asdict``, under their own field names."""
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))]
+    assert serialiser_methods(modules) == []
+
+
+def test_serialiser_check_catches_a_to_method():
+    """Negative control: a ``to_*`` method on a dataclass, on a plain class
+    and on a nested class, and one bound by assignment, are reported; a
+    field named ``to_*``, a module-level ``to_*`` function and other
+    methods are not."""
+    module = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Record:\n"
+        "    to_go: int\n"
+        "    def to_dict(self):\n        return {}\n"
+        "    def as_array(self):\n        pass\n"
+        "class Plain:\n"
+        "    def to_rows(self):\n        yield ()\n"
+        "    class Inner:\n"
+        "        def to_summary(self):\n            pass\n"
+        "    to_json = to_rows\n"
+        "def to_csv(rows):\n    pass\n")
+    assert serialiser_methods([module]) == [
+        "Inner.to_summary", "Plain.to_json", "Plain.to_rows", "Record.to_dict"]
 
 
 def test_hygiene_checks_catch_stale_names():

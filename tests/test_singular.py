@@ -170,7 +170,7 @@ def _reference_check(cmap, horizon=1000, m0=30, grid_size=1024):
 
     return MisiurewiczCertificate(
         passed=all(v.passed for v in conditions.values()), lambda0=lambda0,
-        m0=m0, horizon=horizon, u_intervals=u_intervals,
+        M0=m0, d0=d0, horizon=horizon, U=u_intervals,
         conditions=conditions,
         notes="finite-horizon floating-point check; not robust under perturbation")
 
@@ -413,7 +413,7 @@ def test_boundary_phase_equals_circle_map():
 
 def test_misiurewicz_doubling_fixture():
     cert = misiurewicz_check(DoublingMap(), horizon=300)
-    assert cert.to_dict() == _reference_check(DoublingMap(), horizon=300).to_dict()
+    assert cert == _reference_check(DoublingMap(), horizon=300)
     assert cert.passed
     assert cert.lambda0 == pytest.approx(math.log(2.0), abs=1e-3)
     # the mixing rate test is a separate, stronger condition and fails here
@@ -425,7 +425,7 @@ def test_misiurewicz_doubling_fixture():
 
 def test_misiurewicz_rotation_fails():
     cert = misiurewicz_check(RigidRotation(0.37), horizon=200)
-    assert cert.to_dict() == _reference_check(RigidRotation(0.37), horizon=200).to_dict()
+    assert cert == _reference_check(RigidRotation(0.37), horizon=200)
     assert not cert.passed
     assert not cert.conditions["outside_a"].passed
     assert cert.lambda0 <= 1e-12
@@ -436,8 +436,8 @@ def test_misiurewicz_scan_over_offsets():
     for p in (CASE1, CASE2):
         for a in np.arange(0.0, 1.0, 1.0 / 8.0):
             cmap = make_circle_map(float(a), p)
-            got = misiurewicz_check(cmap, horizon=250).to_dict()
-            assert got == _reference_check(cmap, horizon=250).to_dict(), (p, a)
+            got = misiurewicz_check(cmap, horizon=250)
+            assert got == _reference_check(cmap, horizon=250), (p, a)
 
 
 def test_misiurewicz_early_exits_match_reference(monkeypatch):
@@ -450,17 +450,17 @@ def test_misiurewicz_early_exits_match_reference(monkeypatch):
         orders = []
         jet = cmap.jet
         cmap.jet = lambda s, order=0: orders.append(order) or jet(s, order)
-        got = misiurewicz_check(cmap, horizon=1000).to_dict()
+        got = misiurewicz_check(cmap, horizon=1000)
         assert orders.count(1) < 250, (a, orders.count(1))
-        assert got == _reference_check(cmap, horizon=1000).to_dict(), a
+        assert got == _reference_check(cmap, horizon=1000), a
     import mayleonard.singular as singular
 
     monkeypatch.setattr(singular, "_GRID_SIZE", 256)
     monkeypatch.setattr(singular, "_M0", 10)
     for p, a in ((CASE1, 0.25), (CASE2, 0.55)):
         cmap = make_circle_map(a, p)
-        got = misiurewicz_check(cmap, horizon=200).to_dict()
-        want = _reference_check(cmap, horizon=200, m0=10, grid_size=256).to_dict()
+        got = misiurewicz_check(cmap, horizon=200)
+        want = _reference_check(cmap, horizon=200, m0=10, grid_size=256)
         assert got == want, (p, a)
 
 
@@ -474,11 +474,11 @@ def test_misiurewicz_blocks_match_reference(monkeypatch):
             DoublingMap(), RigidRotation(0.37)]
     for cmap in maps:
         for horizon, m0 in ((1, 5), (7, 5), (33, 5), (250, 29)):
-            want = _reference_check(cmap, horizon=horizon, m0=m0).to_dict()
+            want = _reference_check(cmap, horizon=horizon, m0=m0)
             monkeypatch.setattr(singular, "_M0", m0)
             for block in (1, 3, 16):
                 monkeypatch.setattr(singular, "_BLOCK", block)
-                got = misiurewicz_check(cmap, horizon=horizon).to_dict()
+                got = misiurewicz_check(cmap, horizon=horizon)
                 assert got == want, (cmap, horizon, m0, block)
 
 

@@ -7,18 +7,21 @@ saddle spectra of the unperturbed network, and extracts Poincare return
 data on the entry faces of the saddle neighbourhoods (``section_returns``).
 
 Both step with LSODA, which switches between Adams and BDF formulas as it
-detects stiffness.  One driver (``_run_stepper``) steps the ``lsoda``
-integrator of ``scipy.integrate.ode`` directly, one step per call, reads
-LSODA's own counters, and rebuilds the interpolant of a step that brackets
-a crossing from LSODA's Nordsieck array, bit-identical to scipy's
-``LSODA.dense_output()``; the tests pin this seam against the loop on
-scipy's ``LSODA`` solver class.  Near a saddle the -1 eigenvalue holds an
-explicit Runge-Kutta step near 3, while each dwell is ``delta`` times
-longer than the one before, so an explicit method would pay for every
-dwell in steps.  Every section step is capped at 50 (any ``max_step``
-above it is lowered): a crossing is seen only as a sign change between
-step ends, and in the log chart, where a dwell is exactly linear, LSODA
-would otherwise grow its steps past a whole transit.
+detects stiffness.  One step loop (``_run_stepper``) calls the C entry of
+the ``lsoda`` integrator of ``scipy.integrate.ode`` directly, one step per
+call, reads LSODA's own counters, and rebuilds the interpolant of a step
+that brackets a crossing from LSODA's Nordsieck array, bit-identical to
+scipy's ``LSODA.dense_output()``; the tests pin this seam against the loop
+on scipy's ``LSODA`` solver class.  A section face is data, a coordinate
+index and a level, compared on the floats of each step end; a step end
+that leaves the octant by more than ``abs_tol`` (population chart) or is
+not finite stops the run where it happens.  Near a saddle the -1
+eigenvalue holds an explicit Runge-Kutta step near 3, while each dwell is
+``delta`` times longer than the one before, so an explicit method would
+pay for every dwell in steps.  Every section step is capped at 50 (any
+``max_step`` above it is lowered): a crossing is seen only between step
+ends, and in the log chart, where a dwell is exactly linear, LSODA would
+otherwise grow its steps past a whole transit.
 
 The driver reads one vector field, built per run by ``_field`` for
 its chart: the formulas run on Python floats, bit-identical to the same
@@ -235,16 +238,6 @@ def equilibria_spectrum(params: ModelParams) -> list[EquilibriumRecord]:
     return records
 
 
-def _clamp_octant(y, abs_tol):
-    worst = float(np.min(y))
-    if worst < -abs_tol:
-        raise NumericsError(
-            f"coordinate fell to {worst}, beyond -abs_tol={-abs_tol}: "
-            "octant invariance violated, integration unreliable"
-        )
-    return np.maximum(y, 0.0)
-
-
 def integrate(state0: FlowState, t_end: float, params: ModelParams,
               opts: NumericsConfig = NumericsConfig()) -> Trajectory:
     """Integrate the forced flow from ``state0`` to ``t_end``, forward or
@@ -254,8 +247,8 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
     start and every step end.  ``t_end`` must be finite, since every step
     is stored.  Coordinates may dip below zero by at most
     ``abs_tol`` (they are clamped in the stored samples); a larger violation
-    raises :class:`NumericsError` since the closed octant is exactly
-    invariant for the model.
+    raises :class:`NumericsError` at the step end where it happens, since
+    the closed octant is exactly invariant for the model.
     """
     if not math.isfinite(t_end):
         raise ValidationError(f"t_end must be finite, got {t_end}")
@@ -264,15 +257,12 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
     ts, states = [], []
 
     def record(t, y):
-        # an event that never changes sign: it only sees every step end
         ts.append(t)
         states.append(y)
-        return 1.0
 
     stats, _ = _run_stepper(_field(params, False), state0.t, state0.as_array(),
-                            t_end, opts, [("step", record)], 1, None)
-    return Trajectory(ts=np.array(ts),
-                      states=_clamp_octant(np.array(states), opts.abs_tol),
+                            t_end, opts, -opts.abs_tol, (), 0.0, 1, None, record)
+    return Trajectory(ts=np.array(ts), states=np.maximum(np.array(states), 0.0),
                       stats=stats)
 
 
@@ -281,23 +271,29 @@ _RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 def _no_jacobian():
-    # LSODA builds its Jacobian from differences; ``run`` still takes a callable
+    # LSODA builds its Jacobian from differences; its C entry still takes a callable
     return None
 
 
-def _run_stepper(fun, t0, y0, t_end, opts, events, max_events, accept):
+def _run_stepper(fun, t0, y0, t_end, opts, floor, faces, level, max_events,
+                 accept, record):
     """Step LSODA from ``t0`` until ``max_events`` crossings are accepted.
 
-    The integrator is ``scipy.integrate.ode``'s LSODA, run with itask 5 and
-    ``t_end`` as its critical time: each ``run`` takes one step towards
-    ``t_end``, forward or backward, never past it, and the last step ends
-    on ``t_end`` exactly.  ``events`` is a sequence of ``(name, g(t, y))``.
-    Each g is called once at ``t0`` and once at every step end, in step
-    order, with ``y`` a fresh list of floats; on the interpolant of a step
-    it may also be called with an array.  A crossing is recorded when g
-    falls from positive to non-positive within a step, with the crossing
-    time refined by root-finding on the step's interpolant to a tolerance
-    of ``1e-12 * max(1, |t|)``, and kept when ``accept(name, y)`` holds.
+    The integrator is ``scipy.integrate.ode``'s LSODA, whose C entry
+    (``runner``) is called here with itask 5 and ``t_end`` as its critical
+    time: each call takes one step towards ``t_end``, forward or backward,
+    never past it, and the last step ends on ``t_end`` exactly.  Each step
+    end must have every coordinate ``>= floor`` (``-abs_tol`` in the
+    population chart, where the octant is invariant; ``-inf`` in the log
+    chart, which catches NaN), or :class:`NumericsError` names the time and
+    the state.  ``record(t, y)``, unless ``None``, sees ``t0`` and every step
+    end, in step order, with ``y`` a fresh list of floats.
+
+    ``faces`` is a sequence of ``(name, ci)``: a crossing of face ``name`` is
+    recorded when coordinate ``ci`` falls from above ``level`` to at most
+    ``level`` within a step, with the crossing time refined by root-finding
+    on the step's interpolant to a tolerance of ``1e-12 * max(1, |t|)``, and
+    kept when ``accept(name, y)`` holds.
     Returns ``(stats, found)``: LSODA's own counters (``steps``, ``nfev``,
     ``njev``) and the kept crossings as ``(t, name, y)``, fewer than
     ``max_events`` if ``t_end`` came first.
@@ -311,45 +307,66 @@ def _run_stepper(fun, t0, y0, t_end, opts, events, max_events, accept):
                                      max_step=opts.max_step)
     solver.set_initial_value(y0, t0)
     lsoda = solver._integrator
-    lsoda.rwork[0] = t_end
-    lsoda.call_args[2] = 5
-    run, t, y = lsoda.run, t0, solver._y
+    # the arguments of the one ``runner`` call in ``lsoda.run``, bound once;
+    # ``istate`` is 1 for the first step, and LSODA returns 2 after a step
+    # that succeeded, as the next call must pass
+    rtol, atol, _, istate, rwork, iwork, jt = lsoda.call_args
+    runner, doubles, ints = lsoda.runner, lsoda.state_doubles, lsoda.state_ints
+    rwork[0] = t_end
+    t, y = t0, solver._y
+    y_prev = y.tolist()
+    if record is not None:
+        record(t, y_prev)
     found = []
-    g_prev = [g(t, y.tolist()) for _, g in events]
     while t != t_end and len(found) < max_events:
         t_old = t
-        y, t = run(fun, _no_jacobian, y, t, t_end, (), ())
-        if not lsoda.success:
-            raise NumericsError(f"LSODA failed at t={t} with istate={lsoda.istate}")
+        y, t, istate = runner(fun, y, t, t_end, rtol, atol, 5, istate, rwork,
+                              iwork, _no_jacobian, jt, (), 1, (), doubles, ints)
+        if istate < 0:
+            raise NumericsError(f"LSODA failed at t={t} with istate={istate}: "
+                                f"{lsoda.messages.get(istate, 'unexpected istate')}")
+        y_new = y.tolist()
+        for v in y_new:
+            if not v >= floor:
+                raise _left_chart(t, y_new, v, floor)
         # LSODA does not fail once its step underflows: it goes on
         # accepting steps that leave t where it was.  The state tells a
         # blow-up (backward in time, say) from a stalled approach
         if t == t_old:
             raise NumericsError(
                 f"step-size underflow at t={t}: t + h == t, "
-                f"state {y.tolist()} at the last step end"
+                f"state {y_new} at the last step end"
             )
-        # the event functions read the step end as floats; the interpolant is
+        if record is not None:
+            record(t, y_new)
+        # the faces are read on the step ends as floats; the interpolant is
         # built only for a step that brackets a crossing
-        y_new = y.tolist()
-        sol = None
-        hits = []
-        for k, (name, g) in enumerate(events):
-            g_new = g(t, y_new)
-            if g_prev[k] > 0.0 >= g_new:
-                if sol is None:
+        hits = None
+        for name, ci in faces:
+            if y_new[ci] <= level < y_prev[ci]:
+                if hits is None:
                     sol = _nordsieck_interpolant(lsoda, len(y_new), t)
-                t_hit = brentq(lambda s: g(s, sol(s)), t_old, t,
+                    hits = []
+                t_hit = brentq(lambda s: sol(s)[ci] - level, t_old, t,
                                xtol=1e-12 * max(1.0, abs(t)))
                 hits.append((t_hit, name, np.asarray(sol(t_hit), dtype=float)))
-            g_prev[k] = g_new
+        y_prev = y_new
         if hits:
             hits.sort()
             found += [hit for hit in hits if accept(hit[1], hit[2])]
-    iwork = lsoda.iwork
     stats = {"steps": int(iwork[10]), "nfev": int(iwork[11]),
              "njev": int(iwork[12])}
     return stats, found[:max_events]
+
+
+def _left_chart(t, y, v, floor):
+    if math.isnan(v):
+        return NumericsError(f"state {y} at t={t} is not finite: "
+                             "integration unreliable")
+    return NumericsError(
+        f"coordinate fell to {v} at t={t}, beyond -abs_tol={floor}: "
+        f"octant invariance violated, integration unreliable (state {y})"
+    )
 
 
 def _nordsieck_interpolant(lsoda, n, t):
@@ -428,7 +445,9 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
     Notes
     -----
     Fewer than ``n_returns`` crossings within the fixed time budget of
-    ``1e7`` after ``state0.t`` raise :class:`NumericsError`.
+    ``1e7`` after ``state0.t`` raise :class:`NumericsError`, and so does a
+    step end that is not finite or, for ``gamma > 0``, has a coordinate
+    below ``-abs_tol``.
     For ``gamma = 0`` the integration runs in the logarithmic chart, so
     crossing coordinates are meaningful far below the double-precision
     underflow threshold (reported through ``log_x``).
@@ -457,11 +476,11 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
         ci, mi = _FACES[name]
         return q[mi] < half and q[3 - ci - mi] > half
 
-    events = [(name, lambda t, q, ci=_FACES[name][0]: q[ci] - level)
-              for name in wanted]
+    faces = [(name, _FACES[name][0]) for name in wanted]
+    floor = -math.inf if in_logs else -opts.abs_tol
     stats, found = _run_stepper(_field(params, in_logs), state0.t, q0,
-                                state0.t + _MAX_TIME, opts, events, n_returns,
-                                near_saddle)
+                                state0.t + _MAX_TIME, opts, floor, faces, level,
+                                n_returns, near_saddle, None)
     if len(found) < n_returns:
         raise NumericsError(
             f"only {len(found)} of {n_returns} section crossings found within "

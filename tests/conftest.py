@@ -159,35 +159,44 @@ def rhs_oracle(t, q, params, in_logs=False):
     return np.array([x * rx + force, y * ry, z * rz])
 
 
-def stepper_oracle(solver_cls, fun, t0, y0, t_end, opts, events, max_events, accept):
-    """Oracle for ``flow._run_stepper``: the same event loop on a scipy
-    ``OdeSolver`` class (``LSODA``, or ``RK45`` as an independent method).
+def stepper_oracle(solver_cls, fun, t0, y0, t_end, opts, floor, faces, level,
+                   max_events, accept, record):
+    """Oracle for ``flow._run_stepper``: the same loop on a scipy
+    ``OdeSolver`` class (``LSODA``, or ``RK45`` as an independent method),
+    with the solver's own ``dense_output()``.
 
     Takes ``_run_stepper``'s arguments after ``solver_cls`` and returns its
     ``(stats, found)``, with the counters read from the solver object.
+    Each face ``(name, ci)`` is the event ``g = y[ci] - level``, crossed when
+    g falls from positive to non-positive within a step.
     """
     stepper = solver_cls(fun, t0, np.asarray(y0, dtype=float), t_end,
                          rtol=opts.rel_tol, atol=opts.abs_tol, max_step=opts.max_step)
     steps, found = 0, []
-    g_prev = [g(t0, stepper.y.tolist()) for _, g in events]
+    y_prev = stepper.y.tolist()
+    if record is not None:
+        record(t0, y_prev)
     while stepper.status == "running" and len(found) < max_events:
         msg = stepper.step()
-        if stepper.status == "failed" or stepper.t == stepper.t_old:
-            raise NumericsError(
-                f"step-size underflow at t={stepper.t}: {msg or 't + h == t'}")
-        steps += 1
         t_new, y_new = stepper.t, stepper.y.tolist()
+        if not all(v >= floor for v in y_new):
+            raise NumericsError(f"state {y_new} at t={t_new} below floor {floor}")
+        if stepper.status == "failed" or t_new == stepper.t_old:
+            raise NumericsError(
+                f"step-size underflow at t={t_new}: {msg or 't + h == t'}")
+        steps += 1
+        if record is not None:
+            record(t_new, y_new)
         sol = None
         hits = []
-        for k, (name, g) in enumerate(events):
-            g_new = g(t_new, y_new)
-            if g_prev[k] > 0.0 >= g_new:
+        for name, ci in faces:
+            if y_prev[ci] - level > 0.0 >= y_new[ci] - level:
                 if sol is None:
                     sol = stepper.dense_output()
-                t_hit = brentq(lambda t: g(t, sol(t)), stepper.t_old, t_new,
+                t_hit = brentq(lambda t: sol(t)[ci] - level, stepper.t_old, t_new,
                                xtol=1e-12 * max(1.0, abs(t_new)))
                 hits.append((t_hit, name, np.asarray(sol(t_hit), dtype=float)))
-            g_prev[k] = g_new
+        y_prev = y_new
         if hits:
             hits.sort()
             found += [hit for hit in hits if accept(hit[1], hit[2])]

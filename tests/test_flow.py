@@ -511,7 +511,113 @@ def test_section_driver_stops_when_time_stalls():
 
     with pytest.raises(NumericsError, match="step-size underflow"):
         _run_stepper(noisy, 0.0, [1.0], 10.0, NumericsConfig(max_step=0.5),
-                     [("a", lambda t, y: y[0] - 1e-9)], 1, lambda name, y: True)
+                     -math.inf, [("a", 0)], 1e-9, 1, lambda name, y: True, None)
+
+
+def _nan_after(t_bad):
+    """``flow._field`` with a field that returns NaN in its first
+    coordinate after ``t_bad``."""
+    from mayleonard.flow import _field
+
+    def field(params, in_logs):
+        fun = _field(params, in_logs)
+        return lambda t, q: [math.nan, 0.0, 0.0] if t > t_bad else fun(t, q)
+
+    return field
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.0], ids=["population", "log"])
+def test_step_loop_stops_on_a_non_finite_state(monkeypatch, gamma):
+    """A step end with a NaN coordinate stops the run there, in either
+    chart, with the time and the state: it is never a crossing, so a
+    section run would otherwise integrate on to its time budget, and
+    ``integrate`` would return NaN samples."""
+    import mayleonard.flow as flow
+
+    p = replace(CASE2, gamma=gamma)
+    monkeypatch.setattr(flow, "_field", _nan_after(1.0))
+    runs = [lambda: section_returns(section_state(1e-3, p), 2, p, sections="all")]
+    if gamma:
+        runs.append(lambda: integrate(FlowState(0.3, 0.31, 0.29), 10.0, p))
+    for run in runs:
+        with pytest.raises(NumericsError, match=r"state \[nan, .* is not finite") as info:
+            run()
+        assert 1.0 < float(str(info.value).split("t=")[1].split()[0]) < 10.0
+
+
+def test_step_loop_reports_a_non_finite_state_before_a_stall():
+    """A field that is infinite from the start leaves LSODA at a NaN state
+    without advancing t; the error names the state, not a step-size
+    underflow."""
+    from mayleonard.flow import _run_stepper
+
+    with pytest.raises(NumericsError, match=r"state \[nan\] at t=0.0 is not finite"):
+        _run_stepper(lambda t, y: [math.inf], 0.0, [1.0], 10.0, NumericsConfig(),
+                     -math.inf, (), 0.0, 1, None, None)
+
+
+def test_forced_section_run_stops_where_it_leaves_the_octant():
+    """On case 2 at gamma = 1e-4, z falls below -abs_tol at t = 10569.3,
+    after 50,651 steps of an ``o3`` run from x0 = 1e-3: the run stops
+    there and names that time and the coordinate, not its start."""
+    p = replace(CASE2, gamma=1e-4)
+    with pytest.raises(NumericsError, match="coordinate fell to -1.0") as info:
+        section_returns(section_state(1e-3, p), 40, p)
+    msg = str(info.value)
+    assert "beyond -abs_tol=-1e-12" in msg and "invariant plane" not in msg
+    assert float(msg.split("t=")[1].split(",")[0]) == pytest.approx(10569.3, abs=0.1)
+    # ``integrate`` with the section run's end time and step cap takes the
+    # same steps and stops at the same step end, not after its run
+    with pytest.raises(NumericsError, match="coordinate fell to") as info:
+        integrate(section_state(1e-3, p), 1e7, p, NumericsConfig(max_step=50.0))
+    assert str(info.value) == msg
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: section_returns(section_state(1e-3, p), 3, p, sections="all"),
+    lambda p: integrate(FlowState(0.3, 0.31, 0.29), 50.0, p),
+], ids=["section_returns", "integrate"])
+@pytest.mark.parametrize("gamma", [0.01, 0.0], ids=["forced", "unforced"])
+def test_step_loop_calls_the_field_only_for_lsoda(monkeypatch, run, gamma):
+    """The field is called exactly LSODA's ``nfev`` times: the step loop reads
+    the step ends and the faces without a call of its own, in either chart."""
+    import mayleonard.flow as flow
+
+    calls = []
+
+    def counting(params, in_logs):
+        fun = _field(params, in_logs)
+
+        def field(t, q):
+            calls.append(t)
+            return fun(t, q)
+
+        return field
+
+    monkeypatch.setattr(flow, "_field", counting)
+    nfev = run(replace(CASE2, gamma=gamma)).stats["nfev"]
+    assert len(calls) == nfev > 0
+
+
+def test_face_comparison_is_the_sign_change_of_the_event():
+    """A face is crossed when ``y_new <= level < y_prev``: on every pair of
+    edge values (the level itself, one subnormal or one ulp either side,
+    signed zeros, the largest floats, +-inf and NaN) this is the event rule
+    ``g_prev > 0.0 >= g_new`` with ``g = y - level``, since a difference of
+    two distinct finite floats is never 0 under gradual underflow."""
+    tiny, big = 5e-324, np.finfo(float).max
+    for level in (0.1, math.log(0.1), 0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308,
+                  1.0, -big, big):
+        values = [level, -level, 0.0, -0.0, tiny, -tiny, big, -big,
+                  math.inf, -math.inf, math.nan]
+        values += [level + d for d in (tiny, -tiny, 2 * tiny)]
+        values += [math.nextafter(level, d) for d in (math.inf, -math.inf)]
+        for y_prev in values:
+            for y_new in values:
+                face = y_new <= level < y_prev
+                with np.errstate(over="ignore", invalid="ignore"):
+                    event = (y_prev - level) > 0.0 >= (y_new - level)
+                assert face == event, (level, y_prev, y_new)
 
 
 @pytest.mark.parametrize("gamma, t_stall", [(0.01, -4.02), (0.0, -3.93)])

@@ -50,8 +50,6 @@ UNREAD_PARAMETERS_ALLOWED = {
                          "every variant's lift takes (x, s)",
     "_Case34Map.tangent.x": "the case-34 tangent ignores x by construction; "
                             "every variant's tangent takes (x, s)",
-    "section_returns.<lambda>.t": "an event function takes (t, q); the face "
-                                  "crossing reads only the state",
 }
 
 

@@ -24,34 +24,13 @@ import math
 import sys
 from dataclasses import asdict, astuple, fields, replace
 
-import numpy as np
-
 from . import __version__
 from ._io import write_csv, write_json
 from .config import ScanSpec, dump_config, parse_config
-from .diagnostics import (
-    Case34SMarginal,
-    ScanRow,
-    autocorrelation,
-    classify_regime,
-    density_scan,
-    rotation_interval,
-    zero_one_test,
-)
 from .errors import NumericsError, ValidationError
-from .params import check_c1a_c1b, derive_constants
-from .returnmap import VARIANTS, compile_map
-from .singular import (
-    GAMMA_PLUS,
-    ConvergenceRow,
-    first_admissible_index,
-    gamma_sequence,
-    hypothesis_battery,
-    make_circle_map,
-    misiurewicz_check,
-    singular_limit_convergence,
-    transition_matrix,
-)
+
+# no numeric layer is imported here: each command imports the layers it runs,
+# so ``--help``, ``--version`` and ``--dump-config`` load none and no numpy
 
 # map steps that chaos-test discards before its phase series
 _CHAOS_BURN_IN = 200
@@ -99,7 +78,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("return-map", help="iterate an analytic return-map variant")
     common(p)
-    p.add_argument("--variant", choices=VARIANTS, required=True)
+    # ``compile_map`` rejects an unknown variant and names the known ones
+    p.add_argument("--variant", required=True, help="return-map variant")
     p.add_argument("--iters", type=int, default=10000)
     p.add_argument("--x0", type=float, default=0.5)
     p.add_argument("--s0", type=float, default=0.25)
@@ -153,6 +133,8 @@ def _build_parser() -> _Parser:
 def _index(n, a, params):
     """The sequence index, the first admissible one when ``n`` is None, and
     its amplitude, which must lie below the admissibility bound."""
+    from .params import derive_constants
+    from .singular import GAMMA_PLUS, first_admissible_index, gamma_sequence
     dc = derive_constants(params)
     first = first_admissible_index(dc)
     n = first if n is None else n
@@ -214,6 +196,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "return-map":
+        from .returnmap import compile_map
         _check_start(args.x0, args.s0)
         _check_iters(args.iters)
         if args.variant == "rescaled":
@@ -226,6 +209,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "singular-limit":
+        from .singular import ConvergenceRow, singular_limit_convergence
         # the first index has the table's largest amplitude
         n0, _ = _index(args.n_from, args.a, params)
         rows = singular_limit_convergence(range(n0, n0 + args.n_count),
@@ -237,6 +221,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "certify":
+        from .singular import (hypothesis_battery, make_circle_map,
+                               misiurewicz_check, transition_matrix)
         # the index is checked before the certificate runs
         n, gamma = _index(args.n, args.a, params)
         if args.battery:
@@ -257,6 +243,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "classify":
+        from .diagnostics import classify_regime
+        from .params import check_c1a_c1b
         report = asdict(classify_regime(params))
         if cfg.diophantine is not None:
             report["admissibility"] = asdict(check_c1a_c1b(params, cfg.diophantine))
@@ -264,13 +252,21 @@ def _run(args) -> int:
         return 0
 
     if args.command == "scan":
+        from .diagnostics import ScanRow, density_scan
         rows, summary = density_scan((spec or ScanSpec()).grid(), params, num)
-        base_path = args.output[:-4] if args.output.endswith(".csv") else args.output
+        base_path = args.output
+        if base_path.endswith((".csv", ".json")):
+            base_path = base_path.rsplit(".", 1)[0]
         _write_rows(base_path + ".csv", ScanRow, rows)
         write_json(base_path + ".json", asdict(summary))
         return 0
 
     if args.command == "chaos-test":
+        import numpy as np
+
+        from .diagnostics import (Case34SMarginal, autocorrelation, rotation_interval,
+                                  zero_one_test)
+        from .returnmap import compile_map
         rng = np.random.default_rng(num.seed)
         x0 = args.x0 if args.x0 is not None else max(params.gamma, 1e-6)
         _check_start(x0, args.s0)

@@ -15,6 +15,7 @@ from mayleonard.cli import main
 from mayleonard.config import ScanSpec, dump_config, parse_config_text
 from mayleonard.diagnostics import RegimeReport, ScanSummary
 from mayleonard.errors import ValidationError
+from mayleonard.returnmap import VARIANTS
 from mayleonard.singular import MisiurewiczCertificate, TransitionMatrix
 
 CASE2 = """\
@@ -377,12 +378,12 @@ def test_certify_rejects_u_radius_outside_open_half(case2_cfg, tmp_path, capsys,
 
 def test_certify_validates_n_before_the_certificate(tmp_path, capsys, monkeypatch):
     """A bad index is rejected before the certificate runs, and no JSON is written."""
-    import mayleonard.cli as cli
+    import mayleonard.singular as singular
 
     def no_certificate(*args, **kwargs):
         raise AssertionError("the certificate ran")
 
-    monkeypatch.setattr(cli, "misiurewicz_check", no_certificate)
+    monkeypatch.setattr(singular, "misiurewicz_check", no_certificate)
     out = tmp_path / "cert.json"
     assert main(["certify", "--config", str(CONFIGS / "case1.cfg"), "--n", "0",
                  "--output", str(out)]) == 1
@@ -509,6 +510,19 @@ def test_scan_outputs(case2_cfg, tmp_path, capsys):
     csv_lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 3
     assert all(',true,"OverflowError: ' in line for line in csv_lines[1:])
+
+
+@pytest.mark.parametrize("output", ["scan", "scan.csv", "scan.json"])
+def test_scan_output_suffix_is_stripped(case2_cfg, tmp_path, output):
+    """``--output`` names the scan's two files by their base: a ``.csv`` or
+    ``.json`` suffix is dropped, so each form writes ``scan.csv`` and
+    ``scan.json`` and nothing else."""
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["scan", "--config", case2_cfg, "--from", "1e-4", "--to", "1e-2",
+               "--steps", "2", "--output", str(out / output)])
+    assert rc == 0
+    assert sorted(path.name for path in out.iterdir()) == ["scan.csv", "scan.json"]
 
 
 def _scan_gammas(path):
@@ -708,6 +722,18 @@ def test_bad_sizes_are_a_validation_error(case2_cfg, tmp_path, capsys, argv, mes
     assert not out.exists()
 
 
+def test_unknown_variant_is_a_validation_error(case2_cfg, tmp_path, capsys):
+    """The map layer, not the parser, rejects an unknown variant, naming the
+    known ones; no CSV is written."""
+    out = tmp_path / "out.csv"
+    rc = main(["return-map", "--config", case2_cfg, "--variant", "bogus",
+               "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown variant 'bogus'; expected one of {VARIANTS}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, old, new", [
     (["classify"], "gamma = 0.01", "gamma = nan"),
     (["return-map", "--variant", "case12"], "gamma = 0.01", "gamma = nan"),
@@ -772,40 +798,64 @@ def test_max_step_inf_stays_uncapped():
     assert cfg.numerics.max_step == float("inf")
 
 
-def test_only_flow_commands_import_scipy(tmp_path):
-    """Every command but simulate and poincare runs without loading scipy;
-    poincare, the positive control, loads it."""
-    cfg = tmp_path / "small.cfg"
+# each command's argv, the package layers its process loads beyond those that
+# every command loads, and whether it loads numpy and scipy
+EVERY_COMMAND_LOADS = {"mayleonard", "mayleonard.errors", "mayleonard.config",
+                       "mayleonard.params", "mayleonard._io", "mayleonard.cli"}
+ALL_BUT_FLOW = {"returnmap", "singular", "diagnostics"}
+RUN = ["--config", "small.cfg", "--output", "out"]
+COMMAND_LOADS = {
+    "--version": (["--version"], set(), False, False),
+    "return-map --help": (["return-map", "--help"], set(), False, False),
+    "--dump-config": (["classify", "--config", "small.cfg", "--dump-config"],
+                      set(), False, False),
+    "simulate": (["simulate", *RUN, "--t-end", "1"], {"flow"}, True, True),
+    "poincare": (["poincare", *RUN, "--returns", "1"], {"flow"}, True, True),
+    "certify": (["certify", *RUN, "--a", "0.3", "--horizon", "40"],
+                {"singular"}, True, False),
+    "certify --battery": (["certify", *RUN, "--a", "0.3", "--battery", "--horizon", "40"],
+                          {"singular"}, True, False),
+    "singular-limit": (["singular-limit", *RUN, "--n-count", "2"], {"singular"}, True, False),
+    "return-map": (["return-map", *RUN, "--variant", "case12", "--iters", "50"],
+                   {"returnmap"}, True, False),
+    "return-map rescaled": (["return-map", *RUN, "--variant", "rescaled", "--a", "0.3",
+                             "--iters", "50"], {"returnmap", "singular"}, True, False),
+    "classify": (["classify", *RUN], ALL_BUT_FLOW, True, False),
+    "scan": (["scan", *RUN, "--from", "1e-4", "--to", "1e-2", "--steps", "2"],
+             ALL_BUT_FLOW, True, False),
+    "chaos-test case12": (["chaos-test", *RUN, "--iters", "1000"], ALL_BUT_FLOW, True, False),
+    "chaos-test case34": (["chaos-test", *RUN, "--variant", "case34", "--iters", "1000"],
+                          ALL_BUT_FLOW, True, False),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LOADS)
+def test_each_command_loads_only_its_layers(tmp_path, command):
+    """A fresh process running one command loads the layers that command
+    runs and no other: only simulate and poincare load ``flow`` and scipy,
+    poincare loads no map layer, and the parser, ``--version`` and
+    ``--dump-config`` load no numeric layer and no numpy."""
+    argv, layers, numpy_loaded, scipy_loaded = COMMAND_LOADS[command]
     # the smallest scan sizes the density scan accepts; no other command reads them
-    cfg.write_text(CASE2.replace("series_len = 1200", "series_len = 1000"))
-    common = ["--config", str(cfg), "--output"]
-    runs = {
-        "classify": ["classify", *common, "c.json"],
-        "return-map": ["return-map", *common, "o.csv", "--variant", "case12", "--iters", "50"],
-        "singular-limit": ["singular-limit", *common, "t.csv", "--n-count", "2"],
-        "certify --battery": ["certify", *common, "b.json", "--a", "0.3", "--battery",
-                              "--horizon", "40"],
-        "scan": ["scan", *common, "scan", "--from", "1e-4", "--to", "1e-2", "--steps", "2"],
-        "chaos-test case12": ["chaos-test", *common, "k12.json", "--iters", "1000"],
-        "chaos-test case34": ["chaos-test", *common, "k34.json", "--variant", "case34",
-                              "--iters", "1000"],
-        "poincare": ["poincare", *common, "p.csv", "--returns", "1"],
-    }
-    script = textwrap.dedent(f"""
+    (tmp_path / "small.cfg").write_text(CASE2.replace("series_len = 1200",
+                                                      "series_len = 1000"))
+    script = textwrap.dedent("""
         import json, sys
         from mayleonard.cli import main
-        loaded = {{}}
-        for name, argv in {runs!r}.items():
-            if main(argv) != 0:
-                sys.exit(f"{{name}} failed")
-            loaded[name] = "scipy" in sys.modules
-        print(json.dumps(loaded))
+        try:
+            rc = main(sys.argv[1:])
+        except SystemExit as exc:           # --version and --help exit here
+            rc = exc.code
+        print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("mayleonard")),
+                          "numpy" in sys.modules, "scipy" in sys.modules]))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded == {name: name == "poincare" for name in runs}
+    rc, loaded, numpy_seen, scipy_seen = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    assert set(loaded) == EVERY_COMMAND_LOADS | {f"mayleonard.{m}" for m in layers}
+    assert (numpy_seen, scipy_seen) == (numpy_loaded, scipy_loaded)

@@ -1,5 +1,5 @@
 """Static hygiene of the package sources: every import is read, every
-``__all__`` entry is defined, every lazily exported flow name is bound,
+``__all__`` entry is defined, every lazily exported name is bound,
 every exported name is reached by the package itself, every defaulted
 parameter is set by some package call, every parameter is read, every
 circle map has one evaluator, and no class has a ``to_*`` serialiser;
@@ -134,23 +134,27 @@ def undefined_exports(tree):
     return [name for name in exported if name not in defined]
 
 
-def lazy_names(package):
-    """Entries of the package's ``_FLOW_NAMES = frozenset({...})``."""
+def lazy_table(package):
+    """The package's ``_EXPORTS = {name: module, ...}``."""
     _, values = module_bindings(package)
-    return set(ast.literal_eval(values["_FLOW_NAMES"].args[0]))
+    return ast.literal_eval(values["_EXPORTS"])
 
 
-def unbound_lazy_names(package, module):
-    """Entries of the package's ``_FLOW_NAMES`` that the lazily imported
-    module never binds at module level."""
-    defined, _ = module_bindings(module)
-    return sorted(lazy_names(package) - defined)
+def unbound_lazy_names(package, modules):
+    """Entries of the package's ``_EXPORTS``, as ``module.name``, whose
+    module (a tree in ``modules``, by name) does not bind the name at module
+    level or is missing."""
+    unbound = []
+    for name, module in lazy_table(package).items():
+        if module not in modules or name not in module_bindings(modules[module])[0]:
+            unbound.append(f"{module}.{name}")
+    return sorted(unbound)
 
 
 def exported_names(package, modules):
     """Entries of every module ``__all__`` and of the package's lazy
-    ``_FLOW_NAMES``."""
-    names = lazy_names(package)
+    ``_EXPORTS``."""
+    names = set(lazy_table(package))
     for tree in modules:
         _, values = module_bindings(tree)
         if "__all__" in values:
@@ -393,10 +397,11 @@ def test_every_exported_name_is_reached():
 
 def test_surface_check_catches_unreached_and_stale_names():
     """Negative control: an exported name reached only inside its own
-    function is reported, and so are an allow-list entry that is reached and
-    one that nothing defines; an allow-listed unreached name, a name read as
-    an attribute and a lazy name read elsewhere are not."""
-    package = ast.parse('_FLOW_NAMES = frozenset({"step"})\n')
+    function is reported, and so are a stale lazy entry that nothing
+    reaches, an allow-list entry that is reached and one that nothing
+    defines; an allow-listed unreached name, a name read as an attribute
+    and a lazy name read elsewhere are not."""
+    package = ast.parse('_EXPORTS = {"step": "flow", "Gone": "flow"}\n')
     module = ast.parse(
         "__all__ = ['run', 'again', 'kept', 'used', 'helper', 'Shape']\n"
         "def run(n):\n"
@@ -415,7 +420,8 @@ def test_surface_check_catches_unreached_and_stale_names():
     flow = ast.parse("def step(n):\n    return n\n"
                      "def caller(pkg):\n    return used() + pkg.helper() + run(1)\n")
     allowed = {"kept": "control", "used": "reached", "gone": "defined nowhere"}
-    assert surface_faults(package, [module, flow], allowed) == (["again"], ["gone", "used"])
+    assert surface_faults(package, [module, flow], allowed) == (
+        ["Gone", "again"], ["gone", "used"])
 
 
 def test_every_default_is_set_by_the_package():
@@ -590,10 +596,12 @@ def test_module_graph_is_the_table():
     """No package module imports a sibling that ``MODULE_GRAPH`` does not
     list for it, and each listed import is there: a new edge, such as
     ``singular`` reading ``returnmap`` again, is a visible edit of the
-    table."""
-    siblings = {path.stem for path in SRC.glob("*.py")}
-    graph = {path.stem: sibling_imports(ast.parse(path.read_text(encoding="utf-8")), siblings)
+    table.  The package's edges are its imports and the modules of its lazy
+    ``_EXPORTS``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
+    graph = {stem: sibling_imports(tree, set(trees)) for stem, tree in trees.items()}
+    graph["__init__"] |= set(lazy_table(trees["__init__"]).values())
     assert graph == MODULE_GRAPH
 
 
@@ -615,22 +623,28 @@ def test_module_graph_check_sees_every_import_form():
     assert sibling_imports(tree, siblings) == siblings
 
 
-def test_lazy_flow_names_are_bound():
-    """Every name the package resolves lazily from ``flow`` exists there, so a
-    stale entry fails here and not on its first use."""
-    package = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    flow = ast.parse((SRC / "flow.py").read_text(encoding="utf-8"))
-    assert unbound_lazy_names(package, flow) == []
+def test_lazy_names_are_bound():
+    """Every name the package resolves lazily exists in the module its
+    ``_EXPORTS`` entry names, so a stale entry fails here and not on its
+    first use."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(lazy_table(trees["__init__"])) > 0
+    assert unbound_lazy_names(trees["__init__"], trees) == []
 
 
 def test_lazy_name_check_catches_a_stale_name():
-    """Negative control: a lazy name the module does not bind is reported;
-    a class, a function and an assigned name are not."""
-    package = ast.parse('_FLOW_NAMES = frozenset({"Kept", "run", "TABLE", "Gone"})\n')
-    module = ast.parse("class Kept:\n    pass\n"
-                       "def run():\n    pass\n"
-                       "TABLE = {}\n")
-    assert unbound_lazy_names(package, module) == ["Gone"]
+    """Negative control: a lazy name its module does not bind, one bound
+    only in another module and one whose module is missing are reported; a
+    class, a function and an assigned name are not."""
+    package = ast.parse('_EXPORTS = {"Kept": "flow", "run": "flow", "TABLE": "flow",\n'
+                        '            "Gone": "flow", "step": "flow", "Moved": "gone"}\n')
+    flow = ast.parse("class Kept:\n    pass\n"
+                     "def run():\n    pass\n"
+                     "TABLE = {}\n")
+    other = ast.parse("def step():\n    pass\n")
+    assert unbound_lazy_names(package, {"flow": flow, "other": other}) == [
+        "flow.Gone", "flow.step", "gone.Moved"]
 
 
 def test_every_conftest_oracle_is_called():

@@ -7,12 +7,15 @@ saddle spectra of the unperturbed network, and extracts Poincare return
 data on the entry faces of the saddle neighbourhoods (``section_returns``).
 
 Both step with LSODA, which switches between Adams and BDF formulas as it
-detects stiffness.  One step loop (``_run_stepper``) calls the C entry of
-the ``lsoda`` integrator of ``scipy.integrate.ode`` directly, one step per
-call, reads LSODA's own counters, and rebuilds the interpolant of a step
-that brackets a crossing from LSODA's Nordsieck array, bit-identical to
-scipy's ``LSODA.dense_output()``; the tests pin this seam against the loop
-on scipy's ``LSODA`` solver class.  A section face is data, a coordinate
+detects stiffness.  One step loop (``_run_stepper``) calls LSODA's C entry
+directly, one step per call, reads LSODA's own counters, rebuilds the
+interpolant of a step that brackets a crossing from LSODA's Nordsieck
+array, bit-identical to scipy's ``LSODA.dense_output()``, and refines the
+crossing with Brent's C root finder.  scipy (>= 1.17) ships both C entries
+in two compiled modules, which this module loads by file (``_c_module``)
+without running the ``scipy.integrate`` and ``scipy.optimize`` package
+``__init__``; the tests pin this seam against the same loop on scipy's
+``LSODA`` solver class.  A section face is data, a coordinate
 index and a level, compared on the floats of each step end; a step end
 that leaves the octant by more than ``abs_tol`` (population chart) or is
 not finite stops the run where it happens.  Near a saddle the -1
@@ -39,13 +42,16 @@ Two integration charts are available:
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-from scipy.integrate import ode
-from scipy.optimize import brentq
+import scipy
 
 from .config import NumericsConfig
 from .errors import NumericsError, ValidationError
@@ -266,8 +272,56 @@ def integrate(state0: FlowState, t_end: float, params: ModelParams,
                       stats=stats)
 
 
+def _c_module(package, name):
+    """scipy's compiled module ``scipy.<package>.<name>``.
+
+    The module already imported, if ``scipy.<package>`` has run; otherwise
+    the extension file in scipy's package directory, loaded by itself, so
+    that the ``scipy.<package>`` ``__init__`` (hundreds of modules) does not
+    run.  A missing file is an :class:`ImportError` that names the path and
+    the scipy version.
+    """
+    full = f"scipy.{package}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    base = os.path.join(os.path.dirname(scipy.__file__), package, name)
+    for suffix in EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            spec = importlib.util.spec_from_file_location(full, base + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # a single-phase extension enters itself in sys.modules; left
+            # there, a later import of its package would not bind it there
+            sys.modules.pop(full, None)
+            return module
+    raise ImportError(
+        f"no compiled module {full} at {base}{EXTENSION_SUFFIXES[0]} in "
+        f"scipy {scipy.__version__}; mayleonard needs scipy >= 1.17"
+    )
+
+
+# y, t, istate = lsoda(fun, y, t, tout, rtol, atol, itask, istate, rwork, iwork,
+#                      jac, jt, f_params, tfirst, jac_params, state_doubles, state_ints)
+_lsoda = _c_module("integrate", "_odepack").lsoda
+# root = _brentq(f, a, b, xtol, rtol, maxiter, args, full_output, disp)
+_brentq = _c_module("optimize", "_zeros")._brentq
+
+# LSODA's failures by istate, as scipy's ``ode`` integrator names them
+_LSODA_MESSAGES = {
+    -1: "Excess work done on this call (perhaps wrong Dfun type).",
+    -2: "Excess accuracy requested (tolerances too small).",
+    -3: "Illegal input detected (internal error).",
+    -4: "Repeated error test failures (internal error).",
+    -5: "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    -6: "Error weight became zero during problem.",
+    -7: "Internal workspace insufficient to finish (internal error).",
+}
+
 # scipy's LSODA raises a smaller rtol to this, with a warning
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
+# the relative tolerance and iteration cap of scipy's ``brentq``
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
 
 
 def _no_jacobian():
@@ -279,10 +333,13 @@ def _run_stepper(fun, t0, y0, t_end, opts, floor, faces, level, max_events,
                  accept, record):
     """Step LSODA from ``t0`` until ``max_events`` crossings are accepted.
 
-    The integrator is ``scipy.integrate.ode``'s LSODA, whose C entry
-    (``runner``) is called here with itask 5 and ``t_end`` as its critical
-    time: each call takes one step towards ``t_end``, forward or backward,
-    never past it, and the last step ends on ``t_end`` exactly.  Each step
+    LSODA's C entry (``_lsoda``, scipy's C port of ODEPACK's LSODA) is
+    called with itask 5 and ``t_end`` as its critical time: each call takes
+    one step towards ``t_end``, forward or backward, never past it, and the
+    last step ends on ``t_end`` exactly.  Its work and state arrays are
+    built here as scipy's ``ode`` integrator ``lsoda`` builds them for a
+    Jacobian from differences (``jt = 2``), with its defaults: at most 500
+    steps per call, Adams order 12, BDF order 5.  Each step
     end must have every coordinate ``>= floor`` (``-abs_tol`` in the
     population chart, where the octant is invariant; ``-inf`` in the log
     chart, which catches NaN), or :class:`NumericsError` names the time and
@@ -291,9 +348,10 @@ def _run_stepper(fun, t0, y0, t_end, opts, floor, faces, level, max_events,
 
     ``faces`` is a sequence of ``(name, ci)``: a crossing of face ``name`` is
     recorded when coordinate ``ci`` falls from above ``level`` to at most
-    ``level`` within a step, with the crossing time refined by root-finding
-    on the step's interpolant to a tolerance of ``1e-12 * max(1, |t|)``, and
-    kept when ``accept(name, y)`` holds.
+    ``level`` within a step, with the crossing time refined by Brent's C
+    root finder (``_brentq``, as ``scipy.optimize.brentq`` calls it) on the
+    step's interpolant to a tolerance of ``1e-12 * max(1, |t|)``, and kept
+    when ``accept(name, y)`` holds.
     Returns ``(stats, found)``: LSODA's own counters (``steps``, ``nfev``,
     ``njev``) and the kept crossings as ``(t, name, y)``, fewer than
     ``max_events`` if ``t_end`` came first.
@@ -303,28 +361,28 @@ def _run_stepper(fun, t0, y0, t_end, opts, floor, faces, level, max_events,
         warnings.warn(f"rel_tol={rtol} is below LSODA's floor of 100 eps; "
                       f"raised to {_RTOL_FLOOR}", stacklevel=3)
         rtol = _RTOL_FLOOR
-    solver = ode(fun).set_integrator("lsoda", rtol=rtol, atol=opts.abs_tol,
-                                     max_step=opts.max_step)
-    solver.set_initial_value(y0, t0)
-    lsoda = solver._integrator
-    # the arguments of the one ``runner`` call in ``lsoda.run``, bound once;
-    # ``istate`` is 1 for the first step, and LSODA returns 2 after a step
-    # that succeeded, as the next call must pass
-    rtol, atol, _, istate, rwork, iwork, jt = lsoda.call_args
-    runner, doubles, ints = lsoda.runner, lsoda.state_doubles, lsoda.state_ints
-    rwork[0] = t_end
-    t, y = t0, solver._y
+    atol = opts.abs_tol
+    y = np.array(y0, dtype=float)          # LSODA writes the state in place
+    n = len(y)
+    rwork = np.zeros(max(20 + 16 * n, 22 + 9 * n + n * n))
+    rwork[0], rwork[5] = t_end, opts.max_step        # critical time, step cap
+    iwork = np.zeros(20 + n, dtype=np.int32)
+    iwork[5], iwork[7], iwork[8] = 500, 12, 5        # steps per call, max orders
+    doubles, ints = np.zeros(240), np.zeros(48, dtype=np.int32)
+    # istate is 1 for the first step, and LSODA returns 2 after a step that
+    # succeeded, as the next call must pass
+    t, istate = t0, 1
     y_prev = y.tolist()
     if record is not None:
         record(t, y_prev)
     found = []
     while t != t_end and len(found) < max_events:
         t_old = t
-        y, t, istate = runner(fun, y, t, t_end, rtol, atol, 5, istate, rwork,
-                              iwork, _no_jacobian, jt, (), 1, (), doubles, ints)
+        y, t, istate = _lsoda(fun, y, t, t_end, rtol, atol, 5, istate, rwork,
+                              iwork, _no_jacobian, 2, (), 1, (), doubles, ints)
         if istate < 0:
             raise NumericsError(f"LSODA failed at t={t} with istate={istate}: "
-                                f"{lsoda.messages.get(istate, 'unexpected istate')}")
+                                f"{_LSODA_MESSAGES.get(istate, 'unexpected istate')}")
         y_new = y.tolist()
         for v in y_new:
             if not v >= floor:
@@ -345,10 +403,18 @@ def _run_stepper(fun, t0, y0, t_end, opts, floor, faces, level, max_events,
         for name, ci in faces:
             if y_new[ci] <= level < y_prev[ci]:
                 if hits is None:
-                    sol = _nordsieck_interpolant(lsoda, len(y_new), t)
+                    sol = _nordsieck_interpolant(rwork, iwork, n, t)
                     hits = []
-                t_hit = brentq(lambda s: sol(s)[ci] - level, t_old, t,
-                               xtol=1e-12 * max(1.0, abs(t)))
+
+                def face(s):
+                    g = sol(s)[ci] - level
+                    if math.isnan(g):      # as in scipy's brentq: NaN is no root
+                        raise ValueError(f"The function value at x={s} is NaN; "
+                                         "solver cannot continue.")
+                    return g
+
+                t_hit = _brentq(face, t_old, t, 1e-12 * max(1.0, abs(t)), _BRENT_RTOL,
+                                _BRENT_MAXITER, (), False, True)
                 hits.append((t_hit, name, np.asarray(sol(t_hit), dtype=float)))
         y_prev = y_new
         if hits:
@@ -369,8 +435,9 @@ def _left_chart(t, y, v, floor):
     )
 
 
-def _nordsieck_interpolant(lsoda, n, t):
-    """The interpolant of LSODA's last step, which ended at ``t``.
+def _nordsieck_interpolant(rwork, iwork, n, t):
+    """The interpolant of LSODA's last step, which ended at ``t``, from
+    LSODA's work arrays ``rwork`` and ``iwork`` for ``n`` equations.
 
     LSODA keeps the step in its Nordsieck array, ``yh[:, j] = h**j
     y^(j)(t) / j!`` in ``rwork[20:]``, scaled to the step size it will try
@@ -381,7 +448,6 @@ def _nordsieck_interpolant(lsoda, n, t):
     and operations of scipy's ``LSODA.dense_output``, so the values are
     bit-identical to it.
     """
-    iwork, rwork = lsoda.iwork, lsoda.rwork
     order, h = iwork[13], rwork[11]
     yh = np.reshape(rwork[20:20 + (order + 1) * n], (n, order + 1), order="F").copy()
     if iwork[14] < order:
@@ -478,13 +544,15 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
 
     faces = [(name, _FACES[name][0]) for name in wanted]
     floor = -math.inf if in_logs else -opts.abs_tol
-    stats, found = _run_stepper(_field(params, in_logs), state0.t, q0,
-                                state0.t + _MAX_TIME, opts, floor, faces, level,
-                                n_returns, near_saddle, None)
+    t_end = state0.t + _MAX_TIME
+    stats, found = _run_stepper(_field(params, in_logs), state0.t, q0, t_end,
+                                opts, floor, faces, level, n_returns, near_saddle,
+                                None)
     if len(found) < n_returns:
         raise NumericsError(
-            f"only {len(found)} of {n_returns} section crossings found within "
-            f"max_time={_MAX_TIME}; the start may be too close to the invariant plane"
+            f"only {len(found)} of {n_returns} section crossings found by "
+            f"t={t_end}, the end of the time budget of {_MAX_TIME} after the "
+            f"start, in {stats['steps']} LSODA steps"
         )
     period = math.pi / params.omega
     out = []

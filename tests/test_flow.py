@@ -1,6 +1,13 @@
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -381,6 +388,98 @@ def test_section_driver_matches_lsoda_oracle_bitwise(monkeypatch, params, n):
     _assert_same_run(run, stepper_oracle(LSODA, *args))
 
 
+def test_flow_loaded_before_scipy_integrate_matches_lsoda_oracle_bitwise():
+    """In a process that imports ``mayleonard.flow`` before
+    ``scipy.integrate``, the driver runs on the compiled modules it loads by
+    file, and one case-2 section run still equals the ``LSODA`` oracle bit
+    for bit.  (This suite's ``conftest`` imports scipy first, so the other
+    tests run on the modules that scipy's packages loaded.)"""
+    script = textwrap.dedent("""
+        import json, sys
+        import mayleonard.flow as flow
+        assert "scipy.integrate" not in sys.modules, "flow loaded scipy.integrate"
+        assert "scipy.optimize" not in sys.modules, "flow loaded scipy.optimize"
+        from mayleonard import ModelParams
+
+        runs, run_stepper = [], flow._run_stepper
+
+        def recording(*args):
+            runs.append((args, run_stepper(*args)))
+            return runs[-1][1]
+
+        flow._run_stepper = recording
+        p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3, mu1=1.0, mu3=1.0,
+                        eps_tilde=0.1)
+        flow.section_returns(flow.section_state(1e-3, p), 10, p, sections="all")
+        from scipy.integrate import LSODA
+        from conftest import stepper_oracle
+        ((args, run),) = runs
+
+        def bits(result):
+            stats, found = result
+            return [stats, [[t.hex(), name, [float(v).hex() for v in y]]
+                            for t, name, y in found]]
+
+        print(json.dumps([bits(run), bits(stepper_oracle(LSODA, *args))]))
+    """)
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    run, ref = json.loads(proc.stdout.splitlines()[-1])
+    assert len(run[1]) == 10 and run[0]["steps"] > 0
+    assert run == ref
+
+
+def test_missing_compiled_module_names_its_path_and_scipy_version():
+    """The driver's C entries come from files in scipy's package directory;
+    a file that is not there is an ImportError with its path and scipy's
+    version."""
+    import scipy
+
+    from mayleonard.flow import _c_module
+
+    with pytest.raises(ImportError) as info:
+        _c_module("integrate", "_no_such_module")
+    path = Path(scipy.__file__).parent / "integrate" / "_no_such_module"
+    assert f"at {path}." in str(info.value)
+    assert f"in scipy {scipy.__version__};" in str(info.value)
+
+
+def test_step_loop_names_an_lsoda_failure():
+    """A negative ``istate`` from LSODA stops the run with LSODA's own
+    message: a zero ``abs_tol`` on a zero coordinate is illegal input."""
+    from mayleonard.flow import _run_stepper
+
+    opts = SimpleNamespace(rel_tol=1e-9, abs_tol=0.0, max_step=50.0)
+    with pytest.raises(NumericsError) as info:
+        _run_stepper(_field(CASE2, False), 0.0, [0.5, 0.5, 0.0], 100.0, opts,
+                     -math.inf, (), 0.0, 1, None, None)
+    assert str(info.value) == ("LSODA failed at t=0.0 with istate=-3: "
+                               "Illegal input detected (internal error).")
+
+
+def test_too_few_crossings_says_what_the_run_saw(monkeypatch):
+    """A run that reaches the end of its time budget before the crossings
+    it was asked for reports how many it found, the time it reached and
+    LSODA's step count, and guesses no cause."""
+    import mayleonard.flow as flow
+
+    reports = []
+    monkeypatch.setattr(flow, "_MAX_TIME", 500.0)
+    monkeypatch.setattr(flow, "_run_stepper", _recording(flow._run_stepper, reports))
+    with pytest.raises(NumericsError) as info:
+        section_returns(section_state(1e-3, CASE2), 10, CASE2)
+    ((args, (stats, found)),) = reports
+    assert 0 < len(found) < 10
+    assert str(info.value) == (
+        f"only {len(found)} of 10 section crossings found by t=500.0, the end "
+        f"of the time budget of 500.0 after the start, in {stats['steps']} "
+        "LSODA steps")
+
+
 @pytest.mark.parametrize("params", [CASE1, CASE2])
 def test_nordsieck_interpolant_is_lsoda_dense_output(params):
     """The interpolant rebuilt from LSODA's Nordsieck array equals scipy's
@@ -399,7 +498,7 @@ def test_nordsieck_interpolant_is_lsoda_dense_output(params):
         assert stepper.step() is None
         lowered += lsoda.iwork[14] < lsoda.iwork[13]
         ref = stepper.dense_output()
-        sol = _nordsieck_interpolant(lsoda, 3, stepper.t)
+        sol = _nordsieck_interpolant(lsoda.rwork, lsoda.iwork, 3, stepper.t)
         for t in (stepper.t_old, 0.5 * (stepper.t_old + stepper.t), stepper.t):
             assert np.array_equal(_bits(sol(t)), _bits(ref(t)))
     assert lowered > 0

@@ -13,6 +13,10 @@ fraction.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -578,6 +582,99 @@ def _scan_one(gamma, params, numerics, sample_rng):
     )
 
 
+def _scan_sample(gamma, params, numerics):
+    """The row of one amplitude; a sample failure is a failed row that
+    records its reason."""
+    # key the stream by the amplitude itself so a sample's result does
+    # not depend on its position in the grid
+    gamma_key = int(np.float64(gamma).view(np.uint64))
+    sample_rng = np.random.default_rng([numerics.seed, gamma_key])
+    try:
+        return _scan_one(gamma, params, numerics, sample_rng)
+    except (NumericsError, ValidationError, ArithmeticError) as exc:
+        # a float overflow's message alone does not say what overflowed
+        error = (f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError)
+                 else str(exc))
+        return ScanRow(
+            gamma=float(gamma), lambda1=math.nan, lambda2=math.nan,
+            K=math.nan, rot_lo=math.nan, rot_hi=math.nan,
+            annulus_ok=False, success=False,
+            failed=True, error=error)
+
+
+def _fork_stride(stride, params, numerics):
+    """Start a child process that scans ``stride`` and writes the pickled
+    ``(rows, None)``, or ``(None, exception)`` if the stride raised, into a
+    pipe; return its pid and the pipe's read end.  The child never returns
+    into the caller: it leaves by ``os._exit``, without flushing or running
+    any cleanup of the parent's."""
+    read_fd, write_fd = os.pipe()
+    # Python 3.12 warns that forking a process with threads may deadlock the
+    # child.  The only other thread here is OpenBLAS's pool, which OpenBLAS
+    # stops in its own fork handler and restarts on first use, and the child
+    # runs only the scan before its os._exit.
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=r".*use of fork\(\) may lead to deadlocks",
+                                    category=DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = ([_scan_sample(g, params, numerics) for g in stride], None)
+            except Exception as exc:
+                result = (None, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _scan_rows(grid, params, numerics):
+    """The rows of ``grid`` in grid order.  With ``k`` usable CPUs the
+    stride ``grid[w::k]`` runs in a forked child for each ``w >= 1`` while
+    this process runs ``grid[0::k]``; a row depends only on its amplitude,
+    so the rows are the same for every ``k``.  Where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, ``k = 1`` and no child starts."""
+    k = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        k = min(len(grid), len(os.sched_getaffinity(0)))
+    children = {}
+    try:
+        for w in range(1, k):
+            children[w] = _fork_stride(grid[w::k], params, numerics)
+        strides = [[_scan_sample(g, params, numerics) for g in grid[0::k]]]
+        for w in range(1, k):
+            pid, pipe = children[w]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[w]
+            if status != 0:
+                raise NumericsError(
+                    f"scan worker for the amplitudes from gamma={float(grid[w])!r} "
+                    f"exited with status {status} without its rows")
+            rows, exc = pickle.loads(data)
+            if exc is not None:
+                raise exc
+            strides.append(rows)
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [strides[i % k][i // k] for i in range(len(grid))]
+
+
 def density_scan(gamma_grid, params: ModelParams,
                  numerics: NumericsConfig = NumericsConfig()) -> tuple[list, ScanSummary]:
     """Per-amplitude chaos metrics and the success fraction, as
@@ -592,7 +689,11 @@ def density_scan(gamma_grid, params: ModelParams,
     statement without extrapolating.  Sample failures (numeric, validation
     and floating-point errors such as an overflowing orbit) are recorded with
     their reason, not fatal; results are deterministic for a fixed seed and
-    independent of evaluation order.  Sizes that would fail every sample
+    independent of evaluation order.  The amplitudes run in up to one
+    forked process per usable CPU, with the same rows for any number of
+    processes; a worker that exits without its rows raises
+    :class:`NumericsError`, and any other exception a worker's amplitudes
+    raise is raised here.  Sizes that would fail every sample
     (fewer than 10000 iterations, a series shorter than 1000 samples) raise
     :class:`ValidationError` before any sample runs.
 
@@ -612,23 +713,7 @@ def density_scan(gamma_grid, params: ModelParams,
     if numerics.series_len < _ZERO_ONE_MIN_SAMPLES:
         raise ValidationError(
             f"series_len must be >= {_ZERO_ONE_MIN_SAMPLES}, got {numerics.series_len}")
-    rows = []
-    for gamma in grid:
-        # key the stream by the amplitude itself so a sample's result does
-        # not depend on its position in the grid
-        gamma_key = int(np.float64(gamma).view(np.uint64))
-        sample_rng = np.random.default_rng([numerics.seed, gamma_key])
-        try:
-            rows.append(_scan_one(gamma, params, numerics, sample_rng))
-        except (NumericsError, ValidationError, ArithmeticError) as exc:
-            # a float overflow's message alone does not say what overflowed
-            error = (f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError)
-                     else str(exc))
-            rows.append(ScanRow(
-                gamma=float(gamma), lambda1=math.nan, lambda2=math.nan,
-                K=math.nan, rot_lo=math.nan, rot_hi=math.nan,
-                annulus_ok=False, success=False,
-                failed=True, error=error))
+    rows = _scan_rows(grid, params, numerics)
     n_failed = sum(1 for r in rows if r.failed)
     fraction = sum(1 for r in rows if r.success) / len(rows)
     lo_dec = math.floor(math.log10(grid[0]))

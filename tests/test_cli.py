@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -525,6 +526,53 @@ def test_scan_output_suffix_is_stripped(case2_cfg, tmp_path, output):
     assert sorted(path.name for path in out.iterdir()) == ["scan.csv", "scan.json"]
 
 
+def _source_env():
+    """The environment of a child Python that imports the package from this
+    checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
+def test_scan_writes_the_same_bytes_on_one_cpu(case2_cfg, tmp_path):
+    """A scan pinned to one CPU, which runs every row in one process, and a
+    scan on every usable CPU, which forks strides, write the same files."""
+    blobs = []
+    for name, prefix in (("one", ["taskset", "-c", "0"]), ("all", [])):
+        argv = [*prefix, sys.executable, "-m", "mayleonard.cli", "scan",
+                "--config", case2_cfg, "--from", "1e-5", "--to", "1e-2", "--steps", "5",
+                "--log", "--output", str(tmp_path / name)]
+        proc = subprocess.run(argv, env=_source_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert blobs[0] == blobs[1]
+
+
+def test_scan_exits_2_when_a_worker_dies(case2_cfg, tmp_path, capsys, monkeypatch):
+    """A forked stride that dies fails the whole scan: exit 2, a message
+    naming the exit status, no output file and no child left running."""
+    import mayleonard.diagnostics as diagnostics
+    original = diagnostics._scan_one
+    grid = np.geomspace(1e-4, 1e-2, 4).tolist()
+
+    def scan_one(gamma, *args):
+        if gamma == grid[3]:            # in the stride grid[1::2], run by a child
+            os._exit(3)
+        return original(gamma, *args)
+
+    monkeypatch.setattr(diagnostics, "_scan_one", scan_one)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rc = main(["scan", "--config", case2_cfg, "--from", "1e-4", "--to", "1e-2",
+               "--steps", "4", "--log", "--output", str(tmp_path / "scan")])
+    assert rc == 2
+    assert "exited with status 3 without its rows" in capsys.readouterr().err
+    assert list(tmp_path.glob("scan.*")) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _scan_gammas(path):
     lines = path.read_text().strip().splitlines()[1:]
     return [float(line.split(",")[0]) for line in lines]
@@ -799,14 +847,16 @@ def test_max_step_inf_stays_uncapped():
 
 
 # each command's argv, the package layers its process loads beyond those that
-# every command loads, whether it loads numpy, and which of the scipy
-# packages in SCIPY_PACKAGES it loads
+# every command loads, whether it loads numpy, and which of the packages in
+# WATCHED_PACKAGES it loads
 EVERY_COMMAND_LOADS = {"mayleonard", "mayleonard.errors", "mayleonard.config",
                        "mayleonard.params", "mayleonard._io", "mayleonard.cli"}
 ALL_BUT_FLOW = {"returnmap", "singular", "diagnostics"}
-SCIPY_PACKAGES = ("scipy", "scipy.integrate", "scipy.optimize")
 # the flow driver binds LSODA's and Brent's C entries from scipy's compiled
-# modules, without the scipy.integrate and scipy.optimize packages
+# modules, without the scipy.integrate and scipy.optimize packages; the scan
+# forks its own workers, without a process pool
+WATCHED_PACKAGES = ("scipy", "scipy.integrate", "scipy.optimize",
+                    "multiprocessing", "concurrent.futures")
 FLOW_SCIPY = {"scipy"}
 RUN = ["--config", "small.cfg", "--output", "out"]
 COMMAND_LOADS = {
@@ -840,8 +890,10 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
     runs and no other: only simulate and poincare load ``flow`` and scipy,
     and of scipy only the top-level package, not ``scipy.integrate`` or
     ``scipy.optimize``; poincare loads no map layer, and the parser,
-    ``--version`` and ``--dump-config`` load no numeric layer and no numpy."""
-    argv, layers, numpy_loaded, scipy_loaded = COMMAND_LOADS[command]
+    ``--version`` and ``--dump-config`` load no numeric layer and no numpy.
+    No command, ``scan`` included, loads ``multiprocessing`` or
+    ``concurrent.futures``."""
+    argv, layers, numpy_loaded, watched_loaded = COMMAND_LOADS[command]
     # the smallest scan sizes the density scan accepts; no other command reads them
     (tmp_path / "small.cfg").write_text(CASE2.replace("series_len = 1200",
                                                       "series_len = 1000"))
@@ -855,14 +907,11 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
         print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("mayleonard")),
                           "numpy" in sys.modules,
                           [m for m in %r if m in sys.modules]]))
-    """ % (SCIPY_PACKAGES,))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+    """ % (WATCHED_PACKAGES,))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=_source_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    rc, loaded, numpy_seen, scipy_seen = json.loads(proc.stdout.splitlines()[-1])
+    rc, loaded, numpy_seen, watched_seen = json.loads(proc.stdout.splitlines()[-1])
     assert rc == 0, proc.stderr
     assert set(loaded) == EVERY_COMMAND_LOADS | {f"mayleonard.{m}" for m in layers}
-    assert (numpy_seen, set(scipy_seen)) == (numpy_loaded, scipy_loaded)
+    assert (numpy_seen, set(watched_seen)) == (numpy_loaded, watched_loaded)

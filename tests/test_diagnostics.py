@@ -1,4 +1,6 @@
 import math
+import os
+import re
 from dataclasses import replace
 from itertools import count
 
@@ -588,7 +590,9 @@ def test_density_scan_order_independence():
 
 def test_density_scan_derives_constants_per_amplitude(monkeypatch):
     """The constants are derived a fixed number of times per amplitude,
-    however many map and tangent steps the scan takes."""
+    however many map and tangent steps the scan takes.  The scan runs on one
+    CPU, so that no row runs in a forked process, where this count cannot
+    see it."""
     import importlib
     import pkgutil
 
@@ -609,12 +613,14 @@ def test_density_scan_derives_constants_per_amplitude(monkeypatch):
                                            "mayleonard.diagnostics", "mayleonard.singular"}
     for module in bound:
         monkeypatch.setattr(module, "derive_constants", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     p = ModelParams(c=0.6, e=0.2, omega=0.3)
     counts = []
     for iterations in (10000, 20000):
         calls.clear()
         density_scan([1e-4, 3e-3], p, NumericsConfig(iterations=iterations,
                                                      series_len=1000, seed=5))
+        assert sorted(set(calls)) == [1e-4, 3e-3]
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -638,3 +644,76 @@ def test_density_scan_validates_grid():
         density_scan(np.array([0.01, 0.001]), p)
     with pytest.raises(ValidationError):
         density_scan(np.array([-0.1, 0.01]), p)
+
+
+def _failing_scan_one(monkeypatch, bad_gamma, fail):
+    """Patch the scan's per-amplitude body so that ``fail()`` runs in place
+    of it at ``bad_gamma``; forked strides inherit the patch."""
+    import mayleonard.diagnostics as diagnostics
+    original = diagnostics._scan_one
+
+    def scan_one(gamma, *args):
+        if gamma == bad_gamma:
+            fail()
+        return original(gamma, *args)
+
+    monkeypatch.setattr(diagnostics, "_scan_one", scan_one)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_density_scan_rows_do_not_depend_on_the_worker_count(monkeypatch):
+    """One, two and three usable CPUs give the same rows and summary, bit
+    for bit: a fixed-point row, a failed row whose reason crosses the pipe
+    from a forked stride, and more amplitudes than workers."""
+    # with two workers the failed row comes from a child, with three the
+    # fixed-point row does
+    grid = [SCAN_GRID[10], SCAN_GRID[30], SCAN_GRID[49], SCAN_GRID[90], SCAN_GRID[120]]
+
+    def fail():
+        raise NumericsError("planted failure")
+
+    _failing_scan_one(monkeypatch, grid[3], fail)
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        results.append(density_scan(grid, SCAN_PARAMS, SCAN_NUMERICS))
+        _no_child_left()
+    # repr writes each float exactly, and a NaN equal to a NaN
+    assert repr(results[1]) == repr(results[0]) == repr(results[2])
+    rows, summary = results[0]
+    assert [row.gamma for row in rows] == grid
+    assert (rows[2].K, rows[2].failed) == (0.0, False)
+    assert (rows[3].failed, rows[3].error) == (True, "planted failure")
+    assert summary.n_failed == 1
+
+
+def test_density_scan_reports_a_worker_that_dies(monkeypatch):
+    """A forked stride that exits without its rows is a ``NumericsError``
+    naming its exit status and its first amplitude, and no child is left."""
+    grid = SCAN_GRID[100:104].tolist()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # grid[3] is in the second stride, grid[1::2], which a child runs
+    _failing_scan_one(monkeypatch, grid[3], lambda: os._exit(3))
+    with pytest.raises(NumericsError, match=re.escape(f"gamma={grid[1]!r} exited with status 3")):
+        density_scan(grid, SCAN_PARAMS, SCAN_NUMERICS)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("stride", [0, 1])
+def test_density_scan_reraises_what_a_stride_raises(monkeypatch, stride):
+    """An exception that is no row failure propagates from this process's
+    stride and from a forked one alike, and no child is left running."""
+    grid = SCAN_GRID[100:104].tolist()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def fail():
+        raise RuntimeError(f"planted in stride {stride}")
+
+    _failing_scan_one(monkeypatch, grid[2 + stride], fail)
+    with pytest.raises(RuntimeError, match=f"planted in stride {stride}"):
+        density_scan(grid, SCAN_PARAMS, SCAN_NUMERICS)
+    _no_child_left()

@@ -2,7 +2,8 @@
 ``__all__`` entry is defined, every lazily exported name is bound,
 every exported name is reached by the package itself, every defaulted
 parameter is set by some package call, every parameter is read, every
-circle map has one evaluator, and no class has a ``to_*`` serialiser;
+circle map has one evaluator, no class has a ``to_*`` serialiser, and
+processes start in one place only;
 and of the tests:
 every import is read and every oracle in ``conftest.py`` is called by a test
 module; and the package's module graph is the table below."""
@@ -364,6 +365,40 @@ def serialiser_methods(modules):
     return sorted(found)
 
 
+# the packages that start processes on import or use, and the ``os``
+# functions that start one
+PROCESS_PACKAGES = ("multiprocessing", "concurrent.futures", "subprocess")
+OS_PROCESS_STARTS = {"fork", "forkpty", "posix_spawn", "posix_spawnp", "system", "popen",
+                     "spawnl", "spawnle", "spawnlp", "spawnlpe", "spawnv", "spawnve",
+                     "spawnvp", "spawnvpe"}
+
+
+def process_starts(modules):
+    """``module: what`` for each place in ``modules`` (stem -> tree) that can
+    start a process: an ``os`` function that starts one, named as
+    ``os.name`` or imported from ``os``, and each import of a package in
+    ``PROCESS_PACKAGES`` or of a module inside one."""
+    def starts(name):
+        return any((name + ".").startswith(pkg + ".") for pkg in PROCESS_PACKAGES)
+
+    found = []
+    for stem, tree in modules.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os" and node.attr in OS_PROCESS_STARTS):
+                found.append(f"{stem}: os.{node.attr}")
+            elif isinstance(node, ast.Import):
+                found += [f"{stem}: import {alias.name}" for alias in node.names
+                          if starts(alias.name)]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [alias.name for alias in node.names]
+                if (starts(node.module)
+                        or any(starts(f"{node.module}.{name}") for name in imported)
+                        or (node.module == "os" and OS_PROCESS_STARTS & set(imported))):
+                    found.append(f"{stem}: from {node.module} import {', '.join(imported)}")
+    return sorted(found)
+
+
 def uncalled_oracles(conftest, modules):
     """Module-level functions of ``conftest`` whose docstring starts with
     "Oracle" and that no module in ``modules`` calls by name."""
@@ -672,3 +707,35 @@ def test_oracle_check_catches_an_uncalled_oracle():
         "def test_fast():\n"
         "    assert fast_oracle(1) == fast(1)\n")
     assert uncalled_oracles(conftest, [module]) == ["stale_oracle"]
+
+
+def test_processes_start_in_one_place():
+    """The scan's ``os.fork`` is the one place where the package starts a
+    process; no module imports a process pool or ``subprocess``."""
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))}
+    assert process_starts(modules) == ["diagnostics: os.fork"]
+
+
+def test_process_check_sees_every_form():
+    """Negative control: a second ``os.fork``, an ``os`` spawn, each import
+    form of a pool or ``subprocess``, and a process function imported from
+    ``os`` are reported; other ``os`` names and packages are not."""
+    one = ast.parse("import os\n"
+                    "import subprocess\n"
+                    "import concurrent.futures as cf\n"
+                    "def f():\n"
+                    "    os.fork(); os.posix_spawn('x', [], {})\n"
+                    "    return os.getpid(), os.pipe()\n")
+    two = ast.parse("from multiprocessing import Pool\n"
+                    "from concurrent import futures\n"
+                    "from os import fork, getpid\n"
+                    "import os.path, multiprocessing.pool\n"
+                    "from subprocessing import run\n"
+                    "def g():\n"
+                    "    return os.fork()\n")
+    assert process_starts({"one": one, "two": two}) == [
+        "one: import concurrent.futures", "one: import subprocess", "one: os.fork",
+        "one: os.posix_spawn", "two: from concurrent import futures",
+        "two: from multiprocessing import Pool", "two: from os import fork, getpid",
+        "two: import multiprocessing.pool", "two: os.fork"]

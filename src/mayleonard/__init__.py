@@ -45,9 +45,7 @@ _EXPORTS = {
     "FlowState": "flow",
     "SectionEvent": "flow",
     "Trajectory": "flow",
-    "dwell_time_estimate": "flow",
     "equilibria_spectrum": "flow",
-    "fit_global_constants": "flow",
     "integrate": "flow",
     "section_returns": "flow",
     "section_state": "flow",

@@ -438,12 +438,14 @@ def zero_one_test(series, n_c: int = 32,
     A constant series (spread within 1e-12 of its magnitude: an orbit on a
     fixed point) has ``D = 0`` in exact arithmetic, so K would only
     correlate rounding noise; it raises :class:`ValidationError`, as do a
-    series shorter than 1000 samples and ``n_c < 1``.
+    series shorter than 1000 samples, a non-finite sample and ``n_c < 1``.
     """
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or len(x) < _ZERO_ONE_MIN_SAMPLES:
         raise ValidationError(
             f"series must be one-dimensional with >= {_ZERO_ONE_MIN_SAMPLES} samples")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("0-1 statistic needs a finite series")
     if _is_constant(x):
         raise ValidationError("0-1 statistic is undefined for a constant series")
     if n_c < 1:
@@ -487,13 +489,16 @@ def autocorrelation(series, lags: int) -> AutocorrelationResult:
 
     The decay rate per lag is a least-squares slope of ``log |acf|`` over
     the lags that sit above the sampling noise floor; a flat envelope
-    yields a rate near zero.  Diagnostic only.
+    yields a rate near zero.  A non-finite or constant series raises
+    :class:`ValidationError`.  Diagnostic only.
     """
     if lags < 1:
         raise ValidationError(f"autocorrelation needs lags >= 1, got {lags}")
     x = np.asarray(series, dtype=float)
     if len(x) < 10 * lags:
         raise ValidationError("series must be at least 10x the maximum lag")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("autocorrelation needs a finite series")
     if _is_constant(x):
         raise ValidationError("autocorrelation undefined for a constant series")
     var = float(np.var(x))
@@ -693,9 +698,9 @@ def density_scan(gamma_grid, params: ModelParams,
     forked process per usable CPU, with the same rows for any number of
     processes; a worker that exits without its rows raises
     :class:`NumericsError`, and any other exception a worker's amplitudes
-    raise is raised here.  Sizes that would fail every sample
-    (fewer than 10000 iterations, a series shorter than 1000 samples) raise
-    :class:`ValidationError` before any sample runs.
+    raise is raised here.  A non-finite amplitude and sizes that would fail
+    every sample (fewer than 10000 iterations, a series shorter than 1000
+    samples) raise :class:`ValidationError` before any sample runs.
 
     ``numerics`` gives the seed, the Lyapunov ``iterations`` and the 0-1
     test's ``series_len``.
@@ -703,6 +708,8 @@ def density_scan(gamma_grid, params: ModelParams,
     grid = np.asarray(list(gamma_grid), dtype=float)
     if grid.ndim != 1 or len(grid) < 1:
         raise ValidationError("gamma_grid must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError("amplitudes must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise ValidationError("gamma_grid must be strictly increasing")
     if grid[0] <= 0.0:

@@ -55,7 +55,7 @@ import scipy
 
 from .config import NumericsConfig
 from .errors import NumericsError, ValidationError
-from .params import ModelParams, derive_constants
+from .params import ModelParams
 
 __all__ = [
     "FlowState",
@@ -68,8 +68,6 @@ __all__ = [
     "integrate",
     "section_state",
     "section_returns",
-    "dwell_time_estimate",
-    "fit_global_constants",
 ]
 
 
@@ -574,66 +572,3 @@ def section_returns(state0: FlowState, n_returns: int, params: ModelParams,
         ))
     return SectionReturns(out, stats)
 
-
-def dwell_time_estimate(x_u0: float, params: ModelParams) -> float:
-    """Leading-order time of flight through a saddle neighbourhood.
-
-    ``x_u0`` is the entry value of the expanding coordinate in the units of
-    the local analysis (physical entry in cube units divided by ``gamma``).
-    Returns ``(1/e) * ln(1/(gamma * x_u0))``.  The O(gamma) drift
-    corrections of the local normal form are dropped; the estimate is only
-    valid while ``gamma * x_u0 < 1``.
-    """
-    if params.gamma <= 0.0:
-        raise ValidationError("dwell_time_estimate requires gamma > 0")
-    arg = params.gamma * x_u0
-    if not (0.0 < arg < 1.0):
-        raise ValidationError(
-            f"gamma * x_u0 = {arg} outside the validity region (0, 1)"
-        )
-    return math.log(1.0 / arg) / params.e
-
-
-@dataclass(frozen=True)
-class GlobalFitResult:
-    mu: float
-    mu1: float
-    mu3: float
-    residual: float
-    n_events: int
-
-
-def fit_global_constants(events, params: ModelParams) -> GlobalFitResult:
-    """Least-squares fit of the low-frequency return model to section data.
-
-    Fits ``x' = mu * x**delta + gamma * mu1 * (1 - sqrt(a1) cos(2 pi s))``
-    over consecutive event pairs (linear in ``mu`` and ``mu1``), and
-    recovers ``mu3`` from the circular mean of the phase updates.  Events
-    must use the mod-1 phase convention with ``x`` in cross-section units.
-    """
-    if len(events) < 51:
-        raise ValidationError("need at least 50 return pairs for the fit")
-    if params.gamma <= 0.0:
-        raise ValidationError("the fit requires gamma > 0 forcing data")
-    dc = derive_constants(params)
-    xs = np.array([ev.x for ev in events])
-    ss = np.array([ev.s for ev in events])
-    x_in, s_in, x_out, s_out = xs[:-1], ss[:-1], xs[1:], ss[1:]
-    A = np.column_stack([
-        x_in**dc.delta,
-        params.gamma * (1.0 - dc.sqrt_a1 * np.cos(2.0 * np.pi * s_in)),
-    ])
-    if np.linalg.matrix_rank(A) < 2 or np.ptp(x_in) < 1e-13:
-        raise NumericsError("rank-deficient fit: section x values carry no spread")
-    coef, res, _, _ = np.linalg.lstsq(A, x_out, rcond=None)
-    mu, mu1 = float(coef[0]), float(coef[1])
-    pred = A @ coef
-    residual = float(np.sqrt(np.mean((pred - x_out) ** 2)))
-    # phase update: s' = s + mu3*omega/pi - (xi*omega/pi) log x'  (mod 1)
-    om = params.omega
-    incr = (s_out - s_in + (dc.xi * om / math.pi) * np.log(x_out)) % 1.0
-    ang = 2.0 * np.pi * incr
-    mean_angle = math.atan2(float(np.mean(np.sin(ang))), float(np.mean(np.cos(ang))))
-    mu3 = (mean_angle / (2.0 * np.pi)) % 1.0 * math.pi / om
-    return GlobalFitResult(mu=mu, mu1=mu1, mu3=mu3,
-                           residual=residual, n_events=len(events))

@@ -144,10 +144,10 @@ def stable_fixed_point(gamma: float, delta: float) -> float | None:
     derivative ``delta * x**(delta-1)`` equals one; beyond the saddle-node
     amplitude no stable fixed point exists.
     """
-    if delta <= 1.0:
-        raise ValidationError(f"delta must exceed 1, got {delta}")
-    if gamma < 0.0:
-        raise ValidationError(f"gamma must be >= 0, got {gamma}")
+    if not 1.0 < delta < math.inf:
+        raise ValidationError(f"delta must be finite and exceed 1, got {delta}")
+    if not 0.0 <= gamma < math.inf:
+        raise ValidationError(f"gamma must be finite and >= 0, got {gamma}")
     if gamma == 0.0:
         return 0.0
     x_sn = delta ** (-1.0 / (delta - 1.0))

@@ -16,7 +16,7 @@ property is not even an open condition, so no robustness is claimed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -667,7 +667,7 @@ def lyapunov_1d(cmap: CircleMap, s0: float, iterations: int):
 
 @dataclass(frozen=True)
 class TransversalitySample:
-    critical_s: float
+    s: float
     dq_da: float
     dp_da: float
     separated: bool
@@ -749,7 +749,7 @@ def transversality_probe(base: AnalyticCircleMap):
         dp_da = diff / (2.0 * da)
         dq_da = 1.0      # the offset enters the image additively
         out.append(TransversalitySample(
-            critical_s=cp.s, dq_da=dq_da, dp_da=float(dp_da),
+            s=cp.s, dq_da=dq_da, dp_da=float(dp_da),
             separated=abs(dq_da - dp_da) > 1e-6,
         ))
     return out
@@ -833,10 +833,7 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
     samples = transversality_probe(cmap)
     entries["H5"] = {
         "status": "indicative" if samples else "not-checkable",
-        "samples": [
-            {"s": t.critical_s, "dq_da": t.dq_da, "dp_da": t.dp_da,
-             "separated": t.separated} for t in samples
-        ],
+        "samples": [asdict(t) for t in samples],
         "note": "finite-depth itinerary continuation; not a certificate",
     }
 

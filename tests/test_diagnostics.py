@@ -490,6 +490,26 @@ def test_zero_one_rejects_fixed_point_series():
     assert abs(zero_one_test(scan_phase_series(135, 1000))) < 0.1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_zero_one_rejects_non_finite_series(bad):
+    """A NaN sample would give K = nan, and an infinite one would be
+    reported as a constant series."""
+    series = np.cos(2.0 * np.pi * 0.1234567 * np.arange(2000))
+    series[700] = bad
+    with pytest.raises(ValidationError, match="finite series"):
+        zero_one_test(series)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_autocorrelation_rejects_non_finite_series(bad):
+    """A NaN sample would give all-NaN values, and an infinite one would be
+    reported as a constant series."""
+    series = np.cos(2.0 * np.pi * 0.1234567 * np.arange(2000))
+    series[700] = bad
+    with pytest.raises(ValidationError, match="finite series"):
+        autocorrelation(series, 40)
+
+
 def test_density_scan_fixed_point_row_is_regular():
     """A fixed point's row reads K = 0 and is neither failed nor a success;
     a series too short for the 0-1 test is rejected before the row runs."""
@@ -636,6 +656,21 @@ def test_density_scan_validates_sizes_before_any_row(monkeypatch, field, value):
     monkeypatch.setattr(diagnostics, "_scan_one", no_row)
     with pytest.raises(ValidationError, match=field):
         density_scan(SCAN_GRID[:2], SCAN_PARAMS, replace(SCAN_NUMERICS, **{field: value}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_scan_rejects_non_finite_amplitudes(monkeypatch, bad):
+    """A non-finite amplitude raises before any sample runs, not as a bare
+    conversion error once every sample has run."""
+    import mayleonard.diagnostics as diagnostics
+
+    def no_rows(*args):
+        raise AssertionError("the scan ran its samples")
+
+    monkeypatch.setattr(diagnostics, "_scan_rows", no_rows)
+    for grid in ([1e-3, bad], [bad]):
+        with pytest.raises(ValidationError, match="amplitudes must be finite"):
+            density_scan(grid, SCAN_PARAMS, SCAN_NUMERICS)
 
 
 def test_density_scan_validates_grid():

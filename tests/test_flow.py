@@ -18,15 +18,13 @@ from mayleonard import (
     ModelParams,
     NumericsError,
     ValidationError,
-    dwell_time_estimate,
     equilibria_spectrum,
-    fit_global_constants,
     integrate,
     section_returns,
     section_state,
 )
 from mayleonard.config import NumericsConfig
-from mayleonard.flow import SectionEvent, _field, table1_eigenpairs
+from mayleonard.flow import _field, table1_eigenpairs
 
 from conftest import random_admissible, rhs_oracle, stepper_oracle
 
@@ -801,109 +799,34 @@ def test_section_returns_forced_settles_on_curve():
     assert all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))
 
 
-def test_dwell_time_estimate_formula():
-    p = ModelParams(c=0.6, e=0.2, gamma=0.01)
-    assert dwell_time_estimate(1.0, p) == pytest.approx(5.0 * math.log(100.0),
-                                                        rel=1e-12)
-    # the estimate collapses to zero at the boundary of its validity region
-    assert dwell_time_estimate(99.999 / 1.0, replace(p, gamma=1.0 / 100.0)) < 1e-4
-    with pytest.raises(ValidationError):
-        dwell_time_estimate(200.0, p)          # gamma * x_u0 > 1
-    for x_u0 in (0.0, -1.0, math.nan, 1.0 / p.gamma):
-        with pytest.raises(ValidationError):
-            dwell_time_estimate(x_u0, p)
-    with pytest.raises(ValidationError):
-        dwell_time_estimate(1.0, replace(p, gamma=0.0))
-
-
 def test_dwell_time_matches_measured():
-    """Measured cube transit agrees with the leading estimate within 15%.
+    """Measured cube transit agrees with the leading estimate within 15%
+    while the forcing is weak, and misses it at gamma = 1e-2.
 
-    Valid while the forcing-pumped mass gamma/(2e) stays well below the
-    cube size; at gamma = 1e-2 that mass is a quarter of a 0.1-cube and
-    the leading estimate (which drops the order-gamma corrections) is off
-    by more than half, so the check stops at gamma = 1e-3.
+    The leading-order time of flight through a saddle neighbourhood is
+    ``(1/e) ln(1/(gamma x_u0))``, with ``x_u0`` the entry of the expanding
+    coordinate in cube units divided by ``gamma``; it drops the order-gamma
+    drift corrections of the local normal form.  It holds while the
+    forcing-pumped mass gamma/(2e) stays well below the cube size; at
+    gamma = 1e-2 that mass is a quarter of a 0.1-cube, and the estimate is
+    off by more than half (the measured error is about 66%).
     """
     c, e = 0.6, 0.2
     cube = 0.1
     x0 = 0.1 * cube                       # enter 10% into the cube
-    for gam in (1e-4, 3e-4, 1e-3):
+    for gam, agrees in ((1e-4, True), (3e-4, True), (1e-3, True), (1e-2, False)):
         p = ModelParams(c=c, e=e, gamma=gam, omega=0.3, eps_tilde=cube)
-        est = dwell_time_estimate((x0 / cube) / gam, p)
+        x_u0 = (x0 / cube) / gam
+        est = math.log(1.0 / (gam * x_u0)) / e
 
         def hit_exit(t, q):
             return q[0] - cube
         hit_exit.terminal = True
         hit_exit.direction = 1.0
-        from mayleonard.flow import _field
         sol = solve_ivp(_field(p, False), (0.0, 500.0),
                         [x0, cube, 1.0 - x0 - cube], rtol=1e-10, atol=1e-14,
                         events=hit_exit, max_step=1.0)
         assert sol.t_events[0].size == 1
         measured = sol.t_events[0][0]
-        assert abs(measured - est) / measured < 0.15
+        assert (abs(measured - est) / measured < 0.15) == agrees, gam
 
-
-def _synthetic_events(params, n, rng, noise=0.0):
-    from mayleonard.returnmap import compile_map
-    x0, s0 = 0.02, rng.uniform()
-    xs, ss, _ = compile_map("case12", params).orbit(x0, s0, n - 1)
-    clean = [(x0, s0)] + list(zip(xs.tolist(), ss.tolist()))
-    events = []
-    for k, (xk, sk) in enumerate(clean):
-        x_obs = abs(xk + rng.normal(scale=noise)) if noise else xk
-        events.append(SectionEvent(index=k, section="O3", t_raw=float(k),
-                                   s=sk, x=x_obs, log_x=math.log(x_obs),
-                                   state=np.array([x_obs, 0.1, 0.9])))
-    return events
-
-
-def test_fit_recovers_generating_constants(rng):
-    params = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05, mu1=1.0)
-    events = _synthetic_events(params, 80, rng)
-    fit = fit_global_constants(events, params)
-    assert abs(fit.mu - 1.0) < 1e-6
-    assert abs(fit.mu1 - 1.0) < 1e-6
-    assert fit.residual < 1e-10
-    assert abs(fit.mu3 - params.mu3) < 1e-6
-
-
-def test_fit_with_noise_monte_carlo(rng):
-    """Recovery within 1e-2 across 20 independent noise draws at 1e-4 noise.
-
-    The amplitude keeps the section coordinate well above the noise scale;
-    at much smaller amplitudes the errors-in-variables bias of the direct
-    least-squares fit exceeds the target accuracy.
-    """
-    params = ModelParams(c=0.55, e=0.5, gamma=1e-2, omega=0.05, mu1=1.0)
-    for _ in range(20):
-        events = _synthetic_events(params, 200, rng, noise=1e-4)
-        fit = fit_global_constants(events, params)
-        assert abs(fit.mu1 - 1.0) < 1e-2
-
-
-def test_fit_on_ode_returns_reports_residual():
-    """Fit against genuine flow returns: diagnostic only, residual reported."""
-    p = ModelParams(c=0.6, e=0.2, gamma=0.01, omega=0.3)
-    opts = NumericsConfig(rel_tol=1e-8, abs_tol=1e-12, max_step=1.0)
-    events = section_returns(section_state(0.005, p), 52, p, opts, sections="o3")
-    # rescale to cross-section units and the mod-1 phase convention
-    scaled = [
-        SectionEvent(index=ev.index, section=ev.section, t_raw=ev.t_raw,
-                     s=(ev.s * p.omega / math.pi) % 1.0,
-                     x=ev.x / p.eps_tilde, log_x=ev.log_x - math.log(p.eps_tilde),
-                     state=ev.state)
-        for ev in events
-    ]
-    fit = fit_global_constants(scaled, p)
-    assert math.isfinite(fit.residual)
-    assert fit.n_events == 52
-
-
-def test_fit_rank_deficient(rng):
-    params = ModelParams(c=0.55, e=0.5, gamma=1e-3, omega=0.05)
-    events = [SectionEvent(index=k, section="O3", t_raw=float(k), s=0.25,
-                           x=0.02, log_x=math.log(0.02),
-                           state=np.zeros(3)) for k in range(60)]
-    with pytest.raises(NumericsError):
-        fit_global_constants(events, params)

@@ -23,8 +23,6 @@ UNREACHED_ALLOWED = {
     "kernels": "the paper's kernel formulas, checked against quadrature",
     "equilibria_spectrum": "the paper's saddle spectra, checked against the flow",
     "table1_eigenpairs": "the paper's Table 1 eigenpairs, checked against the flow",
-    "fit_global_constants": "tool for checking the flow against the maps",
-    "dwell_time_estimate": "tool for checking the flow against the maps",
     "region_label": "a region column for the scan or classify is still undecided",
     "lyapunov_1d": "an SRB verdict on the circle map is still undecided",
     "DoublingMap": "the expansion certificate's passing control",

@@ -91,6 +91,16 @@ def test_x_star_population():
     assert saddle_node_gamma(delta) == pytest.approx(0.25, abs=1e-14)
 
 
+@pytest.mark.parametrize("gamma, delta", [
+    (math.nan, 3.0), (math.inf, 3.0), (0.01, math.nan), (0.01, math.inf),
+])
+def test_stable_fixed_point_rejects_non_finite(gamma, delta):
+    """A NaN or infinite amplitude or exponent has no fixed point to report:
+    NaN would slip past the sign checks and read as 0.0 or NaN."""
+    with pytest.raises(ValidationError, match="must be finite"):
+        stable_fixed_point(gamma, delta)
+
+
 def test_c1b_exhaustive_matches_oracle():
     """Brute-force scan over |m|+|n| <= 50 agrees with an independent loop."""
     params = ModelParams(c=0.6, e=0.2)

@@ -779,6 +779,10 @@ def test_battery_case2_structure():
     assert report.entries["H2"]["status"] == "pass"
     assert report.entries["H3"]["status"] == "pass"
     assert report.entries["H5"]["status"] in ("indicative", "not-checkable")
+    # each H5 sample is written as its record, under the record's field names
+    samples = transversality_probe(make_circle_map(0.3, p))
+    assert samples and report.entries["H5"]["samples"] == [asdict(t) for t in samples]
+    assert set(report.entries["H5"]["samples"][0]) == {"s", "dq_da", "dp_da", "separated"}
     # nondegeneracy value at the turns equals one
     assert report.entries["H6"]["value"] == pytest.approx(1.0, abs=1e-6)
     d = asdict(report)

@@ -264,21 +264,17 @@ def _run(args) -> int:
     if args.command == "chaos-test":
         import numpy as np
 
-        from .diagnostics import (Case34SMarginal, autocorrelation, rotation_interval,
-                                  zero_one_test)
+        from .diagnostics import autocorrelation, rotation_interval, zero_one_test
         from .returnmap import compile_map
         rng = np.random.default_rng(num.seed)
         x0 = args.x0 if args.x0 is not None else max(params.gamma, 1e-6)
         _check_start(x0, args.s0)
         _check_iters(args.iters)
-        steps = _CHAOS_BURN_IN + args.iters
-        if args.variant == "case34":
-            cmap = Case34SMarginal(params)
-            series = cmap.orbit(args.s0, steps)
-            rot_info = asdict(rotation_interval(cmap, rng=rng))
-        else:
-            series = compile_map("case12", params).orbit(x0, args.s0, steps)[1]
-            rot_info = None
+        fmap = compile_map(args.variant, params)
+        series = fmap.orbit(x0, args.s0, _CHAOS_BURN_IN + args.iters)[1]
+        # the rotation interval draws its seeds before the 0-1 test's frequencies
+        rot_info = (asdict(rotation_interval(fmap.marginal, rng=rng))
+                    if args.variant == "case34" else None)
         obs = np.cos(2.0 * np.pi * series[_CHAOS_BURN_IN:])
         K = zero_one_test(obs, rng=rng)
         acf = autocorrelation(obs, args.lags)

@@ -35,7 +35,6 @@ __all__ = [
     "classify_regime",
     "Lyapunov2D",
     "lyapunov_2d",
-    "Case34SMarginal",
     "RotationInterval",
     "rotation_interval",
     "zero_one_test",
@@ -312,35 +311,6 @@ def lyapunov_2d(fmap, point0, iterations: int) -> Lyapunov2D:
 # ---------------------------------------------------------------------------
 # rotation intervals
 
-class Case34SMarginal(CircleMap):
-    """Phase marginal of the high-frequency family: ``s + phi + A sin(2 pi s)``."""
-
-    def __init__(self, params: ModelParams):
-        fmap = compile_map("case34", params)
-        self.phi = fmap.shift - fmap.offset - fmap.drift
-        self.amp = fmap.amp
-
-    def jet(self, s, order=0):
-        s = np.asarray(s, dtype=float)
-        theta = 2.0 * np.pi * s
-        sin = np.sin(theta)
-        h = s + self.phi + self.amp * sin
-        if order == 0:
-            return (h,)
-        dh = 1.0 + 2.0 * np.pi * self.amp * np.cos(theta)
-        if order == 1:
-            return h, dh
-        return h, dh, -(2.0 * np.pi) ** 2 * self.amp * sin
-
-    def _critical_phases(self):
-        # h' = 0 is cos(2 pi s) = -1/(2 pi amp)
-        scale = 2.0 * math.pi * self.amp
-        if abs(scale) < 1.0:
-            return ()
-        turn = math.acos(-1.0 / scale) / (2.0 * math.pi)
-        return [turn, (-turn) % 1.0]
-
-
 @dataclass(frozen=True)
 class RotationInterval:
     lo: float
@@ -489,14 +459,15 @@ def autocorrelation(series, lags: int) -> AutocorrelationResult:
 
     The decay rate per lag is a least-squares slope of ``log |acf|`` over
     the lags that sit above the sampling noise floor; a flat envelope
-    yields a rate near zero.  A non-finite or constant series raises
+    yields a rate near zero.  A series that is not one-dimensional, is
+    shorter than ``10 * lags``, or is non-finite or constant raises
     :class:`ValidationError`.  Diagnostic only.
     """
     if lags < 1:
         raise ValidationError(f"autocorrelation needs lags >= 1, got {lags}")
     x = np.asarray(series, dtype=float)
-    if len(x) < 10 * lags:
-        raise ValidationError("series must be at least 10x the maximum lag")
+    if x.ndim != 1 or len(x) < 10 * lags:
+        raise ValidationError("series must be one-dimensional and at least 10x the maximum lag")
     if not np.all(np.isfinite(x)):
         raise ValidationError("autocorrelation needs a finite series")
     if _is_constant(x):

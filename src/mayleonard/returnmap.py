@@ -125,11 +125,13 @@ def kernels(x: float, s: float, params: ModelParams) -> KernelValues:
                         G1=g1, G2=g2, T1=t1, T2=t2, T3=t3)
 
 
-def _zeros(steps):
-    """Compact float storage for ``steps`` orbit images; ``steps >= 0``."""
+def _storage(x, s, steps):
+    """Float storage for ``steps`` images of a finite start; ``steps >= 0``."""
     if steps < 0:
         raise ValidationError(f"orbit needs steps >= 0, got {steps}")
-    return array("d", [0.0]) * steps
+    if not (math.isfinite(x) and math.isfinite(s)):
+        raise ValidationError(f"orbit needs a finite start, got ({x}, {s})")
+    return array("d", [0.0]) * steps, array("d", [0.0]) * steps
 
 
 def _check_section(x, variant):
@@ -167,7 +169,7 @@ class _CompiledMap:
         :class:`NumericsError` naming its step.
         """
         lift, modulus = self.lift, self.modulus
-        xs, ss = _zeros(steps), _zeros(steps)
+        xs, ss = _storage(x, s, steps)
         y = s
         for k in range(steps):
             x, f2 = lift(x, s)
@@ -266,7 +268,7 @@ class _Case12Map(_CompiledMap):
         delta, forcing, sqrt_a1 = self.delta, self.forcing, self.sqrt_a1
         shift, slope, two_pi = self.shift, self.slope, _TWO_PI
         cos, log, floor = math.cos, math.log, math.floor
-        xs, ss = _zeros(steps), _zeros(steps)
+        xs, ss = _storage(x, s, steps)
         y = s
         for k in range(steps):
             x = x**delta + forcing * (1.0 - sqrt_a1 * cos(two_pi * s))
@@ -292,29 +294,25 @@ class _Case12Map(_CompiledMap):
 class _Case34Map(_CompiledMap):
     """High-frequency return map: constant leading coordinate, circle map in s.
 
-    The input ``x`` is ignored by construction, so the tangent is rank-one
-    degenerate with determinant 0 (reported, not raised).  Requires
-    ``gamma > 0`` and ``mu1 > 0``: the phase update takes a log of their
-    product.
+    The phase update is ``marginal``, a ``singular.Case34SMarginal`` (it
+    needs ``gamma > 0`` and ``mu1 > 0``).  ``x`` is ignored by construction,
+    so the tangent is rank-one degenerate with determinant 0 (reported).
     """
 
     variant = "case34"
 
     def __init__(self, params, dc):
-        if params.gamma <= 0.0 or params.mu1 <= 0.0:
-            raise ValidationError("case34 map requires gamma > 0 and mu1 > 0")
+        # imported here so that the other variants load no singular layer
+        from .singular import Case34SMarginal
+        self.marginal = Case34SMarginal(params)
         super().__init__(params, dc)
         self.forcing = params.gamma * params.mu1
-        self.offset = self.slope * math.log(params.gamma * params.mu1)
-        self.drift = dc.xi * params.omega / (2.0 * params.e * math.pi * params.mu1)
-        self.amp = dc.xi / (2.0 * math.pi * params.mu1)
 
     def lift(self, x, s):
-        return self.forcing, (s + self.shift - self.offset - self.drift
-                              + self.amp * math.sin(_TWO_PI * s))
+        return self.forcing, self.marginal.jet(s)[0]
 
     def tangent(self, x, s):
-        d22 = 1.0 + self.dc.xi / self.params.mu1 * np.cos(_TWO_PI * s)
+        d22 = self.marginal.jet(s, 1)[1]
         zero = 0.0 * d22             # shaped like the phase input
         return zero, zero, zero, d22, zero
 
@@ -335,9 +333,10 @@ class _RescaledMap(_CompiledMap):
         gamma = params.gamma
         if not 0.0 < gamma < 1.0:
             raise ValidationError(f"rescaled family needs gamma in (0, 1), got {gamma}")
+        from .singular import k_map
         super().__init__(params, dc)
         self.gp = gamma**dc.p
-        self.kick = dc.K_omega * dc.xi * math.log(1.0 / gamma)
+        self.kick = k_map(gamma, dc)
 
     def lift(self, x, s):
         shape = x**self.delta + 1.0 - self.sqrt_a1 * math.cos(_TWO_PI * s)
@@ -369,8 +368,9 @@ def compile_map(variant: str, params: ModelParams) -> _CompiledMap:
     float arrays of the ``steps`` images, phases reduced by ``modulus``, and
     the lift ``y`` of the last phase (the start phase plus each unreduced
     phase advance, in step order).  Its images are bit-identical to stepping
-    ``lift``; it raises :class:`ValidationError` for ``steps < 0`` and
-    :class:`NumericsError` naming the step of an image with ``x <= 0``.
+    ``lift``; it raises :class:`ValidationError` for ``steps < 0`` or a
+    non-finite start and :class:`NumericsError` naming the step of an image
+    with ``x <= 0``.
     A call of ``m + k`` steps holds the images of ``m`` steps and then those
     of ``k`` steps from the last one, so a burn-in needs no second call.
     ``tangent`` takes floats or numpy arrays: it evaluates the same numpy

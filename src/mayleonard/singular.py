@@ -28,6 +28,7 @@ __all__ = [
     "AnalyticCircleMap",
     "DoublingMap",
     "RigidRotation",
+    "Case34SMarginal",
     "CriticalPoint",
     "MisiurewiczCertificate",
     "TransitionMatrix",
@@ -50,10 +51,10 @@ __all__ = [
 # amplitude sequences
 
 def k_map(x: float, constants: DerivedConstants) -> float:
-    """Logarithmic phase bookkeeping of the amplitude, ``-K_omega xi ln x``."""
+    """Logarithmic phase kick of the amplitude ``x``, ``K_omega xi ln(1/x)``."""
     if x <= 0.0:
         raise ValidationError(f"k_map needs x > 0, got {x}")
-    return -constants.K_omega * constants.xi * math.log(x)
+    return constants.K_omega * constants.xi * math.log(1.0 / x)
 
 
 GAMMA_PLUS = 0.05      # admissibility bound on the rescaled family's amplitude
@@ -61,7 +62,7 @@ GAMMA_PLUS = 0.05      # admissibility bound on the rescaled family's amplitude
 
 def first_admissible_index(constants: DerivedConstants) -> int:
     """Smallest index whose amplitude lies below ``GAMMA_PLUS`` for every offset ``a``."""
-    return math.floor(constants.K_omega * constants.xi * math.log(1.0 / GAMMA_PLUS)) + 1
+    return math.floor(k_map(GAMMA_PLUS, constants)) + 1
 
 
 def gamma_sequence(n: int, a: float, constants: DerivedConstants) -> float:
@@ -138,6 +139,8 @@ class CircleMap:
         if n < 0:
             raise ValidationError(f"orbit needs n >= 0, got {n}")
         s = np.asarray(s0, dtype=float)
+        if not np.all(np.isfinite(s)):
+            raise ValidationError(f"orbit needs a finite start, got {s0}")
         out = np.empty((n,) + s.shape)
         for i in range(n):
             s = out[i] = self.value(s)
@@ -216,6 +219,40 @@ class RigidRotation(CircleMap):
 
     def _critical_phases(self):
         return ()
+
+
+class Case34SMarginal(CircleMap):
+    """Phase marginal of the high-frequency family, ``s + phi + A sin(2 pi s)``:
+    the one formula of the phase map that ``compile_map("case34")`` steps.
+    ``phi`` takes the log of ``gamma mu1``, which must be positive."""
+
+    def __init__(self, params: ModelParams):
+        if params.gamma <= 0.0 or params.mu1 <= 0.0:
+            raise ValidationError("case34 map requires gamma > 0 and mu1 > 0")
+        xi, om, mu1 = derive_constants(params).xi, params.omega, params.mu1
+        self.phi = (params.mu3 * om / math.pi - xi * om / math.pi * math.log(params.gamma * mu1)
+                    - xi * om / (2.0 * params.e * math.pi * mu1))
+        self.amp = xi / (2.0 * math.pi * mu1)
+
+    def jet(self, s, order=0):
+        s = np.asarray(s, dtype=float)
+        theta = 2.0 * np.pi * s
+        sin = np.sin(theta)
+        h = s + self.phi + self.amp * sin
+        if order == 0:
+            return (h,)
+        dh = 1.0 + 2.0 * np.pi * self.amp * np.cos(theta)
+        if order == 1:
+            return h, dh
+        return h, dh, -(2.0 * np.pi) ** 2 * self.amp * sin
+
+    def _critical_phases(self):
+        # h' = 0 is cos(2 pi s) = -1/(2 pi amp)
+        scale = 2.0 * math.pi * self.amp
+        if abs(scale) < 1.0:
+            return ()
+        turn = math.acos(-1.0 / scale) / (2.0 * math.pi)
+        return [turn, (-turn) % 1.0]
 
 
 def make_circle_map(a: float, params: ModelParams) -> AnalyticCircleMap:

@@ -30,7 +30,6 @@ from mayleonard import (
 from mayleonard.cli import main
 from mayleonard.config import NumericsConfig
 from mayleonard.diagnostics import (
-    Case34SMarginal,
     density_scan,
     t1_curve,
     t2_curve,
@@ -38,6 +37,7 @@ from mayleonard.diagnostics import (
 from mayleonard.flow import section_state, table1_eigenpairs
 from mayleonard.params import stable_fixed_point
 from mayleonard.returnmap import compile_map, kernels
+from mayleonard.singular import Case34SMarginal
 from conftest import finite_difference_jacobian, random_admissible
 
 SEED = 20260809

@@ -873,6 +873,8 @@ COMMAND_LOADS = {
     "singular-limit": (["singular-limit", *RUN, "--n-count", "2"], {"singular"}, True, set()),
     "return-map": (["return-map", *RUN, "--variant", "case12", "--iters", "50"],
                    {"returnmap"}, True, set()),
+    "return-map case34": (["return-map", *RUN, "--variant", "case34", "--iters", "50"],
+                          {"returnmap", "singular"}, True, set()),
     "return-map rescaled": (["return-map", *RUN, "--variant", "rescaled", "--a", "0.3",
                              "--iters", "50"], {"returnmap", "singular"}, True, set()),
     "classify": (["classify", *RUN], ALL_BUT_FLOW, True, set()),

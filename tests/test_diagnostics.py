@@ -24,14 +24,13 @@ from mayleonard import (
 from mayleonard.config import NumericsConfig
 from mayleonard.diagnostics import (
     _BURN_IN,
-    Case34SMarginal,
     _scan_one,
     region_label,
     t1_curve,
     t2_curve,
 )
 from mayleonard.params import stable_fixed_point
-from mayleonard.singular import DoublingMap, RigidRotation
+from mayleonard.singular import Case34SMarginal, DoublingMap, RigidRotation
 
 from conftest import annulus_grid_oracle, doubling_orbit, lyapunov_oracle, zero_one_oracle
 
@@ -215,6 +214,17 @@ def test_lyapunov_2d_rejects_degenerate_variant():
     p = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=6.0)
     with pytest.raises(ValidationError):
         lyapunov_2d(compile_map("case34", p), (0.1, 0.3), 20000)
+
+
+@pytest.mark.parametrize("name", ["full", "rescaled", "0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lyapunov_2d_rejects_a_non_finite_start(name, bad):
+    """A non-finite start coordinate is a validation error, not a bare
+    ``ValueError`` from deep in the orbit loop."""
+    fmap, (x0, s0) = lyapunov_case(name)
+    for point in ((bad, s0), (x0, bad)):
+        with pytest.raises(ValidationError, match="finite start"):
+            lyapunov_2d(fmap, point, 10000)
 
 
 def lyapunov_case(name):
@@ -508,6 +518,14 @@ def test_autocorrelation_rejects_non_finite_series(bad):
     series[700] = bad
     with pytest.raises(ValidationError, match="finite series"):
         autocorrelation(series, 40)
+
+
+@pytest.mark.parametrize("shape", [(), (2000, 3), (1, 2000)])
+def test_autocorrelation_rejects_a_series_that_is_not_one_dimensional(shape, rng):
+    """A table of series would be flattened into one, and a scalar has no
+    length: both are rejected as ``zero_one_test`` rejects them."""
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        autocorrelation(rng.normal(size=shape), 5)
 
 
 def test_density_scan_fixed_point_row_is_regular():

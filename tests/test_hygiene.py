@@ -27,8 +27,6 @@ UNREACHED_ALLOWED = {
     "lyapunov_1d": "an SRB verdict on the circle map is still undecided",
     "DoublingMap": "the expansion certificate's passing control",
     "RigidRotation": "the expansion certificate's failing control",
-    "k_map": "the scan amplitude's singular-limit offset a = k_map(gamma) mod 1, "
-             "for the scan's CE-rate column (ROADMAP item 10)",
 }
 
 # defaulted parameters, as ``function.parameter``, that no package call sets,
@@ -64,7 +62,7 @@ MODULE_GRAPH = {
     "errors": set(),
     "flow": {"config", "errors", "params"},
     "params": {"errors"},
-    "returnmap": {"errors", "params"},
+    "returnmap": {"errors", "params", "singular"},
     "singular": {"errors", "params"},
 }
 

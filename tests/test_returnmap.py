@@ -16,7 +16,7 @@ from mayleonard import (
     kernels,
 )
 from mayleonard.returnmap import VARIANTS, reduce_mod
-from mayleonard.singular import gamma_sequence, make_circle_map
+from mayleonard.singular import Case34SMarginal, gamma_sequence, make_circle_map
 
 from conftest import finite_difference_jacobian, orbit_oracle, quad_checked, random_admissible
 
@@ -378,6 +378,44 @@ def test_jacobian_case34_degenerate():
     params = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=6.0)
     _, det, det_cf = _tangent_matrix(compile_map("case34", params), 0.1, 0.3)
     assert det == 0.0 and det_cf == 0.0
+
+
+@pytest.mark.parametrize("omega", [0.3, 6.0])
+def test_case34_steps_its_phase_marginal(omega):
+    """The case-34 map's phases are the orbit of ``Case34SMarginal`` to the
+    bit, from any ``x``, and its tangent's ``d22`` is the marginal's ``h'``:
+    the high-frequency phase map has one formula.  At omega = 0.3 the
+    parameters are those of ``configs/case2.cfg``."""
+    params = replace(ORBIT_PARAMS, omega=omega)
+    marginal = Case34SMarginal(params)
+    for x0 in (1e-3, 0.5):
+        _, ss, _ = compile_map("case34", params).orbit(x0, 0.37, 2200)
+        assert np.array_equal(ss, marginal.orbit(0.37, 2200))
+    s = np.linspace(0.0, 1.0, 257)
+    d22 = compile_map("case34", params).tangent(0.1, s)[3]
+    assert np.array_equal(d22, marginal.jet(s, 1)[1])
+
+
+@pytest.mark.parametrize("changes", [{"gamma": 0.0}, {"mu1": 0.0}, {"mu1": -1.0}])
+def test_case34_needs_positive_forcing(changes):
+    """The phase update takes the log of ``gamma mu1``, so the marginal and
+    the compiled map both reject a product that is not positive."""
+    params = replace(ORBIT_PARAMS, **changes)
+    for build in (Case34SMarginal, lambda p: compile_map("case34", p)):
+        with pytest.raises(ValidationError, match="gamma > 0 and mu1 > 0"):
+            build(params)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_orbit_rejects_a_non_finite_start(variant, bad):
+    """A non-finite ``x`` or ``s`` is a validation error before the first
+    step, for the fused loop and the shared one alike; ``case34``, which
+    ignores ``x``, rejects it too."""
+    fmap = orbit_map(variant)
+    for x0, s0 in ((bad, 0.1), (0.02, bad)):
+        with pytest.raises(ValidationError, match="finite start"):
+            fmap.orbit(x0, s0, 5)
 
 
 @pytest.mark.parametrize("variant", ["full", "case12"])

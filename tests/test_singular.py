@@ -26,6 +26,7 @@ from mayleonard import (
     transition_matrix,
 )
 from mayleonard.singular import (
+    Case34SMarginal,
     ConditionVerdict,
     MisiurewiczCertificate,
     _branch_solve,
@@ -35,7 +36,6 @@ from mayleonard.singular import (
     transversality_probe,
 )
 from mayleonard.config import parse_config
-from mayleonard.diagnostics import Case34SMarginal
 
 from conftest import circle_dist_oracle, critical_set_grid, doubling_orbit
 
@@ -181,7 +181,8 @@ def dc_case2():
 
 
 def test_k_map_arithmetic(dc_case2):
-    """K_omega * xi = 4.1380 for delta=3, omega=0.3, xi=65."""
+    """K_omega * xi = 4.1380 for delta=3, omega=0.3, xi=65; the rescaled
+    map's phase kick at an amplitude is ``k_map`` of it."""
     kxi = dc_case2.K_omega * dc_case2.xi
     assert kxi == pytest.approx(0.3 * (2.0 / 3.0) / math.pi * 65.0, rel=1e-13)
     assert kxi == pytest.approx(4.1380, abs=5e-5)
@@ -189,6 +190,7 @@ def test_k_map_arithmetic(dc_case2):
     assert k_map(0.1, dc_case2) > k_map(0.5, dc_case2)
     with pytest.raises(ValidationError):
         k_map(0.0, dc_case2)
+    assert compile_map("rescaled", replace(CASE2, gamma=1e-3)).kick == k_map(1e-3, dc_case2)
 
 
 def test_gamma_sequence_properties(dc_case2, rng):
@@ -527,6 +529,19 @@ def test_circle_map_orbit_sizes():
                 cmap.orbit(start, n)
     assert cmap.orbit(0.3, 0).shape == (0,)
     assert cmap.orbit(starts, 0).shape == (0, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_circle_map_orbit_rejects_a_non_finite_start(bad):
+    """A non-finite start, alone or in an array of starts, is a validation
+    error for every family, and so is a non-finite start of ``lyapunov_1d``,
+    which would otherwise report a NaN exponent."""
+    for cmap in _every_circle_map():
+        for start in (bad, np.array([0.1, bad, 0.3])):
+            with pytest.raises(ValidationError, match="finite start"):
+                cmap.orbit(start, 5)
+    with pytest.raises(ValidationError, match="finite start"):
+        lyapunov_1d(make_circle_map(0.3, CASE2), bad, 1000)
 
 
 def test_circle_map_orbit_steps_starts_in_lockstep():

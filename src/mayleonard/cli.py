@@ -121,9 +121,9 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--variant", choices=("case12", "case34"), default="case12")
     p.add_argument("--iters", type=int, default=2000,
-                   help="length of the phase series for K and the autocorrelation; "
-                        "the case34 rotation interval always runs 8 seeds x 20000 "
-                        "iterations")
+                   help="length of the phase series for K and the autocorrelation, "
+                        "at least max(1000, 10 x --lags); the case34 rotation "
+                        "interval always runs 8 seeds x 20000 iterations")
     p.add_argument("--x0", type=float, default=None)
     p.add_argument("--s0", type=float, default=0.37)
     p.add_argument("--lags", type=int, default=50)
@@ -264,12 +264,21 @@ def _run(args) -> int:
     if args.command == "chaos-test":
         import numpy as np
 
-        from .diagnostics import autocorrelation, rotation_interval, zero_one_test
+        from .diagnostics import (_ZERO_ONE_MIN_SAMPLES, autocorrelation,
+                                  rotation_interval, zero_one_test)
         from .returnmap import compile_map
         rng = np.random.default_rng(num.seed)
         x0 = args.x0 if args.x0 is not None else max(params.gamma, 1e-6)
         _check_start(x0, args.s0)
         _check_iters(args.iters)
+        # the sizes the 0-1 test and the autocorrelation need, checked before
+        # the orbit and the rotation interval run
+        if args.lags < 1:
+            raise ValidationError(f"autocorrelation needs lags >= 1, got {args.lags}")
+        min_iters = max(_ZERO_ONE_MIN_SAMPLES, 10 * args.lags)
+        if args.iters < min_iters:
+            raise ValidationError(f"--iters must be >= max({_ZERO_ONE_MIN_SAMPLES}, "
+                                  f"10 * --lags) = {min_iters}, got {args.iters}")
         fmap = compile_map(args.variant, params)
         series = fmap.orbit(x0, args.s0, _CHAOS_BURN_IN + args.iters)[1]
         # the rotation interval draws its seeds before the 0-1 test's frequencies

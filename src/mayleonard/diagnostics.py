@@ -384,6 +384,32 @@ def _is_constant(x: np.ndarray) -> bool:
 _ZERO_ONE_MIN_SAMPLES = 1000
 
 
+def _fast_fft_len(n: int) -> int:
+    """The smallest integer ``>= n`` whose only prime factors are 2, 3 and 5."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to n or beyond
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _lag_correlation(lag_c, lag_ss, D) -> float:
+    """Pearson coefficient of ``D`` against the lags, clipped to [-1, 1] as
+    ``np.corrcoef`` clips it.  ``lag_c`` is the centred lag vector and
+    ``lag_ss`` its sum of squares; a ``D`` with no spread raises
+    :class:`NumericsError`, since the coefficient is then undefined."""
+    d = D - D.mean()
+    d_ss = float(d @ d)
+    if not d_ss > 0.0:
+        raise NumericsError("0-1 statistic: the displacement D has no spread over the lags")
+    return min(1.0, max(-1.0, float(lag_c @ d) / math.sqrt(lag_ss * d_ss)))
+
+
 def zero_one_test(series, n_c: int = 32,
                   rng: np.random.Generator | None = None) -> float:
     """Gottwald-Melbourne 0-1 statistic, median over random frequencies.
@@ -401,9 +427,14 @@ def zero_one_test(series, n_c: int = 32,
                                   - 2 Re sum_j z_{j+n} conj(z_j),
 
     two prefix sums of ``|z|^2`` and the autocorrelation of ``z`` at lags
-    1..N/10, read off one zero-padded FFT of length >= 2N.  A frequency
-    costs O(N log N), so a call costs O(n_c N log N) instead of the
-    O(n_c N^2 / 10) of a pass over the series per lag.
+    1..N/10, read off one zero-padded FFT.  Its length is the smallest
+    ``>= N + N/10`` with no prime factor above 5: no lag up to N/10 wraps
+    round the padding.  A frequency costs O(N log N), so a call costs
+    O(n_c N log N) instead of the O(n_c N^2 / 10) of a pass over the series
+    per lag.  The correlation of ``D`` with the lags is the closed-form
+    Pearson coefficient against a centred lag vector built once per call,
+    clipped to [-1, 1]; a ``D`` with no spread raises
+    :class:`NumericsError`.
 
     A constant series (spread within 1e-12 of its magnitude: an orbit on a
     fixed point) has ``D = 0`` in exact arithmetic, so K would only
@@ -427,7 +458,9 @@ def zero_one_test(series, n_c: int = 32,
     j = np.arange(N)
     mean_sq = float(np.mean(x)) ** 2
     n_arr = np.arange(1, ncut + 1)
-    n_fft = 1 << (2 * N - 1).bit_length()
+    lag_c = n_arr - 0.5 * (ncut + 1)
+    lag_ss = float(lag_c @ lag_c)
+    n_fft = _fast_fft_len(N + ncut)
     ks = np.empty(n_c)
     for i in range(n_c):
         c = math.pi / 5.0 + rng.uniform() * 3.0 * math.pi / 5.0
@@ -442,7 +475,7 @@ def zero_one_test(series, n_c: int = 32,
         tail = sq[-1] - sq[n_arr - 1]           # sum_{j >= n} |z_j|^2
         M = (head + tail - 2.0 * cross) / (N - n_arr)
         D = M - mean_sq * (1.0 - np.cos(n_arr * c)) / (1.0 - math.cos(c))
-        ks[i] = np.corrcoef(n_arr, D)[0, 1]
+        ks[i] = _lag_correlation(lag_c, lag_ss, D)
     return float(np.median(ks))
 
 

@@ -61,7 +61,16 @@ class KernelValues:
 
 
 def reduce_mod(value: float, modulus: float) -> float:
-    """Floor-based reduction to [0, modulus); exact ties map to 0."""
+    """Floor-based reduction ``value - modulus * floor(value / modulus)``;
+    exact ties map to 0.
+
+    The result is rounded, so it lies in [0, modulus) only up to that
+    rounding.  A value just below a multiple of the modulus can reduce to
+    the modulus itself: ``reduce_mod(-1e-20, 1.0)`` is 1.0, the exact
+    ``1 - 1e-20`` rounded up.  With a modulus other than 1 the quotient is
+    rounded too, and a result can fall below 0 by an ulp of ``value``.
+    ``-0.0`` reduces to ``-0.0``.
+    """
     return value - modulus * math.floor(value / modulus)
 
 
@@ -263,11 +272,14 @@ class _Case12Map(_CompiledMap):
 
     def orbit(self, x, s, steps):
         # the body of ``lift`` with the constants and ``math`` bound as
-        # locals; with modulus 1, ``f2 - floor(f2)`` is ``reduce_mod(f2, 1.0)``
-        # to the bit, and the escape check is ``lift``'s ``f1 <= 0`` test
+        # locals, and the escape check is ``lift``'s ``f1 <= 0`` test.  With
+        # modulus 1, ``f2 % 1.0`` is ``reduce_mod(f2, 1.0)`` to the bit for
+        # every f2 but -0.0 (which ``%`` maps to +0.0): both round the exact
+        # ``f2 - floor(f2)`` once, as float ``%`` takes the exact ``fmod``
+        # and, for f2 < 0, adds 1.0.  Unlike ``floor``, ``%`` calls no function
         delta, forcing, sqrt_a1 = self.delta, self.forcing, self.sqrt_a1
         shift, slope, two_pi = self.shift, self.slope, _TWO_PI
-        cos, log, floor = math.cos, math.log, math.floor
+        cos, log = math.cos, math.log
         xs, ss = _storage(x, s, steps)
         y = s
         for k in range(steps):
@@ -276,7 +288,7 @@ class _Case12Map(_CompiledMap):
                 raise NumericsError(f"orbit escaped (x <= 0) at step {k}")
             f2 = s + shift - slope * log(x)
             y += f2 - s
-            s = f2 - floor(f2)
+            s = f2 % 1.0
             xs[k] = x
             ss[k] = s
         return np.frombuffer(xs), np.frombuffer(ss), y

@@ -770,6 +770,40 @@ def test_bad_sizes_are_a_validation_error(case2_cfg, tmp_path, capsys, argv, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant", ["case12", "case34"])
+@pytest.mark.parametrize("sizes, message", [
+    (["--lags", "0"], "autocorrelation needs lags >= 1, got 0"),
+    (["--iters", "999"], "--iters must be >= max(1000, 10 * --lags) = 1000, got 999"),
+    (["--lags", "150", "--iters", "1499"],
+     "--iters must be >= max(1000, 10 * --lags) = 1500, got 1499"),
+])
+def test_chaos_test_rejects_its_sizes_before_the_orbit(case2_cfg, tmp_path, capsys,
+                                                       monkeypatch, variant, sizes, message):
+    """A series too short for the 0-1 test or for the lags, or lags below 1,
+    fail with exit 1 before the map is compiled, so before the orbit, the
+    rotation interval and the 0-1 test run."""
+    import mayleonard.returnmap
+
+    def fail(*args):
+        raise AssertionError("compile_map called")
+
+    monkeypatch.setattr(mayleonard.returnmap, "compile_map", fail)
+    out = tmp_path / "chaos.json"
+    rc = main(["chaos-test", "--config", case2_cfg, "--variant", variant, *sizes,
+               "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_chaos_test_runs_at_its_least_sizes(case2_cfg, tmp_path):
+    """The smallest accepted series: 1000 samples, and 10 per lag."""
+    for sizes in (["--iters", "1000"], ["--lags", "150", "--iters", "1500"]):
+        out = tmp_path / "chaos.json"
+        assert main(["chaos-test", "--config", case2_cfg, *sizes, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["iters"] == int(sizes[-1])
+
+
 def test_unknown_variant_is_a_validation_error(case2_cfg, tmp_path, capsys):
     """The map layer, not the parser, rejects an unknown variant, naming the
     known ones; no CSV is written."""

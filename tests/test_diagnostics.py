@@ -24,6 +24,8 @@ from mayleonard import (
 from mayleonard.config import NumericsConfig
 from mayleonard.diagnostics import (
     _BURN_IN,
+    _fast_fft_len,
+    _lag_correlation,
     _scan_one,
     region_label,
     t1_curve,
@@ -484,7 +486,44 @@ def test_zero_one_matches_per_lag_oracle(kind, n, n_c):
     got = zero_one_test(series, n_c=n_c, rng=rng_fft)
     want = zero_one_oracle(series, n_c=n_c, rng=rng_loop)
     assert got == pytest.approx(want, abs=1e-9)
+    assert -1.0 <= got <= 1.0
     assert rng_fft.bit_generator.state == rng_loop.bit_generator.state
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@pytest.mark.parametrize("n", [1000, 1200, 2000, 4097])
+def test_zero_one_fft_length_is_the_least_5_smooth_above_the_lags(n):
+    """The FFT is padded to the smallest length >= N + N//10 with no prime
+    factor above 5 (1125 for N = 1000), enough that no lag up to N//10
+    wraps round."""
+    need = n + n // 10
+    want = next(m for m in range(need, 2 * need) if _is_5_smooth(m))
+    assert _fast_fft_len(need) == want
+    assert [_fast_fft_len(m) for m in (1, 2, 7, 1100)] == [1, 2, 8, 1125]
+
+
+def test_zero_one_lag_correlation_is_pearson_clipped():
+    """The closed-form coefficient is ``np.corrcoef``'s to rounding, a D
+    linear in the lag reads 1 or -1 and no further, and a D with no spread
+    over the lags has no coefficient: a numeric error, not a NaN."""
+    lags = np.arange(1, 101)
+    lag_c = lags - 50.5
+    lag_ss = float(lag_c @ lag_c)
+    D = np.random.default_rng(5).normal(size=100) + 0.01 * lags
+    assert _lag_correlation(lag_c, lag_ss, D) == pytest.approx(
+        np.corrcoef(lags, D)[0, 1], abs=1e-14)
+    for slope in (3.0, -1e-7):
+        r = _lag_correlation(lag_c, lag_ss, slope * lags + 0.1)
+        assert -1.0 <= r <= 1.0 and abs(r) == pytest.approx(1.0, abs=1e-14)
+    for flat in (np.zeros(100), np.full(100, 2.5)):
+        with pytest.raises(NumericsError, match="no spread"):
+            _lag_correlation(lag_c, lag_ss, flat)
 
 
 def test_zero_one_rejects_fixed_point_series():

@@ -374,6 +374,40 @@ def test_case12_orbit_names_the_escape_step():
         fmap.orbit(1.0, 0.3, -1)
 
 
+@pytest.mark.parametrize("f2", [
+    0.0, 1e-300, 1.0, 2.0, 7.0, 2.0**53, 2.0**52 + 0.5, 0.37, 1.0 - 2.0**-53,
+    -0.5, -1.0, -3.0, -3.25, -2.0**52 - 0.5, -1e-20,
+])
+def test_unit_reduction_is_float_modulo(f2):
+    """The fused case-12 loop reduces its phase images as ``f2 % 1.0``, and
+    stepping ``lift`` reduces them with ``reduce_mod``: the two floats are
+    the same to the bit.  ``-1e-20`` reduces to the modulus itself, as the
+    exact ``1 - 1e-20`` rounds up to 1."""
+    assert (f2 % 1.0).hex() == reduce_mod(f2, 1.0).hex()
+    if f2 == -1e-20:
+        assert reduce_mod(f2, 1.0) == 1.0
+
+
+def test_unit_reduction_of_negative_zero():
+    """The one float the two reductions take apart: ``-0.0 % 1.0`` is +0.0,
+    while ``reduce_mod`` keeps the sign; the values compare equal."""
+    assert (-0.0 % 1.0).hex() == "0x0.0p+0"
+    assert reduce_mod(-0.0, 1.0).hex() == "-0x0.0p+0"
+
+
+def test_case12_orbit_reduces_negative_phase_images():
+    """At mu3 = -300 the phase shift is about -28.6 turns, so nearly half
+    of the images ``f2`` are negative, a branch the shipped configs never
+    reach; the fused loop still equals stepping ``lift`` to the bit."""
+    fmap = orbit_map("case12", mu3=-300.0)
+    xs, ss, _ = fmap.orbit(1e-3, 0.3, 5000)
+    want = list(orbit_oracle(fmap, 1e-3, 0.3, 5000))
+    phases = [0.3] + [w[1] for w in want[:-1]]
+    assert sum(s + w[2] < 0.0 for s, w in zip(phases, want)) > 1000
+    assert np.array_equal(xs, [w[0] for w in want])
+    assert np.array_equal(ss, [w[1] for w in want])
+
+
 def test_jacobian_case34_degenerate():
     params = ModelParams(c=0.6, e=0.2, gamma=1e-3, omega=6.0)
     _, det, det_cf = _tangent_matrix(compile_map("case34", params), 0.1, 0.3)

@@ -62,16 +62,18 @@ class KernelValues:
 
 def reduce_mod(value: float, modulus: float) -> float:
     """Floor-based reduction ``value - modulus * floor(value / modulus)``;
-    exact ties map to 0.
+    exact ties map to 0, and the result is never below 0.
 
     The result is rounded, so it lies in [0, modulus) only up to that
     rounding.  A value just below a multiple of the modulus can reduce to
     the modulus itself: ``reduce_mod(-1e-20, 1.0)`` is 1.0, the exact
     ``1 - 1e-20`` rounded up.  With a modulus other than 1 the quotient is
-    rounded too, and a result can fall below 0 by an ulp of ``value``.
-    ``-0.0`` reduces to ``-0.0``.
+    rounded too, and can reach the integer above the exact one; the
+    difference then falls below 0 by an ulp of ``value``, and the modulus
+    is added back.  ``-0.0`` reduces to ``-0.0``.
     """
-    return value - modulus * math.floor(value / modulus)
+    r = value - modulus * math.floor(value / modulus)
+    return r + modulus if r < 0.0 else r
 
 
 def eta_omega(s, params: ModelParams, xp=math):

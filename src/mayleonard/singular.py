@@ -289,10 +289,17 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams) -> list[C
     domain (``x`` up to 1); the phase component is compared with
     the limit circle map over the absorbing range that one application of
     the leading component produces (the phase component of the family does
-    not otherwise depend on the index at all).  Derivative distances up to
-    third order are finite-difference surrogates applied to the difference
-    functions, so their round-off scales with the difference itself.  The
-    phase grid has 256 points and the absorbing range 32.
+    not otherwise depend on the index at all).  The phase grid has 256
+    points and the absorbing range 32.
+
+    Derivative distances up to third order take the larger of two sups.
+    The leading component ``gamma**p (x**delta + 1 - sqrt(a1) cos 2 pi s)``
+    has the k-th s-derivative sup ``gamma**p sqrt(a1) (2 pi)**k`` in closed
+    form, reached on the grid at s = 0 and s = 1/4.  The difference
+    function of the phase component has finite-difference surrogates
+    (step 1e-3), so their round-off scales with the difference itself; each
+    stencil's sup is divided by its step power after the reduction, which
+    for a positive divisor is the sup of the divided stencil to the bit.
 
     The indices must strictly increase (else :class:`ValidationError`), and
     there must be at least one.  The table stops at the first index whose
@@ -305,12 +312,13 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams) -> list[C
             raise ValidationError(f"the indices must strictly increase, got {m} after {n}")
     dc = derive_constants(params)
     s_grid = np.linspace(0.0, 1.0, 256, endpoint=False)
-    # sqrt_a1 cos(2 pi s) on the stencil s + k h, k = -2..2, once per table;
-    # the k = 0 row is the phase grid itself (s + 0.0 is s)
+    # 1 - sqrt_a1 cos(2 pi s) on the stencil s + k h, k = -2..2, once per
+    # table; the k = 0 row is the phase grid itself (s + 0.0 is s)
     h = 1e-3
-    sc = [dc.sqrt_a1 * np.cos(2.0 * np.pi * (s_grid + k * h)) for k in (-2, -1, 0, 1, 2)]
-    den = [1.0 - c for c in sc]
+    den = [1.0 - dc.sqrt_a1 * np.cos(2.0 * np.pi * (s_grid + k * h)) for k in (-2, -1, 0, 1, 2)]
     coef = -dc.xi * params.omega / math.pi
+    # the leading component's k-th s-derivative sup over gamma**p
+    lead = [dc.sqrt_a1 * (2.0 * math.pi) ** k for k in (1, 2, 3)]
     rows = []
     for n in n_range:
         try:
@@ -323,21 +331,17 @@ def singular_limit_convergence(n_range, a: float, params: ModelParams) -> list[C
         f1_sup = gp * (2.0 + dc.sqrt_a1)
         x_absorb = f1_sup
         xd = np.linspace(x_absorb / 32, x_absorb, 32)[:, None] ** dc.delta
-        f2_diff = [coef * np.log1p(xd / b) for b in den]
-        f1_val = [gp * (xd + 1.0 - c) for c in sc]
-        f2_sup = float(np.max(np.abs(f2_diff[2])))
-        d_sups = []
-        for v in (f2_diff, f1_val):
-            d1 = (v[3] - v[1]) / (2 * h)
-            d2 = (v[3] - 2 * v[2] + v[1]) / h**2
-            d3 = (v[4] - 2 * v[3] + 2 * v[1] - v[0]) / (2 * h**3)
-            d_sups.append([float(np.max(np.abs(d))) for d in (d1, d2, d3)])
+        v = [coef * np.log1p(xd / b) for b in den]
+        fd = (
+            float(np.max(np.abs(v[3] - v[1]))) / (2 * h),
+            float(np.max(np.abs(v[3] - 2 * v[2] + v[1]))) / h**2,
+            float(np.max(np.abs(v[4] - 2 * v[3] + 2 * v[1] - v[0]))) / (2 * h**3),
+        )
+        d1_sup, d2_sup, d3_sup = (max(d, gp * c) for d, c in zip(fd, lead))
         rows.append(ConvergenceRow(
             n=n, gamma=gamma, x_absorb=x_absorb,
-            f1_sup=f1_sup, f2_sup=f2_sup,
-            d1_sup=max(d_sups[0][0], d_sups[1][0]),
-            d2_sup=max(d_sups[0][1], d_sups[1][1]),
-            d3_sup=max(d_sups[0][2], d_sups[1][2]),
+            f1_sup=f1_sup, f2_sup=float(np.max(np.abs(v[2]))),
+            d1_sup=d1_sup, d2_sup=d2_sup, d3_sup=d3_sup,
         ))
     if not rows:
         raise ValidationError("the convergence table needs at least one index")
@@ -426,6 +430,13 @@ def _largest_rate(cum, m):
     return lam
 
 
+def _check_certificate_inputs(horizon, u_radius):
+    if horizon < 1:
+        raise ValidationError("horizon must be >= 1")
+    if not 0.0 < u_radius < 0.5:
+        raise ValidationError(f"u_radius must lie in (0, 0.5), got {u_radius}")
+
+
 def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2,
                       horizon: int = 1000) -> MisiurewiczCertificate:
     """Run the five-part expansion certification at a finite horizon.
@@ -470,10 +481,7 @@ def misiurewicz_check(cmap: CircleMap, u_radius: float = 1e-2,
     their images and derivatives already come from numpy's ``cos``,
     ``sin`` and ``log``.
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
-    if not 0.0 < u_radius < 0.5:
-        raise ValidationError(f"u_radius must lie in (0, 0.5), got {u_radius}")
+    _check_certificate_inputs(horizon, u_radius)
     r = u_radius
     crit = cmap.critical_points()
     centers = np.array([cp.s for cp in crit], dtype=float)
@@ -817,7 +825,11 @@ def hypothesis_battery(params: ModelParams, n: int, a: float,
     distortion bound, and H6 the unit slope in ``u = x**delta`` (normalised
     by ``gamma**p``) when ``h_a`` has turns.  H5 is structurally not
     certifiable by finite computation and is always labelled indicative.
+
+    ``horizon >= 1`` and ``0 < u_radius < 0.5`` are checked before any
+    entry is computed (else :class:`ValidationError`).
     """
+    _check_certificate_inputs(horizon, u_radius)
     dc = derive_constants(params)
     gamma = gamma_sequence(n, a, dc)
     cmap = make_circle_map(a, params)

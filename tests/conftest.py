@@ -9,7 +9,7 @@ from mayleonard import ModelParams, NumericsError, derive_constants
 from mayleonard.diagnostics import _BURN_IN, Lyapunov2D
 from mayleonard.params import stable_fixed_point
 from mayleonard.returnmap import reduce_mod
-from mayleonard.singular import CriticalPoint
+from mayleonard.singular import ConvergenceRow, CriticalPoint, gamma_sequence
 
 
 @pytest.fixture
@@ -77,6 +77,47 @@ def circle_dist_oracle(s, centers):
     last axis."""
     d = np.abs((np.asarray(s)[..., None] - centers + 0.5) % 1.0 - 0.5)
     return d.min(axis=-1, initial=math.inf)
+
+
+def convergence_table_oracle(n_range, a, params):
+    """Oracle for ``singular_limit_convergence``: every derivative distance
+    from finite differences.
+
+    The k-th s-derivative sup of the leading component
+    ``gamma**p (x**delta + 1 - sqrt(a1) cos 2 pi s)`` and of the phase
+    difference function are both central differences (step 1e-3) on the
+    five stencil rows, each divided by its step power before the reduction;
+    each ``d{k}_sup`` is the larger of the two.  The indices must be
+    representable; it does no input validation.
+    """
+    dc = derive_constants(params)
+    s_grid = np.linspace(0.0, 1.0, 256, endpoint=False)
+    h = 1e-3
+    sc = [dc.sqrt_a1 * np.cos(2.0 * np.pi * (s_grid + k * h)) for k in (-2, -1, 0, 1, 2)]
+    den = [1.0 - c for c in sc]
+    coef = -dc.xi * params.omega / math.pi
+    rows = []
+    for n in n_range:
+        gamma = gamma_sequence(n, a, dc)
+        gp = gamma**dc.p
+        f1_sup = gp * (2.0 + dc.sqrt_a1)
+        xd = np.linspace(f1_sup / 32, f1_sup, 32)[:, None] ** dc.delta
+        f2_diff = [coef * np.log1p(xd / b) for b in den]
+        f1_val = [gp * (xd + 1.0 - c) for c in sc]
+        d_sups = []
+        for v in (f2_diff, f1_val):
+            d1 = (v[3] - v[1]) / (2 * h)
+            d2 = (v[3] - 2 * v[2] + v[1]) / h**2
+            d3 = (v[4] - 2 * v[3] + 2 * v[1] - v[0]) / (2 * h**3)
+            d_sups.append([float(np.max(np.abs(d))) for d in (d1, d2, d3)])
+        rows.append(ConvergenceRow(
+            n=n, gamma=gamma, x_absorb=f1_sup,
+            f1_sup=f1_sup, f2_sup=float(np.max(np.abs(f2_diff[2]))),
+            d1_sup=max(d_sups[0][0], d_sups[1][0]),
+            d2_sup=max(d_sups[0][1], d_sups[1][1]),
+            d3_sup=max(d_sups[0][2], d_sups[1][2]),
+        ))
+    return rows
 
 
 def finite_difference_jacobian(fmap, x, s):

@@ -14,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from mayleonard import derive_constants, hypothesis_battery
 from mayleonard.cli import main
+from mayleonard.config import parse_config
+from mayleonard.singular import first_admissible_index
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -69,3 +72,19 @@ def test_scan_item_passes_the_benchmark_check(workloads, reference, tmp_path):
     assert workloads.check("scan", item, tmp_path / "out", reference) == (False, [])
     workloads.corrupt(item, tmp_path / "out")
     assert workloads.check("scan", item, tmp_path / "out", reference)[1]
+
+
+@pytest.mark.parametrize("case", ["case1", "case2"])
+def test_battery_statuses_equal_the_reference_at_every_offset(workloads, reference, case):
+    """At the benchmark's horizon, the H1-H7 statuses and the first
+    admissible index at each offset ``a = k/64`` are the recorded ones, so no
+    ``certify`` item the benchmark can draw fails its check."""
+    params = parse_config(CONFIGS / f"{case}.cfg").params
+    n = first_admissible_index(derive_constants(params))
+    table = reference["certify"][case]
+    assert sorted(map(int, table)) == list(range(workloads.CERTIFY_OFFSETS))
+    for k, want in table.items():
+        report = hypothesis_battery(params, n, int(k) / workloads.CERTIFY_OFFSETS,
+                                    horizon=workloads.CERTIFY_HORIZON)
+        statuses = {h: e["status"] for h, e in report.entries.items()}
+        assert (report.n, statuses) == (want["n"], want["status"]), k

@@ -395,6 +395,22 @@ def test_unit_reduction_of_negative_zero():
     assert reduce_mod(-0.0, 1.0).hex() == "-0x0.0p+0"
 
 
+def test_reduction_by_a_non_unit_modulus_is_never_negative():
+    """With modulus pi/0.3 the rounded quotient of a value one ulp from
+    ``k pi/0.3`` can reach the integer above the exact one, and the floor
+    difference falls below 0 (335 of these 3,998 probes): the modulus is
+    added back, so every image lies in [0, modulus]."""
+    modulus = math.pi / 0.3
+    below = 0
+    for k in range(1, 2000):
+        for v in (k * modulus, -k * modulus):
+            for probe in (math.nextafter(v, -math.inf), math.nextafter(v, math.inf)):
+                r = reduce_mod(probe, modulus)
+                assert 0.0 <= r <= modulus
+                below += probe - modulus * math.floor(probe / modulus) < 0.0
+    assert below == 335
+
+
 def test_case12_orbit_reduces_negative_phase_images():
     """At mu3 = -300 the phase shift is about -28.6 turns, so nearly half
     of the images ``f2`` are negative, a branch the shipped configs never

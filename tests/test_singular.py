@@ -37,7 +37,8 @@ from mayleonard.singular import (
 )
 from mayleonard.config import parse_config
 
-from conftest import circle_dist_oracle, critical_set_grid, doubling_orbit
+from conftest import (circle_dist_oracle, convergence_table_oracle, critical_set_grid,
+                      doubling_orbit)
 
 CASE1 = ModelParams(c=0.55, e=0.5, omega=0.05)
 CASE2 = ModelParams(c=0.6, e=0.2, omega=0.3)
@@ -391,6 +392,39 @@ def test_convergence_table(dc_case2):
     g = gamma_sequence(13, 0.3, dc_case2)
     assert rows[0].f1_sup == pytest.approx(
         g**dc_case2.p * (1.0 + 1.0 + dc_case2.sqrt_a1), rel=1e-12)
+
+
+@pytest.mark.parametrize("params", [CASE1, CASE2], ids=["case1", "case2"])
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.77])
+def test_convergence_table_matches_the_finite_difference_oracle(params, a):
+    """Over the default window the table is the all-finite-difference
+    oracle's: the sups bit for bit, and each derivative distance within the
+    leading component's truncation ``(2 pi h)**2 / 6`` (6.6e-6 relative).
+    Where the difference function decides a derivative distance, it is
+    the oracle's to the bit; where the closed form ``gamma**p sqrt(a1)
+    (2 pi)**k`` decides, the value is that closed form."""
+    dc = derive_constants(params)
+    n0 = first_admissible_index(dc)
+    rows = singular_limit_convergence(range(n0, n0 + 8), a, params)
+    oracle = convergence_table_oracle([r.n for r in rows], a, params)
+    closed_rows = set()
+    for row, want in zip(rows, oracle):
+        for col in ("n", "gamma", "x_absorb", "f1_sup", "f2_sup"):
+            assert getattr(row, col) == getattr(want, col)
+        gp = row.gamma**dc.p
+        for k in (1, 2, 3):
+            got, ref = getattr(row, f"d{k}_sup"), getattr(want, f"d{k}_sup")
+            assert got == pytest.approx(ref, rel=1e-5, abs=0.0)
+            closed = gp * (dc.sqrt_a1 * (2.0 * math.pi) ** k)
+            if got == closed:
+                closed_rows.add((k, row.n))
+            else:
+                assert got > closed and got == ref
+    # the closed form decides d1 on the window's last rows (at a = 0.3,
+    # n = 5 and 6 on case 1 and n = 19 and 20 on case 2), and nothing else
+    assert closed_rows and {k for k, _ in closed_rows} == {1}
+    if a == 0.3:
+        assert closed_rows == {(1, n) for n in ((5, 6) if params is CASE1 else (19, 20))}
 
 
 @pytest.mark.parametrize("indices", [[13, 5000, 14], [14, 13, 13]])
@@ -821,6 +855,23 @@ def test_battery_h2_and_h3_read_their_own_columns(monkeypatch, column, failing, 
     report = hypothesis_battery(p, n=14, a=0.3, horizon=50)
     assert report.entries[failing]["status"] == "fail"
     assert report.entries[passing]["status"] == "pass"
+
+
+@pytest.mark.parametrize("horizon, u_radius, match", [
+    (0, 1e-2, "horizon"), (-5, 1e-2, "horizon"),
+    (50, 0.0, "u_radius"), (50, 0.5, "u_radius"), (50, math.nan, "u_radius"),
+])
+def test_battery_checks_its_inputs_before_any_entry(monkeypatch, horizon, u_radius, match):
+    """A bad horizon or U radius is rejected before the convergence table
+    (or anything else) runs."""
+    import mayleonard.singular as singular
+
+    def fail(*args):
+        raise AssertionError("the convergence table ran")
+
+    monkeypatch.setattr(singular, "singular_limit_convergence", fail)
+    with pytest.raises(ValidationError, match=match):
+        hypothesis_battery(CASE2, n=14, a=0.3, horizon=horizon, u_radius=u_radius)
 
 
 def _first_batteries():
